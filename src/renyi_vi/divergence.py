@@ -38,9 +38,10 @@ CLOSED_FORM = "closed-form"
 QUADRATURE = "quadrature"
 MONTE_CARLO = "monte-carlo"
 
-# Log-integrand excess (relative to the probe-grid maximum) beyond which the
-# Renyi integral is declared divergent. 700 nats is just below exp-overflow
-# in float64, so a finite integral whose probe shift is sound never trips it.
+# Log-integrand excess (relative to its maximum over the anchor points: both
+# densities' bulk points, or the 2-D probe mesh) beyond which the Renyi
+# integral is declared divergent. 700 nats is just below exp-overflow in
+# float64, so a finite integral whose shift is sound never trips it.
 OVERFLOW_NATS = 700.0
 
 
@@ -49,13 +50,16 @@ class DivergenceEstimate:
     """A divergence value in [0, inf] with its method tag and error bound.
 
     ``alpha`` is None for KL estimates (the alpha -> 1 limit is served by a
-    separate code path, never by renyi_*).
+    separate code path, never by renyi_*). ``converged`` is False when the
+    adaptive quadrature behind a finite value stopped before reaching its
+    tolerance; closed forms and ``inf`` verdicts are always converged.
     """
 
     value: float
     method: str
     error: float
     alpha: float | None = None
+    converged: bool = True
 
     @property
     def is_infinite(self) -> bool:
@@ -87,19 +91,22 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-def _probe_grid_1d(p: Density, q: Density) -> np.ndarray:
-    pts = [bulk_points(p), bulk_points(q)]
+# Fallback shift/breakpoint grid for 1-D pairs where neither density declares
+# moments (so bulk_points has nothing to offer inside p's support).
+_FALLBACK_POINTS = 129
+_FALLBACK_HALF_WIDTH = 1e3
+
+
+def _anchor_points_1d(p: Density, q: Density) -> np.ndarray:
+    """Both densities' bulk points inside p's support, or a fallback grid."""
     lo, hi = p.support[0]
-    anchors = np.concatenate([a for a in pts if a.size] or [np.array([0.0])])
-    span_lo, span_hi = float(anchors.min()), float(anchors.max())
-    if span_hi <= span_lo:
-        span_lo, span_hi = span_lo - 1.0, span_hi + 1.0
-    dense = np.linspace(span_lo, span_hi, 1601)
-    grid = np.concatenate([dense, anchors])
-    grid = grid[(grid > lo) & (grid < hi)]
-    if grid.size == 0:
-        grid = np.linspace(max(lo, -1e3), min(hi, 1e3), 1601)
-    return np.unique(grid)
+    pts = np.union1d(bulk_points(p), bulk_points(q))
+    pts = pts[(pts > lo) & (pts < hi)]
+    if pts.size == 0:
+        grid = np.linspace(max(lo, -_FALLBACK_HALF_WIDTH),
+                           min(hi, _FALLBACK_HALF_WIDTH), _FALLBACK_POINTS)
+        pts = grid[(grid > lo) & (grid < hi)]
+    return pts
 
 
 def _renyi_quadrature_1d(p, q, alpha, rel_tol):
@@ -111,11 +118,12 @@ def _renyi_quadrature_1d(p, q, alpha, rel_tol):
         out[ok] = alpha * lp[ok] + (1.0 - alpha) * lq[ok]
         return out
 
-    grid = _probe_grid_1d(p, q)
-    lvals = log_integrand(grid)
-    shift = float(np.max(lvals))
+    # The bulk points hold each density's centre, so a Laplace or logistic
+    # kink is a panel edge from the first pass; the same points set the shift.
+    anchors = _anchor_points_1d(p, q)
+    shift = float(np.max(log_integrand(anchors), initial=-np.inf))
     if shift == -np.inf:
-        raise ValueError("integrand vanishes on the entire probe grid")
+        raise ValueError("integrand vanishes on every anchor point")
 
     overflow = {"hit": False}
 
@@ -129,10 +137,8 @@ def _renyi_quadrature_1d(p, q, alpha, rel_tol):
         return np.exp(lv)
 
     lo, hi = p.support[0]
-    bps = tuple(np.unique(np.concatenate([grid[:: max(1, grid.size // 64)],
-                                          [float(grid[int(np.argmax(lvals))])]])))
     spec = QuadratureSpec(lower=lo, upper=hi, rel_tol=rel_tol,
-                          breakpoints=bps)
+                          breakpoints=tuple(anchors))
     res = integrate(f, spec)
     if overflow["hit"] or not np.isfinite(res.value):
         return DivergenceEstimate(np.inf, QUADRATURE, 0.0, alpha)
@@ -140,7 +146,8 @@ def _renyi_quadrature_1d(p, q, alpha, rel_tol):
         raise ArithmeticError("Renyi integral evaluated to a non-positive value")
     value = (shift + np.log(res.value)) / (alpha - 1.0)
     err = res.error / (res.value * (alpha - 1.0))
-    return DivergenceEstimate(float(value), QUADRATURE, float(err), alpha)
+    return DivergenceEstimate(float(value), QUADRATURE, float(err), alpha,
+                              res.converged)
 
 
 def _renyi_quadrature_2d(p, q, alpha, rel_tol):
@@ -181,7 +188,8 @@ def _renyi_quadrature_2d(p, q, alpha, rel_tol):
         raise ArithmeticError("Renyi integral evaluated to a non-positive value")
     value = (shift + np.log(res.value)) / (alpha - 1.0)
     err = res.error / (res.value * (alpha - 1.0))
-    return DivergenceEstimate(float(value), QUADRATURE, float(err), alpha)
+    return DivergenceEstimate(float(value), QUADRATURE, float(err), alpha,
+                              res.converged)
 
 
 def renyi_quadrature(
@@ -289,7 +297,8 @@ def _kl_quadrature(p: Density, q: Density, rel_tol: float) -> DivergenceEstimate
     if blown["hit"] or not np.isfinite(res.value):
         return DivergenceEstimate(np.inf, QUADRATURE, 0.0, None)
     return DivergenceEstimate(
-        max(float(res.value), 0.0), QUADRATURE, float(res.error), None
+        max(float(res.value), 0.0), QUADRATURE, float(res.error), None,
+        res.converged,
     )
 
 

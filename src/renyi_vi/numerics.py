@@ -219,6 +219,18 @@ def _panel_sums(g: Callable, lefts: np.ndarray, rights: np.ndarray):
     return k15, err
 
 
+def _initial_edges(spec: QuadratureSpec, inv: Callable, a: float, b: float) -> np.ndarray:
+    """Sorted first-pass panel edges: the ends, the midpoint and the mapped
+    breakpoints that lie strictly inside, with near-duplicates dropped."""
+    edges = np.array([a, 0.5 * (a + b), b])
+    if spec.breakpoints:
+        bps = np.atleast_1d(inv(np.asarray(spec.breakpoints, dtype=float)))
+        pad = 1e-12 * (b - a)
+        edges = np.concatenate([edges, bps[(bps > a + pad) & (bps < b - pad)]])
+    edges = np.unique(edges)
+    return edges[np.concatenate([[True], np.diff(edges) > 1e-14 * (b - a)])]
+
+
 def integrate(f: Callable[[np.ndarray], np.ndarray], spec: QuadratureSpec) -> QuadratureResult:
     """Adaptive quadrature of a vectorized scalar function.
 
@@ -233,15 +245,7 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], spec: QuadratureSpec) -> Qu
     def g(t):
         return np.asarray(f(fwd(t)), dtype=float) * weight(t)
 
-    edges = [ta, 0.5 * (ta + tb), tb]
-    if spec.breakpoints:
-        bps = inv(np.asarray(spec.breakpoints, dtype=float))
-        pad = 1e-12 * (tb - ta)
-        edges.extend(float(b) for b in np.atleast_1d(bps) if ta + pad < b < tb - pad)
-    edges = np.array(sorted(set(edges)))
-    keep = np.concatenate([[True], np.diff(edges) > 1e-14 * (tb - ta)])
-    edges = edges[keep]
-
+    edges = _initial_edges(spec, inv, ta, tb)
     lefts = edges[:-1].copy()
     rights = edges[1:].copy()
     vals, errs = _panel_sums(g, lefts, rights)
@@ -322,17 +326,8 @@ def integrate_2d(
         pts = np.column_stack([fwd_x(tx), fwd_y(ty)])
         return np.asarray(f(pts), dtype=float) * w_x(tx) * w_y(ty)
 
-    def _edges(spec, inv, a, b):
-        e = [a, 0.5 * (a + b), b]
-        if spec.breakpoints:
-            bp = inv(np.asarray(spec.breakpoints, dtype=float))
-            pad = 1e-12 * (b - a)
-            e.extend(float(v) for v in np.atleast_1d(bp) if a + pad < v < b - pad)
-        e = np.array(sorted(set(e)))
-        return e[np.concatenate([[True], np.diff(e) > 1e-14 * (b - a)])]
-
-    ex = _edges(spec_x, inv_x, ax, bx)
-    ey = _edges(spec_y, inv_y, ay, by)
+    ex = _initial_edges(spec_x, inv_x, ax, bx)
+    ey = _initial_edges(spec_y, inv_y, ay, by)
     boxes = np.array(
         [
             [ex[i], ex[i + 1], ey[j], ey[j + 1]]

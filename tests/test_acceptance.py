@@ -91,7 +91,7 @@ def test_criterion_02_consistency_laplace_family():
     _report(2, "consistency (Laplace family)", ok,
             f"variance slope = {slope:.4f}, coverage = {cover:.3f}, "
             f"final tail mass = {tails[-1]:.1e}",
-            time.perf_counter() - t0, 120.0)
+            time.perf_counter() - t0, 60.0)
 
 
 def test_criterion_03_minimal_divergence_bound():

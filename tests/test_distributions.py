@@ -195,3 +195,41 @@ class TestDominates:
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):
             dominates(make_gaussian(0.0, 1.0), make_gaussian([0.0, 0.0], np.eye(2)))
+
+
+def bulk_points_loop(d, coord=0):
+    """Reference: the element-by-element form of bulk_points."""
+    lo, hi = d.support[coord]
+    pts = []
+    if d.kind == "mixture":
+        for c in d.params["components"]:
+            pts.extend(bulk_points_loop(c, coord).tolist())
+    elif d.kind == "uniform":
+        pts.extend(np.linspace(lo, hi, 9).tolist())
+    elif d.mean is not None and d.cov is not None:
+        c = float(np.atleast_1d(d.mean)[coord])
+        s = float(np.sqrt(np.atleast_2d(d.cov)[coord, coord]))
+        for mult in (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 8.0, 12.0):
+            pts.extend([c + mult * s, c - mult * s])
+    return np.asarray(sorted({p for p in pts if lo < p < hi and np.isfinite(p)}))
+
+
+class TestBulkPoints:
+    @pytest.mark.parametrize("name", sorted(ALL_1D))
+    def test_matches_loop_reference(self, name):
+        d = ALL_1D[name]
+        got = bulk_points(d)
+        assert got.tolist() == bulk_points_loop(d).tolist()
+        assert np.all(np.diff(got) > 0)
+
+    def test_matches_loop_reference_random(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            m, s = rng.uniform(-3.0, 3.0), rng.uniform(1e-3, 3.0)
+            for d in (make_gamma(rng.uniform(0.5, 20.0), rng.uniform(0.1, 5.0)),
+                      make_mixture([0.4, 0.6], [make_uniform(m, m + s),
+                                                make_laplace(m + 0.5 * s, s)])):
+                assert bulk_points(d).tolist() == bulk_points_loop(d).tolist()
+        d2 = make_gaussian([0.5, -1.0], [[1.0, 0.3], [0.3, 2.0]])
+        for coord in (0, 1):
+            assert bulk_points(d2, coord).tolist() == bulk_points_loop(d2, coord).tolist()

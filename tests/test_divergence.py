@@ -5,13 +5,15 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import erfc
+from scipy.special import erfc, log_ndtr
 
 from renyi_vi.distributions import (
+    Density,
     bulk_points,
     make_gamma,
     make_gaussian,
     make_laplace,
+    make_logistic,
     make_mixture,
     make_uniform,
 )
@@ -90,6 +92,86 @@ class TestRenyiQuadrature:
     def test_alpha_at_most_one_rejected(self):
         with pytest.raises(ValueError):
             renyi_quadrature(make_gaussian(0, 1), make_gaussian(0, 1), 1.0)
+
+
+def renyi_gauss_laplace(mu, s, k, b, alpha):
+    """D_alpha(N(mu, s^2) || Laplace(k, b)) in closed form: split the integral
+    at k into two Gaussian-times-exponential pieces, each a log_ndtr term."""
+    v = s * s / alpha
+    c = (alpha - 1.0) / b
+    d = mu - k
+    log_i = (
+        -0.5 * alpha * math.log(2.0 * math.pi * s * s)
+        + (alpha - 1.0) * math.log(2.0 * b)
+        + 0.5 * math.log(2.0 * math.pi * v)
+        + 0.5 * c * c * v
+        + np.logaddexp(c * d + log_ndtr((d + c * v) / math.sqrt(v)),
+                       -c * d + log_ndtr((c * v - d) / math.sqrt(v)))
+    )
+    return float(log_i) / (alpha - 1.0)
+
+
+def moment_free(d):
+    """The same density with its moments (hence its bulk points) withheld."""
+    return Density(dim=d.dim, support=d.support, log_pdf=d.log_pdf)
+
+
+class TestRenyiQuadratureAccuracy:
+    def test_gauss_laplace_matches_closed_form(self):
+        # the Laplace kink at k must be a panel edge for 1e-11 to hold
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            scale = 10.0 ** rng.uniform(-3.0, 0.5)
+            mu = rng.uniform(-2.0, 2.0)
+            s = scale * rng.uniform(0.3, 1.5)
+            k = mu + scale * rng.uniform(-2.0, 2.0)
+            b = scale * rng.uniform(0.3, 1.5)
+            a = rng.uniform(1.1, 4.0)
+            expect = renyi_gauss_laplace(mu, s, k, b, a)
+            est = renyi_quadrature(make_gaussian(mu, s * s), make_laplace(k, b), a)
+            assert est.converged
+            assert abs(est.value - expect) <= 1e-11 * abs(expect), (mu, s, k, b, a)
+
+    def test_logistic_pair_matches_fine_reference(self):
+        p, q = make_logistic(0.2, 0.5), make_laplace(-0.1, 0.8)
+        f = lambda x: np.exp(2.5 * p.log_pdf(x) - 1.5 * q.log_pdf(x))
+        ref = integrate(f, QuadratureSpec(-np.inf, np.inf, rel_tol=1e-13,
+                                          breakpoints=(-0.1, 0.2))).value
+        est = renyi_quadrature(p, q, 2.5).value
+        assert abs(est - math.log(ref) / 1.5) <= 1e-11
+
+    def test_moment_free_pair_uses_fallback_grid(self):
+        p, q = make_gaussian(0.3, 1.0), make_gaussian(0.0, 2.25)
+        assert bulk_points(moment_free(p)).size == 0
+        est = renyi_quadrature(moment_free(p), moment_free(q), 2.0)
+        assert abs(est.value - renyi_gauss_closed(p, q, 2.0).value) <= 1e-8
+
+
+class TestConvergenceFlag:
+    def test_quadrature_reports_converged(self):
+        p, q = make_gaussian(0.0, 1.0), make_laplace(0.3, 1.0)
+        assert renyi_quadrature(p, q, 2.0).converged
+        assert kl_forward(p, q).converged
+        p2 = make_gaussian([0.0, 0.0], [[1.0, 0.5], [0.5, 1.0]])
+        q2 = make_gaussian([0.1, -0.1], 1.4 * np.eye(2))
+        assert renyi_quadrature(p2, q2, 2.0, rel_tol=1e-6).converged
+
+    def test_endpoint_singularity_reports_not_converged(self):
+        # Gamma(0.1, .) has a x^-0.9 pole at 0: the refinement waves run out
+        # before the tolerance is met, the flag says so, and the best
+        # estimate is still carried along
+        p, q = make_gamma(0.1, 1.0), make_gamma(0.1, 2.0)
+        ren = renyi_quadrature(p, q, 1.5)
+        assert not ren.converged
+        assert abs(ren.value - 0.1 * math.log(2.0)) <= 1e-5
+        kl = kl_forward(p, q)
+        assert not kl.converged
+        assert abs(kl.value - 0.1 * (1.0 - math.log(2.0))) <= 1e-5
+
+    def test_closed_form_and_infinite_are_converged(self):
+        p = make_gaussian(0.0, 1.0)
+        assert renyi_gauss_closed(p, make_gaussian(0.5, 2.0), 2.0).converged
+        assert renyi_quadrature(p, make_gamma(2.0, 1.0), 2.0).converged
 
 
 class TestRenyiClosedForm:

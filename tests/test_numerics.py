@@ -15,6 +15,7 @@ from renyi_vi.numerics import (
     laplace_approx,
     log_sum_exp,
 )
+from renyi_vi.numerics import _initial_edges, _make_map
 
 
 def std_normal_pdf(x):
@@ -80,6 +81,33 @@ class TestIntegrate:
     def test_spec_validation(self, kwargs):
         with pytest.raises(ValueError):
             QuadratureSpec(**kwargs)
+
+
+def initial_edges_loop(spec, inv, a, b):
+    """Reference: the element-by-element form of _initial_edges."""
+    edges = [a, 0.5 * (a + b), b]
+    if spec.breakpoints:
+        bps = inv(np.asarray(spec.breakpoints, dtype=float))
+        pad = 1e-12 * (b - a)
+        edges.extend(float(t) for t in np.atleast_1d(bps) if a + pad < t < b - pad)
+    edges = np.array(sorted(set(edges)))
+    return edges[np.concatenate([[True], np.diff(edges) > 1e-14 * (b - a)])]
+
+
+class TestInitialEdges:
+    @pytest.mark.parametrize("lo, hi", [(-np.inf, np.inf), (0.0, np.inf),
+                                        (-np.inf, 2.0), (-3.0, 5.0)])
+    def test_matches_loop_reference(self, lo, hi):
+        rng = np.random.default_rng(8)
+        _, _, inv, a, b = _make_map(lo, hi)
+        for _ in range(40):
+            pts = rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), size=rng.integers(1, 40))
+            pts = np.concatenate([pts, pts[:3], [0.0, 2.0, -3.0, 5.0, 1e300]])
+            spec = QuadratureSpec(lo, hi, breakpoints=tuple(pts))
+            assert (_initial_edges(spec, inv, a, b).tolist()
+                    == initial_edges_loop(spec, inv, a, b).tolist())
+        spec = QuadratureSpec(lo, hi)
+        assert _initial_edges(spec, inv, a, b).tolist() == [a, 0.5 * (a + b), b]
 
 
 class TestIntegrate2D:
