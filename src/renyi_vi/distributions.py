@@ -335,9 +335,11 @@ def bulk_points(d: Density, coord: int = 0) -> np.ndarray:
     either side of it. A uniform gives nine equispaced points and a mixture
     its components' points; a density without moments gives none.
 
-    Used to seed quadrature panels, and in the 1-D Renyi quadrature also to
-    set the log-integrand shift, so narrow densities and the kink at a
-    Laplace or logistic centre are seen by an adaptive first pass.
+    Used to seed quadrature panels, so narrow densities and the kink at a
+    Laplace or logistic centre are seen by an adaptive first pass. The 1-D
+    Renyi quadrature also sets its log-integrand shift from them; the 2-D one
+    takes the bulk points of a Gaussian fitted at each maximum of its
+    integrand.
     """
     lo, hi = d.support[coord]
     if d.kind == "mixture":

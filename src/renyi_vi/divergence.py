@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Density, bulk_points, dominates
+from .distributions import Density, bulk_points, dominates, make_gaussian
 from .numerics import QuadratureSpec, integrate, integrate_2d, log_sum_exp
 
 __all__ = [
@@ -38,10 +38,12 @@ CLOSED_FORM = "closed-form"
 QUADRATURE = "quadrature"
 MONTE_CARLO = "monte-carlo"
 
-# Log-integrand excess (relative to its maximum over the anchor points: both
-# densities' bulk points, or the 2-D probe mesh) beyond which the Renyi
-# integral is declared divergent. 700 nats is just below exp-overflow in
-# float64, so a finite integral whose shift is sound never trips it.
+# Log-integrand excess over the shift beyond which the Renyi integral is
+# declared divergent. The shift is the log-integrand's maximum over both
+# densities' bulk points in 1-D; in 2-D it is its largest located maximum,
+# or, for a pair where none is located, its maximum over an 81 x 81 probe
+# mesh. 700 nats is just below exp-overflow in float64, so a finite integral
+# whose shift is sound never trips it.
 OVERFLOW_NATS = 700.0
 
 
@@ -53,6 +55,8 @@ class DivergenceEstimate:
     separate code path, never by renyi_*). ``converged`` is False when the
     adaptive quadrature behind a finite value stopped before reaching its
     tolerance; closed forms and ``inf`` verdicts are always converged.
+    ``panels`` counts the final quadrature panels (boxes in 2-D) behind a
+    finite quadrature value; it is 0 for closed forms and ``inf`` verdicts.
     """
 
     value: float
@@ -60,6 +64,7 @@ class DivergenceEstimate:
     error: float
     alpha: float | None = None
     converged: bool = True
+    panels: int = 0
 
     @property
     def is_infinite(self) -> bool:
@@ -147,7 +152,106 @@ def _renyi_quadrature_1d(p, q, alpha, rel_tol):
     value = (shift + np.log(res.value)) / (alpha - 1.0)
     err = res.error / (res.value * (alpha - 1.0))
     return DivergenceEstimate(float(value), QUADRATURE, float(err), alpha,
-                              res.converged)
+                              res.converged, res.panels)
+
+
+_NEWTON_MAX_STEPS = 30
+_NEWTON_STEP_TOL = 1e-3  # in marginal sds of inv(-H)
+# (i, j) offsets of the 3 x 3 central-difference stencil, row-major.
+_STENCIL = np.array([[i, j] for i in (-1.0, 0.0, 1.0) for j in (-1.0, 0.0, 1.0)])
+
+
+def _newton_max_2d(log_integrand, centre, step):
+    """Maximise a 2-D log-integrand by Newton steps on a 3 x 3 stencil.
+
+    Starts at ``centre`` with per-axis stencil step ``step``; later steps are
+    the marginal sds of inv(-H). Returns ``(maximiser, inv(-H))``, or None
+    when a stencil value is not finite, H is not negative definite, or the
+    steps have not settled within ``_NEWTON_MAX_STEPS``.
+    """
+    c = np.array(centre, dtype=float)
+    h = np.array(step, dtype=float)
+    for _ in range(_NEWTON_MAX_STEPS):
+        v = log_integrand(c + h * _STENCIL).reshape(3, 3)
+        if not np.all(np.isfinite(v)):
+            return None
+        grad = np.array([v[2, 1] - v[0, 1], v[1, 2] - v[1, 0]]) / (2.0 * h)
+        hxy = (v[2, 2] - v[2, 0] - v[0, 2] + v[0, 0]) / (4.0 * h[0] * h[1])
+        neg_hess = -np.array([
+            [(v[2, 1] - 2.0 * v[1, 1] + v[0, 1]) / h[0] ** 2, hxy],
+            [hxy, (v[1, 2] - 2.0 * v[1, 1] + v[1, 0]) / h[1] ** 2],
+        ])
+        lam, vec = np.linalg.eigh(neg_hess)
+        if not lam[0] > 0.0:
+            return None
+        cov = (vec / lam) @ vec.T
+        move = cov @ grad
+        c = c + move
+        h = np.sqrt(np.diag(cov))
+        if np.all(np.abs(move) <= _NEWTON_STEP_TOL * h):
+            return c, cov
+    return None
+
+
+def _centres(d: Density):
+    """(mean, per-axis sd) of d, or of each mixture component; None when a
+    component declares no moments."""
+    comps = d.params["components"] if d.kind == "mixture" else (d,)
+    if any(c.mean is None or c.cov is None for c in comps):
+        return None
+    return [(c.mean, np.sqrt(np.diag(c.cov))) for c in comps]
+
+
+def _peak_frame_2d(p, q, log_integrand):
+    """Integration frame and breakpoints from the log-integrand's maxima.
+
+    Newton runs once from each centre of p and q; a maximum within one
+    marginal sd of one already found is dropped. Each maximum c with
+    curvature H stands for N(c, inv(-H)). The frame is x = origin + A z with
+    A A' = inv(-H) at the largest maximum, so its peak is a unit isotropic
+    bump in z and a thin ridge along a diagonal of x still meets boxes of its
+    own width. Returns ``(origin, A, bx, by, shift)``: the per-axis bulk
+    points in z of every maximum's Gaussian, and the largest log-integrand
+    value at the maxima. None when p's support is not the whole plane, a
+    density has no centres, or any start fails.
+    """
+    starts = [_centres(p), _centres(q)]
+    if np.isfinite(p.support).any() or None in starts:
+        return None
+    maxima = []
+    for centre, sd in starts[0] + starts[1]:
+        found = _newton_max_2d(log_integrand, centre, sd)
+        if found is None:
+            return None
+        c, cov = found
+        reach = np.sqrt(np.diag(cov))
+        if all(np.any(np.abs(c - m) > reach) for m, _ in maxima):
+            maxima.append((c, cov))
+    peaks = log_integrand(np.array([c for c, _ in maxima]))
+    origin, cov = maxima[int(np.argmax(peaks))]
+    lam, vec = np.linalg.eigh(cov)
+    if not lam[0] > 0.0:
+        return None
+    a_inv = vec.T / np.sqrt(lam)[:, None]
+    gauss = [make_gaussian(a_inv @ (c - origin), a_inv @ s @ a_inv.T)
+             for c, s in maxima]
+    bx = np.unique(np.concatenate([bulk_points(g, 0) for g in gauss]))
+    by = np.unique(np.concatenate([bulk_points(g, 1) for g in gauss]))
+    return origin, vec * np.sqrt(lam), bx, by, float(np.max(peaks))
+
+
+def _mesh_anchors_2d(p, q, log_integrand):
+    """Both densities' bulk points per axis, with the shift from an 81 x 81
+    mesh over their span."""
+    bx = np.unique(np.concatenate([bulk_points(p, 0), bulk_points(q, 0)]))
+    by = np.unique(np.concatenate([bulk_points(p, 1), bulk_points(q, 1)]))
+    gx = np.linspace(bx.min(), bx.max(), 81)
+    gy = np.linspace(by.min(), by.max(), 81)
+    mesh = np.column_stack([np.repeat(gx, gy.size), np.tile(gy, gx.size)])
+    shift = float(np.max(log_integrand(mesh)))
+    if shift == -np.inf:
+        raise ValueError("integrand vanishes on the entire 81 x 81 probe mesh")
+    return bx, by, shift
 
 
 def _renyi_quadrature_2d(p, q, alpha, rel_tol):
@@ -159,37 +263,44 @@ def _renyi_quadrature_2d(p, q, alpha, rel_tol):
         out[ok] = alpha * lp[ok] + (1.0 - alpha) * lq[ok]
         return out
 
-    bx = np.unique(np.concatenate([bulk_points(p, 0), bulk_points(q, 0)]))
-    by = np.unique(np.concatenate([bulk_points(p, 1), bulk_points(q, 1)]))
-    gx = np.linspace(bx.min(), bx.max(), 81)
-    gy = np.linspace(by.min(), by.max(), 81)
-    mesh = np.column_stack([np.repeat(gx, gy.size), np.tile(gy, gx.size)])
-    shift = float(np.max(log_integrand(mesh)))
-    if shift == -np.inf:
-        raise ValueError("integrand vanishes on the entire probe grid")
+    # A located maximum with negative-definite curvature (a log-concave
+    # integrand near its peak) seeds the boxes where the mass is; divergent
+    # pairs and integrands without one fall back to the 81 x 81 probe mesh,
+    # in x itself.
+    frame = _peak_frame_2d(p, q, log_integrand)
+    if frame is None:
+        bx, by, shift = _mesh_anchors_2d(p, q, log_integrand)
+        supports, log_jac, log_g = p.support, 0.0, log_integrand
+    else:
+        origin, a, bx, by, shift = frame
+        supports = ((-np.inf, np.inf), (-np.inf, np.inf))
+        log_jac = float(np.log(abs(np.linalg.det(a))))
+
+        def log_g(z):
+            return log_integrand(origin + z @ a.T)
 
     overflow = {"hit": False}
 
     def f(pts):
         if overflow["hit"]:  # integral already declared divergent
             return np.zeros(np.shape(pts)[:1] if np.ndim(pts) > 1 else np.shape(pts))
-        lv = log_integrand(pts) - shift
+        lv = log_g(pts) - shift
         if np.any(lv > OVERFLOW_NATS):
             overflow["hit"] = True
             return np.zeros(lv.shape)
         return np.exp(lv)
 
-    spec_x = QuadratureSpec(*p.support[0], rel_tol=rel_tol, breakpoints=tuple(bx))
-    spec_y = QuadratureSpec(*p.support[1], rel_tol=rel_tol, breakpoints=tuple(by))
+    spec_x = QuadratureSpec(*supports[0], rel_tol=rel_tol, breakpoints=tuple(bx))
+    spec_y = QuadratureSpec(*supports[1], rel_tol=rel_tol, breakpoints=tuple(by))
     res = integrate_2d(f, spec_x, spec_y)
     if overflow["hit"] or not np.isfinite(res.value):
         return DivergenceEstimate(np.inf, QUADRATURE, 0.0, alpha)
     if res.value <= 0.0:
         raise ArithmeticError("Renyi integral evaluated to a non-positive value")
-    value = (shift + np.log(res.value)) / (alpha - 1.0)
+    value = (shift + log_jac + np.log(res.value)) / (alpha - 1.0)
     err = res.error / (res.value * (alpha - 1.0))
     return DivergenceEstimate(float(value), QUADRATURE, float(err), alpha,
-                              res.converged)
+                              res.converged, res.panels)
 
 
 def renyi_quadrature(
@@ -298,7 +409,7 @@ def _kl_quadrature(p: Density, q: Density, rel_tol: float) -> DivergenceEstimate
         return DivergenceEstimate(np.inf, QUADRATURE, 0.0, None)
     return DivergenceEstimate(
         max(float(res.value), 0.0), QUADRATURE, float(res.error), None,
-        res.converged,
+        res.converged, res.panels,
     )
 
 

@@ -196,7 +196,7 @@ def test_criterion_08_anisotropic_spread_ordering():
     _report(8, "anisotropic target spread ordering", ok,
             f"s2: reverse {s2['kl-reverse']:.4f}, forward {s2['kl-forward']:.4f}, "
             f"alpha (2,5,20) -> {[round(v, 4) for v in renyi]}",
-            time.perf_counter() - t0, 120.0)
+            time.perf_counter() - t0, 10.0)
 
 
 def test_criterion_09_ep_consistency_and_kl_le_renyi():

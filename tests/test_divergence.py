@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import erfc, log_ndtr
 
 from renyi_vi.distributions import (
@@ -147,6 +149,63 @@ class TestRenyiQuadratureAccuracy:
         assert abs(est.value - renyi_gauss_closed(p, q, 2.0).value) <= 1e-8
 
 
+@st.composite
+def gaussian_pairs_2d(draw):
+    """(p mean, p cov, q mean, q variance, alpha): any correlation up to
+    0.95, per-axis variances from 1e-6 to 10, an isotropic q. alpha stays
+    1e-3 clear of 1, where both forms divide by alpha - 1."""
+    vx, vy, vq = (10.0 ** draw(st.floats(-6.0, 1.0)) for _ in range(3))
+    cxy = draw(st.floats(-0.95, 0.95)) * math.sqrt(vx * vy)
+    mp = [draw(st.floats(-6.0, 6.0)) for _ in range(2)]
+    mq = [draw(st.floats(-6.0, 6.0)) for _ in range(2)]
+    return mp, [[vx, cxy], [cxy, vy]], mq, vq, draw(st.floats(1.001, 20.0))
+
+
+# Isotropic variances that figure1 fits to N(0, [[1, .9], [.9, 1]]).
+FIG1_S2 = {2.0: 1.4337396712041177, 20.0: 1.85256759120746}
+FIG1_TARGET = make_gaussian([0.0, 0.0], [[1.0, 0.9], [0.9, 1.0]])
+
+
+class TestRenyiQuadrature2D:
+    @settings(derandomize=True, deadline=None, database=None)
+    @given(gaussian_pairs_2d())
+    # narrow and wider than both densities: bulk-point seeds stop short
+    @example(([2.82, 3.41], [[8.42e-6, 2.83e-6], [2.83e-6, 6.58e-6]],
+              [2.82, 3.41], 5.44e-6, 2.0))
+    # S* has eigenvalue 1.9e-6: a long diagonal ridge, far wider than p or q
+    @example(([0.3, -0.2], [[1.0, 0.9], [0.9, 1.0]], [0.0, 0.0],
+              0.95 * (1.0 + 1e-6), 2.0))
+    def test_matches_closed_form(self, pair):
+        mp, cp, mq, vq, a = pair
+        p, q = make_gaussian(mp, cp), make_gaussian(mq, vq * np.eye(2))
+        closed = renyi_gauss_closed(p, q, a).value
+        quad = renyi_quadrature(p, q, a, rel_tol=1e-7).value
+        if np.isinf(closed) or np.isinf(quad):
+            assert quad == closed
+        else:
+            assert abs(quad - closed) <= 1e-7 * max(1.0, abs(closed))
+
+    def test_bimodal_mixture_keeps_probe_mesh_value(self):
+        # no maximum from q's centre, between the modes: the mesh path runs
+        p = make_mixture([0.5, 0.5], [
+            make_gaussian([-2.0, 0.0], 0.5 * np.eye(2)),
+            make_gaussian([2.0, 0.5], [[0.6, 0.2], [0.2, 0.4]]),
+        ])
+        est = renyi_quadrature(p, make_gaussian([0.0, 0.0], 4.0 * np.eye(2)), 2.0)
+        assert abs(est.value - 1.3743974240139551) <= 1e-9
+
+    def test_figure1_shrunk_alpha20_member_is_infinite(self):
+        s2 = FIG1_S2[20.0] * 0.97**2  # 20 s^2 < 19 lambda_max: S* indefinite
+        q = make_gaussian([0.0, 0.0], s2 * np.eye(2))
+        assert renyi_quadrature(FIG1_TARGET, q, 20.0, rel_tol=1e-7).value == np.inf
+
+    def test_figure1_certificate_pair_box_count(self):
+        q = make_gaussian([0.0, 0.0], FIG1_S2[2.0] * np.eye(2))
+        est = renyi_quadrature(FIG1_TARGET, q, 2.0, rel_tol=1e-7)
+        assert est.converged and 0 < est.panels <= 600
+        assert abs(est.value - renyi_gauss_closed(FIG1_TARGET, q, 2.0).value) <= 1e-10
+
+
 class TestConvergenceFlag:
     def test_quadrature_reports_converged(self):
         p, q = make_gaussian(0.0, 1.0), make_laplace(0.3, 1.0)
@@ -167,6 +226,13 @@ class TestConvergenceFlag:
         kl = kl_forward(p, q)
         assert not kl.converged
         assert abs(kl.value - 0.1 * (1.0 - math.log(2.0))) <= 1e-5
+
+    def test_panels_are_carried(self):
+        p, q = make_gaussian(0.0, 1.0), make_laplace(0.3, 1.0)
+        assert renyi_quadrature(p, q, 2.0).panels > 0
+        assert kl_forward(p, q).panels > 0
+        assert renyi_gauss_closed(p, make_gaussian(0.5, 2.0), 2.0).panels == 0
+        assert renyi_quadrature(p, make_gamma(2.0, 1.0), 2.0).panels == 0
 
     def test_closed_form_and_infinite_are_converged(self):
         p = make_gaussian(0.0, 1.0)
