@@ -1,10 +1,10 @@
 """Minimize a divergence objective over a parametric variational family.
 
 Two optimizers: a deterministic one (coarse grid over location x log-spaced
-grid over scale, then coordinate golden-section refinement) for objectives
-computable by closed form or quadrature, and a stochastic one that descends
-the Monte-Carlo evidence upper bound with central finite differences under
-common random numbers.
+grid over scale, then coordinate line searches by Brent's method) for
+objectives computable by closed form or quadrature, and a stochastic one
+that descends the Monte-Carlo evidence upper bound with central finite
+differences under common random numbers.
 
 Objectives are dispatched per pair: Gaussian/Gaussian uses the closed forms
 (validated against quadrature in the test suite), everything else is scored
@@ -48,8 +48,6 @@ __all__ = [
 ]
 
 OBJECTIVE_KINDS = ("renyi-alpha", "kl-reverse", "kl-forward", "mc-upper-bound")
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class DominanceError(ValueError):
@@ -260,7 +258,11 @@ def _positive_location(bounds) -> list[bool]:
 
 
 class _Objective:
-    """Caching, budgeted wrapper around a parameter scorer (internal coords)."""
+    """Caching, budgeted wrapper around a parameter scorer (internal coords).
+
+    Keeps the best ``(z, value)`` it has scored, so a fit stopped by the
+    budget in the middle of a line search still returns its best point.
+    """
 
     def __init__(self, score, family, budget):
         self._score = score
@@ -270,6 +272,8 @@ class _Objective:
         self._cache: dict[tuple, float] = {}
         self._pos = _positive_location(family.param_bounds)
         self._roles = family.param_roles
+        self.best_z: np.ndarray | None = None
+        self.best_val = math.inf
 
     def natural(self, z: np.ndarray) -> np.ndarray:
         out = np.array(z, dtype=float)
@@ -294,6 +298,9 @@ class _Objective:
         self.n_evals += 1
         val = float(self._score(self.natural(np.asarray(z, dtype=float))).value)
         self._cache[key] = val
+        if val < self.best_val:
+            self.best_val = val
+            self.best_z = np.array(z, dtype=float)
         return val
 
 
@@ -301,22 +308,63 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def _golden_1d(f1, lo, hi, iters):
-    """Golden-section minimum of f1 on [lo, hi]; returns (x, f(x))."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f1(c), f1(d)
-    for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f1(c)
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
+
+
+def _brent_1d(f1, lo, hi, x):
+    """Brent minimum of f1 on [lo, hi] started from x inside; returns (x, f(x)).
+
+    Parabolic steps through the three best points, golden-section steps
+    when the parabola is rejected. The arithmetic is on Python floats: an
+    infinite value makes the parabola NaN, which fails the test for taking
+    it, so the step falls back to golden section without a warning.
+    """
+    a, b, x = float(lo), float(hi), float(x)
+    w = v = x
+    fx = fw = fv = float(f1(x))
+    d = e = 0.0
+    while True:
+        m = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(x) + 1e-8 / 3.0
+        tol2 = 2.0 * tol1
+        if abs(x - m) <= tol2 - 0.5 * (b - a):
+            return x, fx
+        parabolic = False
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            # written so that a NaN p or q fails the test
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                e, d = d, p / q
+                parabolic = True
+                if (x + d) - a < tol2 or b - (x + d) < tol2:
+                    d = math.copysign(tol1, m - x)
+        if not parabolic:
+            e = (a if x >= m else b) - x
+            d = _CGOLD * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        fu = float(f1(u))
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f1(d)
-    return (c, fc) if fc <= fd else (d, fd)
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 def fit(
@@ -331,10 +379,12 @@ def fit(
     """Deterministic divergence minimization over the family.
 
     Coarse grid (linear in locations, log-spaced in scales around a
-    moment-matched start), then coordinate golden-section refinement;
-    converged means the last sweep improved the objective by < 1e-8.
-    Raises :class:`DominanceError` when the objective is infinite on the
-    entire initial grid. ``budget`` caps objective evaluations.
+    moment-matched start), then sweeps of coordinate line searches by
+    Brent's method, each started from the best point on a bracket that
+    shrinks by 0.35 per sweep; converged means the last sweep improved the
+    objective by < 1e-8. Raises :class:`DominanceError` when the objective
+    is infinite on the entire initial grid. ``budget`` caps objective
+    evaluations; a fit stopped by it returns the best point it scored.
     """
     if objective_kind == "mc-upper-bound":
         raise ValueError("the mc-upper-bound objective is served by fit_stochastic")
@@ -420,7 +470,7 @@ def fit(
                     w[i] = v
                     return obj(w)
 
-                xi, fv = _golden_1d(f1, best_z[i] - steps[i], best_z[i] + steps[i], 30)
+                xi, fv = _brent_1d(f1, best_z[i] - steps[i], best_z[i] + steps[i], best_z[i])
                 if fv < best_val:
                     best_val = fv
                     best_z = zi.copy()
@@ -435,6 +485,13 @@ def fit(
                 break
     except _BudgetExhausted:
         converged = False
+        if obj.best_val < best_val:
+            # the budget ran out inside a line search that had improved
+            best_val, best_z = obj.best_val, obj.best_z
+            trace.append(
+                {"step": obj.n_evals, "params": obj.natural(best_z).tolist(),
+                 "objective": best_val}
+            )
 
     params = obj.natural(best_z)
     final = score(params)

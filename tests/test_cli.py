@@ -222,6 +222,18 @@ class TestSeedPrecedence:
         assert run_cli(["fit", cfg]) == 1
 
 
+class TestImport:
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        # importing scipy.optimize adds about 0.28 s to every start-up
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, renyi_vi.cli; print('scipy.optimize' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+
 class TestHelp:
     def test_help_lists_every_subcommand(self):
         proc = subprocess.run(

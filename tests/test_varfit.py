@@ -1,15 +1,18 @@
 """Deterministic and stochastic divergence minimization over families."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from renyi_vi import varfit
 from renyi_vi.distributions import make_gaussian
 from renyi_vi.models import exponential_model, gaussian_mean_model
 from renyi_vi.varfit import (
     DominanceError,
     FAMILY_BUILDERS,
+    _brent_1d,
     fit,
     fit_stochastic,
     gamma_family,
@@ -73,12 +76,69 @@ class TestIsotropicFits:
         assert s2["a5"] <= 1.9 + 0.05
 
 
+class TestBrentLineSearch:
+    def test_quadratic_minimiser_in_few_evaluations(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return (x - 0.3) ** 2 + 1.0
+
+        x, fx = _brent_1d(f, -1.0, 1.0, 0.0)
+        assert len(calls) <= 10
+        assert abs(x - 0.3) <= 1e-8
+        assert fx == (x - 0.3) ** 2 + 1.0
+
+    @pytest.mark.parametrize("infinite", [lambda x: x < 0.0, lambda x: x > 0.8],
+                             ids=["left", "right"])
+    def test_infinite_part_of_bracket(self, infinite):
+        # numpy scalars on purpose: inf - inf on them would warn
+        def f(x):
+            return np.float64(np.inf) if infinite(x) else np.float64((x - 0.5) ** 2)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, fx = _brent_1d(f, np.float64(-1.5), np.float64(1.5), np.float64(0.2))
+        assert np.isfinite(fx)
+        assert abs(x - 0.5) <= 1e-7
+
+    def test_start_point_is_returned_when_nothing_beats_it(self):
+        assert _brent_1d(lambda x: abs(x - 0.25), 0.0, 0.5, 0.25) == (0.25, 0.0)
+
+
 class TestFitMechanics:
     def test_trace_objective_nonincreasing(self):
         post = make_gaussian(0.2, 0.04)
         res = fit(post, laplace_family(), "renyi-alpha", alpha=2.0, quad_tol=1e-7)
         objs = [t["objective"] for t in res.trace]
         assert all(objs[i + 1] <= objs[i] for i in range(len(objs) - 1))
+
+    def test_laplace_fit_evaluation_count(self):
+        # the benchmark's budget: a 5 x 9 start grid, then line searches;
+        # fixed 30-step golden sections took 173 evaluations here
+        post = make_gaussian(0.2, 0.04)
+        res = fit(post, laplace_family(), "renyi-alpha", alpha=2.0, budget=260,
+                  quad_tol=1e-7)
+        assert res.converged
+        assert res.n_evals <= 80
+        objs = [t["objective"] for t in res.trace]
+        assert all(objs[i + 1] <= objs[i] for i in range(len(objs) - 1))
+
+    def test_budget_stop_returns_best_scored_point(self, monkeypatch):
+        post = make_gaussian(0.2, 0.04)
+        quadrature = varfit.renyi_quadrature
+        for budget in range(46, 101, 3):
+            scored = []
+
+            def recording(*args, **kwargs):
+                est = quadrature(*args, **kwargs)
+                scored.append(est.value)
+                return est
+
+            monkeypatch.setattr(varfit, "renyi_quadrature", recording)
+            res = fit(post, laplace_family(), "renyi-alpha", alpha=2.0, budget=budget)
+            assert res.objective.value == min(scored), budget
+            assert res.trace[-1]["objective"] == min(scored), budget
 
     def test_dominance_error(self):
         with pytest.raises(DominanceError, match="dominate"):
@@ -117,7 +177,8 @@ class TestFitMechanics:
         m = exponential_model()
         data = m.simulate(2.0, 150, seed=5)
         res = fit((m, data), gamma_family(), "renyi-alpha", alpha=2.0,
-                  budget=260, quad_tol=1e-7)
+                  budget=200, quad_tol=1e-7)
+        assert res.converged
         post = m.exact_posterior(data)
         assert abs(res.params[0] - float(post.mean[0])) <= 0.01
         assert res.objective.value <= 1e-3  # posterior is Gamma up to truncation
