@@ -50,13 +50,10 @@ from .models import (
     mvn_mean_model,
 )
 from .numerics import (
-    LaplaceInput,
     QuadratureResult,
     QuadratureSpec,
-    gaussian_tail_lower,
     integrate,
     integrate_2d,
-    laplace_approx,
     log_sum_exp,
 )
 from .varfit import (

@@ -69,7 +69,7 @@ EXPERIMENT_KEYS = {
     "rate-violation": {"kappa", "alpha", "sigma", "B", "n_max", "expected_n0"},
     "figure1": {"rho", "alphas", "budget", "grid_extent", "grid_points"},
     "goodseq-audit": {"model", "family", "alpha", "audit_grid", "rate_grid",
-                      "M_bar", "theta0", "M_r_claim", "rate_tol"},
+                      "M_bar", "theta0", "rate_tol"},
 }
 
 

@@ -114,47 +114,6 @@ def _anchor_points_1d(p: Density, q: Density) -> np.ndarray:
     return pts
 
 
-def _renyi_quadrature_1d(p, q, alpha, rel_tol):
-    def log_integrand(x):
-        lp = p.log_pdf(x)
-        lq = q.log_pdf(x)
-        out = np.full(lp.shape, -np.inf)
-        ok = lp > -np.inf
-        out[ok] = alpha * lp[ok] + (1.0 - alpha) * lq[ok]
-        return out
-
-    # The bulk points hold each density's centre, so a Laplace or logistic
-    # kink is a panel edge from the first pass; the same points set the shift.
-    anchors = _anchor_points_1d(p, q)
-    shift = float(np.max(log_integrand(anchors), initial=-np.inf))
-    if shift == -np.inf:
-        raise ValueError("integrand vanishes on every anchor point")
-
-    overflow = {"hit": False}
-
-    def f(x):
-        if overflow["hit"]:  # integral already declared divergent
-            return np.zeros(np.shape(x)[:1] if np.ndim(x) > 1 else np.shape(x))
-        lv = log_integrand(x) - shift
-        if np.any(lv > OVERFLOW_NATS):
-            overflow["hit"] = True
-            return np.zeros(lv.shape)
-        return np.exp(lv)
-
-    lo, hi = p.support[0]
-    spec = QuadratureSpec(lower=lo, upper=hi, rel_tol=rel_tol,
-                          breakpoints=tuple(anchors))
-    res = integrate(f, spec)
-    if overflow["hit"] or not np.isfinite(res.value):
-        return DivergenceEstimate(np.inf, QUADRATURE, 0.0, alpha)
-    if res.value <= 0.0:
-        raise ArithmeticError("Renyi integral evaluated to a non-positive value")
-    value = (shift + np.log(res.value)) / (alpha - 1.0)
-    err = res.error / (res.value * (alpha - 1.0))
-    return DivergenceEstimate(float(value), QUADRATURE, float(err), alpha,
-                              res.converged, res.panels)
-
-
 _NEWTON_MAX_STEPS = 30
 _NEWTON_STEP_TOL = 1e-3  # in marginal sds of inv(-H)
 # (i, j) offsets of the 3 x 3 central-difference stencil, row-major.
@@ -254,53 +213,33 @@ def _mesh_anchors_2d(p, q, log_integrand):
     return bx, by, shift
 
 
-def _renyi_quadrature_2d(p, q, alpha, rel_tol):
-    def log_integrand(pts):
-        lp = p.log_pdf(pts)
-        lq = q.log_pdf(pts)
-        out = np.full(lp.shape, -np.inf)
-        ok = lp > -np.inf
-        out[ok] = alpha * lp[ok] + (1.0 - alpha) * lq[ok]
-        return out
+def _frame(p, q, log_integrand):
+    """Where and how to integrate: ``(supports, breakpoints, shift, log_jac,
+    log_g)``, with per-axis supports and breakpoints of the integration
+    variable, the log-integrand's shift, the log Jacobian of the change of
+    variables, and the log-integrand in that variable.
 
-    # A located maximum with negative-definite curvature (a log-concave
-    # integrand near its peak) seeds the boxes where the mass is; divergent
-    # pairs and integrands without one fall back to the 81 x 81 probe mesh,
-    # in x itself.
-    frame = _peak_frame_2d(p, q, log_integrand)
-    if frame is None:
+    In 1-D the variable is x, seeded at both densities' bulk points, which
+    hold each density's centre, so a Laplace or logistic kink is a panel
+    edge from the first pass. In 2-D a located maximum with negative-definite
+    curvature (a log-concave integrand near its peak) seeds the boxes where
+    the mass is, in its whitened frame; divergent pairs and integrands
+    without one fall back to the 81 x 81 probe mesh, in x itself.
+    """
+    if p.dim == 1:
+        anchors = _anchor_points_1d(p, q)
+        shift = float(np.max(log_integrand(anchors), initial=-np.inf))
+        if shift == -np.inf:
+            raise ValueError("integrand vanishes on every anchor point")
+        return p.support, (anchors,), shift, 0.0, log_integrand
+    peak = _peak_frame_2d(p, q, log_integrand)
+    if peak is None:
         bx, by, shift = _mesh_anchors_2d(p, q, log_integrand)
-        supports, log_jac, log_g = p.support, 0.0, log_integrand
-    else:
-        origin, a, bx, by, shift = frame
-        supports = ((-np.inf, np.inf), (-np.inf, np.inf))
-        log_jac = float(np.log(abs(np.linalg.det(a))))
-
-        def log_g(z):
-            return log_integrand(origin + z @ a.T)
-
-    overflow = {"hit": False}
-
-    def f(pts):
-        if overflow["hit"]:  # integral already declared divergent
-            return np.zeros(np.shape(pts)[:1] if np.ndim(pts) > 1 else np.shape(pts))
-        lv = log_g(pts) - shift
-        if np.any(lv > OVERFLOW_NATS):
-            overflow["hit"] = True
-            return np.zeros(lv.shape)
-        return np.exp(lv)
-
-    spec_x = QuadratureSpec(*supports[0], rel_tol=rel_tol, breakpoints=tuple(bx))
-    spec_y = QuadratureSpec(*supports[1], rel_tol=rel_tol, breakpoints=tuple(by))
-    res = integrate_2d(f, spec_x, spec_y)
-    if overflow["hit"] or not np.isfinite(res.value):
-        return DivergenceEstimate(np.inf, QUADRATURE, 0.0, alpha)
-    if res.value <= 0.0:
-        raise ArithmeticError("Renyi integral evaluated to a non-positive value")
-    value = (shift + log_jac + np.log(res.value)) / (alpha - 1.0)
-    err = res.error / (res.value * (alpha - 1.0))
-    return DivergenceEstimate(float(value), QUADRATURE, float(err), alpha,
-                              res.converged, res.panels)
+        return p.support, (bx, by), shift, 0.0, log_integrand
+    origin, a, bx, by, shift = peak
+    plane = ((-np.inf, np.inf), (-np.inf, np.inf))
+    return (plane, (bx, by), shift, float(np.log(abs(np.linalg.det(a)))),
+            lambda z: log_integrand(origin + z @ a.T))
 
 
 def renyi_quadrature(
@@ -318,9 +257,38 @@ def renyi_quadrature(
         raise ValueError("quadrature divergences support dim <= 2")
     if not dominates(p, q):
         return DivergenceEstimate(np.inf, QUADRATURE, 0.0, alpha)
-    if p.dim == 1:
-        return _renyi_quadrature_1d(p, q, alpha, rel_tol)
-    return _renyi_quadrature_2d(p, q, alpha, rel_tol)
+
+    def log_integrand(x):
+        lp = p.log_pdf(x)
+        lq = q.log_pdf(x)
+        out = np.full(lp.shape, -np.inf)
+        ok = lp > -np.inf
+        out[ok] = alpha * lp[ok] + (1.0 - alpha) * lq[ok]
+        return out
+
+    supports, breakpoints, shift, log_jac, log_g = _frame(p, q, log_integrand)
+    overflow = {"hit": False}
+
+    def f(x):
+        if overflow["hit"]:  # integral already declared divergent
+            return np.zeros(np.shape(x)[:1] if np.ndim(x) > 1 else np.shape(x))
+        lv = log_g(x) - shift
+        if np.any(lv > OVERFLOW_NATS):
+            overflow["hit"] = True
+            return np.zeros(lv.shape)
+        return np.exp(lv)
+
+    specs = [QuadratureSpec(*s, rel_tol=rel_tol, breakpoints=tuple(b))
+             for s, b in zip(supports, breakpoints)]
+    res = integrate(f, *specs) if p.dim == 1 else integrate_2d(f, *specs)
+    if overflow["hit"] or not np.isfinite(res.value):
+        return DivergenceEstimate(np.inf, QUADRATURE, 0.0, alpha)
+    if res.value <= 0.0:
+        raise ArithmeticError("Renyi integral evaluated to a non-positive value")
+    value = (shift + log_jac + np.log(res.value)) / (alpha - 1.0)
+    err = res.error / (res.value * (alpha - 1.0))
+    return DivergenceEstimate(float(value), QUADRATURE, float(err), alpha,
+                              res.converged, res.panels)
 
 
 def _gauss_moments(d: Density):
@@ -380,7 +348,7 @@ def _kl_quadrature(p: Density, q: Density, rel_tol: float) -> DivergenceEstimate
         return DivergenceEstimate(np.inf, QUADRATURE, 0.0, None)
     blown = {"hit": False}
 
-    def f_1d(x):
+    def f(x):
         lp = p.log_pdf(x)
         lq = q.log_pdf(x)
         out = np.zeros(lp.shape)
@@ -391,20 +359,14 @@ def _kl_quadrature(p: Density, q: Density, rel_tol: float) -> DivergenceEstimate
         out[ok] = np.exp(lp[ok]) * (lp[ok] - lq[ok])
         return out
 
-    if p.dim == 1:
-        bps = tuple(np.unique(np.concatenate([bulk_points(p), bulk_points(q)])))
-        spec = QuadratureSpec(*p.support[0], rel_tol=rel_tol, breakpoints=bps)
-        res = integrate(f_1d, spec)
-    elif p.dim == 2:
-        bx = tuple(np.unique(np.concatenate([bulk_points(p, 0), bulk_points(q, 0)])))
-        by = tuple(np.unique(np.concatenate([bulk_points(p, 1), bulk_points(q, 1)])))
-        res = integrate_2d(
-            f_1d,
-            QuadratureSpec(*p.support[0], rel_tol=rel_tol, breakpoints=bx),
-            QuadratureSpec(*p.support[1], rel_tol=rel_tol, breakpoints=by),
-        )
-    else:
+    if p.dim > 2:
         raise ValueError("quadrature divergences support dim <= 2")
+    specs = [
+        QuadratureSpec(*p.support[i], rel_tol=rel_tol, breakpoints=tuple(
+            np.unique(np.concatenate([bulk_points(p, i), bulk_points(q, i)]))))
+        for i in range(p.dim)
+    ]
+    res = integrate(f, *specs) if p.dim == 1 else integrate_2d(f, *specs)
     if blown["hit"] or not np.isfinite(res.value):
         return DivergenceEstimate(np.inf, QUADRATURE, 0.0, None)
     return DivergenceEstimate(

@@ -18,7 +18,6 @@ from scipy.special import erfcinv
 
 from .distributions import Density, make_gamma, make_gaussian, make_laplace, make_logistic
 from .models import BayesModel
-from .numerics import QuadratureSpec, integrate
 
 __all__ = [
     "FAMILIES",
@@ -174,24 +173,6 @@ def cited_ratio_bound(family: str, alpha: float) -> float | None:
     return None
 
 
-def _entropy_quadrature(d: Density) -> float:
-    lo, hi = d.support[0]
-    c = float(np.atleast_1d(d.mean)[0])
-    s = d.sd
-    bps = tuple(
-        v
-        for v in (c + s * np.array([-12, -8, -5, -3, -2, -1, 0, 1, 2, 3, 5, 8, 12]))
-        if lo < v < hi
-    )
-
-    def f(x):
-        lq = d.log_pdf(x)
-        return np.where(lq > -700.0, -np.exp(lq) * lq, 0.0)
-
-    spec = QuadratureSpec(lower=lo, upper=hi, rel_tol=1e-10, breakpoints=bps)
-    return float(integrate(f, spec).value)
-
-
 def _ratio_scan(post: Density, qbar: Density, k_lo, k_hi, points_per_tail=1000):
     """Sup of posterior/member over the tails, grid plus endpoint slopes."""
     lo, hi = post.support[0]
@@ -278,7 +259,7 @@ def audit(
     second = lq[2:] - 2.0 * lq[1:-1] + lq[:-2]
     logconcave_ok = bool(np.max(second) <= 1e-9)
 
-    entropy = _entropy_quadrature(qbar)
+    entropy = qbar.entropy
     entropy_bound = 0.5 * math.log(2.0 * math.pi * math.e * cap)
     entropy_ok = (not rate_ok) or entropy <= entropy_bound + 1e-9
 

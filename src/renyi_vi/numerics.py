@@ -1,9 +1,11 @@
 """Deterministic numeric kernels shared by all modules.
 
 Adaptive Gauss-Kronrod quadrature on finite, half-infinite and doubly
-infinite intervals (1-D, plus a tensor-product 2-D variant), a stable
-log-sum-exp, the classical Laplace approximation of integrals of the form
-``int h(y) exp(-n g(y)) dy``, and a lower bound on Gaussian tail mass.
+infinite intervals, and a stable log-sum-exp. One adaptive loop serves 1-D
+intervals and 2-D boxes alike: a tensor G7/K15 rule on every box of a
+transformed grid, QUADPACK's error estimate, and splits of the worst boxes
+at the midpoint of their widest side. :func:`integrate` and
+:func:`integrate_2d` only map the axes and seed the first boxes.
 
 All functions are pure: results depend only on their arguments, node
 placement is deterministic, and repeated calls are bit-for-bit identical.
@@ -20,12 +22,9 @@ import numpy as np
 __all__ = [
     "QuadratureSpec",
     "QuadratureResult",
-    "LaplaceInput",
     "integrate",
     "integrate_2d",
     "log_sum_exp",
-    "laplace_approx",
-    "gaussian_tail_lower",
 ]
 
 # 15-point Kronrod rule with embedded 7-point Gauss rule on [-1, 1].
@@ -121,29 +120,6 @@ class QuadratureResult:
         return self.value
 
 
-@dataclass(frozen=True)
-class LaplaceInput:
-    """Inputs for the n -> infinity approximation of int h(y) e^{-n g(y)} dy.
-
-    ``y_star`` must be an interior minimizer of ``g`` and ``g_second`` the
-    (positive) second derivative of ``g`` there.
-    """
-
-    h: Callable[[float], float]
-    g: Callable[[float], float]
-    n: int
-    y_star: float
-    g_second: float
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be a positive integer")
-        if not self.g_second > 0:
-            raise ValueError(
-                f"g_second must be > 0 (interior minimum), got {self.g_second}"
-            )
-
-
 def _identity_map(lower: float, upper: float):
     fwd = lambda t: t
     weight = lambda t: np.ones_like(t)
@@ -205,14 +181,45 @@ def _make_map(lower: float, upper: float):
     return _half_infinite_map(upper, rising=False)
 
 
-def _panel_sums(g: Callable, lefts: np.ndarray, rights: np.ndarray):
-    """Evaluate the G7/K15 pair on a batch of panels with one call to g."""
-    half = 0.5 * (rights - lefts)
-    mid = 0.5 * (rights + lefts)
-    nodes = mid[:, None] + half[:, None] * _NODES[None, :]
-    vals = np.asarray(g(nodes.ravel()), dtype=float).reshape(nodes.shape)
-    k15 = (vals * _W_KRONROD).sum(axis=1) * half
-    g7 = (vals[:, _GAUSS_IDX] * _W_GAUSS).sum(axis=1) * half
+def _tensor_rule(d: int):
+    """Weights of the G7/K15 pair as a d-fold tensor rule on [-1, 1]^d, with
+    the nodes in row-major order (the last axis varies fastest): the Kronrod
+    weights, and the indices and weights of the Gauss nodes."""
+    idx = np.indices((15,) * d).reshape(d, -1)
+    w_gauss = np.zeros(15)
+    w_gauss[_GAUSS_IDX] = _W_GAUSS
+    gauss = np.flatnonzero(np.all(idx % 2 == 1, axis=0))
+    return np.prod(_W_KRONROD[idx], axis=0), gauss, np.prod(w_gauss[idx[:, gauss]], axis=0)
+
+
+_RULES = {d: _tensor_rule(d) for d in (1, 2)}
+
+
+def _box_sums(g: Callable, lo: np.ndarray, hi: np.ndarray):
+    """Evaluate the tensor G7/K15 pair on a batch of (m, d) boxes with one
+    call to g, which takes a (d, N) array of points; returns the Kronrod value
+    and QUADPACK's error estimate per box."""
+    d = lo.shape[1]
+    w_kronrod, gauss, w_gauss = _RULES[d]
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    # (d, m, 15): the 15 abscissae of each box along each axis. Their
+    # row-major tensor product is built axis by axis, written in place.
+    ax = mid.T[:, :, None] + half.T[:, :, None] * _NODES
+    m = lo.shape[0]
+    pts = ax[:1]
+    for j in range(1, d):
+        n = pts.shape[2]
+        grown = np.empty((j + 1, m, n * 15))
+        grown[:j].reshape(j, m, n, 15)[...] = pts[..., None]
+        grown[j].reshape(m, n, 15)[...] = ax[j][:, None, :]
+        pts = grown
+    vals = np.asarray(g(pts.reshape(d, -1)), dtype=float).reshape(pts.shape[1:])
+    volume = half[:, 0]
+    for j in range(1, d):
+        volume = volume * half[:, j]
+    k15 = (vals * w_kronrod).sum(axis=1) * volume
+    g7 = (vals[:, gauss] * w_gauss).sum(axis=1) * volume
     diff = np.abs(k15 - g7)
     with np.errstate(over="ignore"):
         err = np.minimum(diff, np.power(200.0 * diff, 1.5))
@@ -231,6 +238,61 @@ def _initial_edges(spec: QuadratureSpec, inv: Callable, a: float, b: float) -> n
     return edges[np.concatenate([[True], np.diff(edges) > 1e-14 * (b - a)])]
 
 
+def _adapt(g: Callable, lo: np.ndarray, hi: np.ndarray, rel_tol: float,
+           budget: int) -> QuadratureResult:
+    """Adaptive quadrature of g over the (m, d) boxes with corners lo, hi.
+
+    g takes (d, N) points in the transformed box. Each wave splits every box
+    whose error exceeds its share of the tolerance (or, if none does, the
+    worst ones) at the midpoint of its widest side, until the summed error
+    meets ``rel_tol`` or the splits would exceed ``budget``.
+    """
+    d = lo.shape[1]
+    vals, errs = _box_sums(g, lo, hi)
+
+    splits_used = 0
+    converged = False
+    for _ in range(_MAX_WAVES):
+        total = float(vals.sum())
+        total_err = float(errs.sum())
+        tol = rel_tol * max(abs(total), 1e-300)
+        if total_err <= tol:
+            converged = True
+            break
+        bad = errs > tol / (2.0 * vals.size)
+        n_bad = int(bad.sum())
+        if n_bad == 0:
+            bad = errs == errs.max()
+            n_bad = int(bad.sum())
+        if splits_used + n_bad > budget:
+            break
+        splits_used += n_bad
+        # children: every lower half, then every upper half; the order fixes
+        # the summation order and so the digits of every result
+        blo, bhi = lo[bad], hi[bad]
+        mid = 0.5 * (blo + bhi)
+        if d == 1:  # the only side is the widest
+            upper_lo = lower_hi = mid
+        else:
+            cut = np.eye(d, dtype=bool)[(bhi - blo).argmax(axis=1)]
+            upper_lo, lower_hi = np.where(cut, mid, blo), np.where(cut, mid, bhi)
+        new_lo = np.concatenate([blo, upper_lo])
+        new_hi = np.concatenate([lower_hi, bhi])
+        new_v, new_e = _box_sums(g, new_lo, new_hi)
+        keep = ~bad
+        lo = np.concatenate([lo[keep], new_lo])
+        hi = np.concatenate([hi[keep], new_hi])
+        vals = np.concatenate([vals[keep], new_v])
+        errs = np.concatenate([errs[keep], new_e])
+
+    return QuadratureResult(
+        value=float(vals.sum()),
+        error=float(errs.sum()),
+        converged=converged,
+        panels=int(vals.size),
+    )
+
+
 def integrate(f: Callable[[np.ndarray], np.ndarray], spec: QuadratureSpec) -> QuadratureResult:
     """Adaptive quadrature of a vectorized scalar function.
 
@@ -240,71 +302,13 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], spec: QuadratureSpec) -> Qu
     a convergence flag; non-convergence is reported in the flag, never
     raised, and the best estimate is carried along.
     """
-    fwd, weight, inv, ta, tb = _make_map(spec.lower, spec.upper)
+    fwd, weight, inv, a, b = _make_map(spec.lower, spec.upper)
 
     def g(t):
-        return np.asarray(f(fwd(t)), dtype=float) * weight(t)
+        return np.asarray(f(fwd(t[0])), dtype=float) * weight(t[0])
 
-    edges = _initial_edges(spec, inv, ta, tb)
-    lefts = edges[:-1].copy()
-    rights = edges[1:].copy()
-    vals, errs = _panel_sums(g, lefts, rights)
-
-    splits_used = 0
-    converged = False
-    for _ in range(_MAX_WAVES):
-        total = float(vals.sum())
-        total_err = float(errs.sum())
-        tol = spec.rel_tol * max(abs(total), 1e-300)
-        if total_err <= tol:
-            converged = True
-            break
-        n_panels = lefts.size
-        bad = errs > tol / (2.0 * n_panels)
-        n_bad = int(bad.sum())
-        if n_bad == 0:
-            bad = errs == errs.max()
-            n_bad = int(bad.sum())
-        if splits_used + n_bad > spec.max_refinements:
-            break
-        splits_used += n_bad
-        bl, br = lefts[bad], rights[bad]
-        bm = 0.5 * (bl + br)
-        new_l = np.concatenate([bl, bm])
-        new_r = np.concatenate([bm, br])
-        new_v, new_e = _panel_sums(g, new_l, new_r)
-        lefts = np.concatenate([lefts[~bad], new_l])
-        rights = np.concatenate([rights[~bad], new_r])
-        vals = np.concatenate([vals[~bad], new_v])
-        errs = np.concatenate([errs[~bad], new_e])
-
-    return QuadratureResult(
-        value=float(vals.sum()),
-        error=float(errs.sum()),
-        converged=converged,
-        panels=int(lefts.size),
-    )
-
-
-def _rect_sums(g2: Callable, boxes: np.ndarray):
-    """Tensor G7/K15 sums on a batch of rectangles; boxes is (m, 4)."""
-    lx, rx, ly, ry = boxes[:, 0], boxes[:, 1], boxes[:, 2], boxes[:, 3]
-    hx = 0.5 * (rx - lx)
-    hy = 0.5 * (ry - ly)
-    mx = 0.5 * (rx + lx)
-    my = 0.5 * (ry + ly)
-    tx = mx[:, None] + hx[:, None] * _NODES[None, :]
-    ty = my[:, None] + hy[:, None] * _NODES[None, :]
-    # (m, 15, 15) grids flattened into one call
-    xx = np.repeat(tx[:, :, None], 15, axis=2)
-    yy = np.repeat(ty[:, None, :], 15, axis=1)
-    vals = np.asarray(g2(xx.ravel(), yy.ravel()), dtype=float).reshape(xx.shape)
-    wk = np.outer(_W_KRONROD, _W_KRONROD)
-    k = (vals * wk).sum(axis=(1, 2)) * hx * hy
-    sub = vals[:, _GAUSS_IDX][:, :, _GAUSS_IDX]
-    wg = np.outer(_W_GAUSS, _W_GAUSS)
-    g7 = (sub * wg).sum(axis=(1, 2)) * hx * hy
-    return k, np.abs(k - g7)
+    edges = _initial_edges(spec, inv, a, b)
+    return _adapt(g, edges[:-1, None], edges[1:, None], spec.rel_tol, spec.max_refinements)
 
 
 def integrate_2d(
@@ -315,72 +319,24 @@ def integrate_2d(
     """Tensor-product adaptive quadrature over a (possibly infinite) box.
 
     ``f`` receives an (m, 2) array of points and returns (m,) values. The
-    box is split adaptively along the longer transformed side of the worst
-    rectangles. Intended for the smooth 2-D densities used here; higher
-    dimensions are out of scope.
+    same adaptive loop as :func:`integrate` splits the worst rectangles
+    along their longer transformed side. The tighter ``rel_tol`` and the
+    larger ``max_refinements`` of the two specs apply. Intended for the
+    smooth 2-D densities used here; higher dimensions are out of scope.
     """
     fwd_x, w_x, inv_x, ax, bx = _make_map(spec_x.lower, spec_x.upper)
     fwd_y, w_y, inv_y, ay, by = _make_map(spec_y.lower, spec_y.upper)
 
-    def g2(tx, ty):
-        pts = np.column_stack([fwd_x(tx), fwd_y(ty)])
-        return np.asarray(f(pts), dtype=float) * w_x(tx) * w_y(ty)
+    def g(t):
+        pts = np.column_stack([fwd_x(t[0]), fwd_y(t[1])])
+        return np.asarray(f(pts), dtype=float) * w_x(t[0]) * w_y(t[1])
 
     ex = _initial_edges(spec_x, inv_x, ax, bx)
     ey = _initial_edges(spec_y, inv_y, ay, by)
-    boxes = np.array(
-        [
-            [ex[i], ex[i + 1], ey[j], ey[j + 1]]
-            for i in range(ex.size - 1)
-            for j in range(ey.size - 1)
-        ]
-    )
-    vals, errs = _rect_sums(g2, boxes)
-
-    rel_tol = min(spec_x.rel_tol, spec_y.rel_tol)
-    budget = max(spec_x.max_refinements, spec_y.max_refinements)
-    splits_used = 0
-    converged = False
-    for _ in range(_MAX_WAVES):
-        total = float(vals.sum())
-        total_err = float(errs.sum())
-        tol = rel_tol * max(abs(total), 1e-300)
-        if total_err <= tol:
-            converged = True
-            break
-        bad = errs > tol / (2.0 * len(boxes))
-        if not bad.any():
-            bad = errs == errs.max()
-        n_bad = int(bad.sum())
-        if splits_used + n_bad > budget:
-            break
-        splits_used += n_bad
-        b = boxes[bad]
-        wx = b[:, 1] - b[:, 0]
-        wy = b[:, 3] - b[:, 2]
-        split_x = wx >= wy
-        kids = []
-        for box, sx in zip(b, split_x):
-            if sx:
-                m = 0.5 * (box[0] + box[1])
-                kids.append([box[0], m, box[2], box[3]])
-                kids.append([m, box[1], box[2], box[3]])
-            else:
-                m = 0.5 * (box[2] + box[3])
-                kids.append([box[0], box[1], box[2], m])
-                kids.append([box[0], box[1], m, box[3]])
-        kids = np.array(kids)
-        kv, ke = _rect_sums(g2, kids)
-        boxes = np.vstack([boxes[~bad], kids])
-        vals = np.concatenate([vals[~bad], kv])
-        errs = np.concatenate([errs[~bad], ke])
-
-    return QuadratureResult(
-        value=float(vals.sum()),
-        error=float(errs.sum()),
-        converged=converged,
-        panels=int(len(boxes)),
-    )
+    lo = np.stack(np.meshgrid(ex[:-1], ey[:-1], indexing="ij"), axis=-1).reshape(-1, 2)
+    hi = np.stack(np.meshgrid(ex[1:], ey[1:], indexing="ij"), axis=-1).reshape(-1, 2)
+    return _adapt(g, lo, hi, min(spec_x.rel_tol, spec_y.rel_tol),
+                  max(spec_x.max_refinements, spec_y.max_refinements))
 
 
 def log_sum_exp(values: Sequence[float]) -> float:
@@ -392,27 +348,3 @@ def log_sum_exp(values: Sequence[float]) -> float:
     if m == -np.inf:
         return -np.inf
     return m + float(np.log(np.sum(np.exp(v - m))))
-
-
-def laplace_approx(inp: LaplaceInput) -> float:
-    """h(y*) e^{-n g(y*)} sqrt(2 pi / (n g''(y*)))."""
-    return (
-        float(inp.h(inp.y_star))
-        * math.exp(-inp.n * float(inp.g(inp.y_star)))
-        * math.sqrt(2.0 * math.pi / (inp.n * inp.g_second))
-    )
-
-
-def gaussian_tail_lower(m: float, s: float) -> float:
-    """Lower bound on P(X > m) for X ~ N(0, s^2), valid for m/s > 1.
-
-    Equals phi(m/s) * (s/m - (s/m)^3) with phi the standard normal pdf; the
-    bound is positive and below the true tail for every m/s > 1, and tight
-    as m/s -> infinity.
-    """
-    if m <= 0 or s <= 0:
-        raise ValueError("m and s must be positive")
-    x = m / s
-    if x <= 1.0:
-        raise ValueError(f"bound requires m/s > 1, got m/s = {x}")
-    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi) * (1.0 / x - 1.0 / x**3)

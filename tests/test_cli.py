@@ -5,6 +5,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from renyi_vi.cli import main
 
 
@@ -115,6 +117,20 @@ class TestExperimentCommand:
         })
         assert run_cli(["experiment", cfg]) == 1
         assert "kapa" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, extra", [
+        ("experiment", {"experiment": "goodseq-audit"}),
+        ("audit", {}),
+    ], ids=["experiment", "audit"])
+    def test_unread_ratio_claim_key_rejected(self, tmp_path, capsys, command, extra):
+        # the audit always uses the cited tail-ratio constant, so a claimed
+        # one would be silently ignored
+        cfg = write_config(tmp_path, "exp.json", {
+            **extra, "model": GM, "family": "laplace", "M_r_claim": 1.5,
+            "outdir": str(tmp_path / "out"),
+        })
+        assert run_cli([command, cfg]) == 1
+        assert "M_r_claim" in capsys.readouterr().err
 
     def test_byte_identical_report_csv(self, tmp_path):
         base = {

@@ -16,6 +16,7 @@ from renyi_vi.goodseq import (
     rate_estimate,
 )
 from renyi_vi.models import exponential_model, gaussian_mean_model
+from renyi_vi.numerics import QuadratureSpec, integrate
 
 GM = gaussian_mean_model(0.0, 1.0)
 EM = exponential_model()
@@ -31,6 +32,26 @@ def centered_data(n):
     rng = np.random.default_rng(123)
     x = rng.normal(0.0, 1.0, size=n)
     return x - x.mean()
+
+
+def entropy_quadrature(d):
+    """Reference: -int q log q by adaptive quadrature, panels seeded at the
+    mean and 1 to 12 standard deviations either side."""
+    lo, hi = d.support[0]
+    c = float(np.atleast_1d(d.mean)[0])
+    s = d.sd
+    bps = tuple(
+        v
+        for v in (c + s * np.array([-12, -8, -5, -3, -2, -1, 0, 1, 2, 3, 5, 8, 12]))
+        if lo < v < hi
+    )
+
+    def f(x):
+        lq = d.log_pdf(x)
+        return np.where(lq > -700.0, -np.exp(lq) * lq, 0.0)
+
+    spec = QuadratureSpec(lower=lo, upper=hi, rel_tol=1e-10, breakpoints=bps)
+    return integrate(f, spec).value
 
 
 class TestConstruction:
@@ -183,6 +204,14 @@ class TestAuditProperties:
             q = build_good_sequence(GoodSequenceSpec(fam, 2.0), GM, data)
             a = audit(GoodSequenceSpec(fam, 2.0), GM, data)
             assert abs(a.entropy - q.entropy) <= 1e-8
+
+    @pytest.mark.parametrize("fam", ["gaussian-meanfield", "laplace", "logistic", "gamma"])
+    def test_member_entropy_matches_quadrature(self, fam):
+        # the audit reports Density.entropy; quadrature is the oracle
+        model, data = (EM, EM.simulate(2.0, 60, seed=4)) if fam == "gamma" else (GM, gm_data(60))
+        for alpha in (1.5, 2.0, 5.0):
+            q = build_good_sequence(GoodSequenceSpec(fam, alpha), model, data)
+            assert abs(q.entropy - entropy_quadrature(q)) <= 1e-9
 
 
 class TestRateEstimate:

@@ -1,4 +1,4 @@
-"""Quadrature, log-sum-exp, Laplace approximation and Gaussian tail bound."""
+"""Quadrature and log-sum-exp."""
 
 import math
 
@@ -7,12 +7,9 @@ import pytest
 from scipy.special import erfc
 
 from renyi_vi.numerics import (
-    LaplaceInput,
     QuadratureSpec,
-    gaussian_tail_lower,
     integrate,
     integrate_2d,
-    laplace_approx,
     log_sum_exp,
 )
 from renyi_vi.numerics import _initial_edges, _make_map
@@ -136,6 +133,20 @@ class TestIntegrate2D:
         )
         assert abs(res.value - 1.0) <= 1e-4
 
+    def test_boxes_split_along_either_axis(self):
+        # narrow in x, heavy-tailed in y: refinement must cut both axes
+        s = 0.02
+        f = lambda pts: (np.exp(-0.5 * ((pts[:, 0] - 0.3) / s) ** 2) / (s * math.sqrt(2 * math.pi))
+                         / (math.pi * (1.0 + pts[:, 1] ** 2)))
+        res = integrate_2d(
+            f,
+            QuadratureSpec(-np.inf, np.inf, rel_tol=1e-8,
+                           breakpoints=tuple(0.3 + s * np.arange(-8.0, 9.0))),
+            QuadratureSpec(-np.inf, np.inf, rel_tol=1e-8),
+        )
+        assert res.converged
+        assert abs(res.value - 1.0) <= 1e-7
+
 
 class TestLogSumExp:
     def test_basic(self):
@@ -152,76 +163,3 @@ class TestLogSumExp:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             log_sum_exp([])
-
-
-class TestLaplaceApprox:
-    def test_gaussian_case_exact(self):
-        inp = LaplaceInput(h=lambda y: 1.0, g=lambda y: 0.5 * y * y, n=100,
-                           y_star=0.0, g_second=1.0)
-        val = laplace_approx(inp)
-        assert abs(val - math.sqrt(2 * math.pi / 100)) <= 1e-15
-        # Gaussian case: the approximation is the exact integral
-        ref = integrate(lambda y: np.exp(-100 * 0.5 * y * y),
-                        QuadratureSpec(-np.inf, np.inf, rel_tol=1e-10))
-        assert abs(val / ref.value - 1.0) <= 1e-9
-
-    def test_quartic_within_two_percent_of_quadrature(self):
-        g = lambda y: 0.5 * y * y + y**4
-        inp = LaplaceInput(h=lambda y: 1.0, g=g, n=200, y_star=0.0, g_second=1.0)
-        ref = integrate(lambda y: np.exp(-200 * g(y)),
-                        QuadratureSpec(-np.inf, np.inf, rel_tol=1e-10))
-        assert abs(laplace_approx(inp) / ref.value - 1.0) <= 0.02
-
-    def test_sqrt_n_scaling(self):
-        base = dict(h=lambda y: 1.0, g=lambda y: 0.5 * y * y, y_star=0.0, g_second=1.0)
-        v1 = laplace_approx(LaplaceInput(n=100, **base))
-        v4 = laplace_approx(LaplaceInput(n=400, **base))
-        assert abs(v4 / v1 - 0.5) <= 1e-12
-
-    def test_relative_error_decreases_in_n(self):
-        g = lambda y: 0.5 * y * y + y**4
-        errs = []
-        for n in (50, 100, 200, 400):
-            inp = LaplaceInput(h=lambda y: 1.0, g=g, n=n, y_star=0.0, g_second=1.0)
-            ref = integrate(lambda y: np.exp(-n * g(y)),
-                            QuadratureSpec(-np.inf, np.inf, rel_tol=1e-11))
-            errs.append(abs(laplace_approx(inp) / ref.value - 1.0))
-        assert all(errs[i + 1] < errs[i] for i in range(3))
-
-    def test_bad_curvature_rejected(self):
-        with pytest.raises(ValueError):
-            LaplaceInput(h=lambda y: 1.0, g=lambda y: -0.5 * y * y, n=10,
-                         y_star=0.0, g_second=-1.0)
-
-
-class TestGaussianTailLower:
-    def test_value_at_two(self):
-        # phi(2) * (1/2 - 1/8), below the erfc truth
-        val = gaussian_tail_lower(2.0, 1.0)
-        assert abs(val - 0.020246612442445523) <= 1e-12
-        assert val <= normal_tail(2.0)
-
-    def test_tight_at_five(self):
-        val = gaussian_tail_lower(5.0, 1.0)
-        true = normal_tail(5.0)
-        assert val <= true
-        assert abs(val - true) / true <= 0.04
-
-    def test_asymptotically_exact(self):
-        z = 25.0
-        val = gaussian_tail_lower(z, 1.0)
-        assert abs(val / normal_tail(z) - 1.0) <= 1e-3
-
-    def test_below_reference_on_grid(self):
-        for z in np.linspace(1.1, 8.0, 50):
-            assert gaussian_tail_lower(z, 1.0) <= normal_tail(z)
-
-    def test_scale_parameter(self):
-        # P(X > m) for X ~ N(0, s^2) equals the standard tail at m/s
-        assert abs(gaussian_tail_lower(4.0, 2.0) - gaussian_tail_lower(2.0, 1.0)) <= 1e-15
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            gaussian_tail_lower(1.0, 1.0)
-        with pytest.raises(ValueError):
-            gaussian_tail_lower(-1.0, 1.0)
