@@ -99,14 +99,17 @@ def make_gaussian(mu, cov) -> Density:
     log_det = 2.0 * float(np.log(np.diag(chol)).sum())
     const = -0.5 * (d * np.log(2.0 * np.pi) + log_det)
 
-    def log_pdf(x):
-        pts = np.atleast_1d(np.asarray(x, dtype=float))
-        if d == 1:
-            z = (pts.reshape(-1) - mu[0]) / chol[0, 0]
+    if d == 1:
+        loc, scale = float(mu[0]), float(chol[0, 0])
+
+        def log_pdf(x):
+            z = (np.asarray(x, dtype=float).reshape(-1) - loc) / scale
             return const - 0.5 * z * z
-        pts = pts.reshape(-1, d)
-        z = np.linalg.solve(chol, (pts - mu).T)
-        return const - 0.5 * (z * z).sum(axis=0)
+    else:
+        def log_pdf(x):
+            pts = np.asarray(x, dtype=float).reshape(-1, d)
+            z = np.linalg.solve(chol, (pts - mu).T)
+            return const - 0.5 * (z * z).sum(axis=0)
 
     def sample_rng(rng, n):
         z = rng.standard_normal((n, d))
@@ -187,6 +190,8 @@ def make_gamma(shape: float, rate: float) -> Density:
 
     def log_pdf(x):
         pts = np.asarray(x, dtype=float).reshape(-1)
+        if pts.min(initial=np.inf) > 0.0:  # the usual case: no masked copies
+            return const + (k - 1.0) * np.log(pts) - beta * pts
         out = np.full(pts.shape, -np.inf)
         pos = pts > 0.0
         out[pos] = const + (k - 1.0) * np.log(pts[pos]) - beta * pts[pos]
@@ -326,14 +331,20 @@ def dominates(p: Density, q: Density) -> bool:
 
 
 _BULK_MULT = np.array([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 8.0, 12.0])
+# -12 ... 12 in ascending order: c + s * m is then sorted for s >= 0, and
+# c + s * (-m) equals c - m * s exactly, since IEEE negation is exact.
+_BULK_SIGNED = np.concatenate([-_BULK_MULT[:0:-1], _BULK_MULT])
 
 
 def bulk_points(d: Density, coord: int = 0) -> np.ndarray:
-    """Sorted abscissae straddling where the density carries its mass.
+    """Sorted, distinct abscissae straddling where the density carries its
+    mass, strictly inside its support along ``coord``.
 
     With declared moments: the mean, and 0.25 to 12 standard deviations
-    either side of it. A uniform gives nine equispaced points and a mixture
-    its components' points; a density without moments gives none.
+    either side of it, built in ascending order (19 points, fewer where
+    rounding makes two equal). A uniform gives the interior points of a
+    nine-point equispaced grid and a mixture its components' points; a
+    density without moments gives none.
 
     Used to seed quadrature panels, so narrow densities and the kink at a
     Laplace or logistic centre are seen by an adaptive first pass. The 1-D
@@ -343,16 +354,22 @@ def bulk_points(d: Density, coord: int = 0) -> np.ndarray:
     """
     lo, hi = d.support[coord]
     if d.kind == "mixture":
-        pts = np.concatenate([bulk_points(c, coord) for c in d.params["components"]])
+        pts = np.sort(np.concatenate([bulk_points(c, coord) for c in d.params["components"]]))
     elif d.kind == "uniform":
         pts = np.linspace(lo, hi, 9)
     elif d.mean is not None and d.cov is not None:
         c = float(np.atleast_1d(d.mean)[coord])
         s = float(np.sqrt(np.atleast_2d(d.cov)[coord, coord]))
-        pts = np.concatenate([c + _BULK_MULT * s, c - _BULK_MULT * s])
+        pts = c + s * _BULK_SIGNED
     else:
         return np.empty(0)
-    return np.unique(pts[(pts > lo) & (pts < hi) & np.isfinite(pts)])
+    # sorted already, so the ends tell whether all lie inside; the
+    # comparisons also drop nan and +-inf, and a mask is needed only where
+    # rounding has made neighbours equal
+    if not (pts.size and pts[0] > lo and pts[-1] < hi):
+        pts = pts[(pts > lo) & (pts < hi)]
+    repeat = pts[1:] == pts[:-1]
+    return np.delete(pts, np.flatnonzero(repeat) + 1) if repeat.any() else pts
 
 
 def interval_mass(d: Density, lo: float, hi: float, rel_tol: float = 1e-9) -> float:

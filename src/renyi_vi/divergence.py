@@ -12,6 +12,7 @@ pass widens), the integral is declared divergent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,9 +104,14 @@ _FALLBACK_HALF_WIDTH = 1e3
 
 
 def _anchor_points_1d(p: Density, q: Density) -> np.ndarray:
-    """Both densities' bulk points inside p's support, or a fallback grid."""
+    """Both densities' bulk points inside p's support, or a fallback grid.
+
+    Unsorted, and a point both densities share appears twice: the shift is a
+    maximum over them and the panel edges are sorted and deduplicated by
+    ``integrate``, so neither depends on order or repeats.
+    """
     lo, hi = p.support[0]
-    pts = np.union1d(bulk_points(p), bulk_points(q))
+    pts = np.concatenate([bulk_points(p), bulk_points(q)])
     pts = pts[(pts > lo) & (pts < hi)]
     if pts.size == 0:
         grid = np.linspace(max(lo, -_FALLBACK_HALF_WIDTH),
@@ -228,7 +234,7 @@ def _frame(p, q, log_integrand):
     """
     if p.dim == 1:
         anchors = _anchor_points_1d(p, q)
-        shift = float(np.max(log_integrand(anchors), initial=-np.inf))
+        shift = float(log_integrand(anchors).max(initial=-np.inf))
         if shift == -np.inf:
             raise ValueError("integrand vanishes on every anchor point")
         return p.support, (anchors,), shift, 0.0, log_integrand
@@ -261,6 +267,8 @@ def renyi_quadrature(
     def log_integrand(x):
         lp = p.log_pdf(x)
         lq = q.log_pdf(x)
+        if lp.min(initial=np.inf) > -np.inf:  # p > 0 on every point
+            return alpha * lp + (1.0 - alpha) * lq
         out = np.full(lp.shape, -np.inf)
         ok = lp > -np.inf
         out[ok] = alpha * lp[ok] + (1.0 - alpha) * lq[ok]
@@ -273,15 +281,15 @@ def renyi_quadrature(
         if overflow["hit"]:  # integral already declared divergent
             return np.zeros(np.shape(x)[:1] if np.ndim(x) > 1 else np.shape(x))
         lv = log_g(x) - shift
-        if np.any(lv > OVERFLOW_NATS):
+        if lv.max(initial=-np.inf) > OVERFLOW_NATS:
             overflow["hit"] = True
             return np.zeros(lv.shape)
         return np.exp(lv)
 
-    specs = [QuadratureSpec(*s, rel_tol=rel_tol, breakpoints=tuple(b))
+    specs = [QuadratureSpec(*s, rel_tol=rel_tol, breakpoints=b)
              for s, b in zip(supports, breakpoints)]
     res = integrate(f, *specs) if p.dim == 1 else integrate_2d(f, *specs)
-    if overflow["hit"] or not np.isfinite(res.value):
+    if overflow["hit"] or not math.isfinite(res.value):
         return DivergenceEstimate(np.inf, QUADRATURE, 0.0, alpha)
     if res.value <= 0.0:
         raise ArithmeticError("Renyi integral evaluated to a non-positive value")
@@ -356,18 +364,19 @@ def _kl_quadrature(p: Density, q: Density, rel_tol: float) -> DivergenceEstimate
         if np.any(ok & (lq == -np.inf)):
             blown["hit"] = True
             lq = np.where(lq == -np.inf, -1e9, lq)
-        out[ok] = np.exp(lp[ok]) * (lp[ok] - lq[ok])
+        lp_ok = lp[ok]
+        out[ok] = np.exp(lp_ok) * (lp_ok - lq[ok])
         return out
 
     if p.dim > 2:
         raise ValueError("quadrature divergences support dim <= 2")
     specs = [
-        QuadratureSpec(*p.support[i], rel_tol=rel_tol, breakpoints=tuple(
-            np.unique(np.concatenate([bulk_points(p, i), bulk_points(q, i)]))))
+        QuadratureSpec(*p.support[i], rel_tol=rel_tol, breakpoints=np.concatenate(
+            [bulk_points(p, i), bulk_points(q, i)]))
         for i in range(p.dim)
     ]
     res = integrate(f, *specs) if p.dim == 1 else integrate_2d(f, *specs)
-    if blown["hit"] or not np.isfinite(res.value):
+    if blown["hit"] or not math.isfinite(res.value):
         return DivergenceEstimate(np.inf, QUADRATURE, 0.0, None)
     return DivergenceEstimate(
         max(float(res.value), 0.0), QUADRATURE, float(res.error), None,

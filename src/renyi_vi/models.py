@@ -211,7 +211,9 @@ def exponential_model(prior: Density | None = None) -> BayesModel:
     """Exponential likelihood with unknown rate; bounded prior on (0, inf).
 
     Defaults to a uniform prior on [0, 50]. The posterior is proportional to
-    prior(lam) * lam^n * exp(-lam * sum x) and is normalized by quadrature.
+    prior(lam) * lam^n * exp(-lam * sum x) and is normalized by quadrature;
+    its ``params["converged"]`` is True when the normalizer and both moment
+    quadratures met their tolerance.
     """
     if prior is None:
         prior = make_uniform(0.0, 50.0)
@@ -265,21 +267,19 @@ def exponential_model(prior: Density | None = None) -> BayesModel:
         def log_pdf(lam):
             return log_unnorm(lam) - log_z
 
-        m1 = integrate(
-            lambda lam: lam * np.exp(log_pdf(lam)), spec
-        ).value
-        m2 = integrate(
-            lambda lam: (lam - m1) ** 2 * np.exp(log_pdf(lam)), spec
-        ).value
+        first = integrate(lambda lam: lam * np.exp(log_pdf(lam)), spec)
+        m1 = first.value
+        second = integrate(lambda lam: (lam - m1) ** 2 * np.exp(log_pdf(lam)), spec)
         return Density(
             dim=1,
             support=((lo, hi),),
             log_pdf=log_pdf,
             mean=np.array([m1]),
-            cov=np.array([[m2]]),
+            cov=np.array([[second.value]]),
             sample_rng=_grid_sampler(log_pdf, lo, hi, bps),
             kind="numeric-posterior",
-            params={"n": n, "sum_x": sx, "log_z": log_z},
+            params={"n": n, "sum_x": sx, "log_z": log_z,
+                    "converged": z.converged and first.converged and second.converged},
         )
 
     def mle(data):

@@ -4,8 +4,10 @@ Adaptive Gauss-Kronrod quadrature on finite, half-infinite and doubly
 infinite intervals, and a stable log-sum-exp. One adaptive loop serves 1-D
 intervals and 2-D boxes alike: a tensor G7/K15 rule on every box of a
 transformed grid, QUADPACK's error estimate, and splits of the worst boxes
-at the midpoint of their widest side. :func:`integrate` and
-:func:`integrate_2d` only map the axes and seed the first boxes.
+at the midpoint of their widest side. A first pass that meets the tolerance
+returns at once, so a well-seeded call costs one vectorized evaluation of
+the integrand plus its set-up. :func:`integrate` and :func:`integrate_2d`
+only map the axes and seed the first boxes.
 
 All functions are pure: results depend only on their arguments, node
 placement is deterministic, and repeated calls are bit-for-bit identical.
@@ -88,8 +90,9 @@ class QuadratureSpec:
 
     ``lower``/``upper`` may be -inf/+inf; infinite ends are handled by a
     rational change of variables. ``breakpoints`` are optional interior
-    abscissae used as initial panel edges, so that narrow features of the
-    integrand are seen by the rule from the first pass.
+    abscissae (a tuple or a 1-D array, in any order, repeats allowed) used
+    as initial panel edges, so that narrow features of the integrand are
+    seen by the rule from the first pass.
     """
 
     lower: float
@@ -120,33 +123,40 @@ class QuadratureResult:
         return self.value
 
 
-def _identity_map(lower: float, upper: float):
-    fwd = lambda t: t
-    weight = lambda t: np.ones_like(t)
-    inv = lambda x: x
-    return fwd, weight, inv, lower, upper
+# A map is (fwd, weight, inv, a, b): x = fwd(t) for t in (a, b), its
+# Jacobian dx/dt = weight(t), and t = inv(x). The two fixed maps are built
+# once; only a half-infinite map closes over its finite end.
+
+def _identity(x):
+    return x
 
 
-def _double_infinite_map():
-    # x = t / (1 - t^2) maps (-1, 1) onto the real line; the clamp keeps
-    # panel edges that round onto +-1 finite.
-    def fwd(t):
-        u = np.maximum(1.0 - t * t, 1e-150)
-        return t / u
+def _unit_weight(t):
+    return 1.0
 
-    def weight(t):
-        u = np.maximum(1.0 - t * t, 1e-150)
-        return (1.0 + t * t) / (u * u)
 
-    def inv(x):
-        x = np.clip(np.asarray(x, dtype=float), -1e150, 1e150)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(
-                x == 0.0, 0.0, (np.sqrt(1.0 + 4.0 * x * x) - 1.0) / (2.0 * x)
-            )
-        return t
+# x = t / (1 - t^2) maps (-1, 1) onto the real line; the clamp keeps panel
+# edges that round onto +-1 finite.
+def _double_infinite_fwd(t):
+    return t / np.maximum(1.0 - t * t, 1e-150)
 
-    return fwd, weight, inv, -1.0, 1.0
+
+def _double_infinite_weight(t):
+    tt = t * t
+    u = np.maximum(1.0 - tt, 1e-150)
+    return (1.0 + tt) / (u * u)
+
+
+def _double_infinite_inv(x):
+    # t = (sqrt(1 + 4x^2) - 1) / (2x), and t = 0 at x = 0, where nothing is
+    # divided, so no floating-point warning needs silencing
+    x = np.minimum(np.maximum(np.asarray(x, dtype=float), -1e150), 1e150)
+    return np.divide(np.sqrt(1.0 + 4.0 * x * x) - 1.0, 2.0 * x,
+                     out=np.zeros(x.shape), where=x != 0.0)
+
+
+_DOUBLE_INFINITE = (_double_infinite_fwd, _double_infinite_weight,
+                    _double_infinite_inv, -1.0, 1.0)
 
 
 def _half_infinite_map(a: float, rising: bool):
@@ -173,9 +183,9 @@ def _make_map(lower: float, upper: float):
     lo_fin = math.isfinite(lower)
     hi_fin = math.isfinite(upper)
     if lo_fin and hi_fin:
-        return _identity_map(lower, upper)
+        return _identity, _unit_weight, _identity, lower, upper
     if not lo_fin and not hi_fin:
-        return _double_infinite_map()
+        return _DOUBLE_INFINITE
     if lo_fin:
         return _half_infinite_map(lower, rising=True)
     return _half_infinite_map(upper, rising=False)
@@ -228,24 +238,29 @@ def _box_sums(g: Callable, lo: np.ndarray, hi: np.ndarray):
 
 def _initial_edges(spec: QuadratureSpec, inv: Callable, a: float, b: float) -> np.ndarray:
     """Sorted first-pass panel edges: the ends, the midpoint and the mapped
-    breakpoints that lie strictly inside, with near-duplicates dropped."""
-    edges = np.array([a, 0.5 * (a + b), b])
-    if spec.breakpoints:
-        bps = np.atleast_1d(inv(np.asarray(spec.breakpoints, dtype=float)))
+    breakpoints that lie strictly inside, with near-duplicates dropped (an
+    exact repeat is a gap of 0, so no separate dedupe is needed)."""
+    edges = [a, 0.5 * (a + b), b]
+    if len(spec.breakpoints):
+        bps = inv(np.asarray(spec.breakpoints, dtype=float))
         pad = 1e-12 * (b - a)
         edges = np.concatenate([edges, bps[(bps > a + pad) & (bps < b - pad)]])
-    edges = np.unique(edges)
-    return edges[np.concatenate([[True], np.diff(edges) > 1e-14 * (b - a)])]
+    edges = np.sort(edges)
+    keep = np.empty(edges.size, dtype=bool)
+    keep[0] = True
+    np.greater(edges[1:] - edges[:-1], 1e-14 * (b - a), out=keep[1:])
+    return edges[keep]
 
 
 def _adapt(g: Callable, lo: np.ndarray, hi: np.ndarray, rel_tol: float,
            budget: int) -> QuadratureResult:
     """Adaptive quadrature of g over the (m, d) boxes with corners lo, hi.
 
-    g takes (d, N) points in the transformed box. Each wave splits every box
-    whose error exceeds its share of the tolerance (or, if none does, the
-    worst ones) at the midpoint of its widest side, until the summed error
-    meets ``rel_tol`` or the splits would exceed ``budget``.
+    g takes (d, N) points in the transformed box. A first pass that meets
+    the tolerance returns at once, with its sums. Otherwise each wave splits
+    every box whose error exceeds its share of the tolerance (or, if none
+    does, the worst ones) at the midpoint of its widest side, until the
+    summed error meets ``rel_tol`` or the splits would exceed ``budget``.
     """
     d = lo.shape[1]
     vals, errs = _box_sums(g, lo, hi)
@@ -260,10 +275,10 @@ def _adapt(g: Callable, lo: np.ndarray, hi: np.ndarray, rel_tol: float,
             converged = True
             break
         bad = errs > tol / (2.0 * vals.size)
-        n_bad = int(bad.sum())
+        n_bad = np.count_nonzero(bad)
         if n_bad == 0:
             bad = errs == errs.max()
-            n_bad = int(bad.sum())
+            n_bad = np.count_nonzero(bad)
         if splits_used + n_bad > budget:
             break
         splits_used += n_bad
@@ -284,13 +299,12 @@ def _adapt(g: Callable, lo: np.ndarray, hi: np.ndarray, rel_tol: float,
         hi = np.concatenate([hi[keep], new_hi])
         vals = np.concatenate([vals[keep], new_v])
         errs = np.concatenate([errs[keep], new_e])
+    else:  # every wave split: sum the last one's boxes
+        total = float(vals.sum())
+        total_err = float(errs.sum())
 
-    return QuadratureResult(
-        value=float(vals.sum()),
-        error=float(errs.sum()),
-        converged=converged,
-        panels=int(vals.size),
-    )
+    return QuadratureResult(value=total, error=total_err, converged=converged,
+                            panels=int(vals.size))
 
 
 def integrate(f: Callable[[np.ndarray], np.ndarray], spec: QuadratureSpec) -> QuadratureResult:

@@ -98,6 +98,12 @@ class TestExponentialModel:
         res = integrate(lambda lam: np.exp(post.log_pdf(lam)), spec)
         assert abs(res.value - 1.0) <= 1e-7
 
+    @pytest.mark.parametrize("n", [100, 1000, 10**4])
+    def test_posterior_quadratures_converge(self, n):
+        m = exponential_model()
+        post = m.exact_posterior(m.simulate(2.0, n, seed=1))
+        assert post.params["converged"] is True
+
     def test_mle_and_fisher(self):
         m = exponential_model()
         data = m.simulate(2.0, 10, seed=0)

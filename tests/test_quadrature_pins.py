@@ -1,0 +1,177 @@
+"""Bit-identity pins for 1-D quadrature.
+
+Each case is one seeded call to ``renyi_quadrature``, ``kl_forward``,
+``interval_mass`` or bare ``integrate``; its value, error estimate, panel
+count and convergence flag are pinned as ``float.hex``. A change meant to
+leave 1-D quadrature numerically alone must keep every pin. A change that
+moves them on purpose regenerates ``EXPECTED`` (``python
+tests/test_quadrature_pins.py`` prints the table) and records the move in
+CHANGES.md.
+"""
+
+import numpy as np
+import pytest
+
+from renyi_vi.distributions import (
+    Density,
+    interval_mass,
+    make_gamma,
+    make_gaussian,
+    make_laplace,
+    make_logistic,
+    make_mixture,
+    make_uniform,
+)
+from renyi_vi.divergence import kl_forward, renyi_quadrature
+from renyi_vi.models import exponential_model
+from renyi_vi.numerics import QuadratureSpec, integrate
+
+GAUSS = make_gaussian(0.51, 1.0 / 1001.0)
+LAPLACE = make_laplace(0.512, 0.027)
+GAUSS_WIDE = make_gaussian(-0.3, 0.04)
+LOGISTIC = make_logistic(-0.28, 0.15)
+GAMMA_P = make_gamma(30.0, 15.0)
+GAMMA_Q = make_gamma(28.0, 14.5)
+EXP_MODEL = exponential_model()
+EXP_POST = EXP_MODEL.exact_posterior(EXP_MODEL.simulate(2.0, 200, seed=3))
+EXP_GAMMA = make_gamma(201.0, 101.0)
+
+
+def _moment_free(log_pdf):
+    """A 1-D density on the real line that declares no moments."""
+    return Density(dim=1, support=((-np.inf, np.inf),), log_pdf=log_pdf)
+
+
+FREE_P = _moment_free(lambda x: -0.5 * (np.asarray(x, float) - 3.0) ** 2
+                      - 0.5 * np.log(2.0 * np.pi))
+FREE_Q = _moment_free(lambda x: -np.abs(np.asarray(x, float) - 2.5) / 1.5
+                      - np.log(3.0))
+
+
+def _renyi(p, q, alpha):
+    return lambda: renyi_quadrature(p, q, alpha)
+
+
+def _kl(p, q):
+    return lambda: kl_forward(p, q)
+
+
+def _integrate(f, *args, **kwargs):
+    return lambda: integrate(f, QuadratureSpec(*args, **kwargs))
+
+
+CASES = {
+    **{f"renyi-gauss-laplace-{a}": _renyi(GAUSS, LAPLACE, a) for a in (1.5, 2.0, 5.0, 20.0)},
+    **{f"renyi-gauss-logistic-{a}": _renyi(GAUSS_WIDE, LOGISTIC, a) for a in (1.5, 2.0, 5.0, 20.0)},
+    **{f"renyi-gauss-gauss-{a}": _renyi(make_gaussian(1.0, 0.5), make_gaussian(1.2, 0.8), a)
+       for a in (2.0, 5.0)},
+    **{f"renyi-gamma-gamma-{a}": _renyi(GAMMA_P, GAMMA_Q, a) for a in (1.5, 2.0, 5.0)},
+    **{f"renyi-exp-posterior-gamma-{a}": _renyi(EXP_POST, EXP_GAMMA, a) for a in (2.0, 20.0)},
+    "renyi-laplace-logistic-2.0": _renyi(make_laplace(0.0, 0.5), make_logistic(0.1, 0.6), 2.0),
+    "renyi-inf-tail": _renyi(make_gaussian(0.0, 1.0), make_gaussian(0.0, 0.25), 2.0),
+    "renyi-inf-dominance": _renyi(make_gaussian(0.0, 1.0), make_gamma(2.0, 1.0), 2.0),
+    "renyi-moment-free-fallback": _renyi(FREE_P, FREE_Q, 2.0),
+    "renyi-bounded-uniform": _renyi(make_uniform(0.0, 1.0), make_gaussian(0.5, 1.0), 5.0),
+    "renyi-mixture-gauss": _renyi(
+        make_mixture([0.3, 0.7], [make_gaussian(-1.0, 0.3), make_gaussian(1.0, 0.4)]),
+        make_laplace(0.2, 1.5), 1.5),
+    "kl-gauss-laplace": _kl(GAUSS, LAPLACE),
+    "kl-laplace-gauss": _kl(LAPLACE, GAUSS),
+    "kl-gauss-logistic": _kl(GAUSS_WIDE, LOGISTIC),
+    "kl-gamma-gamma": _kl(GAMMA_P, GAMMA_Q),
+    "kl-exp-posterior-gamma": _kl(EXP_POST, EXP_GAMMA),
+    "kl-bounded-uniform": _kl(make_uniform(-1.0, 2.0), make_logistic(0.5, 1.0)),
+    "kl-moment-free": _kl(FREE_P, FREE_Q),
+    "kl-inf-dominance": _kl(make_gaussian(0.0, 1.0), make_gamma(2.0, 1.0)),
+    "mass-gauss": lambda: interval_mass(GAUSS, 0.49, 0.6),
+    "mass-laplace": lambda: interval_mass(LAPLACE, -np.inf, 0.5),
+    "mass-logistic": lambda: interval_mass(LOGISTIC, -0.5, np.inf),
+    "mass-gamma": lambda: interval_mass(GAMMA_P, 1.5, 2.5),
+    "mass-exp-posterior": lambda: interval_mass(EXP_POST, 1.8, 2.2),
+    # sd of a few ulps of the mean: rounding merges two bulk points
+    "mass-gauss-merged-bulk-points": lambda: interval_mass(make_gaussian(1e4, 1e-22),
+                                                           9e3, 1.1e4),
+    "integrate-normal-line": _integrate(lambda x: np.exp(-0.5 * x * x), -np.inf, np.inf),
+    "integrate-half-line-bps": _integrate(lambda x: x**3 * np.exp(-x), 0.0, np.inf,
+                                          breakpoints=(1.0, 3.0, 5.0, 1e9)),
+    "integrate-left-tail": _integrate(lambda x: np.exp(x - 0.1 * x * x), -np.inf, 2.0,
+                                      rel_tol=1e-10),
+    "integrate-finite-bps": _integrate(np.cos, -3.0, 5.0, rel_tol=1e-9,
+                                       breakpoints=(-3.0, 0.0, 0.0, 1.0 + 1e-16, 7.0)),
+    "integrate-narrow-bump": _integrate(lambda x: np.exp(-0.5 * ((x - 3.7) / 1e-4) ** 2),
+                                        -np.inf, np.inf, breakpoints=(3.7 - 1e-4, 3.7, 3.7 + 1e-4)),
+    "integrate-unconverged": _integrate(lambda x: np.abs(np.sin(40.0 * x)), 0.0, 10.0,
+                                        rel_tol=1e-10, max_refinements=5),
+    "integrate-kink": _integrate(lambda x: np.abs(x - 0.3), -1.0, 1.0),
+}
+
+
+def _pin(result):
+    """(value, error, panels, converged) with the floats as float.hex; an
+    interval mass is a bare float."""
+    if isinstance(result, float):
+        return (result.hex(),)
+    return (float(result.value).hex(), float(result.error).hex(),
+            int(result.panels), bool(result.converged))
+
+
+EXPECTED = {
+    'renyi-gauss-laplace-1.5': ('0x1.16fe2f0bd1ec0p-4', '0x1.6430d1840b023p-57', 40, True),
+    'renyi-gauss-laplace-2.0': ('0x1.4eb4d059db5c0p-4', '0x1.c6d6cd63bce4dp-54', 40, True),
+    'renyi-gauss-laplace-5.0': ('0x1.25acd74a6eac0p-3', '0x1.dff7dd1680149p-56', 40, True),
+    'renyi-gauss-laplace-20.0': ('0x1.1046fddfb5d82p-2', '0x1.902c0dcf02670p-48', 40, True),
+    'renyi-gauss-logistic-1.5': ('0x1.32faae7a73b90p-4', '0x1.2bde4bbce36fep-62', 39, True),
+    'renyi-gauss-logistic-2.0': ('0x1.5d12770d06170p-4', '0x1.41ea9e1285004p-63', 39, True),
+    'renyi-gauss-logistic-5.0': ('0x1.e54fe6e0f989ap-4', '0x1.273b15e1fcc49p-63', 39, True),
+    'renyi-gauss-logistic-20.0': ('0x1.4c0c15712036dp-3', '0x1.8dad14980b056p-60', 39, True),
+    'renyi-gauss-gauss-2.0': ('0x1.cb51d450798a0p-4', '0x1.92f7767241b61p-54', 40, True),
+    'renyi-gauss-gauss-5.0': ('0x1.5d1d0081d1cdep-3', '0x1.0d5b442acea27p-52', 40, True),
+    'renyi-gamma-gamma-1.5': ('0x1.bfa13479be6c0p-6', '0x1.a303dae2d07fap-30', 36, True),
+    'renyi-gamma-gamma-2.0': ('0x1.241285473d7d0p-5', '0x1.6477ddb2094f5p-31', 36, True),
+    'renyi-gamma-gamma-5.0': ('0x1.43f055106523cp-4', '0x1.6b0cbecbe582bp-37', 36, True),
+    'renyi-exp-posterior-gamma-2.0': ('0x1.401acf0fa3fb4p+1', '0x1.01c4e1e83281ap-44', 40, True),
+    'renyi-exp-posterior-gamma-20.0': ('0x1.75cdf81f079a3p+3', '0x1.b09d4774a6ea5p-47', 47, True),
+    'renyi-laplace-logistic-2.0': ('0x1.28c0dbaf6d776p-2', '0x1.46f70a34918d6p-63', 39, True),
+    'renyi-inf-tail': ('inf', '0x0.0p+0', 0, True),
+    'renyi-inf-dominance': ('inf', '0x0.0p+0', 0, True),
+    'renyi-moment-free-fallback': ('0x1.740e1e3ee09e0p-2', '0x1.1ea0185a3672ep-27', 148, True),
+    'renyi-bounded-uniform': ('0x1.ed4b71d508a8fp-1', '0x1.d7b186ead8987p-65', 8, True),
+    'renyi-mixture-gauss': ('0x1.86f4a4cbe1564p-2', '0x1.437664674b0a3p-58', 59, True),
+    'kl-gauss-laplace': ('0x1.ae99c1f36c712p-5', '0x1.a0203bfe380e6p-56', 40, True),
+    'kl-laplace-gauss': ('0x1.d74cb1cbc98adp-4', '0x1.af1a153810c38p-38', 42, True),
+    'kl-gauss-logistic': ('0x1.f4eb678205ef1p-5', '0x1.68526a09b358dp-63', 39, True),
+    'kl-gamma-gamma': ('0x1.310f4e9747328p-6', '0x1.52d5f6b2e30d0p-46', 37, True),
+    'kl-exp-posterior-gamma': ('0x1.57dd321b17365p+0', '0x1.90b1cacdbada6p-50', 40, True),
+    'kl-bounded-uniform': ('0x1.dccf46f5ed59ap-2', '0x1.1506ad7f08e30p-64', 12, True),
+    'kl-moment-free': ('0x1.1b60a35a27021p-2', '0x1.2bd5e70156408p-33', 23, True),
+    'kl-inf-dominance': ('inf', '0x0.0p+0', 0, True),
+    'mass-gauss': ('0x1.77fd68996066dp-1',),
+    'mass-laplace': ('0x1.4848cbbe49547p-2',),
+    'mass-logistic': ('0x1.a00694aae1f37p-1',),
+    'mass-gamma': ('0x1.aaadb1c0ec609p-1',),
+    'mass-exp-posterior': ('0x1.9196a808785dfp-2',),
+    'mass-gauss-merged-bulk-points': ('0x1.ffffffed768fcp-1',),
+    'integrate-normal-line': ('0x1.40d931ff6b6a3p+1', '0x1.2b10789f40037p-25', 8, True),
+    'integrate-half-line-bps': ('0x1.80000000081c1p+2', '0x1.09fa7720255f0p-19', 6, True),
+    'integrate-left-tail': ('0x1.88ae38a78978bp+2', '0x1.df5db8270155cp-38', 7, True),
+    'integrate-finite-bps': ('-0x1.a2b73da72e3c8p-1', '0x1.9fc391a66dc17p-40', 3, True),
+    'integrate-narrow-bump': ('0x1.66dff83287c32p-13', '0x1.a24ab8411462ap-69', 5, True),
+    'integrate-unconverged': ('0x1.93c78d4d1c6f7p+2', '0x1.d7f64b0989c20p-2', 4, False),
+    'integrate-kink': ('0x1.170a3ab5470cep+0', '0x1.916ba24b9e9b1p-21', 8, True),
+}
+
+
+def test_cases_all_pinned():
+    assert sorted(EXPECTED) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_bit_identical(name):
+    assert _pin(CASES[name]()) == EXPECTED[name]
+
+
+if __name__ == "__main__":
+    print("EXPECTED = {")
+    for name in CASES:
+        print(f"    {name!r}: {_pin(CASES[name]())!r},")
+    print("}")
