@@ -28,6 +28,7 @@ from .divergence import (
     kl_forward,
     kl_reverse,
     mc_renyi_upper_bound,
+    renyi,
     renyi_gauss_closed,
     renyi_quadrature,
 )

@@ -12,65 +12,53 @@ Config keys by subcommand
 fit:        model | target, data ({"theta0","n","seed"} or {"csv": path}),
             family, objective (renyi-alpha|kl-forward|kl-reverse|
             mc-upper-bound), alpha, budget, steps, batch_size, seed, outdir
-experiment: experiment (consistency|ubfin|ndegen|mixture|rate-violation|
-            ep|figure1|goodseq-audit) plus that experiment's keys (see
-            EXPERIMENT_KEYS below), seed, outdir, jobs
-audit:      model, family, alpha, audit_grid, rate_grid, M_bar, seed, outdir
+experiment: experiment (a name in EXPERIMENTS below) plus that
+            experiment's keys, seed, outdir, jobs. An experiment's keys and
+            their defaults are its runner's parameters (experiment_keys);
+            ``renyi-vi experiment --help`` lists them.
+audit:      the goodseq-audit experiment's keys, seed, outdir
 divergence: p, q (density specs), alpha or kl (forward|reverse), outdir
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import inspect
 import json
 import os
 import sys
+import textwrap
 import time
 from pathlib import Path
 
-
+from . import experiments
 from .config import ConfigError, build_density, build_family, build_model, check_keys
-from .divergence import kl_forward, kl_reverse, renyi_quadrature
-from .experiments import (
-    RateViolationSpec,
-    run_consistency,
-    run_ep_consistency,
-    run_figure1,
-    run_goodseq_audit,
-    run_mixture_bound,
-    run_ndegen,
-    run_rate_violation,
-    run_ubfin,
-    write_report,
-)
+from .divergence import kl_forward, kl_reverse, renyi
+from .experiments import RateViolationSpec, write_report
 from .models import load_data_csv
 from .varfit import DominanceError, fit, fit_stochastic
 
-EXPERIMENT_NAMES = (
-    "consistency",
-    "ubfin",
-    "ndegen",
-    "mixture",
-    "rate-violation",
-    "ep",
-    "figure1",
-    "goodseq-audit",
-)
-
-EXPERIMENT_KEYS = {
-    "consistency": {"model", "family", "alpha", "n_grid", "seeds", "n_seeds",
-                    "theta0", "quad_tol", "budget", "slope_range", "cover_min"},
-    "ep": {"model", "family", "alpha", "n_grid", "seeds", "n_seeds", "theta0",
-           "quad_tol", "budget", "slope_range", "cover_min"},
-    "ubfin": {"model", "alpha", "M_bar", "n_grid", "theta0"},
-    "ndegen": {"model", "alpha", "q_fixed", "n_grid", "theta0", "slope_range"},
-    "mixture": {"model", "alpha", "w", "theta1", "spike_width", "n_grid",
-                "theta0", "slack"},
-    "rate-violation": {"kappa", "alpha", "sigma", "B", "n_max", "expected_n0"},
-    "figure1": {"rho", "alphas", "budget", "grid_extent", "grid_points"},
-    "goodseq-audit": {"model", "family", "alpha", "audit_grid", "rate_grid",
-                      "M_bar", "theta0", "rate_tol"},
+# Experiment name -> runner. Each runner's signature gives the experiment's
+# config keys and their defaults. The CLI calls the runner by name, as an
+# attribute of renyi_vi.experiments looked up at call time, so it runs
+# whatever that attribute holds then; this table serves the signatures.
+EXPERIMENTS = {
+    "consistency": experiments.run_consistency,
+    "ubfin": experiments.run_ubfin,
+    "ndegen": experiments.run_ndegen,
+    "mixture": experiments.run_mixture_bound,
+    "rate-violation": experiments.run_rate_violation,
+    "ep": experiments.run_ep_consistency,
+    "figure1": experiments.run_figure1,
+    "goodseq-audit": experiments.run_goodseq_audit,
 }
+
+# Runner parameters that are not config keys: seed and jobs are filled from
+# the keys every experiment accepts (COMMON_KEYS), and the rest are fixed by
+# the choice of runner.
+_NOT_KEYS = {"seed", "jobs", "objective_kind", "check_dkl", "quad_certificate"}
+COMMON_KEYS = ("experiment", "seed", "outdir", "jobs")
 
 
 class _CliError(Exception):
@@ -80,11 +68,14 @@ class _CliError(Exception):
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except FileNotFoundError:
         raise _CliError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise _CliError(f"{path}:{exc.lineno}:{exc.colno}: malformed JSON: {exc.msg}")
+    if not isinstance(config, dict):
+        raise _CliError(f"{path}: a config is a JSON object, got {json.dumps(config)[:40]}")
+    return config
 
 
 def _resolve_seed(args, config: dict, key: str = "seed"):
@@ -187,106 +178,80 @@ def cmd_fit(args) -> int:
     return 0 if result.converged else 2
 
 
-def _experiment_report(name: str, config: dict, seed, jobs: int):
-    def seeds_list(default_n=10):
-        if "seeds" in config:
-            return [int(s) for s in config["seeds"]]
-        n = int(config.get("n_seeds", default_n))
-        base = int(seed if seed is not None else 0)
-        return [base + i for i in range(n)]
+def experiment_keys(name: str) -> dict:
+    """The config keys of experiment ``name``, each with its default: its
+    runner's parameters, with ``seeds`` also given by ``n_seeds`` and the
+    RateViolationSpec fields in place of ``spec``."""
+    keys = {}
+    for key, param in inspect.signature(EXPERIMENTS[name]).parameters.items():
+        if key == "spec":
+            keys.update((f.name, f.default) for f in dataclasses.fields(RateViolationSpec))
+        elif key not in _NOT_KEYS:
+            keys[key] = param.default
+            if key == "seeds":
+                keys["n_seeds"] = len(param.default)
+    return keys
 
-    model = config.get("model", {"name": "gaussian-mean", "mu0": 0.0, "sigma": 1.0})
-    if name in ("consistency", "ep"):
-        kw = dict(
-            model_spec=model,
-            family_name=config.get("family", "laplace"),
-            n_grid=config.get("n_grid", [100, 1000, 10**4, 10**5]),
-            seeds=seeds_list(),
-            theta0=config.get("theta0"),
-            quad_tol=float(config.get("quad_tol", 1e-7)),
-            budget=int(config.get("budget", 260)),
-            jobs=jobs,
-            cover_min=float(config.get("cover_min", 0.95)),
-        )
-        if "slope_range" in config:
-            kw["slope_range"] = tuple(config["slope_range"])
-        if name == "ep":
-            return run_ep_consistency(alpha=float(config.get("alpha", 2.0)), **kw)
-        return run_consistency(alpha=float(config.get("alpha", 2.0)), **kw)
-    if name == "ubfin":
-        return run_ubfin(
-            model, float(config.get("alpha", 2.0)), float(config["M_bar"]),
-            n_grid=config.get("n_grid", [10**4, 10**5, 10**6]),
-            theta0=config.get("theta0"),
-        )
-    if name == "ndegen":
-        return run_ndegen(
-            model, float(config.get("alpha", 2.0)),
-            config.get("q_fixed", {"kind": "gaussian", "mean": 0.5, "cov": 1.0}),
-            n_grid=config.get("n_grid", [100, 1000, 10**4, 10**5, 10**6]),
-            seed=int(seed if seed is not None else 0),
-            theta0=config.get("theta0"),
-            slope_range=tuple(config.get("slope_range", (0.45, 0.55))),
-        )
-    if name == "mixture":
-        return run_mixture_bound(
-            model, float(config.get("alpha", 2.0)), float(config.get("w", 0.5)),
-            float(config.get("theta1", 1.5)),
-            spike_width=float(config.get("spike_width", 1e-3)),
-            n_grid=config.get("n_grid", [100, 1000, 10**4, 10**5]),
-            seed=int(seed if seed is not None else 0),
-            theta0=config.get("theta0"),
-            slack=float(config.get("slack", 0.1)),
-        )
-    if name == "rate-violation":
-        spec = RateViolationSpec(
-            kappa=float(config.get("kappa", 0.75)),
-            alpha=float(config.get("alpha", 2.0)),
-            sigma=float(config.get("sigma", 1.0)),
-            B=float(config.get("B", 1.0)),
-        )
-        return run_rate_violation(
-            spec, n_max=int(config.get("n_max", 10**4)),
-            expected_n0=config.get("expected_n0"),
-        )
-    if name == "figure1":
-        return run_figure1(
-            rho=float(config.get("rho", 0.9)),
-            alphas=tuple(float(a) for a in config.get("alphas", (2, 5, 20))),
-            budget=int(config.get("budget", 700)),
-            grid_extent=float(config.get("grid_extent", 3.0)),
-            grid_points=int(config.get("grid_points", 61)),
-        )
-    if name == "goodseq-audit":
-        return run_goodseq_audit(
-            model, config.get("family", "laplace"),
-            alpha=float(config.get("alpha", 2.0)),
-            audit_grid=config.get("audit_grid", (10, 100, 1000)),
-            rate_grid=config.get("rate_grid", (100, 1000, 10**4, 10**5)),
-            seed=int(seed if seed is not None else 0),
-            theta0=config.get("theta0"),
-            M_bar=config.get("M_bar"),
-            rate_tol=float(config.get("rate_tol", 0.01)),
-        )
-    raise _CliError(
-        f"unknown experiment {name!r}; valid names: {', '.join(EXPERIMENT_NAMES)}"
-    )
+
+def _check_type(where: str, key: str, value, default) -> None:
+    """Reject a config value whose JSON type does not fit its key's default:
+    a list for a tuple, an object for a dict, a string for a str, and else a
+    number (or null, where null is the default)."""
+    if isinstance(default, (tuple, list)):
+        kind, ok = "a list", isinstance(value, list)
+    elif isinstance(default, dict):
+        kind, ok = "an object", isinstance(value, dict)
+    elif isinstance(default, str):
+        kind, ok = "a string", isinstance(value, str)
+    else:
+        kind = "a number" if default is not None else "a number or null"
+        ok = (value is None and default is None) or (
+            isinstance(value, (int, float)) and not isinstance(value, bool))
+    if not ok:
+        raise _CliError(f"{where}: {key!r} must be {kind}, got {json.dumps(value)}")
+
+
+def _runner_kwargs(name: str, keys: dict, config: dict, seed, jobs: int) -> dict:
+    """The runner's arguments: the config's own values, uncast (the runner
+    casts them), plus the ones the CLI fills."""
+    params = inspect.signature(EXPERIMENTS[name]).parameters
+    kwargs = {k: config[k] for k in params if k in keys and k in config}
+    if "seed" in params and seed is not None:
+        kwargs["seed"] = int(seed)
+    if "jobs" in params:
+        kwargs["jobs"] = jobs
+    if "seeds" in params and "seeds" not in config:
+        base = int(seed if seed is not None else 0)
+        n = int(config.get("n_seeds", keys["n_seeds"]))
+        kwargs["seeds"] = [base + i for i in range(n)]
+    if "spec" in params:
+        kwargs["spec"] = RateViolationSpec(**{
+            f.name: float(config[f.name])
+            for f in dataclasses.fields(RateViolationSpec) if f.name in config})
+    return kwargs
 
 
 def cmd_experiment(args) -> int:
     config = _load_config(args.config)
-    name = config.get("experiment")
+    # the audit subcommand fixes the experiment and takes neither key
+    name = args.experiment or config.get("experiment")
     if name is None:
         raise _CliError("experiment config needs an 'experiment' key")
-    if name not in EXPERIMENT_NAMES:
+    if name not in EXPERIMENTS:
         raise _CliError(
-            f"unknown experiment {name!r}; valid names: {', '.join(EXPERIMENT_NAMES)}"
+            f"unknown experiment {name!r}; valid names: {', '.join(EXPERIMENTS)}"
         )
-    allowed = EXPERIMENT_KEYS[name] | {"experiment", "seed", "outdir", "jobs"}
-    check_keys(config, allowed, f"experiment config ({name})")
+    where = "audit config" if args.experiment else f"experiment config ({name})"
+    common = {"seed", "outdir"} if args.experiment else set(COMMON_KEYS)
+    keys = experiment_keys(name)
+    check_keys(config, set(keys) | common, where)
+    for key in keys:
+        if key in config:
+            _check_type(where, key, config[key], keys[key])
     seed = _resolve_seed(args, config)
     jobs = args.jobs if args.jobs is not None else int(config.get("jobs", 1))
-    report = _experiment_report(name, config, seed, jobs)
+    runner = getattr(experiments, EXPERIMENTS[name].__name__)
+    report = runner(**_runner_kwargs(name, keys, config, seed, jobs))
     out = _outdir(args, config, name)
     paths = write_report(report, out)
     for v in report.verdicts:
@@ -294,26 +259,6 @@ def cmd_experiment(args) -> int:
         print(f"[{mark}] {report.name}.{v['criterion']}: measured={v['measured']} "
               f"threshold={v['threshold']}")
     print(f"wrote {paths['json']}")
-    return 0 if report.passed else 2
-
-
-def cmd_audit(args) -> int:
-    config = _load_config(args.config)
-    check_keys(
-        config,
-        EXPERIMENT_KEYS["goodseq-audit"] | {"seed", "outdir"},
-        "audit config",
-    )
-    config = dict(config)
-    config["experiment"] = "goodseq-audit"
-    seed = _resolve_seed(args, config)
-    report = _experiment_report("goodseq-audit", config, seed, 1)
-    out = _outdir(args, config, "goodseq-audit")
-    paths = write_report(report, out)
-    for v in report.verdicts:
-        mark = "PASS" if v["passed"] else "FAIL"
-        print(f"[{mark}] {v['criterion']}: measured={v['measured']}")
-    print(f"wrote {paths['csv']}")
     return 0 if report.passed else 2
 
 
@@ -337,7 +282,7 @@ def cmd_divergence(args) -> int:
     if kl is not None:
         est = kl_forward(p, q) if kl == "forward" else kl_reverse(p, q)
     elif alpha is not None:
-        est = renyi_quadrature(p, q, float(alpha))
+        est = renyi(p, q, float(alpha))
     else:
         raise _CliError("divergence needs --alpha or --kl")
     print(json.dumps({
@@ -367,25 +312,34 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--outdir")
     p_fit.set_defaults(func=cmd_fit)
 
+    listing = "\n".join(
+        textwrap.fill(f"{name}: {', '.join(experiment_keys(name))}",
+                      initial_indent="  ", subsequent_indent="      ")
+        for name in EXPERIMENTS)
     p_exp = sub.add_parser(
         "experiment",
         help="run a named experiment and write report.json/report.csv",
-        description="Experiments: " + ", ".join(EXPERIMENT_NAMES)
-        + ". Exit 0 iff all verdicts pass; reports are always written. "
-        "CSV columns are fixed per experiment and versioned by the "
-        "'# schema=1' header line.",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        description="Runs the experiment that the config's 'experiment' key "
+        "names. Exit 0 iff all\nverdicts pass; reports are always written. CSV "
+        "columns are fixed per experiment\nand versioned by the '# schema=1' "
+        "header line.\n\nExperiments and their config keys, besides "
+        + ", ".join(COMMON_KEYS) + ":\n" + listing,
     )
     p_exp.add_argument("config", help="JSON config file")
     p_exp.add_argument("--seed", type=int)
     p_exp.add_argument("--outdir")
     p_exp.add_argument("--jobs", type=int, default=None,
                        help="worker processes for per-cell fan-out (default 1)")
-    p_exp.set_defaults(func=cmd_experiment)
+    p_exp.set_defaults(func=cmd_experiment, experiment=None)
 
     p_aud = sub.add_parser(
         "audit",
         help="audit a good-sequence constructor over an n-grid",
-        description="CSV columns: n, family, alpha, mean, mean_gap, mean_is_mle, "
+        description="The goodseq-audit experiment. Config keys: "
+                    + ", ".join(experiment_keys("goodseq-audit"))
+                    + ", seed, outdir. "
+                    "CSV columns: n, family, alpha, mean, mean_gap, mean_is_mle, "
                     "variance, m_bar, rate_ok, ratio_sup, ratio_sup_global, "
                     "ratio_bound, ratio_bound_ok, logconcave_ok, entropy, "
                     "entropy_bound, entropy_ok.",
@@ -393,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_aud.add_argument("config", help="JSON config file")
     p_aud.add_argument("--seed", type=int)
     p_aud.add_argument("--outdir")
-    p_aud.set_defaults(func=cmd_audit)
+    p_aud.set_defaults(func=cmd_experiment, experiment="goodseq-audit", jobs=None)
 
     p_div = sub.add_parser(
         "divergence",

@@ -27,6 +27,7 @@ __all__ = [
     "OVERFLOW_NATS",
     "DivergenceEstimate",
     "MCUpperBound",
+    "renyi",
     "renyi_quadrature",
     "renyi_gauss_closed",
     "kl_forward",
@@ -382,6 +383,16 @@ def _kl_quadrature(p: Density, q: Density, rel_tol: float) -> DivergenceEstimate
         max(float(res.value), 0.0), QUADRATURE, float(res.error), None,
         res.converged, res.panels,
     )
+
+
+def renyi(p: Density, q: Density, alpha: float, rel_tol: float = 1e-8) -> DivergenceEstimate:
+    """D_alpha(p || q); closed form when both inputs are Gaussian, else
+    quadrature (dim <= 2)."""
+    if p.dim != q.dim:
+        raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
+    if p.kind == "gaussian" and q.kind == "gaussian":
+        return renyi_gauss_closed(p, q, alpha)
+    return renyi_quadrature(p, q, alpha, rel_tol=rel_tol)
 
 
 def kl_forward(p: Density, q: Density, rel_tol: float = 1e-9) -> DivergenceEstimate:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import build_density, build_family, build_model
 from .distributions import interval_mass, make_gaussian, make_mixture, make_spike
-from .divergence import kl_forward, renyi_gauss_closed, renyi_quadrature
+from .divergence import kl_forward, renyi, renyi_quadrature
 from .goodseq import (
     GoodSequenceSpec,
     audit,
@@ -53,6 +53,8 @@ CSV_SCHEMA = 1
 
 # One shared true parameter per experiment unless overridden in config.
 DEFAULT_THETA0 = {"gaussian-mean": 0.5, "mvn-mean": 0.5, "exponential": 2.0}
+# The model an experiment runs on unless its config names another.
+GAUSSIAN_MEAN = {"name": "gaussian-mean", "mu0": 0.0, "sigma": 1.0}
 
 
 @dataclass
@@ -62,7 +64,8 @@ class ExperimentReport:
     records: list[dict]
     verdicts: list[dict]
     runtime_s: float
-    grid_rows: list[dict] = field(default_factory=list)
+    # grid.csv columns, name -> 1-D array; empty for experiments without one
+    grid: dict[str, np.ndarray] = field(default_factory=dict)
     schema: int = CSV_SCHEMA
 
     @property
@@ -122,6 +125,14 @@ def _write_csv(path: Path, rows: list[dict]) -> None:
             fh.write(",".join(_fmt_csv(row[c]) for c in cols) + "\n")
 
 
+def _write_grid_csv(path: Path, grid: dict[str, np.ndarray]) -> None:
+    """Float columns in the format of :func:`_write_csv`, in one pass."""
+    with open(path, "w") as fh:
+        fh.write(f"# schema={CSV_SCHEMA}\n" + ",".join(grid) + "\n")
+        np.savetxt(fh, np.column_stack(list(grid.values())), fmt="%.17g",
+                   delimiter=",")
+
+
 def write_report(report: ExperimentReport, outdir) -> dict[str, Path]:
     """Write report.json and report.csv (plus grid.csv if present)."""
     outdir = Path(outdir)
@@ -131,9 +142,9 @@ def write_report(report: ExperimentReport, outdir) -> dict[str, Path]:
         json.dump(report.to_json_dict(), fh, indent=2)
         fh.write("\n")
     _write_csv(paths["csv"], report.records)
-    if report.grid_rows:
+    if report.grid:
         paths["grid"] = outdir / "grid.csv"
-        _write_csv(paths["grid"], report.grid_rows)
+        _write_grid_csv(paths["grid"], report.grid)
     return paths
 
 
@@ -180,22 +191,17 @@ def consistency_cell(model_spec, family_name, objective_kind, alpha, theta0,
         "tail_mass": 1.0 - interval_mass(q, theta0 - 0.1, theta0 + 0.1, rel_tol=1e-7),
     }
     if dkl_alpha is not None:
-        dkl = kl_forward(posterior, q, rel_tol=quad_tol).value
-        if posterior.kind == "gaussian" and q.kind == "gaussian":
-            dren = renyi_gauss_closed(posterior, q, dkl_alpha).value
-        else:
-            dren = renyi_quadrature(posterior, q, dkl_alpha, rel_tol=quad_tol).value
-        rec["kl_forward"] = dkl
-        rec["renyi"] = dren
+        rec["kl_forward"] = kl_forward(posterior, q, rel_tol=quad_tol).value
+        rec["renyi"] = renyi(posterior, q, dkl_alpha, rel_tol=quad_tol).value
     return rec
 
 
 def run_consistency(
-    model_spec: dict,
-    family_name: str,
-    alpha: float,
-    n_grid,
-    seeds,
+    model: dict = GAUSSIAN_MEAN,
+    family: str = "laplace",
+    alpha: float = 2.0,
+    n_grid=(100, 1000, 10**4, 10**5),
+    seeds=tuple(range(10)),
     objective_kind: str = "renyi-alpha",
     theta0: float | None = None,
     quad_tol: float = 1e-7,
@@ -208,14 +214,16 @@ def run_consistency(
     """Fit the approximate posterior per (n, seed); verify the shrink rate,
     the coverage of the true parameter, and concentration of mass."""
     t0 = time.perf_counter()
-    model = build_model(model_spec)
+    bayes = build_model(model)
     if theta0 is None:
-        theta0 = DEFAULT_THETA0[model.name]
+        theta0 = DEFAULT_THETA0[bayes.name]
+    alpha, quad_tol, budget = float(alpha), float(quad_tol), int(budget)
+    slope_range, cover_min = tuple(slope_range), float(cover_min)
     n_grid = sorted(int(n) for n in n_grid)
     seeds = [int(s) for s in seeds]
     config = {
-        "model": model_spec,
-        "family": family_name,
+        "model": model,
+        "family": family,
         "alpha": alpha,
         "objective_kind": objective_kind,
         "n_grid": n_grid,
@@ -227,7 +235,7 @@ def run_consistency(
     }
     cells = [(n, s) for n in n_grid for s in seeds]
     args = [
-        (model_spec, family_name, objective_kind, alpha, theta0, n, s, quad_tol,
+        (model, family, objective_kind, alpha, theta0, n, s, quad_tol,
          budget, alpha if check_dkl else None)
         for (n, s) in cells
     ]
@@ -238,7 +246,7 @@ def run_consistency(
         records = [_cell_star(a) for a in args]
     records.sort(key=lambda r: (r["n"], r["seed"]))
 
-    sigma0 = 1.0 / math.sqrt(float(model.fisher_info(theta0)))
+    sigma0 = 1.0 / math.sqrt(float(bayes.fisher_info(theta0)))
     med_var = [float(np.median([r["variance"] for r in records if r["n"] == n]))
                for n in n_grid]
     med_err = [float(np.median([r["abs_err"] for r in records if r["n"] == n]))
@@ -274,12 +282,25 @@ def _cell_star(a):
     return consistency_cell(*a)
 
 
-def run_ep_consistency(model_spec, family_name, n_grid, seeds, alpha: float = 2.0,
-                       **kwargs) -> ExperimentReport:
-    """Forward-KL (idealized EP) consistency plus the KL <= Renyi check."""
+def run_ep_consistency(
+    model: dict = GAUSSIAN_MEAN,
+    family: str = "laplace",
+    n_grid=(100, 1000, 10**4, 10**5),
+    seeds=tuple(range(10)),
+    alpha: float = 2.0,
+    theta0: float | None = None,
+    quad_tol: float = 1e-7,
+    budget: int = 260,
+    jobs: int = 1,
+    slope_range=(-1.2, -0.8),
+    cover_min: float = 0.95,
+) -> ExperimentReport:
+    """Forward-KL (idealized EP) consistency plus the KL <= Renyi check at
+    ``alpha``."""
     return run_consistency(
-        model_spec, family_name, alpha, n_grid, seeds,
-        objective_kind="kl-forward", check_dkl=True, **kwargs,
+        model, family, alpha, n_grid, seeds, objective_kind="kl-forward",
+        theta0=theta0, quad_tol=quad_tol, budget=budget, jobs=jobs,
+        slope_range=slope_range, cover_min=cover_min, check_dkl=True,
     )
 
 
@@ -292,26 +313,29 @@ def _renyi_limit_same_mean(alpha: float, r: float) -> float:
 
 
 def run_ubfin(
-    model_spec: dict,
-    alpha: float,
-    M_bar: float,
+    model: dict = GAUSSIAN_MEAN,
+    alpha: float = 2.0,
+    M_bar: float | None = None,
     n_grid=(10**4, 10**5, 10**6),
     theta0: float | None = None,
 ) -> ExperimentReport:
     """Asymptotic bound B on the minimal divergence, by closed form.
 
-    Requires M_bar * I(theta0) >= alpha^(1/(alpha-1)) / e; then
+    Requires M_bar, with M_bar * I(theta0) >= alpha^(1/(alpha-1)) / e; then
     B = 0.5 log(e * M_bar * I(theta0) / alpha^(1/(alpha-1))). Records the
     divergence to the Gaussian member with variance M_bar/n (which may
     exceed B, or be infinite) and the family minimum (which may not).
     """
     t0 = time.perf_counter()
-    model = build_model(model_spec)
-    if model.name != "gaussian-mean":
+    if M_bar is None:
+        raise ValueError("ubfin needs 'M_bar', the good sequence's variance scale")
+    alpha, M_bar = float(alpha), float(M_bar)
+    bayes = build_model(model)
+    if bayes.name != "gaussian-mean":
         raise ValueError("run_ubfin uses the Gaussian mean model")
     if theta0 is None:
-        theta0 = DEFAULT_THETA0[model.name]
-    info = float(model.fisher_info(theta0))
+        theta0 = DEFAULT_THETA0[bayes.name]
+    info = float(bayes.fisher_info(theta0))
     A = alpha ** (1.0 / (alpha - 1.0))
     if M_bar * info < A / math.e - 1e-12:
         raise ValueError(
@@ -361,7 +385,7 @@ def run_ubfin(
         _verdict("finite_n_matches_limit", limit_gap <= 1e-3, limit_gap, 1e-3),
     ]
     config = {
-        "model": model_spec, "alpha": alpha, "M_bar": M_bar, "n_grid": n_grid,
+        "model": model, "alpha": alpha, "M_bar": M_bar, "n_grid": n_grid,
         "theta0": theta0, "bound_B": B, "analytic_limit": limit,
         "limit_proxy": "max over n >= 1e4 of the n-grid",
     }
@@ -370,10 +394,10 @@ def run_ubfin(
 
 
 def run_ndegen(
-    model_spec: dict,
-    alpha: float,
-    q_fixed_spec: dict,
-    n_grid,
+    model: dict = GAUSSIAN_MEAN,
+    alpha: float = 2.0,
+    q_fixed: dict = {"kind": "gaussian", "mean": 0.5, "cov": 1.0},
+    n_grid=(100, 1000, 10**4, 10**5, 10**6),
     seed: int = 0,
     theta0: float | None = None,
     slope_range=(0.45, 0.55),
@@ -384,20 +408,17 @@ def run_ndegen(
     vanishes at theta0 goes infinite outright.
     """
     t0 = time.perf_counter()
-    model = build_model(model_spec)
+    alpha, seed, slope_range = float(alpha), int(seed), tuple(slope_range)
+    bayes = build_model(model)
     if theta0 is None:
-        theta0 = DEFAULT_THETA0[model.name]
-    q_fixed = build_density(q_fixed_spec)
+        theta0 = DEFAULT_THETA0[bayes.name]
+    q = build_density(q_fixed)
     n_grid = sorted(int(n) for n in n_grid)
-    data_full = model.simulate(theta0, max(n_grid), seed)
+    data_full = bayes.simulate(theta0, max(n_grid), seed)
     records = []
     for n in n_grid:
-        post = model.exact_posterior(data_full[:n])
-        if post.kind == "gaussian" and q_fixed.kind == "gaussian":
-            d = renyi_gauss_closed(post, q_fixed, alpha).value
-        else:
-            d = renyi_quadrature(post, q_fixed, alpha).value
-        records.append({"n": n, "d_alpha": d})
+        post = bayes.exact_posterior(data_full[:n])
+        records.append({"n": n, "d_alpha": renyi(post, q, alpha).value})
     finite = [(r["n"], r["d_alpha"]) for r in records if np.isfinite(r["d_alpha"])]
     verdicts = []
     if len(finite) >= 4:
@@ -413,7 +434,7 @@ def run_ndegen(
             _verdict("divergence_reported", n_inf > 0, n_inf, "any infinite value")
         )
     config = {
-        "model": model_spec, "alpha": alpha, "q_fixed": q_fixed_spec,
+        "model": model, "alpha": alpha, "q_fixed": q_fixed,
         "n_grid": n_grid, "seed": seed, "theta0": theta0,
     }
     return ExperimentReport("ndegen", config, records, verdicts,
@@ -421,10 +442,10 @@ def run_ndegen(
 
 
 def run_mixture_bound(
-    model_spec: dict,
-    alpha: float,
-    w: float,
-    theta1: float,
+    model: dict = GAUSSIAN_MEAN,
+    alpha: float = 2.0,
+    w: float = 0.5,
+    theta1: float = 1.5,
     spike_width: float = 1e-3,
     n_grid=(10**2, 10**3, 10**4, 10**5),
     seed: int = 0,
@@ -438,22 +459,25 @@ def run_mixture_bound(
     divergence counts as above any bound).
     """
     t0 = time.perf_counter()
+    alpha, w, theta1, spike_width, seed, slack = (
+        float(alpha), float(w), float(theta1), float(spike_width), int(seed),
+        float(slack))
     if not 0.0 < w < 1.0:
         raise ValueError(f"w must lie in (0,1), got {w}")
     if spike_width > 1e-2:
         raise ValueError(f"spike_width must be <= 1e-2, got {spike_width}")
-    model = build_model(model_spec)
+    bayes = build_model(model)
     if theta0 is None:
-        theta0 = DEFAULT_THETA0[model.name]
+        theta0 = DEFAULT_THETA0[bayes.name]
     if theta1 == theta0:
         raise ValueError("theta1 must differ from theta0")
     q = make_mixture([w, 1.0 - w],
                      [make_spike(theta0, spike_width), make_spike(theta1, spike_width)])
     n_grid = sorted(int(n) for n in n_grid)
-    data_full = model.simulate(theta0, max(n_grid), seed)
+    data_full = bayes.simulate(theta0, max(n_grid), seed)
     records = []
     for n in n_grid:
-        post = model.exact_posterior(data_full[:n])
+        post = bayes.exact_posterior(data_full[:n])
         d = renyi_quadrature(post, q, alpha, rel_tol=1e-7).value
         records.append({"n": n, "d_alpha": d})
     bound = 2.0 * (1.0 - w) ** 2
@@ -464,7 +488,7 @@ def run_mixture_bound(
                  measured, bound - slack)
     ]
     config = {
-        "model": model_spec, "alpha": alpha, "w": w, "theta1": theta1,
+        "model": model, "alpha": alpha, "w": w, "theta1": theta1,
         "spike_width": spike_width, "n_grid": n_grid, "seed": seed,
         "theta0": theta0, "bound": bound,
         "limit_proxy": "min over the two largest n",
@@ -483,8 +507,8 @@ class RateViolationSpec:
     Gaussian member N(mle, n^(-2 kappa)) it is exactly 1.
     """
 
-    kappa: float
-    alpha: float
+    kappa: float = 0.75
+    alpha: float = 2.0
     sigma: float = 1.0
     B: float = 1.0
 
@@ -497,7 +521,8 @@ class RateViolationSpec:
             raise ValueError("sigma and B must be positive")
 
 
-def run_rate_violation(spec: RateViolationSpec, n_max: int = 10**4,
+def run_rate_violation(spec: RateViolationSpec = RateViolationSpec(),
+                       n_max: int = 10**4,
                        expected_n0: int | None = None) -> ExperimentReport:
     """Find the onset n0 past which sigma*^2 <= 0 for q_n = N(mle, n^(-2k)).
 
@@ -507,6 +532,7 @@ def run_rate_violation(spec: RateViolationSpec, n_max: int = 10**4,
     tail comparison, min{n : ((alpha-1)/alpha) n^(2 kappa)/(2B) > n I/2}.
     """
     t0 = time.perf_counter()
+    n_max = int(n_max)
     a, k, s2 = spec.alpha, spec.kappa, spec.sigma**2
     info = 1.0 / s2
     def sigma_star_sq(n):
@@ -576,6 +602,8 @@ def run_figure1(
     objective. Emits contour-ready density evaluations.
     """
     t0 = time.perf_counter()
+    rho, alphas, budget = float(rho), tuple(float(a) for a in alphas), int(budget)
+    grid_extent, grid_points = float(grid_extent), int(grid_points)
     if not abs(rho) < 1.0:
         raise ValueError(f"|rho| must be < 1, got {rho}")
     Sigma = np.array([[1.0, rho], [rho, 1.0]])
@@ -604,9 +632,9 @@ def run_figure1(
     renyi_s2 = [s2[k] for k in renyi_keys]
     monotone = all(renyi_s2[i] <= renyi_s2[i + 1] + 1e-9 for i in range(len(renyi_s2) - 1))
     verdicts = [
-        _verdict("kl_reverse_s2", abs(s2["kl-reverse"] - s2_rev_expect) <= 0.01,
+        _verdict("kl_reverse_s2", abs(s2["kl-reverse"] - s2_rev_expect) <= 1e-6,
                  s2["kl-reverse"], s2_rev_expect),
-        _verdict("kl_forward_s2", abs(s2["kl-forward"] - s2_fwd_expect) <= 0.01,
+        _verdict("kl_forward_s2", abs(s2["kl-forward"] - s2_fwd_expect) <= 1e-6,
                  s2["kl-forward"], s2_fwd_expect),
         _verdict("renyi_s2_nondecreasing", monotone, renyi_s2, "nondecreasing"),
         _verdict("renyi_s2_below_lambda_max",
@@ -629,17 +657,12 @@ def run_figure1(
             _verdict("quadrature_local_min", worst <= 1e-6, worst, 1e-6)
         )
 
-    grid_rows = []
     g = np.linspace(-grid_extent, grid_extent, grid_points)
     mesh = np.column_stack([np.repeat(g, g.size), np.tile(g, g.size)])
-    dens = {"target": np.exp(target.log_pdf(mesh))}
+    grid = {"x": mesh[:, 0], "y": mesh[:, 1],
+            "target": np.exp(target.log_pdf(mesh))}
     for key, res in fits.items():
-        dens[key] = np.exp(res.density.log_pdf(mesh))
-    for i, (x, y) in enumerate(mesh):
-        row = {"x": float(x), "y": float(y)}
-        for key, vals in dens.items():
-            row[key.replace("-", "_")] = float(vals[i])
-        grid_rows.append(row)
+        grid[key.replace("-", "_")] = np.exp(res.density.log_pdf(mesh))
 
     config = {
         "rho": rho, "alphas": list(alphas), "budget": budget,
@@ -647,12 +670,12 @@ def run_figure1(
         "lambda_max": float(lam[-1]),
     }
     return ExperimentReport("figure1", config, records, verdicts,
-                            time.perf_counter() - t0, grid_rows=grid_rows)
+                            time.perf_counter() - t0, grid=grid)
 
 
 def run_goodseq_audit(
-    model_spec: dict,
-    family_name: str,
+    model: dict = GAUSSIAN_MEAN,
+    family: str = "laplace",
     alpha: float = 2.0,
     audit_grid=(10, 100, 1000),
     rate_grid=(100, 1000, 10**4, 10**5),
@@ -667,21 +690,22 @@ def run_goodseq_audit(
     the rate fit over ``rate_grid``.
     """
     t0 = time.perf_counter()
-    model = build_model(model_spec)
+    alpha, seed, rate_tol = float(alpha), int(seed), float(rate_tol)
+    bayes = build_model(model)
     if theta0 is None:
-        theta0 = DEFAULT_THETA0[model.name]
-    gspec = GoodSequenceSpec(family=family_name, alpha=alpha, variance_scale=M_bar)
+        theta0 = DEFAULT_THETA0[bayes.name]
+    gspec = GoodSequenceSpec(family=family, alpha=alpha, variance_scale=M_bar)
     n_all = max(max(audit_grid), max(rate_grid))
-    data_full = model.simulate(theta0, n_all, seed)
+    data_full = bayes.simulate(theta0, n_all, seed)
     # the compact set centers on the known true parameter here
-    half = 5.0 / math.sqrt(float(model.fisher_info(theta0)))
-    lo, hi = model.param_support[0]
+    half = 5.0 / math.sqrt(float(bayes.fisher_info(theta0)))
+    lo, hi = bayes.param_support[0]
     K = (max(lo, theta0 - half), min(hi, theta0 + half))
     records = []
     for n in sorted(int(v) for v in audit_grid):
-        a = audit(gspec, model, data_full[:n], K=K)
+        a = audit(gspec, bayes, data_full[:n], K=K)
         records.append(
-            {"n": n, "family": family_name, "alpha": alpha, "mean": a.mean,
+            {"n": n, "family": family, "alpha": alpha, "mean": a.mean,
              "mean_gap": a.mean_gap, "mean_is_mle": a.mean_is_mle,
              "variance": a.variance, "m_bar": a.m_bar, "rate_ok": a.rate_ok,
              "ratio_sup": a.ratio_sup, "ratio_sup_global": a.ratio_sup_global,
@@ -691,11 +715,11 @@ def run_goodseq_audit(
              "entropy_bound": a.entropy_bound, "entropy_ok": a.entropy_ok}
         )
     seq = [
-        (n, build_good_sequence(gspec, model, data_full[:n]))
+        (n, build_good_sequence(gspec, bayes, data_full[:n]))
         for n in sorted(int(v) for v in rate_grid)
     ]
     slope = rate_estimate(seq)
-    bound = cited_ratio_bound(family_name, alpha)
+    bound = cited_ratio_bound(family, alpha)
     verdicts = [
         _verdict("rate_slope", abs(slope + 1.0) <= rate_tol, slope,
                  [-1.0 - rate_tol, -1.0 + rate_tol]),
@@ -710,7 +734,7 @@ def run_goodseq_audit(
         worst = max(r["ratio_sup"] for r in records)
         verdicts.append(_verdict("ratio_bound", worst <= bound, worst, bound))
     config = {
-        "model": model_spec, "family": family_name, "alpha": alpha,
+        "model": model, "family": family, "alpha": alpha,
         "audit_grid": sorted(int(v) for v in audit_grid),
         "rate_grid": sorted(int(v) for v in rate_grid),
         "seed": seed, "theta0": theta0, "M_bar": M_bar,

@@ -27,7 +27,7 @@ from .divergence import (
     DivergenceEstimate,
     kl_forward,
     kl_reverse,
-    renyi_gauss_closed,
+    renyi,
     renyi_quadrature,
 )
 from .models import BayesModel
@@ -241,9 +241,7 @@ def _make_scorer(target: Density, family: VariationalFamily, kind: str,
     def estimate(params: np.ndarray) -> DivergenceEstimate:
         q = family.unpack(params)
         if kind == "renyi-alpha":
-            if target.kind == "gaussian" and q.kind == "gaussian":
-                return renyi_gauss_closed(target, q, alpha)
-            return renyi_quadrature(target, q, alpha, rel_tol=quad_tol)
+            return renyi(target, q, alpha, rel_tol=quad_tol)
         if kind == "kl-forward":
             return kl_forward(target, q, rel_tol=quad_tol)
         if kind == "kl-reverse":

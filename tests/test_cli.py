@@ -1,13 +1,16 @@
 """Command-line interface: exit codes, config validation, seed precedence,
 output files."""
 
+import dataclasses
+import inspect
 import json
 import subprocess
 import sys
 
 import pytest
 
-from renyi_vi.cli import main
+from renyi_vi import experiments
+from renyi_vi.cli import EXPERIMENTS, experiment_keys, main
 
 
 def run_cli(args):
@@ -159,6 +162,100 @@ class TestExperimentCommand:
             assert float(line.split(",")[ratio_col]) <= 1.64872
 
 
+    @pytest.mark.parametrize("payload, named", [
+        ({"experiment": "ubfin"}, "M_bar"),
+        ({"experiment": "figure1", "alphas": 2}, "alphas"),
+        ({"experiment": "rate-violation", "kappa": [0.75]}, "kappa"),
+        ([{"experiment": "figure1"}], "JSON object"),
+    ], ids=["missing-required", "scalar-for-list", "list-for-number", "not-an-object"])
+    def test_config_error_exits_one_naming_it(self, tmp_path, capsys, payload, named):
+        cfg = write_config(tmp_path, "exp.json", payload)
+        assert run_cli(["experiment", cfg]) == 1
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+
+
+# The per-experiment config keys as the CLI listed them by hand, before they
+# were derived from the runners' signatures.
+KEYS_BEFORE = {
+    "consistency": {"model", "family", "alpha", "n_grid", "seeds", "n_seeds",
+                    "theta0", "quad_tol", "budget", "slope_range", "cover_min"},
+    "ep": {"model", "family", "alpha", "n_grid", "seeds", "n_seeds", "theta0",
+           "quad_tol", "budget", "slope_range", "cover_min"},
+    "ubfin": {"model", "alpha", "M_bar", "n_grid", "theta0"},
+    "ndegen": {"model", "alpha", "q_fixed", "n_grid", "theta0", "slope_range"},
+    "mixture": {"model", "alpha", "w", "theta1", "spike_width", "n_grid",
+                "theta0", "slack"},
+    "rate-violation": {"kappa", "alpha", "sigma", "B", "n_max", "expected_n0"},
+    "figure1": {"rho", "alphas", "budget", "grid_extent", "grid_points"},
+    "goodseq-audit": {"model", "family", "alpha", "audit_grid", "rate_grid",
+                      "M_bar", "theta0", "rate_tol"},
+}
+
+# What each runner was called with for a config naming only the experiment
+# (plus M_bar, which ubfin requires), after the runner's defaults.
+RENYI = {"model": GM, "family": "laplace", "alpha": 2.0,
+         "n_grid": [100, 1000, 10**4, 10**5], "seeds": list(range(10)),
+         "theta0": None, "quad_tol": 1e-7, "budget": 260, "jobs": 1,
+         "slope_range": [-1.2, -0.8], "cover_min": 0.95}
+BOUND_BEFORE = {
+    "consistency": {**RENYI, "objective_kind": "renyi-alpha", "check_dkl": False},
+    "ep": RENYI,
+    "ubfin": {"model": GM, "alpha": 2.0, "M_bar": 1.0,
+              "n_grid": [10**4, 10**5, 10**6], "theta0": None},
+    "ndegen": {"model": GM, "alpha": 2.0,
+               "q_fixed": {"kind": "gaussian", "mean": 0.5, "cov": 1.0},
+               "n_grid": [100, 1000, 10**4, 10**5, 10**6], "seed": 0,
+               "theta0": None, "slope_range": [0.45, 0.55]},
+    "mixture": {"model": GM, "alpha": 2.0, "w": 0.5, "theta1": 1.5,
+                "spike_width": 1e-3, "n_grid": [100, 1000, 10**4, 10**5],
+                "seed": 0, "theta0": None, "slack": 0.1},
+    "rate-violation": {"spec": {"kappa": 0.75, "alpha": 2.0, "sigma": 1.0, "B": 1.0},
+                       "n_max": 10**4, "expected_n0": None},
+    "figure1": {"rho": 0.9, "alphas": [2.0, 5.0, 20.0], "budget": 700,
+                "grid_extent": 3.0, "grid_points": 61, "quad_certificate": True},
+    "goodseq-audit": {"model": GM, "family": "laplace", "alpha": 2.0,
+                      "audit_grid": [10, 100, 1000],
+                      "rate_grid": [100, 1000, 10**4, 10**5], "seed": 0,
+                      "theta0": None, "M_bar": None, "rate_tol": 0.01},
+}
+
+
+class TestExperimentRegistry:
+    @pytest.mark.parametrize("name", sorted(KEYS_BEFORE))
+    def test_accepted_keys_pinned(self, name):
+        assert set(experiment_keys(name)) == KEYS_BEFORE[name]
+
+    def test_every_experiment_pinned(self):
+        assert set(EXPERIMENTS) == set(KEYS_BEFORE) == set(BOUND_BEFORE)
+
+    @pytest.mark.parametrize("command, name", [
+        *(("experiment", name) for name in sorted(BOUND_BEFORE)),
+        ("audit", "goodseq-audit"),
+    ])
+    def test_bound_arguments_pinned(self, tmp_path, monkeypatch, command, name):
+        runner = EXPERIMENTS[name]
+        calls = []
+
+        def capture(*args, **kwargs):
+            bound = inspect.signature(runner).bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls.append(bound.arguments)
+            return experiments.ExperimentReport(name, {}, [], [], 0.0)
+
+        # the CLI must look the runner up on the module when it runs
+        monkeypatch.setattr(experiments, runner.__name__, capture)
+        payload = {"experiment": name} if command == "experiment" else {}
+        if name == "ubfin":
+            payload["M_bar"] = 1.0
+        payload["outdir"] = str(tmp_path / "out")
+        assert run_cli([command, write_config(tmp_path, "exp.json", payload)]) == 0
+        [got] = calls
+        plain = json.loads(json.dumps(got, default=dataclasses.asdict))
+        assert json.dumps(plain, sort_keys=True) == json.dumps(
+            BOUND_BEFORE[name], sort_keys=True)
+
+
 class TestAuditCommand:
     def test_direct_audit(self, tmp_path):
         cfg = write_config(tmp_path, "audit.json", {
@@ -267,3 +364,12 @@ class TestHelp:
         )
         assert proc.returncode == 0
         assert "rate-violation" in proc.stdout
+
+    def test_experiment_help_lists_each_experiments_keys(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "renyi_vi.cli", "experiment", "--help"],
+            capture_output=True, text=True,
+        )
+        text = " ".join(proc.stdout.split())
+        for name in EXPERIMENTS:
+            assert f"{name}: {', '.join(experiment_keys(name))}" in text

@@ -24,6 +24,7 @@ from renyi_vi.divergence import (
     kl_forward,
     kl_reverse,
     mc_renyi_upper_bound,
+    renyi,
     renyi_gauss_closed,
     renyi_quadrature,
 )
@@ -282,6 +283,28 @@ class TestRenyiClosedForm:
         for _ in range(50):
             p, q = random_valid_gaussian_pair(rng, 2.0)
             assert renyi_gauss_closed(p, q, 2.0).value >= -1e-9
+
+
+class TestRenyiDispatcher:
+    def test_gaussian_pair_is_closed_form(self):
+        est = renyi(make_gaussian(0.0, 1.0), make_gaussian(1.0, 1.0), 2.0)
+        assert est.method == "closed-form"
+        assert est.value == 1.0
+
+    def test_gaussian_pair_in_three_dimensions(self):
+        p = make_gaussian(np.zeros(3), np.eye(3))
+        q = make_gaussian([1.0, 0.0, 0.0], np.diag([2.0, 1.0, 1.0]))
+        assert renyi(p, q, 2.0).value == renyi_gauss_closed(p, q, 2.0).value
+
+    def test_other_pairs_use_quadrature(self):
+        p, q = make_gaussian(0.0, 1.0), make_laplace(0.0, 1.0)
+        est = renyi(p, q, 2.0, rel_tol=1e-7)
+        assert est.method == "quadrature"
+        assert est.value == renyi_quadrature(p, q, 2.0, rel_tol=1e-7).value
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension"):
+            renyi(make_gaussian(0.0, 1.0), make_gaussian([0.0, 0.0], np.eye(2)), 2.0)
 
 
 class TestKL:

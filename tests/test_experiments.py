@@ -211,9 +211,8 @@ class TestFigure1:
         assert s2["renyi-2"] <= s2["renyi-5"] <= s2["renyi-20"] <= 1.95
 
     def test_grid_rows(self, report):
-        assert len(report.grid_rows) == 61 * 61
-        row = report.grid_rows[0]
-        assert {"x", "y", "target", "kl_forward", "kl_reverse"} <= set(row)
+        assert all(col.shape == (61 * 61,) for col in report.grid.values())
+        assert {"x", "y", "target", "kl_forward", "kl_reverse"} <= set(report.grid)
 
 
 class TestGoodseqAuditExperiment:
@@ -260,3 +259,13 @@ class TestReports:
         lines = paths["grid"].read_text().splitlines()
         assert lines[0] == "# schema=1"
         assert len(lines) == 2 + 21 * 21
+
+    def test_figure1_grid_file_round_trips(self, tmp_path):
+        rep = run_figure1(rho=0.5, alphas=(2.0,), grid_points=5,
+                          quad_certificate=False)
+        path = write_report(rep, tmp_path / "fig")["grid"]
+        lines = path.read_text().splitlines()
+        assert lines[1].split(",") == list(rep.grid)
+        assert lines[2].split(",")[0] == "%.17g" % rep.grid["x"][0]
+        back = np.loadtxt(path, delimiter=",", skiprows=2)
+        assert np.array_equal(back, np.column_stack(list(rep.grid.values())))
