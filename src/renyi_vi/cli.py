@@ -118,12 +118,34 @@ def _resolve_data(config: dict, model, seed):
     return model.simulate(theta0, int(data_spec["n"]), int(use_seed))
 
 
+# Numeric fit settings: each is a parameter of fit, of fit_stochastic or of
+# both, whose signature gives its type and its default.
+_FIT_NUMBERS = ("budget", "steps", "batch_size", "quad_tol")
+
+
+def _fit_numbers(config: dict, fitter) -> dict:
+    """The config's numeric fit settings that ``fitter`` takes, cast to the
+    type of their defaults; absent ones keep the default. Each one given is
+    type-checked, whichever fitter takes it."""
+    params = {**inspect.signature(fit).parameters,
+              **inspect.signature(fit_stochastic).parameters}
+    taken = inspect.signature(fitter).parameters
+    kwargs = {}
+    for key in _FIT_NUMBERS:
+        if key in config:
+            default = params[key].default
+            _check_type("fit config", key, config[key], default)
+            if key in taken:
+                kwargs[key] = type(default)(config[key])
+    return kwargs
+
+
 def cmd_fit(args) -> int:
     config = _load_config(args.config)
     check_keys(
         config,
-        {"model", "target", "data", "family", "objective", "alpha", "budget",
-         "steps", "batch_size", "seed", "outdir", "quad_tol"},
+        {"model", "target", "data", "family", "objective", "alpha", "seed",
+         "outdir", *_FIT_NUMBERS},
         "fit config",
     )
     seed = _resolve_seed(args, config)
@@ -131,6 +153,10 @@ def cmd_fit(args) -> int:
         raise _CliError("fit config needs 'family' and 'objective'")
     objective = config["objective"]
     alpha = config.get("alpha")
+    for key in ("alpha", "seed"):
+        _check_type("fit config", key, config.get(key), None)
+    fitter = fit_stochastic if objective == "mc-upper-bound" else fit
+    numbers = _fit_numbers(config, fitter)
     if objective in ("renyi-alpha", "mc-upper-bound") and alpha is None:
         raise _CliError(f"objective {objective!r} requires 'alpha'")
     family = build_family(config["family"])
@@ -148,17 +174,13 @@ def cmd_fit(args) -> int:
         if objective == "mc-upper-bound":
             result = fit_stochastic(
                 target, family, float(alpha),
-                steps=int(config.get("steps", 2000)),
-                batch_size=int(config.get("batch_size", 256)),
-                seed=int(seed if seed is not None else 0),
+                seed=int(seed if seed is not None else 0), **numbers,
             )
         else:
             result = fit(
                 target, family, objective,
                 alpha=None if alpha is None else float(alpha),
-                budget=int(config.get("budget", 400)),
-                seed=seed,
-                quad_tol=float(config.get("quad_tol", 1e-8)),
+                seed=seed, **numbers,
             )
     except DominanceError as exc:
         payload = {"error": "dominance", "message": str(exc), "config": config}

@@ -106,10 +106,28 @@ def make_gaussian(mu, cov) -> Density:
             z = (np.asarray(x, dtype=float).reshape(-1) - loc) / scale
             return const - 0.5 * z * z
     else:
+        # z = inv(L) (x - mu) by forward substitution, one coordinate at a
+        # time, with L's entries as Python floats: no factorisation and no
+        # transposed copy of the points per call. Updates are in place, so a
+        # call allocates few arrays; const + (-0.5 q) equals const - 0.5 q.
+        loc, rows = mu.tolist(), chol.tolist()
+
         def log_pdf(x):
             pts = np.asarray(x, dtype=float).reshape(-1, d)
-            z = np.linalg.solve(chol, (pts - mu).T)
-            return const - 0.5 * (z * z).sum(axis=0)
+            zs = []
+            for i, row in enumerate(rows):
+                z = pts[:, i] - loc[i]
+                for j in range(i):
+                    z -= row[j] * zs[j]
+                z /= row[i]
+                zs.append(z)
+            quad = zs[0] * zs[0]
+            for z in zs[1:]:
+                z *= z
+                quad += z
+            quad *= -0.5
+            quad += const
+            return quad
 
     def sample_rng(rng, n):
         z = rng.standard_normal((n, d))

@@ -126,11 +126,14 @@ def _write_csv(path: Path, rows: list[dict]) -> None:
 
 
 def _write_grid_csv(path: Path, grid: dict[str, np.ndarray]) -> None:
-    """Float columns in the format of :func:`_write_csv`, in one pass."""
+    """Float columns in the format of :func:`_write_csv`, with one format
+    call for the whole table."""
+    table = np.column_stack(list(grid.values()))
+    n_rows, n_cols = table.shape
+    row = ",".join(["%.17g"] * n_cols) + "\n"
     with open(path, "w") as fh:
         fh.write(f"# schema={CSV_SCHEMA}\n" + ",".join(grid) + "\n")
-        np.savetxt(fh, np.column_stack(list(grid.values())), fmt="%.17g",
-                   delimiter=",")
+        fh.write((row * n_rows) % tuple(table.ravel().tolist()))
 
 
 def write_report(report: ExperimentReport, outdir) -> dict[str, Path]:

@@ -224,15 +224,20 @@ def exponential_model(prior: Density | None = None) -> BayesModel:
         raise ValueError("exponential_model requires a prior with bounded support")
     prior_bound = float(np.max(np.exp(prior.log_pdf(np.linspace(lo + 1e-9, hi, 512)))))
 
-    def loglik(data, thetas):
-        x = np.asarray(data, dtype=float).reshape(-1)
+    def loglik_stats(n, sx, thetas):
+        """The log-likelihood from the data's sufficient statistics: the
+        count n and the sum sx."""
         lam = np.asarray(thetas, dtype=float).reshape(-1)
-        n = x.size
-        sx = x.sum()
+        if lam.min(initial=np.inf) > 0.0:  # the usual case: no masked copies
+            return n * np.log(lam) - lam * sx
         out = np.full(lam.shape, -np.inf)
         pos = lam > 0.0
         out[pos] = n * np.log(lam[pos]) - lam[pos] * sx
         return out
+
+    def loglik(data, thetas):
+        x = np.asarray(data, dtype=float).reshape(-1)
+        return loglik_stats(x.size, x.sum(), thetas)
 
     def _check_data(data):
         x = np.asarray(data, dtype=float).reshape(-1)
@@ -249,7 +254,7 @@ def exponential_model(prior: Density | None = None) -> BayesModel:
         sx = x.sum()
 
         def log_unnorm(lam):
-            return prior.log_pdf(lam) + loglik(x, lam)
+            return prior.log_pdf(lam) + loglik_stats(n, sx, lam)
 
         mode = min(max(n / sx, lo + 1e-12), hi)
         sd = mode / np.sqrt(n)

@@ -4,10 +4,12 @@ Adaptive Gauss-Kronrod quadrature on finite, half-infinite and doubly
 infinite intervals, and a stable log-sum-exp. One adaptive loop serves 1-D
 intervals and 2-D boxes alike: a tensor G7/K15 rule on every box of a
 transformed grid, QUADPACK's error estimate, and splits of the worst boxes
-at the midpoint of their widest side. A first pass that meets the tolerance
+at the midpoint of their widest side. Each axis's change of variables is
+applied to that axis's abscissae before the tensor product, so a 2-D box
+maps 2 x 15 abscissae, not 225 nodes. A first pass that meets the tolerance
 returns at once, so a well-seeded call costs one vectorized evaluation of
 the integrand plus its set-up. :func:`integrate` and :func:`integrate_2d`
-only map the axes and seed the first boxes.
+only choose the axis maps and seed the first boxes.
 
 All functions are pure: results depend only on their arguments, node
 placement is deterministic, and repeated calls are bit-for-bit identical.
@@ -205,26 +207,40 @@ def _tensor_rule(d: int):
 _RULES = {d: _tensor_rule(d) for d in (1, 2)}
 
 
-def _box_sums(g: Callable, lo: np.ndarray, hi: np.ndarray):
-    """Evaluate the tensor G7/K15 pair on a batch of (m, d) boxes with one
-    call to g, which takes a (d, N) array of points; returns the Kronrod value
-    and QUADPACK's error estimate per box."""
-    d = lo.shape[1]
+def _box_sums(f: Callable, maps: Sequence[tuple], lo: np.ndarray, hi: np.ndarray):
+    """Evaluate the tensor G7/K15 pair on a batch of (m, d) boxes of the
+    transformed variable t with one call to f; returns the Kronrod value and
+    QUADPACK's error estimate per box.
+
+    ``maps`` holds each axis's map ``(fwd, weight, ...)``. Each is applied
+    to its axis's 15 abscissae per box, before the tensor product, so a 2-D
+    call maps 2 x 15 m abscissae, not 225 m nodes. f receives the mapped
+    points, (N,) in 1-D and (N, 2) in 2-D in row-major node order (the last
+    axis varies fastest), and the Jacobians multiply its values one axis
+    after the other.
+    """
+    m, d = lo.shape
     w_kronrod, gauss, w_gauss = _RULES[d]
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    # (d, m, 15): the 15 abscissae of each box along each axis. Their
-    # row-major tensor product is built axis by axis, written in place.
-    ax = mid.T[:, :, None] + half.T[:, :, None] * _NODES
-    m = lo.shape[0]
-    pts = ax[:1]
-    for j in range(1, d):
-        n = pts.shape[2]
-        grown = np.empty((j + 1, m, n * 15))
-        grown[:j].reshape(j, m, n, 15)[...] = pts[..., None]
-        grown[j].reshape(m, n, 15)[...] = ax[j][:, None, :]
-        pts = grown
-    vals = np.asarray(g(pts.reshape(d, -1)), dtype=float).reshape(pts.shape[1:])
+    xs, ws = [], []
+    for j, (fwd, weight, *_) in enumerate(maps):
+        # (m, 15) abscissae of axis j, shaped to broadcast over the tensor
+        t = (mid[:, j, None] + half[:, j, None] * _NODES).reshape(
+            (m,) + (1,) * j + (15,) + (1,) * (d - 1 - j))
+        xs.append(fwd(t))
+        ws.append(weight(t))
+    if d == 1:
+        pts = xs[0].reshape(-1)
+    else:
+        pts = np.empty((m,) + (15,) * d + (d,))
+        for j, x in enumerate(xs):
+            pts[..., j] = x
+        pts = pts.reshape(-1, d)
+    vals = np.asarray(f(pts), dtype=float).reshape((m,) + (15,) * d)
+    for w in ws:
+        vals = vals * w
+    vals = vals.reshape(m, -1)
     volume = half[:, 0]
     for j in range(1, d):
         volume = volume * half[:, j]
@@ -252,18 +268,19 @@ def _initial_edges(spec: QuadratureSpec, inv: Callable, a: float, b: float) -> n
     return edges[keep]
 
 
-def _adapt(g: Callable, lo: np.ndarray, hi: np.ndarray, rel_tol: float,
-           budget: int) -> QuadratureResult:
-    """Adaptive quadrature of g over the (m, d) boxes with corners lo, hi.
+def _adapt(f: Callable, maps: Sequence[tuple], lo: np.ndarray, hi: np.ndarray,
+           rel_tol: float, budget: int) -> QuadratureResult:
+    """Adaptive quadrature of f over the (m, d) boxes with corners lo, hi,
+    in the variable that ``maps`` take to f's (see :func:`_box_sums`).
 
-    g takes (d, N) points in the transformed box. A first pass that meets
-    the tolerance returns at once, with its sums. Otherwise each wave splits
-    every box whose error exceeds its share of the tolerance (or, if none
-    does, the worst ones) at the midpoint of its widest side, until the
-    summed error meets ``rel_tol`` or the splits would exceed ``budget``.
+    A first pass that meets the tolerance returns at once, with its sums.
+    Otherwise each wave splits every box whose error exceeds its share of
+    the tolerance (or, if none does, the worst ones) at the midpoint of its
+    widest side, until the summed error meets ``rel_tol`` or the splits
+    would exceed ``budget``.
     """
     d = lo.shape[1]
-    vals, errs = _box_sums(g, lo, hi)
+    vals, errs = _box_sums(f, maps, lo, hi)
 
     splits_used = 0
     converged = False
@@ -293,7 +310,7 @@ def _adapt(g: Callable, lo: np.ndarray, hi: np.ndarray, rel_tol: float,
             upper_lo, lower_hi = np.where(cut, mid, blo), np.where(cut, mid, bhi)
         new_lo = np.concatenate([blo, upper_lo])
         new_hi = np.concatenate([lower_hi, bhi])
-        new_v, new_e = _box_sums(g, new_lo, new_hi)
+        new_v, new_e = _box_sums(f, maps, new_lo, new_hi)
         keep = ~bad
         lo = np.concatenate([lo[keep], new_lo])
         hi = np.concatenate([hi[keep], new_hi])
@@ -316,13 +333,10 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], spec: QuadratureSpec) -> Qu
     a convergence flag; non-convergence is reported in the flag, never
     raised, and the best estimate is carried along.
     """
-    fwd, weight, inv, a, b = _make_map(spec.lower, spec.upper)
-
-    def g(t):
-        return np.asarray(f(fwd(t[0])), dtype=float) * weight(t[0])
-
-    edges = _initial_edges(spec, inv, a, b)
-    return _adapt(g, edges[:-1, None], edges[1:, None], spec.rel_tol, spec.max_refinements)
+    axis = _make_map(spec.lower, spec.upper)
+    edges = _initial_edges(spec, *axis[2:])
+    return _adapt(f, (axis,), edges[:-1, None], edges[1:, None], spec.rel_tol,
+                  spec.max_refinements)
 
 
 def integrate_2d(
@@ -338,18 +352,11 @@ def integrate_2d(
     larger ``max_refinements`` of the two specs apply. Intended for the
     smooth 2-D densities used here; higher dimensions are out of scope.
     """
-    fwd_x, w_x, inv_x, ax, bx = _make_map(spec_x.lower, spec_x.upper)
-    fwd_y, w_y, inv_y, ay, by = _make_map(spec_y.lower, spec_y.upper)
-
-    def g(t):
-        pts = np.column_stack([fwd_x(t[0]), fwd_y(t[1])])
-        return np.asarray(f(pts), dtype=float) * w_x(t[0]) * w_y(t[1])
-
-    ex = _initial_edges(spec_x, inv_x, ax, bx)
-    ey = _initial_edges(spec_y, inv_y, ay, by)
+    maps = (_make_map(spec_x.lower, spec_x.upper), _make_map(spec_y.lower, spec_y.upper))
+    ex, ey = (_initial_edges(s, *mp[2:]) for s, mp in zip((spec_x, spec_y), maps))
     lo = np.stack(np.meshgrid(ex[:-1], ey[:-1], indexing="ij"), axis=-1).reshape(-1, 2)
     hi = np.stack(np.meshgrid(ex[1:], ey[1:], indexing="ij"), axis=-1).reshape(-1, 2)
-    return _adapt(g, lo, hi, min(spec_x.rel_tol, spec_y.rel_tol),
+    return _adapt(f, maps, lo, hi, min(spec_x.rel_tol, spec_y.rel_tol),
                   max(spec_x.max_refinements, spec_y.max_refinements))
 
 

@@ -655,6 +655,7 @@ def fit_stochastic(
             "alpha": alpha,
             "steps": steps,
             "batch_size": batch_size,
+            "quad_tol": quad_tol,
         },
         extras={"final_mc_bound": float(final_mc)},
     )

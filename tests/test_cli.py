@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from renyi_vi import experiments
+from renyi_vi import divergence, experiments, varfit
 from renyi_vi.cli import EXPERIMENTS, experiment_keys, main
 
 
@@ -93,6 +93,40 @@ class TestFitCommand:
             "outdir": str(tmp_path / "out"),
         })
         assert run_cli(["fit", cfg]) == 0
+
+    @pytest.mark.parametrize("objective, key", [
+        ("kl-forward", "budget"), ("renyi-alpha", "quad_tol"),
+        ("mc-upper-bound", "steps"), ("kl-forward", "alpha"),
+        ("kl-forward", "seed"),
+    ])
+    def test_wrongly_typed_value_exits_one_naming_it(self, tmp_path, capsys,
+                                                      objective, key):
+        cfg = write_config(tmp_path, "fit.json", {
+            "model": GM, "data": {"n": 20}, "family": "gaussian",
+            "objective": objective, "alpha": 2.0, key: [1],
+        })
+        assert run_cli(["fit", cfg]) == 1
+        err = capsys.readouterr().err
+        assert repr(key) in err and "Traceback" not in err
+
+    def test_stochastic_objective_scores_at_quad_tol(self, tmp_path, monkeypatch):
+        tols = []
+
+        def recording(*args, rel_tol, **kwargs):
+            tols.append(rel_tol)
+            return divergence.renyi_quadrature(*args, rel_tol=rel_tol, **kwargs)
+
+        monkeypatch.setattr(varfit, "renyi_quadrature", recording)
+        cfg = write_config(tmp_path, "fit.json", {
+            "model": GM, "data": {"theta0": 0.5, "n": 10, "seed": 1},
+            "family": "gaussian", "objective": "mc-upper-bound", "alpha": 2.0,
+            "steps": 8, "batch_size": 16, "quad_tol": 1e-3, "seed": 0,
+            "outdir": str(tmp_path / "out"),
+        })
+        assert run_cli(["fit", cfg]) == 0
+        assert tols == [1e-3]
+        payload = json.loads((tmp_path / "out" / "fit.json").read_text())
+        assert payload["config"]["quad_tol"] == 1e-3
 
 
 class TestExperimentCommand:

@@ -4,6 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
+from scipy.stats import multivariate_normal
 
 from renyi_vi.distributions import (
     bulk_points,
@@ -32,6 +36,25 @@ ALL_1D = {
 }
 
 
+def assert_logpdf_close(got, expect):
+    """Equal to 1e-12 absolute plus 1e-12 relative."""
+    assert np.all(np.abs(got - expect) <= 1e-12 * (1.0 + np.abs(expect)))
+
+
+@st.composite
+def gaussian_2d_and_points(draw):
+    """(mean, cov, points): per-axis variances from 1e-6 to 1e2, any
+    correlation up to 0.999, and points up to 40 marginal sds from the mean
+    along each axis."""
+    vx, vy = (10.0 ** draw(st.floats(-6.0, 2.0)) for _ in range(2))
+    cxy = draw(st.floats(-0.999, 0.999)) * math.sqrt(vx * vy)
+    mu = np.array([draw(st.floats(-10.0, 10.0)) for _ in range(2)])
+    offsets = draw(st.lists(st.tuples(st.floats(-40.0, 40.0), st.floats(-40.0, 40.0)),
+                            min_size=1, max_size=8))
+    pts = mu + np.array(offsets) * np.sqrt([vx, vy])
+    return mu, np.array([[vx, cxy], [cxy, vy]]), pts
+
+
 class TestGaussian:
     def test_standard_logpdf_at_zero(self):
         d = make_gaussian(0.0, 1.0)
@@ -54,6 +77,30 @@ class TestGaussian:
     def test_non_spd_rejected(self):
         with pytest.raises(ValueError):
             make_gaussian([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
+
+    @settings(derandomize=True, deadline=None, database=None)
+    @given(gaussian_2d_and_points())
+    def test_2d_logpdf_matches_scipy(self, case):
+        mu, cov, pts = case
+        assert_logpdf_close(make_gaussian(mu, cov).log_pdf(pts),
+                            multivariate_normal(mu, cov).logpdf(pts))
+
+    def test_3d_logpdf_matches_scipy(self):
+        mu = np.array([0.5, -1.0, 2.0])
+        cov = np.array([[2.0, 0.6, -0.3], [0.6, 1.0, 0.2], [-0.3, 0.2, 0.5]])
+        pts = mu + np.random.default_rng(3).normal(scale=6.0, size=(50, 3))
+        assert_logpdf_close(make_gaussian(mu, cov).log_pdf(pts),
+                            multivariate_normal(mu, cov).logpdf(pts))
+
+    def test_2d_mixture_logpdf_matches_scipy(self):
+        comps = [([-1.0, 0.5], [[1.0, 0.8], [0.8, 1.5]]),
+                 ([2.0, -0.5], [[0.3, -0.1], [-0.1, 0.2]])]
+        w = np.array([0.35, 0.65])
+        mix = make_mixture(w, [make_gaussian(m, c) for m, c in comps])
+        pts = np.random.default_rng(4).normal(scale=4.0, size=(50, 2))
+        expect = logsumexp([np.log(wi) + multivariate_normal(m, c).logpdf(pts)
+                            for wi, (m, c) in zip(w, comps)], axis=0)
+        assert_logpdf_close(mix.log_pdf(pts), expect)
 
 
 class TestScalarFamilies:

@@ -1,5 +1,6 @@
 """Quadrature and log-sum-exp."""
 
+import itertools
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from renyi_vi.numerics import (
     integrate_2d,
     log_sum_exp,
 )
-from renyi_vi.numerics import _initial_edges, _make_map
+from renyi_vi.numerics import _NODES, _RULES, _box_sums, _initial_edges, _make_map
 
 
 def std_normal_pdf(x):
@@ -105,6 +106,55 @@ class TestInitialEdges:
                     == initial_edges_loop(spec, inv, a, b).tolist())
         spec = QuadratureSpec(lo, hi)
         assert _initial_edges(spec, inv, a, b).tolist() == [a, 0.5 * (a + b), b]
+
+
+def rational(pts):
+    """A smooth integrand of +, * and / only, so its value at a node does not
+    depend on how the nodes are batched."""
+    pts = pts.reshape(len(pts), -1)
+    r2 = (pts * pts).sum(axis=1) + 0.3 * pts[:, 0] * pts[:, -1]
+    return 1.0 / ((1.0 + r2) * (1.0 + r2))
+
+
+def box_sums_loop(f, maps, lo, hi):
+    """_box_sums node by node: every tensor node mapped on its own, f called
+    on it alone, and the Jacobians multiplied in axis order."""
+    m, d = lo.shape
+    vals = np.empty((m, 15 ** d))
+    for b in range(m):
+        for k, idx in enumerate(itertools.product(range(15), repeat=d)):
+            t = [0.5 * (hi[b, j] + lo[b, j]) + 0.5 * (hi[b, j] - lo[b, j]) * _NODES[i]
+                 for j, i in enumerate(idx)]
+            x = [float(fwd(np.float64(tj))) for (fwd, *_), tj in zip(maps, t)]
+            v = float(f(np.array([x]) if d > 1 else np.array(x))[0])
+            for (_, weight, *_), tj in zip(maps, t):
+                v = v * float(weight(np.float64(tj)))
+            vals[b, k] = v
+    w_kronrod, gauss, w_gauss = _RULES[d]
+    volume = np.prod(0.5 * (hi - lo), axis=1)
+    k15 = (vals * w_kronrod).sum(axis=1) * volume
+    diff = np.abs(k15 - (vals[:, gauss] * w_gauss).sum(axis=1) * volume)
+    return k15, np.minimum(diff, np.power(200.0 * diff, 1.5))
+
+
+class TestBoxSums:
+    @pytest.mark.parametrize("bounds", [
+        [(-np.inf, np.inf)], [(0.0, np.inf)], [(-2.0, 3.0)],
+        [(-np.inf, np.inf), (-np.inf, np.inf)], [(0.0, np.inf), (-2.0, 3.0)],
+        [(-2.0, 3.0), (-np.inf, 1.0)],
+    ], ids=["line", "half-line", "interval", "plane", "half-strip", "box-half"])
+    def test_matches_node_loop(self, bounds):
+        maps = [_make_map(*b) for b in bounds]
+        rng = np.random.default_rng(len(bounds))
+        ends = np.array([[a, b] for _, _, _, a, b in maps])
+        # three boxes in t, each axis's corners inside that axis's range
+        u = np.sort(rng.uniform(size=(3, len(maps), 2)))
+        corners = ends[:, :1] + (ends[:, 1:] - ends[:, :1]) * u
+        lo, hi = corners[..., 0], corners[..., 1]
+        got = _box_sums(rational, maps, lo, hi)
+        expect = box_sums_loop(rational, maps, lo, hi)
+        assert got[0].tolist() == expect[0].tolist()
+        assert got[1].tolist() == expect[1].tolist()
 
 
 class TestIntegrate2D:
