@@ -1,0 +1,114 @@
+"""Bit-for-bit pins of the two optimizers' results.
+
+Each case runs one fit: every registered family under each deterministic
+objective, on the Gaussian-mean and exponential posteriors (given as a
+``(model, data)`` pair) or the anisotropic 2-D Gaussian, and one stochastic
+fit per location-scale family. A pin holds the parameters and the objective
+value as ``float.hex``, with ``n_evals``, ``converged`` and the trace
+length; a fit that raises :class:`DominanceError` is pinned as such.
+
+A pin moves only when a change to the optimizer, a family or a scorer is
+meant to move a fit's bits. Regenerate with ``python tests/test_fit_pins.py``
+and paste its output over ``PINS``.
+"""
+
+from functools import partial
+
+import pytest
+
+from renyi_vi.distributions import make_gaussian
+from renyi_vi.models import exponential_model, gaussian_mean_model
+from renyi_vi.varfit import FAMILY_BUILDERS, DominanceError, fit, fit_stochastic
+
+GM = gaussian_mean_model(0.0, 1.0)
+EM = exponential_model()
+TARGETS_1D = {
+    "gaussian-mean": (GM, GM.simulate(0.5, 200, 3)),
+    "exponential": (EM, EM.simulate(2.0, 200, 3)),
+}
+ANISO = make_gaussian([0.0, 0.0], [[1.0, 0.9], [0.9, 1.0]])
+
+
+def _cases() -> dict:
+    cases = {}
+    for name, build in FAMILY_BUILDERS.items():
+        targets = TARGETS_1D if build().dim == 1 else {"aniso-2d": ANISO}
+        for tname, target in targets.items():
+            for kind in ("renyi-alpha", "kl-forward", "kl-reverse"):
+                cases[f"{name}/{tname}/{kind}"] = partial(
+                    fit, target, build(), kind,
+                    alpha=2.0 if kind == "renyi-alpha" else None)
+    # settings under which each stochastic fit settles: on the n = 200
+    # posterior the default step size runs the mean away
+    for name in ("gaussian", "laplace", "logistic", "isotropic-gaussian-2d"):
+        build = FAMILY_BUILDERS[name]
+        if build().dim == 1:
+            target, steps, batch = (GM, GM.simulate(0.5, 10, 3)), 60, 64
+        else:
+            target, steps, batch = ANISO, 200, 256
+        cases[f"{name}/stochastic"] = partial(
+            fit_stochastic, target, build(), 2.0, steps=steps, batch_size=batch, seed=1)
+    return cases
+
+
+CASES = _cases()
+
+
+def outcome(case):
+    try:
+        res = case()
+    except DominanceError:
+        return "DominanceError"
+    return ([float(v).hex() for v in res.params], float(res.objective.value).hex(),
+            res.n_evals, res.converged, len(res.trace))
+
+
+PINS = {
+    'gamma/exponential/kl-forward': (['0x1.c4d070a09a801p+0', '0x1.ff065ea07810dp-4'], '0x1.d5df0c5654000p-41', 154, True, 22),
+    'gamma/exponential/kl-reverse': 'DominanceError',
+    'gamma/exponential/renyi-alpha': (['0x1.c4d073c4086aep+0', '0x1.ff0664453c230p-4'], '-0x1.2200000000000p-45', 175, True, 17),
+    'gamma/gaussian-mean/kl-forward': 'DominanceError',
+    'gamma/gaussian-mean/kl-reverse': (['0x1.1764c9a47f0ecp-1', '0x1.1f4d019d2a4e6p-4'], '0x1.6c8634fa3171ap-8', 145, True, 23),
+    'gamma/gaussian-mean/renyi-alpha': 'DominanceError',
+    'gaussian/exponential/kl-forward': (['0x1.c4d073942f5a0p+0', '0x1.ff065e7fd88cfp-4'], '0x1.b346298fdd130p-10', 112, True, 18),
+    'gaussian/exponential/kl-reverse': 'DominanceError',
+    'gaussian/exponential/renyi-alpha': (['0x1.c3c403a5416c0p+0', '0x1.63f784e3980bap-2'], '0x1.6d2af4fb90048p-1', 209, True, 9),
+    'gaussian/gaussian-mean/kl-forward': (['0x1.1757844ad3ecdp-1', '0x1.20e8d8d96ad6bp-4'], '0x0.0p+0', 112, True, 18),
+    'gaussian/gaussian-mean/kl-reverse': (['0x1.1757844ad3ecdp-1', '0x1.20e8d924823fep-4'], '0x0.0p+0', 112, True, 20),
+    'gaussian/gaussian-mean/renyi-alpha': (['0x1.1757844ad3ecdp-1', '0x1.20e8d9478ae63p-4'], '0x0.0p+0', 114, True, 11),
+    'gaussian/stochastic': (['0x1.74947841024fcp-2', '0x1.3e1d10e3ed667p-2'], '0x1.8dd589463fa80p-9', 300, True, 60),
+    'isotropic-gaussian-2d/aniso-2d/kl-forward': (['0x0.0p+0', '0x0.0p+0', '0x1.0000000e441b8p+0'], '0x1.a925ae2cbedfep-1', 334, True, 15),
+    'isotropic-gaussian-2d/aniso-2d/kl-reverse': (['0x0.0p+0', '0x0.0p+0', '0x1.be59eba407845p-2'], '0x1.a925ae2cbedfep-1', 255, True, 9),
+    'isotropic-gaussian-2d/aniso-2d/renyi-alpha': (['0x0.0p+0', '0x0.0p+0', '0x1.328810faebfc0p+0'], '0x1.0ef9dd172adcbp+0', 336, True, 10),
+    'isotropic-gaussian-2d/stochastic': (['0x1.2049a927b41acp-5', '-0x1.24709312849eap-5', '0x1.3825c1cd0f750p+0'], '0x1.0faaaccfa30eap+0', 1400, True, 200),
+    'laplace/exponential/kl-forward': (['0x1.c41044ca25cd9p+0', '0x1.977508c86f985p-4'], '0x1.949336043e6d0p-5', 116, True, 23),
+    'laplace/exponential/kl-reverse': 'DominanceError',
+    'laplace/exponential/renyi-alpha': (['0x1.c3d77812fb9b0p+0', '0x1.ae2913a206f9bp-4'], '0x1.423a6ec29cb40p-4', 136, True, 25),
+    'laplace/gaussian-mean/kl-forward': (['0x1.1757844ad3ecdp-1', '0x1.cd08702cfc242p-5'], '0x1.8ca26d2af6776p-5', 112, True, 22),
+    'laplace/gaussian-mean/kl-reverse': (['0x1.1757844ad3ecdp-1', '0x1.98946f43c3b1cp-5'], '0x1.28682473d0d80p-4', 112, True, 20),
+    'laplace/gaussian-mean/renyi-alpha': (['0x1.1757844ad3ecdp-1', '0x1.e672e15d9053cp-5'], '0x1.3e0e8763eebc0p-4', 112, True, 20),
+    'laplace/stochastic': (['0x1.718fe9754b412p-2', '0x1.003a09481637ap-2'], '0x1.423508c0f1aa0p-4', 300, True, 60),
+    'logistic/exponential/kl-forward': (['0x1.c4686b3583a27p+0', '0x1.2402ee826be09p-4'], '0x1.5dcfc77915286p-7', 130, True, 23),
+    'logistic/exponential/kl-reverse': 'DominanceError',
+    'logistic/exponential/renyi-alpha': (['0x1.c43df77ffe556p+0', '0x1.2962a10a18112p-4'], '0x1.112db548b4bc0p-6', 131, True, 23),
+    'logistic/gaussian-mean/kl-forward': (['0x1.1757844ad3ecdp-1', '0x1.4a68a5e267d4fp-5'], '0x1.37ad39e36ca1fp-7', 111, True, 20),
+    'logistic/gaussian-mean/kl-reverse': (['0x1.1757844ad3ecdp-1', '0x1.3e9181686efebp-5'], '0x1.d69f7e1bfc97ep-7', 112, True, 20),
+    'logistic/gaussian-mean/renyi-alpha': (['0x1.1757844ad3ecdp-1', '0x1.501d7f3c0c991p-5'], '0x1.efc5cc1abcd80p-7', 112, True, 18),
+    'logistic/stochastic': (['0x1.6fe45e276e9f4p-2', '0x1.6c056efefe496p-3'], '0x1.0465df6dfe7a8p-6', 300, True, 60),
+}
+
+
+def test_every_case_pinned():
+    assert set(CASES) == set(PINS)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_fit_pinned(name):
+    assert outcome(CASES[name]) == PINS[name]
+
+
+if __name__ == "__main__":
+    print("PINS = {")
+    for name in sorted(CASES):
+        print(f"    {name!r}: {outcome(CASES[name])!r},")
+    print("}")
