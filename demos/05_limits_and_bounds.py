@@ -10,7 +10,6 @@ second spike is stuck above 2 (1-w)^2.
 import math
 
 from renyi_vi.experiments import (
-    RateViolationSpec,
     run_mixture_bound,
     run_ndegen,
     run_rate_violation,
@@ -20,10 +19,10 @@ from renyi_vi.experiments import (
 GM = {"name": "gaussian-mean", "mu0": 0.0, "sigma": 1.0}
 
 print("1. Shrinking too fast (member variance n^(-2k), k = 0.75):")
-rep = run_rate_violation(RateViolationSpec(kappa=0.75, alpha=2.0), expected_n0=6)
+rep = run_rate_violation(kappa=0.75, alpha=2.0, expected_n0=6)
 print(f"   divergence infinite from n0 = {rep.config['n0']} on "
       f"(asymptotic-variance criterion: {rep.config['n0_asymptotic']})")
-ctrl = run_rate_violation(RateViolationSpec(kappa=0.5, alpha=2.0))
+ctrl = run_rate_violation(kappa=0.5, alpha=2.0)
 print(f"   k = 0.5 control (parametric rate): onset = {ctrl.config['n0']}")
 
 print("\n2. The minimal-divergence bound B = 0.5 log(e M I / alpha^(1/(alpha-1))):")

@@ -14,7 +14,9 @@ fit:        model | target, data ({"theta0","n","seed"} or {"csv": path}),
             mc-upper-bound), alpha, budget, steps, batch_size, seed, outdir
 experiment: experiment (a name in EXPERIMENTS below) plus that
             experiment's keys, seed, outdir, jobs. An experiment's keys and
-            their defaults are its runner's parameters (experiment_keys);
+            their defaults are its runner's parameters (experiment_keys),
+            with ``seeds`` also given by ``n_seeds``; the CLI checks each
+            value's JSON type and the runner casts and validates it.
             ``renyi-vi experiment --help`` lists them.
 audit:      the goodseq-audit experiment's keys, seed, outdir
 divergence: p, q (density specs), alpha or kl (forward|reverse), outdir
@@ -23,7 +25,6 @@ divergence: p, q (density specs), alpha or kl (forward|reverse), outdir
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import inspect
 import json
 import os
@@ -35,7 +36,7 @@ from pathlib import Path
 from . import experiments
 from .config import ConfigError, build_density, build_family, build_model, check_keys
 from .divergence import kl_forward, kl_reverse, renyi
-from .experiments import RateViolationSpec, write_report
+from .experiments import write_report
 from .models import load_data_csv
 from .varfit import DominanceError, fit, fit_stochastic
 
@@ -55,9 +56,9 @@ EXPERIMENTS = {
 }
 
 # Runner parameters that are not config keys: seed and jobs are filled from
-# the keys every experiment accepts (COMMON_KEYS), and the rest are fixed by
-# the choice of runner.
-_NOT_KEYS = {"seed", "jobs", "objective_kind", "check_dkl", "quad_certificate"}
+# the keys every experiment accepts (COMMON_KEYS), and objective_kind is fixed
+# by the choice of runner.
+_NOT_KEYS = {"seed", "jobs", "objective_kind"}
 COMMON_KEYS = ("experiment", "seed", "outdir", "jobs")
 
 
@@ -202,13 +203,10 @@ def cmd_fit(args) -> int:
 
 def experiment_keys(name: str) -> dict:
     """The config keys of experiment ``name``, each with its default: its
-    runner's parameters, with ``seeds`` also given by ``n_seeds`` and the
-    RateViolationSpec fields in place of ``spec``."""
+    runner's parameters, with ``seeds`` also given by ``n_seeds``."""
     keys = {}
     for key, param in inspect.signature(EXPERIMENTS[name]).parameters.items():
-        if key == "spec":
-            keys.update((f.name, f.default) for f in dataclasses.fields(RateViolationSpec))
-        elif key not in _NOT_KEYS:
+        if key not in _NOT_KEYS:
             keys[key] = param.default
             if key == "seeds":
                 keys["n_seeds"] = len(param.default)
@@ -246,10 +244,6 @@ def _runner_kwargs(name: str, keys: dict, config: dict, seed, jobs: int) -> dict
         base = int(seed if seed is not None else 0)
         n = int(config.get("n_seeds", keys["n_seeds"]))
         kwargs["seeds"] = [base + i for i in range(n)]
-    if "spec" in params:
-        kwargs["spec"] = RateViolationSpec(**{
-            f.name: float(config[f.name])
-            for f in dataclasses.fields(RateViolationSpec) if f.name in config})
     return kwargs
 
 
@@ -267,9 +261,12 @@ def cmd_experiment(args) -> int:
     common = {"seed", "outdir"} if args.experiment else set(COMMON_KEYS)
     keys = experiment_keys(name)
     check_keys(config, set(keys) | common, where)
-    for key in keys:
+    typed = {**keys, "seed": None, "jobs": 1}
+    for key in typed:
         if key in config:
-            _check_type(where, key, config[key], keys[key])
+            _check_type(where, key, config[key], typed[key])
+    for i, s in enumerate(config.get("seeds", ())):
+        _check_type(where, f"seeds[{i}]", s, 0)
     seed = _resolve_seed(args, config)
     jobs = args.jobs if args.jobs is not None else int(config.get("jobs", 1))
     runner = getattr(experiments, EXPERIMENTS[name].__name__)

@@ -55,9 +55,6 @@ class Density:
     params: Mapping[str, Any] = field(default_factory=dict)
     entropy: float | None = None
 
-    def pdf(self, x) -> np.ndarray:
-        return np.exp(self.log_pdf(x))
-
     def sample(self, n: int, seed: int) -> np.ndarray:
         if self.sample_rng is None:
             raise ValueError(f"density kind={self.kind!r} has no sampler")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Density, bulk_points, dominates, make_gaussian
+from .distributions import Density, bulk_points, dominates, interval_mass, make_gaussian
 from .numerics import QuadratureSpec, integrate, integrate_2d, log_sum_exp
 
 __all__ = [
@@ -467,18 +467,8 @@ def holder_lower_bound(
     if p.dim != 1 or q.dim != 1:
         raise ValueError("holder_lower_bound is for univariate densities")
     lo, hi = float(interval[0]), float(interval[1])
-
-    def mass(d):
-        a = max(lo, d.support[0][0])
-        b = min(hi, d.support[0][1])
-        if not a < b:
-            return 0.0
-        bps = tuple(x for x in bulk_points(d) if a < x < b)
-        spec = QuadratureSpec(lower=a, upper=b, rel_tol=rel_tol, breakpoints=bps)
-        return max(integrate(lambda x: np.exp(d.log_pdf(x)), spec).value, 0.0)
-
-    mp = mass(p)
-    mq = mass(q)
+    mp = interval_mass(p, lo, hi, rel_tol)
+    mq = interval_mass(q, lo, hi, rel_tol)
     if mq == 0.0:
         return np.inf if mp > 0.0 else 0.0
     if mp == 0.0:

@@ -36,7 +36,6 @@ from .varfit import fit
 
 __all__ = [
     "ExperimentReport",
-    "RateViolationSpec",
     "run_consistency",
     "run_ep_consistency",
     "run_ubfin",
@@ -212,10 +211,10 @@ def run_consistency(
     jobs: int = 1,
     slope_range=(-1.2, -0.8),
     cover_min: float = 0.95,
-    check_dkl: bool = False,
 ) -> ExperimentReport:
     """Fit the approximate posterior per (n, seed); verify the shrink rate,
-    the coverage of the true parameter, and concentration of mass."""
+    the coverage of the true parameter, and concentration of mass. A
+    forward-KL (EP) fit also checks KL <= Renyi at ``alpha`` per cell."""
     t0 = time.perf_counter()
     bayes = build_model(model)
     if theta0 is None:
@@ -224,6 +223,7 @@ def run_consistency(
     slope_range, cover_min = tuple(slope_range), float(cover_min)
     n_grid = sorted(int(n) for n in n_grid)
     seeds = [int(s) for s in seeds]
+    check_dkl = objective_kind == "kl-forward"
     config = {
         "model": model,
         "family": family,
@@ -303,7 +303,7 @@ def run_ep_consistency(
     return run_consistency(
         model, family, alpha, n_grid, seeds, objective_kind="kl-forward",
         theta0=theta0, quad_tol=quad_tol, budget=budget, jobs=jobs,
-        slope_range=slope_range, cover_min=cover_min, check_dkl=True,
+        slope_range=slope_range, cover_min=cover_min,
     )
 
 
@@ -500,46 +500,35 @@ def run_mixture_bound(
                             time.perf_counter() - t0)
 
 
-@dataclass(frozen=True)
-class RateViolationSpec:
-    """Too-fast shrinkage spec: member variance n^(-2 kappa), kappa >= 0.5.
-
-    kappa = 0.5 is the boundary control (the parametric rate; no violation);
-    kappa > 0.5 shrinks faster than the posterior and must eventually have
-    infinite divergence. B is the sub-Gaussian variance proxy; for the
-    Gaussian member N(mle, n^(-2 kappa)) it is exactly 1.
-    """
-
-    kappa: float = 0.75
-    alpha: float = 2.0
-    sigma: float = 1.0
-    B: float = 1.0
-
-    def __post_init__(self):
-        if self.kappa < 0.5:
-            raise ValueError(f"kappa must be >= 0.5, got {self.kappa}")
-        if not self.alpha > 1.0:
-            raise ValueError(f"alpha must exceed 1, got {self.alpha}")
-        if not (self.sigma > 0 and self.B > 0):
-            raise ValueError("sigma and B must be positive")
-
-
-def run_rate_violation(spec: RateViolationSpec = RateViolationSpec(),
-                       n_max: int = 10**4,
+def run_rate_violation(kappa: float = 0.75, alpha: float = 2.0, sigma: float = 1.0,
+                       B: float = 1.0, n_max: int = 10**4,
                        expected_n0: int | None = None) -> ExperimentReport:
     """Find the onset n0 past which sigma*^2 <= 0 for q_n = N(mle, n^(-2k)).
 
+    The member variance n^(-2 kappa) needs kappa >= 0.5: kappa = 0.5 is the
+    boundary control (the parametric rate; no violation), and kappa > 0.5
+    shrinks faster than the posterior, whose data sd is ``sigma``.
     sigma*^2(n) = alpha n^(-2 kappa) + (1-alpha) sigma^2/(n+1); finiteness
     of the divergence is equivalent to its positivity, so no data is needed.
     Also records the asymptotic-variance onset implied by the sub-Gaussian
-    tail comparison, min{n : ((alpha-1)/alpha) n^(2 kappa)/(2B) > n I/2}.
+    tail comparison, min{n : ((alpha-1)/alpha) n^(2 kappa)/(2B) > n I/2},
+    with B the sub-Gaussian variance proxy (exactly 1 for the Gaussian
+    member N(mle, n^(-2 kappa))).
     """
     t0 = time.perf_counter()
+    kappa, alpha, sigma, B = float(kappa), float(alpha), float(sigma), float(B)
     n_max = int(n_max)
-    a, k, s2 = spec.alpha, spec.kappa, spec.sigma**2
+    if kappa < 0.5:
+        raise ValueError(f"kappa must be >= 0.5, got {kappa}")
+    if not alpha > 1.0:
+        raise ValueError(f"alpha must exceed 1, got {alpha}")
+    if not (sigma > 0 and B > 0):
+        raise ValueError("sigma and B must be positive")
+    s2 = sigma**2
     info = 1.0 / s2
+
     def sigma_star_sq(n):
-        return a * n ** (-2.0 * k) + (1.0 - a) * s2 / (n + 1.0)
+        return alpha * n ** (-2.0 * kappa) + (1.0 - alpha) * s2 / (n + 1.0)
 
     # (n+1)/n^(2 kappa) is strictly decreasing for kappa >= 1/2, so the
     # violated set is an up-set: the exact onset follows by bisection.
@@ -559,19 +548,19 @@ def run_rate_violation(spec: RateViolationSpec = RateViolationSpec(),
     records = []
     for n in ns:
         sstar = sigma_star_sq(n)
-        records.append({"n": n, "var_q": n ** (-2.0 * k),
+        records.append({"n": n, "var_q": n ** (-2.0 * kappa),
                         "sigma_star_sq": sstar, "violated": sstar <= 0.0})
     persists = all(r["violated"] for r in records if n0 is not None and r["n"] >= n0)
     n0_asymptotic = None
-    if k > 0.5:
+    if kappa > 0.5:
         n = 1
         while n <= n_max:
-            if (a - 1.0) / a * n ** (2.0 * k) / (2.0 * spec.B) > n * info / 2.0:
+            if (alpha - 1.0) / alpha * n ** (2.0 * kappa) / (2.0 * B) > n * info / 2.0:
                 n0_asymptotic = n
                 break
             n += 1
     verdicts = []
-    if spec.kappa == 0.5:
+    if kappa == 0.5:
         verdicts.append(_verdict("control_no_violation", n0 is None, n0, None))
     else:
         verdicts.append(_verdict("onset_found", n0 is not None, n0, "finite onset"))
@@ -580,7 +569,7 @@ def run_rate_violation(spec: RateViolationSpec = RateViolationSpec(),
         verdicts.append(_verdict("onset_matches_expected", n0 == expected_n0,
                                  n0, expected_n0))
     config = {
-        "kappa": k, "alpha": a, "sigma": spec.sigma, "B": spec.B,
+        "kappa": kappa, "alpha": alpha, "sigma": sigma, "B": B,
         "n_max": n_max, "n0": n0, "n0_asymptotic": n0_asymptotic,
         "subgaussian_note": "Gaussian member N(mle, n^(-2 kappa)): B = 1, rate n^kappa",
     }
@@ -594,7 +583,6 @@ def run_figure1(
     budget: int = 700,
     grid_extent: float = 3.0,
     grid_points: int = 61,
-    quad_certificate: bool = True,
 ) -> ExperimentReport:
     """Isotropic fits to an anisotropic 2-D Gaussian, across objectives.
 
@@ -644,21 +632,17 @@ def run_figure1(
                  max(renyi_s2) <= float(lam[-1]) + 0.05,
                  max(renyi_s2), float(lam[-1]) + 0.05),
     ]
-    if quad_certificate:
-        worst = -np.inf
-        for a in alphas:
-            res = fits[f"renyi-{a:g}"]
-            s_fit = float(res.params[2])
-            d0 = renyi_quadrature(target, family.unpack(res.params), a,
-                                  rel_tol=1e-7).value
-            for mult in (0.97, 1.03):
-                p = res.params.copy()
-                p[2] = s_fit * mult
-                d1 = renyi_quadrature(target, family.unpack(p), a, rel_tol=1e-7).value
-                worst = max(worst, d0 - d1)
-        verdicts.append(
-            _verdict("quadrature_local_min", worst <= 1e-6, worst, 1e-6)
-        )
+    worst = -np.inf
+    for a in alphas:
+        res = fits[f"renyi-{a:g}"]
+        s_fit = float(res.params[2])
+        d0 = renyi_quadrature(target, family.unpack(res.params), a, rel_tol=1e-7).value
+        for mult in (0.97, 1.03):
+            p = res.params.copy()
+            p[2] = s_fit * mult
+            d1 = renyi_quadrature(target, family.unpack(p), a, rel_tol=1e-7).value
+            worst = max(worst, d0 - d1)
+    verdicts.append(_verdict("quadrature_local_min", worst <= 1e-6, worst, 1e-6))
 
     g = np.linspace(-grid_extent, grid_extent, grid_points)
     mesh = np.column_stack([np.repeat(g, g.size), np.tile(g, g.size)])

@@ -35,6 +35,8 @@ FAMILIES = ("gaussian-meanfield", "laplace", "logistic", "gamma")
 
 # z-score of the 1 - 1e-10 Gaussian quantile; outer edge of the ratio scan.
 _Z_TAIL = float(math.sqrt(2.0) * erfcinv(2e-10))
+# grid points per tail of the ratio scan
+_TAIL_POINTS = 1000
 
 
 def alpha_factor(alpha: float) -> float:
@@ -173,7 +175,7 @@ def cited_ratio_bound(family: str, alpha: float) -> float | None:
     return None
 
 
-def _ratio_scan(post: Density, qbar: Density, k_lo, k_hi, points_per_tail=1000):
+def _ratio_scan(post: Density, qbar: Density, k_lo, k_hi):
     """Sup of posterior/member over the tails, grid plus endpoint slopes."""
     lo, hi = post.support[0]
     pc = float(np.atleast_1d(post.mean)[0])
@@ -192,7 +194,7 @@ def _ratio_scan(post: Density, qbar: Density, k_lo, k_hi, points_per_tail=1000):
     def sup_on(a, b, outward_is_right):
         if not a < b:
             return 0.0, False
-        g = np.linspace(a, b, points_per_tail)
+        g = np.linspace(a, b, _TAIL_POINTS)
         lr = log_ratio_on(g)
         sup = float(np.exp(np.max(lr)))
         if outward_is_right:
@@ -216,7 +218,6 @@ def audit(
     model: BayesModel,
     data,
     K: tuple[float, float] | None = None,
-    M_r_claim: float | None = None,
 ) -> GoodSequenceAudit:
     """Check every good-sequence property for one sample size.
 
@@ -263,7 +264,7 @@ def audit(
     entropy_bound = 0.5 * math.log(2.0 * math.pi * math.e * cap)
     entropy_ok = (not rate_ok) or entropy <= entropy_bound + 1e-9
 
-    bound = M_r_claim if M_r_claim is not None else cited_ratio_bound(spec.family, spec.alpha)
+    bound = cited_ratio_bound(spec.family, spec.alpha)
     return GoodSequenceAudit(
         n=n,
         family=spec.family,

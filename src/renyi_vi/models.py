@@ -35,15 +35,13 @@ class BayesModel:
 
     ``loglik(data, thetas)`` is vectorized over a 1-D array of parameter
     values (an (m, dim) array for dim 2) and returns the total data
-    log-likelihood at each. ``prior_bound`` is a uniform upper bound on the
-    prior density.
+    log-likelihood at each.
     """
 
     name: str
     dim: int
     param_support: tuple[tuple[float, float], ...]
     prior: Density
-    prior_bound: float
     loglik: Callable[[np.ndarray, np.ndarray], np.ndarray]
     exact_posterior: Callable[[np.ndarray], Density]
     mle: Callable[[np.ndarray], np.ndarray]
@@ -118,7 +116,6 @@ def gaussian_mean_model(mu0: float, sigma: float) -> BayesModel:
         dim=1,
         param_support=((-np.inf, np.inf),),
         prior=prior,
-        prior_bound=1.0 / np.sqrt(2.0 * np.pi * s2),
         loglik=loglik,
         exact_posterior=exact_posterior,
         mle=mle,
@@ -179,7 +176,6 @@ def mvn_mean_model(mu0, Sigma) -> BayesModel:
         dim=d,
         param_support=tuple((-np.inf, np.inf) for _ in range(d)),
         prior=prior,
-        prior_bound=float(np.exp(prior.log_pdf(mu0.reshape(1, -1))[0])),
         loglik=loglik,
         exact_posterior=exact_posterior,
         mle=mle,
@@ -222,7 +218,6 @@ def exponential_model(prior: Density | None = None) -> BayesModel:
     hi = phi
     if not np.isfinite(hi):
         raise ValueError("exponential_model requires a prior with bounded support")
-    prior_bound = float(np.max(np.exp(prior.log_pdf(np.linspace(lo + 1e-9, hi, 512)))))
 
     def loglik_stats(n, sx, thetas):
         """The log-likelihood from the data's sufficient statistics: the
@@ -298,7 +293,6 @@ def exponential_model(prior: Density | None = None) -> BayesModel:
         dim=1,
         param_support=((0.0, hi),),
         prior=prior,
-        prior_bound=prior_bound,
         loglik=loglik,
         exact_posterior=exact_posterior,
         mle=mle,

@@ -58,25 +58,44 @@ class DominanceError(ValueError):
 class VariationalFamily:
     """Parametric map from a parameter vector to a Density.
 
-    ``param_roles`` marks each coordinate "location" or "scale"; scales are
-    optimized in log space. ``std_sampler``/``assemble`` provide the
-    location-scale reparameterization (theta = loc + scale * eps) where the
-    family admits one; they are None otherwise.
+    ``param_roles`` marks each coordinate "location", "positive" (a location
+    that must stay above 0, such as a Gamma mean) or "scale". Positive and
+    scale coordinates are optimized in log space, and the family's dimension
+    is its number of locations. ``std_sampler`` draws the standard variates
+    of a location-scale family, whose last coordinate is its one scale:
+    theta = locations + scale * eps. It is None for other families.
     """
 
     name: str
-    dim: int
     param_names: tuple[str, ...]
     param_roles: tuple[str, ...]
-    param_bounds: tuple[tuple[float, float], ...]
     unpack: Callable[[np.ndarray], Density]
     init_from: Callable[[Density], np.ndarray]
     std_sampler: Callable[[np.random.Generator, int], np.ndarray] | None = None
-    assemble: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     @property
-    def param_dim(self) -> int:
-        return len(self.param_names)
+    def dim(self) -> int:
+        return sum(role != "scale" for role in self.param_roles)
+
+    def natural(self, z: np.ndarray) -> np.ndarray:
+        """Parameters from optimizer coordinates."""
+        out = np.array(z, dtype=float)
+        for i, role in enumerate(self.param_roles):
+            if role != "location":
+                out[i] = math.exp(out[i])
+        return out
+
+    def internal(self, params: np.ndarray) -> np.ndarray:
+        """Optimizer coordinates from parameters."""
+        out = np.array(params, dtype=float)
+        for i, role in enumerate(self.param_roles):
+            if role != "location":
+                out[i] = math.log(out[i])
+        return out
+
+    def assemble(self, params: np.ndarray, eps: np.ndarray) -> np.ndarray:
+        """Draws of a location-scale member from its standard variates."""
+        return params[:-1] + params[-1] * eps
 
 
 @dataclass
@@ -127,50 +146,36 @@ def _target_sd(target: Density) -> np.ndarray:
     return np.sqrt(np.diag(cov))
 
 
-def gaussian_family() -> VariationalFamily:
+def _location_scale(name, param_names, make, start_scale, std_sampler) -> VariationalFamily:
+    """A 1-D family of members ``make(location, scale)``, started at the
+    target's mean and at the scale ``start_scale(sd)`` that matches its sd."""
     return VariationalFamily(
-        name="gaussian",
-        dim=1,
-        param_names=("mean", "sd"),
+        name=name,
+        param_names=param_names,
         param_roles=("location", "scale"),
-        param_bounds=((-np.inf, np.inf), (0.0, np.inf)),
-        unpack=lambda p: make_gaussian(p[0], p[1] ** 2),
-        init_from=lambda t: np.array([float(np.atleast_1d(t.mean)[0]), _target_sd(t)[0]]),
-        std_sampler=lambda rng, n: rng.standard_normal(n),
-        assemble=lambda p, eps: p[0] + p[1] * eps,
+        unpack=lambda p: make(p[0], p[1]),
+        init_from=lambda t: np.array(
+            [float(np.atleast_1d(t.mean)[0]), start_scale(_target_sd(t)[0])]
+        ),
+        std_sampler=std_sampler,
     )
+
+
+def gaussian_family() -> VariationalFamily:
+    return _location_scale("gaussian", ("mean", "sd"), lambda m, s: make_gaussian(m, s**2),
+                           lambda sd: sd, lambda rng, n: rng.standard_normal(n))
 
 
 def laplace_family() -> VariationalFamily:
-    return VariationalFamily(
-        name="laplace",
-        dim=1,
-        param_names=("loc", "scale"),
-        param_roles=("location", "scale"),
-        param_bounds=((-np.inf, np.inf), (0.0, np.inf)),
-        unpack=lambda p: make_laplace(p[0], p[1]),
-        init_from=lambda t: np.array(
-            [float(np.atleast_1d(t.mean)[0]), _target_sd(t)[0] / math.sqrt(2.0)]
-        ),
-        std_sampler=lambda rng, n: rng.laplace(0.0, 1.0, size=n),
-        assemble=lambda p, eps: p[0] + p[1] * eps,
-    )
+    return _location_scale("laplace", ("loc", "scale"), make_laplace,
+                           lambda sd: sd / math.sqrt(2.0),
+                           lambda rng, n: rng.laplace(0.0, 1.0, size=n))
 
 
 def logistic_family() -> VariationalFamily:
-    return VariationalFamily(
-        name="logistic",
-        dim=1,
-        param_names=("loc", "scale"),
-        param_roles=("location", "scale"),
-        param_bounds=((-np.inf, np.inf), (0.0, np.inf)),
-        unpack=lambda p: make_logistic(p[0], p[1]),
-        init_from=lambda t: np.array(
-            [float(np.atleast_1d(t.mean)[0]), _target_sd(t)[0] * math.sqrt(3.0) / math.pi]
-        ),
-        std_sampler=lambda rng, n: rng.logistic(0.0, 1.0, size=n),
-        assemble=lambda p, eps: p[0] + p[1] * eps,
-    )
+    return _location_scale("logistic", ("loc", "scale"), make_logistic,
+                           lambda sd: sd * math.sqrt(3.0) / math.pi,
+                           lambda rng, n: rng.logistic(0.0, 1.0, size=n))
 
 
 def gamma_family() -> VariationalFamily:
@@ -181,10 +186,8 @@ def gamma_family() -> VariationalFamily:
 
     return VariationalFamily(
         name="gamma",
-        dim=1,
         param_names=("mean", "sd"),
-        param_roles=("location", "scale"),
-        param_bounds=((0.0, np.inf), (0.0, np.inf)),
+        param_roles=("positive", "scale"),
         unpack=unpack,
         init_from=lambda t: np.array([float(np.atleast_1d(t.mean)[0]), _target_sd(t)[0]]),
     )
@@ -201,14 +204,11 @@ def isotropic_gaussian_family() -> VariationalFamily:
 
     return VariationalFamily(
         name="isotropic-gaussian-2d",
-        dim=2,
         param_names=("mean_x", "mean_y", "sd"),
         param_roles=("location", "location", "scale"),
-        param_bounds=((-np.inf, np.inf), (-np.inf, np.inf), (0.0, np.inf)),
         unpack=unpack,
         init_from=init_from,
         std_sampler=lambda rng, n: rng.standard_normal((n, 2)),
-        assemble=lambda p, eps: np.array([p[0], p[1]]) + p[2] * eps,
     )
 
 
@@ -219,15 +219,6 @@ FAMILY_BUILDERS: dict[str, Callable[[], VariationalFamily]] = {
     "gamma": gamma_family,
     "isotropic-gaussian-2d": isotropic_gaussian_family,
 }
-
-
-def _resolve_target(target) -> Density:
-    if isinstance(target, Density):
-        return target
-    if isinstance(target, tuple) and len(target) == 2 and isinstance(target[0], BayesModel):
-        model, data = target
-        return model.exact_posterior(data)
-    raise TypeError("target must be a Density or a (BayesModel, data) pair")
 
 
 def _make_scorer(target: Density, family: VariationalFamily, kind: str,
@@ -251,10 +242,6 @@ def _make_scorer(target: Density, family: VariationalFamily, kind: str,
     return estimate
 
 
-def _positive_location(bounds) -> list[bool]:
-    return [lo == 0.0 for lo, _ in bounds]
-
-
 class _Objective:
     """Caching, budgeted wrapper around a parameter scorer (internal coords).
 
@@ -268,24 +255,8 @@ class _Objective:
         self.budget = budget
         self.n_evals = 0
         self._cache: dict[tuple, float] = {}
-        self._pos = _positive_location(family.param_bounds)
-        self._roles = family.param_roles
         self.best_z: np.ndarray | None = None
         self.best_val = math.inf
-
-    def natural(self, z: np.ndarray) -> np.ndarray:
-        out = np.array(z, dtype=float)
-        for i, role in enumerate(self._roles):
-            if role == "scale" or self._pos[i]:
-                out[i] = math.exp(out[i])
-        return out
-
-    def internal(self, params: np.ndarray) -> np.ndarray:
-        out = np.array(params, dtype=float)
-        for i, role in enumerate(self._roles):
-            if role == "scale" or self._pos[i]:
-                out[i] = math.log(out[i])
-        return out
 
     def __call__(self, z: np.ndarray) -> float:
         key = tuple(np.round(np.asarray(z, dtype=float), 14))
@@ -294,7 +265,7 @@ class _Objective:
         if self.n_evals >= self.budget:
             raise _BudgetExhausted
         self.n_evals += 1
-        val = float(self._score(self.natural(np.asarray(z, dtype=float))).value)
+        val = float(self._score(self._family.natural(np.asarray(z, dtype=float))).value)
         self._cache[key] = val
         if val < self.best_val:
             self.best_val = val
@@ -386,23 +357,21 @@ def fit(
     """
     if objective_kind == "mc-upper-bound":
         raise ValueError("the mc-upper-bound objective is served by fit_stochastic")
-    target = _resolve_target(target)
-    if target.dim != family.dim:
-        raise ValueError(f"family dim {family.dim} != target dim {target.dim}")
+    _, target = _resolve_log_joint(target, family)
     score = _make_scorer(target, family, objective_kind, alpha, quad_tol)
     obj = _Objective(score, family, budget)
 
     x0 = family.init_from(target)
     sd = _target_sd(target)
-    for i, (lo, _hi) in enumerate(family.param_bounds):
-        if lo == 0.0 and x0[i] <= 0.0:
-            # positivity-bounded coordinate started out of range (e.g. a
+    for i, role in enumerate(family.param_roles):
+        if role != "location" and x0[i] <= 0.0:
+            # positive coordinate started out of range (e.g. a
             # positive-support family aimed at a zero-mean target)
             x0[i] = max(1e-8, 0.1 * float(sd[min(i, sd.size - 1)]))
-    z0 = obj.internal(x0)
+    z0 = family.internal(x0)
 
     # keep the coarse grid to a minority of the budget so refinement runs
-    small = budget < 300 or family.param_dim >= 3
+    small = budget < 300 or len(family.param_roles) >= 3
     loc_offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) if small else np.array(
         [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]
     )
@@ -411,7 +380,6 @@ def fit(
     scale_offsets = np.linspace(math.log(0.2), math.log(4.0 * max(1.0, amax)), n_scale)
 
     axes = []
-    pos = _positive_location(family.param_bounds)
     loc_seen = 0
     for i, role in enumerate(family.param_roles):
         if role == "scale":
@@ -419,7 +387,7 @@ def fit(
         else:
             s = sd[min(loc_seen, sd.size - 1)]
             loc_seen += 1
-            if pos[i]:
+            if role == "positive":
                 # positive location: multiplicative grid in log space
                 axes.append(z0[i] + np.log1p(np.clip(loc_offsets * s / x0[i], -0.9, 9.0)))
             else:
@@ -439,7 +407,7 @@ def fit(
                 best_val = v
                 best_z = np.array(zrow)
                 trace.append(
-                    {"step": obj.n_evals, "params": obj.natural(best_z).tolist(),
+                    {"step": obj.n_evals, "params": family.natural(best_z).tolist(),
                      "objective": best_val}
                 )
     except _BudgetExhausted:
@@ -474,7 +442,7 @@ def fit(
                     best_z = zi.copy()
                     best_z[i] = xi
                     trace.append(
-                        {"step": obj.n_evals, "params": obj.natural(best_z).tolist(),
+                        {"step": obj.n_evals, "params": family.natural(best_z).tolist(),
                          "objective": best_val}
                     )
             steps = steps * 0.35
@@ -487,11 +455,11 @@ def fit(
             # the budget ran out inside a line search that had improved
             best_val, best_z = obj.best_val, obj.best_z
             trace.append(
-                {"step": obj.n_evals, "params": obj.natural(best_z).tolist(),
+                {"step": obj.n_evals, "params": family.natural(best_z).tolist(),
                  "objective": best_val}
             )
 
-    params = obj.natural(best_z)
+    params = family.natural(best_z)
     final = score(params)
     return FitResult(
         params=params,
@@ -513,11 +481,12 @@ def fit(
     )
 
 
-def _resolve_log_joint(target):
-    """(log_joint, target_density_for_rescoring, dim)."""
+def _resolve_log_joint(target, family: VariationalFamily):
+    """(log_joint, target density) of a Density or a (BayesModel, data)
+    pair; the target's dimension must be the family's."""
     if isinstance(target, Density):
-        return target.log_pdf, target, target.dim
-    if isinstance(target, tuple) and len(target) == 2 and isinstance(target[0], BayesModel):
+        log_joint = target.log_pdf
+    elif isinstance(target, tuple) and len(target) == 2 and isinstance(target[0], BayesModel):
         model, data = target
         data = np.asarray(data, dtype=float)
 
@@ -529,8 +498,12 @@ def _resolve_log_joint(target):
             th2 = th.reshape(-1, model.dim)
             return model.prior.log_pdf(th2) + model.loglik(data, th2)
 
-        return log_joint, model.exact_posterior(data), model.dim
-    raise TypeError("target must be a Density or a (BayesModel, data) pair")
+        target = model.exact_posterior(data)
+    else:
+        raise TypeError("target must be a Density or a (BayesModel, data) pair")
+    if target.dim != family.dim:
+        raise ValueError(f"family dim {family.dim} != target dim {target.dim}")
+    return log_joint, target
 
 
 def fit_stochastic(
@@ -549,17 +522,17 @@ def fit_stochastic(
     common random numbers (the same standard draws are pushed through both
     sides of every difference), so each step is a deterministic function of
     (seed, step index). Final parameters are re-scored by the quadrature
-    Renyi objective when the dimension allows it.
+    Renyi objective when the dimension allows it. A fit converged when its
+    final Monte-Carlo bound is finite and its re-scored objective is not
+    infinite: the bound keeps falling as q runs away from the posterior.
     """
     if not alpha > 1.0:
         raise ValueError(f"alpha must exceed 1, got {alpha}")
-    if family.std_sampler is None or family.assemble is None:
+    if family.std_sampler is None:
         raise ValueError(
             f"family {family.name!r} has no location-scale reparameterization"
         )
-    log_joint, target_density, dim = _resolve_log_joint(target)
-    if dim != family.dim:
-        raise ValueError(f"family dim {family.dim} != target dim {dim}")
+    log_joint, target_density = _resolve_log_joint(target, family)
 
     if step_size is None:
         sched = lambda t: 0.25 / (1.0 + 16.0 * t / max(steps, 1))
@@ -568,8 +541,7 @@ def fit_stochastic(
     else:
         sched = lambda t: float(step_size)
 
-    helper = _Objective(lambda p: DivergenceEstimate(0.0, "closed-form", 0.0), family, 1)
-    z = helper.internal(family.init_from(target_density))
+    z = family.internal(family.init_from(target_density))
     p = len(z)
     h = 1e-4
 
@@ -577,7 +549,7 @@ def fit_stochastic(
         if not np.all(np.isfinite(zv)):
             return np.inf
         try:
-            params = helper.natural(zv)
+            params = family.natural(zv)
             q = family.unpack(params)
         except (ValueError, OverflowError):
             return np.inf  # parameters blown out of the representable range
@@ -608,7 +580,7 @@ def fit_stochastic(
         if accepted:
             best = (f0, z.copy())
         trace.append(
-            {"step": t, "params": helper.natural(z).tolist(), "objective": f0,
+            {"step": t, "params": family.natural(z).tolist(), "objective": f0,
              "accepted": accepted}
         )
         grad = np.empty(p)
@@ -630,9 +602,9 @@ def fit_stochastic(
     if steps >= 8:
         z = z_tail_sum / n_tail
 
-    params = helper.natural(z)
+    params = family.natural(z)
     q_final = family.unpack(params)
-    if dim <= 2:
+    if family.dim <= 2:
         objective = renyi_quadrature(target_density, q_final, alpha, rel_tol=quad_tol)
     else:
         objective = DivergenceEstimate(np.nan, "monte-carlo", np.nan, alpha)
@@ -645,7 +617,7 @@ def fit_stochastic(
         objective=objective,
         objective_kind="mc-upper-bound",
         trace=trace,
-        converged=bool(np.isfinite(final_mc)),
+        converged=bool(np.isfinite(final_mc) and not np.isinf(objective.value)),
         seed=seed,
         n_evals=steps * (1 + 2 * p),
         config={

@@ -21,7 +21,6 @@ from renyi_vi.divergence import (
     renyi_quadrature,
 )
 from renyi_vi.experiments import (
-    RateViolationSpec,
     run_consistency,
     run_ep_consistency,
     run_figure1,
@@ -112,12 +111,10 @@ def test_criterion_03_minimal_divergence_bound():
 
 def test_criterion_04_rate_violation_onset():
     t0 = time.perf_counter()
-    rep = run_rate_violation(RateViolationSpec(kappa=0.75, alpha=2.0, sigma=1.0),
-                             n_max=10**4, expected_n0=6)
+    rep = run_rate_violation(kappa=0.75, alpha=2.0, sigma=1.0, n_max=10**4, expected_n0=6)
     n0 = rep.config["n0"]
     stays = all(r["violated"] for r in rep.records if r["n"] >= 6)
-    ctrl = run_rate_violation(RateViolationSpec(kappa=0.5, alpha=2.0, sigma=1.0),
-                              n_max=10**4)
+    ctrl = run_rate_violation(kappa=0.5, alpha=2.0, sigma=1.0, n_max=10**4)
     ok = n0 == 6 and stays and ctrl.config["n0"] is None
     _report(4, "too-fast shrinkage onset", ok,
             f"n0 = {n0} (expected 6), persists to 1e4: {stays}, "

@@ -1,7 +1,6 @@
 """Command-line interface: exit codes, config validation, seed precedence,
 output files."""
 
-import dataclasses
 import inspect
 import json
 import subprocess
@@ -141,6 +140,17 @@ class TestExperimentCommand:
         assert (tmp_path / "rv" / "report.json").exists()
         assert (tmp_path / "rv" / "report.csv").exists()
 
+    def test_rate_violation_integers_give_the_same_report(self, tmp_path):
+        # the runner casts its own arguments
+        for tag, kappa, alpha in (("int", 1, 3), ("float", 1.0, 3.0)):
+            cfg = write_config(tmp_path, f"{tag}.json", {
+                "experiment": "rate-violation", "kappa": kappa, "alpha": alpha,
+                "outdir": str(tmp_path / tag),
+            })
+            assert run_cli(["experiment", cfg]) == 0
+        assert ((tmp_path / "int" / "report.csv").read_bytes()
+                == (tmp_path / "float" / "report.csv").read_bytes())
+
     def test_unknown_experiment_lists_names(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "exp.json", {"experiment": "nope"})
         assert run_cli(["experiment", cfg]) == 1
@@ -201,7 +211,13 @@ class TestExperimentCommand:
         ({"experiment": "figure1", "alphas": 2}, "alphas"),
         ({"experiment": "rate-violation", "kappa": [0.75]}, "kappa"),
         ([{"experiment": "figure1"}], "JSON object"),
-    ], ids=["missing-required", "scalar-for-list", "list-for-number", "not-an-object"])
+        ({"experiment": "rate-violation", "jobs": [2]}, "jobs"),
+        ({"experiment": "rate-violation", "seed": "x"}, "seed"),
+        ({"experiment": "ndegen", "seed": "x"}, "seed"),
+        ({"experiment": "consistency", "seeds": [0, "x"]}, "seeds"),
+    ], ids=["missing-required", "scalar-for-list", "list-for-number", "not-an-object",
+            "list-for-jobs", "string-for-unread-seed", "string-for-seed",
+            "string-in-seeds"])
     def test_config_error_exits_one_naming_it(self, tmp_path, capsys, payload, named):
         cfg = write_config(tmp_path, "exp.json", payload)
         assert run_cli(["experiment", cfg]) == 1
@@ -233,7 +249,7 @@ RENYI = {"model": GM, "family": "laplace", "alpha": 2.0,
          "theta0": None, "quad_tol": 1e-7, "budget": 260, "jobs": 1,
          "slope_range": [-1.2, -0.8], "cover_min": 0.95}
 BOUND_BEFORE = {
-    "consistency": {**RENYI, "objective_kind": "renyi-alpha", "check_dkl": False},
+    "consistency": {**RENYI, "objective_kind": "renyi-alpha"},
     "ep": RENYI,
     "ubfin": {"model": GM, "alpha": 2.0, "M_bar": 1.0,
               "n_grid": [10**4, 10**5, 10**6], "theta0": None},
@@ -244,10 +260,10 @@ BOUND_BEFORE = {
     "mixture": {"model": GM, "alpha": 2.0, "w": 0.5, "theta1": 1.5,
                 "spike_width": 1e-3, "n_grid": [100, 1000, 10**4, 10**5],
                 "seed": 0, "theta0": None, "slack": 0.1},
-    "rate-violation": {"spec": {"kappa": 0.75, "alpha": 2.0, "sigma": 1.0, "B": 1.0},
+    "rate-violation": {"kappa": 0.75, "alpha": 2.0, "sigma": 1.0, "B": 1.0,
                        "n_max": 10**4, "expected_n0": None},
     "figure1": {"rho": 0.9, "alphas": [2.0, 5.0, 20.0], "budget": 700,
-                "grid_extent": 3.0, "grid_points": 61, "quad_certificate": True},
+                "grid_extent": 3.0, "grid_points": 61},
     "goodseq-audit": {"model": GM, "family": "laplace", "alpha": 2.0,
                       "audit_grid": [10, 100, 1000],
                       "rate_grid": [100, 1000, 10**4, 10**5], "seed": 0,
@@ -285,7 +301,7 @@ class TestExperimentRegistry:
         payload["outdir"] = str(tmp_path / "out")
         assert run_cli([command, write_config(tmp_path, "exp.json", payload)]) == 0
         [got] = calls
-        plain = json.loads(json.dumps(got, default=dataclasses.asdict))
+        plain = json.loads(json.dumps(got))
         assert json.dumps(plain, sort_keys=True) == json.dumps(
             BOUND_BEFORE[name], sort_keys=True)
 

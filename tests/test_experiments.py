@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from renyi_vi.experiments import (
-    RateViolationSpec,
     run_consistency,
     run_ep_consistency,
     run_figure1,
@@ -160,8 +159,7 @@ class TestMixtureBound:
 
 class TestRateViolation:
     def test_onset_at_six(self):
-        rep = run_rate_violation(RateViolationSpec(kappa=0.75, alpha=2.0),
-                                 expected_n0=6)
+        rep = run_rate_violation(kappa=0.75, alpha=2.0, expected_n0=6)
         assert rep.config["n0"] == 6
         assert rep.passed
         for r in rep.records:
@@ -169,13 +167,12 @@ class TestRateViolation:
                 assert r["violated"]
 
     def test_parametric_rate_control(self):
-        rep = run_rate_violation(RateViolationSpec(kappa=0.5, alpha=2.0))
+        rep = run_rate_violation(kappa=0.5, alpha=2.0)
         assert rep.config["n0"] is None
         assert rep.verdict("control_no_violation")["passed"]
 
     def test_alpha_near_one_onset_grows(self):
-        rep = run_rate_violation(RateViolationSpec(kappa=0.75, alpha=1.01),
-                                 n_max=10**5)
+        rep = run_rate_violation(kappa=0.75, alpha=1.01, n_max=10**5)
         n0 = rep.config["n0"]
         assert n0 is not None and n0 > 1000
         # exact onset: smallest n with alpha (n+1) <= (alpha-1) n^(3/2)
@@ -183,12 +180,12 @@ class TestRateViolation:
         assert 1.01 * n0 > 0.01 * (n0 - 1) ** 1.5
 
     def test_asymptotic_onset_recorded(self):
-        rep = run_rate_violation(RateViolationSpec(kappa=0.75, alpha=2.0))
+        rep = run_rate_violation(kappa=0.75, alpha=2.0)
         assert rep.config["n0_asymptotic"] == 5
 
     def test_too_fast_kappa_rejected(self):
         with pytest.raises(ValueError, match="kappa"):
-            RateViolationSpec(kappa=0.4, alpha=2.0)
+            run_rate_violation(kappa=0.4, alpha=2.0)
 
 
 @pytest.fixture(scope="module")
@@ -233,8 +230,7 @@ class TestGoodseqAuditExperiment:
 
 class TestReports:
     def test_write_and_reread(self, tmp_path):
-        rep = run_rate_violation(RateViolationSpec(kappa=0.75, alpha=2.0),
-                                 expected_n0=6)
+        rep = run_rate_violation(kappa=0.75, alpha=2.0, expected_n0=6)
         paths = write_report(rep, tmp_path / "run")
         with open(paths["json"]) as fh:
             payload = json.load(fh)
@@ -252,8 +248,7 @@ class TestReports:
         assert pa["csv"].read_bytes() == pb["csv"].read_bytes()
 
     def test_figure1_grid_file(self, tmp_path):
-        rep = run_figure1(rho=0.9, alphas=(2.0,), grid_points=21,
-                          quad_certificate=False)
+        rep = run_figure1(rho=0.9, alphas=(2.0,), grid_points=21)
         paths = write_report(rep, tmp_path / "fig")
         assert paths["grid"].exists()
         lines = paths["grid"].read_text().splitlines()
@@ -261,8 +256,7 @@ class TestReports:
         assert len(lines) == 2 + 21 * 21
 
     def test_figure1_grid_file_round_trips(self, tmp_path):
-        rep = run_figure1(rho=0.5, alphas=(2.0,), grid_points=5,
-                          quad_certificate=False)
+        rep = run_figure1(rho=0.5, alphas=(2.0,), grid_points=5)
         path = write_report(rep, tmp_path / "fig")["grid"]
         lines = path.read_text().splitlines()
         assert lines[1].split(",") == list(rep.grid)
