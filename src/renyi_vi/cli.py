@@ -1,25 +1,20 @@
 """Command-line interface: fits, good-sequence audits, experiments, and
 ad-hoc divergence evaluation.
 
-Configuration is a single JSON file per run. Seed precedence is
-``--seed`` flag > ``RENYI_VI_SEED`` environment variable > config value.
-Exit codes: 0 success/criteria pass, 1 usage or config error, 2 ran but
-failed (non-convergence, dominance failure, or failed verdicts; outputs are
-still written).
+Configuration is a single JSON file per run (``divergence`` takes flags
+only: --p, --q and one of --alpha or --kl). Seed precedence is ``--seed``
+flag > ``RENYI_VI_SEED`` environment variable > config value. Exit codes: 0
+success/criteria pass, 1 usage or config error, 2 ran but failed
+(non-convergence, dominance failure, or failed verdicts; outputs are still
+written).
 
-Config keys by subcommand
--------------------------
-fit:        model | target, data ({"theta0","n","seed"} or {"csv": path}),
-            family, objective (renyi-alpha|kl-forward|kl-reverse|
-            mc-upper-bound), alpha, budget, steps, batch_size, seed, outdir
-experiment: experiment (a name in EXPERIMENTS below) plus that
-            experiment's keys, seed, outdir, jobs. An experiment's keys and
-            their defaults are its runner's parameters (experiment_keys),
-            with ``seeds`` also given by ``n_seeds``; the CLI checks each
-            value's JSON type and the runner casts and validates it.
-            ``renyi-vi experiment --help`` lists them.
-audit:      the goodseq-audit experiment's keys, seed, outdir
-divergence: p, q (density specs), alpha or kl (forward|reverse), outdir
+Each subcommand's ``--help`` lists its config keys; fit's objective is one of
+renyi-alpha, kl-forward, kl-reverse or mc-upper-bound. An experiment's keys and
+their defaults are its runner's parameters (experiment_keys), with ``seeds``
+also given by ``n_seeds``; a model or density spec's keys are the parameters
+of the function its "name" or "kind" selects (renyi_vi.config). Every value's
+JSON type is checked against its key's default; a key whose default is an
+int, and seed, take whole numbers.
 """
 
 from __future__ import annotations
@@ -34,9 +29,11 @@ import time
 from pathlib import Path
 
 from . import experiments
-from .config import ConfigError, build_density, build_family, build_model, check_keys
+from .config import (ConfigError, build_density, build_family, build_model,
+                     check_keys, check_type)
 from .divergence import kl_forward, kl_reverse, renyi
 from .experiments import write_report
+from .goodseq import AUDIT_COLUMNS
 from .models import load_data_csv
 from .varfit import DominanceError, fit, fit_stochastic
 
@@ -79,7 +76,12 @@ def _load_config(path: str) -> dict:
     return config
 
 
-def _resolve_seed(args, config: dict, key: str = "seed"):
+def _resolve_seed(args, config: dict, where: str):
+    """--seed, else RENYI_VI_SEED, else the config's seed (type-checked in any case)."""
+    seed = config.get("seed")
+    if seed is not None:
+        check_type(where, "seed", seed, 0)
+        seed = int(seed)
     if getattr(args, "seed", None) is not None:
         return args.seed
     env = os.environ.get("RENYI_VI_SEED")
@@ -88,7 +90,7 @@ def _resolve_seed(args, config: dict, key: str = "seed"):
             return int(env)
         except ValueError:
             raise _CliError(f"RENYI_VI_SEED must be an integer, got {env!r}")
-    return config.get(key)
+    return seed
 
 
 def _outdir(args, config: dict, tag: str) -> Path:
@@ -104,60 +106,52 @@ def _outdir(args, config: dict, tag: str) -> Path:
     return out
 
 
+# The keys of a generated-data spec, each with its default; "n" is required.
+_DATA_KEYS = {"theta0": 0.5, "n": 0, "seed": 0}
+
+
 def _resolve_data(config: dict, model, seed):
     data_spec = config.get("data")
     if data_spec is None:
         raise _CliError("fit config needs a 'data' entry (or a 'target' density)")
+    defaults = {"csv": ""} if "csv" in data_spec else _DATA_KEYS
+    check_keys(data_spec, set(defaults), "data spec")
+    for key, value in data_spec.items():
+        check_type("data spec", key, value, defaults[key])
     if "csv" in data_spec:
-        check_keys(data_spec, {"csv"}, "data spec")
         return load_data_csv(data_spec["csv"])
-    check_keys(data_spec, {"theta0", "n", "seed"}, "data spec")
     if "n" not in data_spec:
         raise _CliError("generated data spec needs 'n'")
-    theta0 = float(data_spec.get("theta0", 0.5))
-    use_seed = seed if seed is not None else data_spec.get("seed", 0)
-    return model.simulate(theta0, int(data_spec["n"]), int(use_seed))
+    spec = {**_DATA_KEYS, **data_spec}
+    seed = spec["seed"] if seed is None else seed
+    return model.simulate(float(spec["theta0"]), int(spec["n"]), int(seed))
 
 
 # Numeric fit settings: each is a parameter of fit, of fit_stochastic or of
 # both, whose signature gives its type and its default.
 _FIT_NUMBERS = ("budget", "steps", "batch_size", "quad_tol")
-
-
-def _fit_numbers(config: dict, fitter) -> dict:
-    """The config's numeric fit settings that ``fitter`` takes, cast to the
-    type of their defaults; absent ones keep the default. Each one given is
-    type-checked, whichever fitter takes it."""
-    params = {**inspect.signature(fit).parameters,
-              **inspect.signature(fit_stochastic).parameters}
-    taken = inspect.signature(fitter).parameters
-    kwargs = {}
-    for key in _FIT_NUMBERS:
-        if key in config:
-            default = params[key].default
-            _check_type("fit config", key, config[key], default)
-            if key in taken:
-                kwargs[key] = type(default)(config[key])
-    return kwargs
+# The fit config's other plain values, each with a default of its type.
+_FIT_VALUES = {"data": {}, "family": "", "objective": "", "alpha": None, "outdir": ""}
 
 
 def cmd_fit(args) -> int:
     config = _load_config(args.config)
-    check_keys(
-        config,
-        {"model", "target", "data", "family", "objective", "alpha", "seed",
-         "outdir", *_FIT_NUMBERS},
-        "fit config",
-    )
-    seed = _resolve_seed(args, config)
+    params = {**inspect.signature(fit).parameters,
+              **inspect.signature(fit_stochastic).parameters}
+    typed = {**_FIT_VALUES, **{key: params[key].default for key in _FIT_NUMBERS}}
+    check_keys(config, {"model", "target", "seed", *typed}, "fit config")
+    for key, default in typed.items():
+        if key in config:
+            check_type("fit config", key, config[key], default)
+    seed = _resolve_seed(args, config, "fit config")
     if "family" not in config or "objective" not in config:
         raise _CliError("fit config needs 'family' and 'objective'")
     objective = config["objective"]
     alpha = config.get("alpha")
-    for key in ("alpha", "seed"):
-        _check_type("fit config", key, config.get(key), None)
     fitter = fit_stochastic if objective == "mc-upper-bound" else fit
-    numbers = _fit_numbers(config, fitter)
+    # the numeric settings that fitter takes, cast to their defaults' types
+    numbers = {key: type(typed[key])(config[key]) for key in _FIT_NUMBERS
+               if key in config and key in inspect.signature(fitter).parameters}
     if objective in ("renyi-alpha", "mc-upper-bound") and alpha is None:
         raise _CliError(f"objective {objective!r} requires 'alpha'")
     family = build_family(config["family"])
@@ -213,35 +207,17 @@ def experiment_keys(name: str) -> dict:
     return keys
 
 
-def _check_type(where: str, key: str, value, default) -> None:
-    """Reject a config value whose JSON type does not fit its key's default:
-    a list for a tuple, an object for a dict, a string for a str, and else a
-    number (or null, where null is the default)."""
-    if isinstance(default, (tuple, list)):
-        kind, ok = "a list", isinstance(value, list)
-    elif isinstance(default, dict):
-        kind, ok = "an object", isinstance(value, dict)
-    elif isinstance(default, str):
-        kind, ok = "a string", isinstance(value, str)
-    else:
-        kind = "a number" if default is not None else "a number or null"
-        ok = (value is None and default is None) or (
-            isinstance(value, (int, float)) and not isinstance(value, bool))
-    if not ok:
-        raise _CliError(f"{where}: {key!r} must be {kind}, got {json.dumps(value)}")
-
-
 def _runner_kwargs(name: str, keys: dict, config: dict, seed, jobs: int) -> dict:
     """The runner's arguments: the config's own values, uncast (the runner
     casts them), plus the ones the CLI fills."""
     params = inspect.signature(EXPERIMENTS[name]).parameters
     kwargs = {k: config[k] for k in params if k in keys and k in config}
     if "seed" in params and seed is not None:
-        kwargs["seed"] = int(seed)
+        kwargs["seed"] = seed
     if "jobs" in params:
         kwargs["jobs"] = jobs
     if "seeds" in params and "seeds" not in config:
-        base = int(seed if seed is not None else 0)
+        base = seed if seed is not None else 0
         n = int(config.get("n_seeds", keys["n_seeds"]))
         kwargs["seeds"] = [base + i for i in range(n)]
     return kwargs
@@ -253,7 +229,7 @@ def cmd_experiment(args) -> int:
     name = args.experiment or config.get("experiment")
     if name is None:
         raise _CliError("experiment config needs an 'experiment' key")
-    if name not in EXPERIMENTS:
+    if not isinstance(name, str) or name not in EXPERIMENTS:
         raise _CliError(
             f"unknown experiment {name!r}; valid names: {', '.join(EXPERIMENTS)}"
         )
@@ -261,13 +237,10 @@ def cmd_experiment(args) -> int:
     common = {"seed", "outdir"} if args.experiment else set(COMMON_KEYS)
     keys = experiment_keys(name)
     check_keys(config, set(keys) | common, where)
-    typed = {**keys, "seed": None, "jobs": 1}
-    for key in typed:
+    for key, default in {**keys, "jobs": 1, "outdir": ""}.items():
         if key in config:
-            _check_type(where, key, config[key], typed[key])
-    for i, s in enumerate(config.get("seeds", ())):
-        _check_type(where, f"seeds[{i}]", s, 0)
-    seed = _resolve_seed(args, config)
+            check_type(where, key, config[key], default)
+    seed = _resolve_seed(args, config, where)
     jobs = args.jobs if args.jobs is not None else int(config.get("jobs", 1))
     runner = getattr(experiments, EXPERIMENTS[name].__name__)
     report = runner(**_runner_kwargs(name, keys, config, seed, jobs))
@@ -282,28 +255,11 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_divergence(args) -> int:
-    if args.config:
-        config = _load_config(args.config)
-        check_keys(config, {"p", "q", "alpha", "kl", "outdir"}, "divergence config")
+    p, q = build_density(args.p), build_density(args.q)
+    if args.kl is None:
+        est = renyi(p, q, args.alpha)
     else:
-        config = {}
-    try:
-        p_spec = json.loads(args.p) if args.p else config.get("p")
-        q_spec = json.loads(args.q) if args.q else config.get("q")
-    except json.JSONDecodeError as exc:
-        raise _CliError(f"bad density JSON: {exc.msg}")
-    if p_spec is None or q_spec is None:
-        raise _CliError("divergence needs densities 'p' and 'q'")
-    p = build_density(p_spec)
-    q = build_density(q_spec)
-    kl = args.kl or config.get("kl")
-    alpha = args.alpha if args.alpha is not None else config.get("alpha")
-    if kl is not None:
-        est = kl_forward(p, q) if kl == "forward" else kl_reverse(p, q)
-    elif alpha is not None:
-        est = renyi(p, q, float(alpha))
-    else:
-        raise _CliError("divergence needs --alpha or --kl")
+        est = (kl_forward if args.kl == "forward" else kl_reverse)(p, q)
     print(json.dumps({
         "value": est.value, "method": est.method, "error": est.error,
         "alpha": est.alpha,
@@ -322,10 +278,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_fit = sub.add_parser("fit", help="minimize a divergence over a family",
-                           description="Config keys: model|target, data, family, "
-                                       "objective, alpha, budget, steps, batch_size, "
-                                       "seed, outdir, quad_tol.")
+    p_fit = sub.add_parser(
+        "fit", help="minimize a divergence over a family",
+        description="Config keys: model|target (a spec), "
+        + ", ".join([*_FIT_VALUES, *_FIT_NUMBERS, "seed"]) + ". data is {"
+        + ", ".join(_DATA_KEYS) + "} or {csv}; n, seed and the settings whose "
+        "default is an int take whole numbers.")
     p_fit.add_argument("config", help="JSON config file")
     p_fit.add_argument("--seed", type=int)
     p_fit.add_argument("--outdir")
@@ -357,11 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="audit a good-sequence constructor over an n-grid",
         description="The goodseq-audit experiment. Config keys: "
                     + ", ".join(experiment_keys("goodseq-audit"))
-                    + ", seed, outdir. "
-                    "CSV columns: n, family, alpha, mean, mean_gap, mean_is_mle, "
-                    "variance, m_bar, rate_ok, ratio_sup, ratio_sup_global, "
-                    "ratio_bound, ratio_bound_ok, logconcave_ok, entropy, "
-                    "entropy_bound, entropy_ok.",
+                    + ", seed, outdir. CSV columns: "
+                    + ", ".join(AUDIT_COLUMNS) + ".",
     )
     p_aud.add_argument("config", help="JSON config file")
     p_aud.add_argument("--seed", type=int)
@@ -372,11 +327,13 @@ def build_parser() -> argparse.ArgumentParser:
         "divergence",
         help="evaluate a Renyi or KL divergence between two described densities",
     )
-    p_div.add_argument("--config", default=None)
-    p_div.add_argument("--p", help="density spec as inline JSON")
-    p_div.add_argument("--q", help="density spec as inline JSON")
-    p_div.add_argument("--alpha", type=float)
-    p_div.add_argument("--kl", choices=("forward", "reverse"))
+    p_div.add_argument("--p", required=True, type=json.loads,
+                       help="density spec as inline JSON")
+    p_div.add_argument("--q", required=True, type=json.loads,
+                       help="density spec as inline JSON")
+    mode = p_div.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--alpha", type=float)
+    mode.add_argument("--kl", choices=("forward", "reverse"))
     p_div.set_defaults(func=cmd_divergence)
     return parser
 

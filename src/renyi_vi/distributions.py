@@ -10,7 +10,7 @@ concurrent use is race-free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -84,10 +84,10 @@ def _as_mean_cov(mu, cov, name: str):
     return mu, cov
 
 
-def make_gaussian(mu, cov) -> Density:
+def make_gaussian(mean, cov) -> Density:
     """Gaussian density; ``cov`` may be a scalar variance, a diagonal, or a
     full SPD matrix (dim <= 2 is all the rest of the package needs)."""
-    mu, cov = _as_mean_cov(mu, cov, "make_gaussian")
+    mu, cov = _as_mean_cov(mean, cov, "make_gaussian")
     d = mu.size
     try:
         chol = np.linalg.cholesky(cov)
@@ -145,12 +145,11 @@ def make_gaussian(mu, cov) -> Density:
     )
 
 
-def make_laplace(k: float, b: float) -> Density:
-    """Laplace density with location k and scale b; variance 2 b^2."""
-    if b <= 0:
-        raise ValueError(f"scale must be positive, got {b}")
-    k = float(k)
-    b = float(b)
+def make_laplace(loc: float, scale: float) -> Density:
+    """Laplace density with location k = loc and scale b; variance 2 b^2."""
+    if scale <= 0:
+        raise ValueError(f"scale must be positive, got {scale}")
+    k, b = float(loc), float(scale)
     const = -np.log(2.0 * b)
 
     def log_pdf(x):
@@ -169,12 +168,11 @@ def make_laplace(k: float, b: float) -> Density:
     )
 
 
-def make_logistic(m: float, s: float) -> Density:
-    """Logistic density with mean m and scale s; variance s^2 pi^2 / 3."""
-    if s <= 0:
-        raise ValueError(f"scale must be positive, got {s}")
-    m = float(m)
-    s = float(s)
+def make_logistic(loc: float, scale: float) -> Density:
+    """Logistic density with mean m = loc and scale s; variance s^2 pi^2 / 3."""
+    if scale <= 0:
+        raise ValueError(f"scale must be positive, got {scale}")
+    m, s = float(loc), float(scale)
 
     def log_pdf(x):
         z = (np.asarray(x, dtype=float).reshape(-1) - m) / (2.0 * s)
@@ -260,19 +258,8 @@ def make_spike(center: float, width: float) -> Density:
     if width <= 0:
         raise ValueError(f"width must be positive, got {width}")
     d = make_gaussian(center, width**2)
-    params = dict(d.params)
-    params.update({"spike": True, "center": float(center), "width": float(width)})
-    return Density(
-        dim=1,
-        support=d.support,
-        log_pdf=d.log_pdf,
-        mean=d.mean,
-        cov=d.cov,
-        sample_rng=d.sample_rng,
-        kind="gaussian",
-        params=params,
-        entropy=d.entropy,
-    )
+    return replace(d, params={**d.params, "spike": True, "center": float(center),
+                              "width": float(width)})
 
 
 def make_mixture(weights: Sequence[float], components: Sequence[Density]) -> Density:

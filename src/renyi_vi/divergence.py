@@ -68,10 +68,6 @@ class DivergenceEstimate:
     converged: bool = True
     panels: int = 0
 
-    @property
-    def is_infinite(self) -> bool:
-        return np.isinf(self.value)
-
 
 @dataclass(frozen=True)
 class MCUpperBound:

@@ -26,6 +26,7 @@ from .config import build_density, build_family, build_model
 from .distributions import interval_mass, make_gaussian, make_mixture, make_spike
 from .divergence import kl_forward, renyi, renyi_quadrature
 from .goodseq import (
+    AUDIT_COLUMNS,
     GoodSequenceSpec,
     audit,
     build_good_sequence,
@@ -165,9 +166,16 @@ def _loglog_slope(ns, values) -> float:
     return float(np.polyfit(np.log(ns), np.log(values), 1)[0])
 
 
+def _model_at(spec: dict, theta0):
+    """The model a spec builds, and ``theta0`` or else the model's default."""
+    bayes = build_model(spec)
+    return bayes, DEFAULT_THETA0[bayes.name] if theta0 is None else theta0
+
+
 def consistency_cell(model_spec, family_name, objective_kind, alpha, theta0,
-                     n, seed, quad_tol, budget, dkl_alpha=None) -> dict:
-    """One (n, seed) fit; module-level and picklable for worker pools."""
+                     n, seed, quad_tol, budget) -> dict:
+    """One (n, seed) fit; module-level and picklable for worker pools. A
+    forward-KL fit also records KL and the Renyi divergence at ``alpha``."""
     model = build_model(model_spec)
     family = build_family(family_name)
     data = model.simulate(theta0, n, seed)
@@ -192,10 +200,16 @@ def consistency_cell(model_spec, family_name, objective_kind, alpha, theta0,
         "converged": result.converged,
         "tail_mass": 1.0 - interval_mass(q, theta0 - 0.1, theta0 + 0.1, rel_tol=1e-7),
     }
-    if dkl_alpha is not None:
+    if objective_kind == "kl-forward":
         rec["kl_forward"] = kl_forward(posterior, q, rel_tol=quad_tol).value
-        rec["renyi"] = renyi(posterior, q, dkl_alpha, rel_tol=quad_tol).value
+        rec["renyi"] = renyi(posterior, q, alpha, rel_tol=quad_tol).value
     return rec
+
+
+# The consistency verdicts: the log-log slope of the median variance against n
+# (-1 for 1/n shrinkage), and the least share of means within 3 sd/sqrt(n).
+VARIANCE_SLOPE_RANGE = (-1.2, -0.8)
+COVER_MIN = 0.95
 
 
 def run_consistency(
@@ -209,21 +223,15 @@ def run_consistency(
     quad_tol: float = 1e-7,
     budget: int = 260,
     jobs: int = 1,
-    slope_range=(-1.2, -0.8),
-    cover_min: float = 0.95,
 ) -> ExperimentReport:
     """Fit the approximate posterior per (n, seed); verify the shrink rate,
     the coverage of the true parameter, and concentration of mass. A
     forward-KL (EP) fit also checks KL <= Renyi at ``alpha`` per cell."""
     t0 = time.perf_counter()
-    bayes = build_model(model)
-    if theta0 is None:
-        theta0 = DEFAULT_THETA0[bayes.name]
+    bayes, theta0 = _model_at(model, theta0)
     alpha, quad_tol, budget = float(alpha), float(quad_tol), int(budget)
-    slope_range, cover_min = tuple(slope_range), float(cover_min)
     n_grid = sorted(int(n) for n in n_grid)
     seeds = [int(s) for s in seeds]
-    check_dkl = objective_kind == "kl-forward"
     config = {
         "model": model,
         "family": family,
@@ -238,8 +246,7 @@ def run_consistency(
     }
     cells = [(n, s) for n in n_grid for s in seeds]
     args = [
-        (model, family, objective_kind, alpha, theta0, n, s, quad_tol,
-         budget, alpha if check_dkl else None)
+        (model, family, objective_kind, alpha, theta0, n, s, quad_tol, budget)
         for (n, s) in cells
     ]
     if jobs > 1:
@@ -262,16 +269,17 @@ def run_consistency(
     cover = float(np.mean(within))
 
     verdicts = [
-        _verdict("variance_slope", slope_range[0] <= var_slope <= slope_range[1],
-                 var_slope, list(slope_range)),
-        _verdict("mean_within_3sigma", cover >= cover_min, cover, cover_min),
+        _verdict("variance_slope",
+                 VARIANCE_SLOPE_RANGE[0] <= var_slope <= VARIANCE_SLOPE_RANGE[1],
+                 var_slope, list(VARIANCE_SLOPE_RANGE)),
+        _verdict("mean_within_3sigma", cover >= COVER_MIN, cover, COVER_MIN),
         _verdict("concentration",
                  all(med_tail[i + 1] <= med_tail[i] + 1e-12
                      for i in range(len(med_tail) - 1))
                  and med_tail[-1] < 0.1,
                  med_tail, "nonincreasing, final < 0.1"),
     ]
-    if check_dkl:
+    if objective_kind == "kl-forward":
         gaps = [r["renyi"] - r["kl_forward"] for r in records]
         min_gap = float(np.min(gaps))
         verdicts.append(_verdict("kl_le_renyi", min_gap >= -1e-6, min_gap, -1e-6))
@@ -295,15 +303,12 @@ def run_ep_consistency(
     quad_tol: float = 1e-7,
     budget: int = 260,
     jobs: int = 1,
-    slope_range=(-1.2, -0.8),
-    cover_min: float = 0.95,
 ) -> ExperimentReport:
     """Forward-KL (idealized EP) consistency plus the KL <= Renyi check at
     ``alpha``."""
     return run_consistency(
         model, family, alpha, n_grid, seeds, objective_kind="kl-forward",
         theta0=theta0, quad_tol=quad_tol, budget=budget, jobs=jobs,
-        slope_range=slope_range, cover_min=cover_min,
     )
 
 
@@ -333,11 +338,9 @@ def run_ubfin(
     if M_bar is None:
         raise ValueError("ubfin needs 'M_bar', the good sequence's variance scale")
     alpha, M_bar = float(alpha), float(M_bar)
-    bayes = build_model(model)
+    bayes, theta0 = _model_at(model, theta0)
     if bayes.name != "gaussian-mean":
         raise ValueError("run_ubfin uses the Gaussian mean model")
-    if theta0 is None:
-        theta0 = DEFAULT_THETA0[bayes.name]
     info = float(bayes.fisher_info(theta0))
     A = alpha ** (1.0 / (alpha - 1.0))
     if M_bar * info < A / math.e - 1e-12:
@@ -396,6 +399,10 @@ def run_ubfin(
                             time.perf_counter() - t0)
 
 
+# The growth_slope verdict: against a fixed q the divergence grows like 0.5 log n.
+GROWTH_SLOPE_RANGE = (0.45, 0.55)
+
+
 def run_ndegen(
     model: dict = GAUSSIAN_MEAN,
     alpha: float = 2.0,
@@ -403,7 +410,6 @@ def run_ndegen(
     n_grid=(100, 1000, 10**4, 10**5, 10**6),
     seed: int = 0,
     theta0: float | None = None,
-    slope_range=(0.45, 0.55),
 ) -> ExperimentReport:
     """Divergence growth against a fixed density: slope vs log n.
 
@@ -411,10 +417,8 @@ def run_ndegen(
     vanishes at theta0 goes infinite outright.
     """
     t0 = time.perf_counter()
-    alpha, seed, slope_range = float(alpha), int(seed), tuple(slope_range)
-    bayes = build_model(model)
-    if theta0 is None:
-        theta0 = DEFAULT_THETA0[bayes.name]
+    alpha, seed = float(alpha), int(seed)
+    bayes, theta0 = _model_at(model, theta0)
     q = build_density(q_fixed)
     n_grid = sorted(int(n) for n in n_grid)
     data_full = bayes.simulate(theta0, max(n_grid), seed)
@@ -428,8 +432,9 @@ def run_ndegen(
         ns, ds = zip(*finite)
         slope = float(np.polyfit(np.log(ns), ds, 1)[0])
         verdicts.append(
-            _verdict("growth_slope", slope_range[0] <= slope <= slope_range[1],
-                     slope, list(slope_range))
+            _verdict("growth_slope",
+                     GROWTH_SLOPE_RANGE[0] <= slope <= GROWTH_SLOPE_RANGE[1],
+                     slope, list(GROWTH_SLOPE_RANGE))
         )
     else:
         n_inf = sum(1 for r in records if np.isinf(r["d_alpha"]))
@@ -444,6 +449,10 @@ def run_ndegen(
                             time.perf_counter() - t0)
 
 
+# How far below the bound 2 (1-w)^2 the liminf proxy may fall.
+MIXTURE_SLACK = 0.1
+
+
 def run_mixture_bound(
     model: dict = GAUSSIAN_MEAN,
     alpha: float = 2.0,
@@ -453,7 +462,6 @@ def run_mixture_bound(
     n_grid=(10**2, 10**3, 10**4, 10**5),
     seed: int = 0,
     theta0: float | None = None,
-    slack: float = 0.1,
 ) -> ExperimentReport:
     """Divergence to a two-spike mixture stays above 2 (1-w)^2.
 
@@ -462,16 +470,13 @@ def run_mixture_bound(
     divergence counts as above any bound).
     """
     t0 = time.perf_counter()
-    alpha, w, theta1, spike_width, seed, slack = (
-        float(alpha), float(w), float(theta1), float(spike_width), int(seed),
-        float(slack))
+    alpha, w, theta1, spike_width, seed = (
+        float(alpha), float(w), float(theta1), float(spike_width), int(seed))
     if not 0.0 < w < 1.0:
         raise ValueError(f"w must lie in (0,1), got {w}")
     if spike_width > 1e-2:
         raise ValueError(f"spike_width must be <= 1e-2, got {spike_width}")
-    bayes = build_model(model)
-    if theta0 is None:
-        theta0 = DEFAULT_THETA0[bayes.name]
+    bayes, theta0 = _model_at(model, theta0)
     if theta1 == theta0:
         raise ValueError("theta1 must differ from theta0")
     q = make_mixture([w, 1.0 - w],
@@ -487,8 +492,8 @@ def run_mixture_bound(
     tail = [r["d_alpha"] for r in records[-2:]]
     measured = min(tail)
     verdicts = [
-        _verdict("liminf_ge_mixture_bound", measured >= bound - slack,
-                 measured, bound - slack)
+        _verdict("liminf_ge_mixture_bound", measured >= bound - MIXTURE_SLACK,
+                 measured, bound - MIXTURE_SLACK)
     ]
     config = {
         "model": model, "alpha": alpha, "w": w, "theta1": theta1,
@@ -678,9 +683,7 @@ def run_goodseq_audit(
     """
     t0 = time.perf_counter()
     alpha, seed, rate_tol = float(alpha), int(seed), float(rate_tol)
-    bayes = build_model(model)
-    if theta0 is None:
-        theta0 = DEFAULT_THETA0[bayes.name]
+    bayes, theta0 = _model_at(model, theta0)
     gspec = GoodSequenceSpec(family=family, alpha=alpha, variance_scale=M_bar)
     n_all = max(max(audit_grid), max(rate_grid))
     data_full = bayes.simulate(theta0, n_all, seed)
@@ -691,16 +694,10 @@ def run_goodseq_audit(
     records = []
     for n in sorted(int(v) for v in audit_grid):
         a = audit(gspec, bayes, data_full[:n], K=K)
-        records.append(
-            {"n": n, "family": family, "alpha": alpha, "mean": a.mean,
-             "mean_gap": a.mean_gap, "mean_is_mle": a.mean_is_mle,
-             "variance": a.variance, "m_bar": a.m_bar, "rate_ok": a.rate_ok,
-             "ratio_sup": a.ratio_sup, "ratio_sup_global": a.ratio_sup_global,
-             "ratio_bound": np.nan if a.ratio_bound is None else a.ratio_bound,
-             "ratio_bound_ok": True if a.ratio_bound_ok is None else a.ratio_bound_ok,
-             "logconcave_ok": a.logconcave_ok, "entropy": a.entropy,
-             "entropy_bound": a.entropy_bound, "entropy_ok": a.entropy_ok}
-        )
+        rec = {c: getattr(a, c) for c in AUDIT_COLUMNS}
+        if a.ratio_bound is None:  # no cited bound for this family
+            rec["ratio_bound"], rec["ratio_bound_ok"] = np.nan, True
+        records.append(rec)
     seq = [
         (n, build_good_sequence(gspec, bayes, data_full[:n]))
         for n in sorted(int(v) for v in rate_grid)

@@ -11,7 +11,7 @@ scale the corresponding worked example prescribes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import erfcinv
@@ -23,6 +23,7 @@ __all__ = [
     "FAMILIES",
     "GoodSequenceSpec",
     "GoodSequenceAudit",
+    "AUDIT_COLUMNS",
     "alpha_factor",
     "build_good_sequence",
     "default_variance_scale",
@@ -93,6 +94,10 @@ class GoodSequenceAudit:
     entropy: float
     entropy_bound: float
     entropy_ok: bool
+
+
+# The goodseq-audit report columns: the audit's fields but the compact set.
+AUDIT_COLUMNS = tuple(f.name for f in fields(GoodSequenceAudit) if f.name != "k_set")
 
 
 def _require_model(spec: GoodSequenceSpec, model: BayesModel):

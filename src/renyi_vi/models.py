@@ -70,7 +70,7 @@ class LANDiagnostic:
         return float(np.max(self.residuals))
 
 
-def gaussian_mean_model(mu0: float, sigma: float) -> BayesModel:
+def gaussian_mean_model(mu0: float = 0.0, sigma: float = 1.0) -> BayesModel:
     """Gaussian likelihood N(theta, sigma^2) with conjugate N(mu0, sigma^2)
     prior. Posterior after n points: N((mu0 + sum x)/(n+1), sigma^2/(n+1))."""
     if sigma <= 0:
@@ -127,7 +127,7 @@ def gaussian_mean_model(mu0: float, sigma: float) -> BayesModel:
     )
 
 
-def mvn_mean_model(mu0, Sigma) -> BayesModel:
+def mvn_mean_model(mu0=(0.0, 0.0), Sigma=((1.0, 0.0), (0.0, 1.0))) -> BayesModel:
     """2-D Gaussian likelihood with known covariance and conjugate Gaussian
     prior N(mu0, Sigma); posterior N((sum x + mu0)/(n+1), Sigma/(n+1))."""
     mu0 = np.asarray(mu0, dtype=float).reshape(-1)

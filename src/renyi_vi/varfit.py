@@ -24,6 +24,7 @@ import numpy as np
 
 from .distributions import Density, make_gamma, make_gaussian, make_laplace, make_logistic
 from .divergence import (
+    MONTE_CARLO,
     DivergenceEstimate,
     kl_forward,
     kl_reverse,
@@ -607,7 +608,7 @@ def fit_stochastic(
     if family.dim <= 2:
         objective = renyi_quadrature(target_density, q_final, alpha, rel_tol=quad_tol)
     else:
-        objective = DivergenceEstimate(np.nan, "monte-carlo", np.nan, alpha)
+        objective = DivergenceEstimate(np.nan, MONTE_CARLO, np.nan, alpha)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(steps,)))
     eps = family.std_sampler(rng, batch_size)
     final_mc = surrogate(z, eps)

@@ -225,17 +225,78 @@ class TestExperimentCommand:
         assert named in err and "Traceback" not in err
 
 
+class TestValuesTypedByTheirFunction:
+    """Each value of a config or spec is checked against the default or the
+    annotation of the parameter it fills, and a wrong one exits 1 by name."""
+
+    @pytest.mark.parametrize("change, named", [
+        ({"data": {"n": [1]}}, "'n'"),
+        ({"data": {"n": 20.7}}, "'n'"),
+        ({"model": {**GM, "sigma": "2"}}, "'sigma'"),
+        ({"family": ["gaussian"]}, "'family'"),
+    ], ids=["list-for-n", "fraction-for-n", "string-for-sigma", "list-for-family"])
+    def test_fit_value(self, tmp_path, capsys, change, named):
+        cfg = write_config(tmp_path, "fit.json", {
+            "model": GM, "data": {"theta0": 0.5, "n": 20, "seed": 0},
+            "family": "gaussian", "objective": "kl-forward",
+            "outdir": str(tmp_path / "out"), **change,
+        })
+        assert run_cli(["fit", cfg]) == 1
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("payload, named", [
+        ({"experiment": "ndegen", "q_fixed": {"kind": "laplace", "loc": 0.5}},
+         "'scale'"),
+        ({"experiment": "rate-violation", "seed": 1.5}, "'seed'"),
+        ({"experiment": "consistency", "n_grid": [100, 1000], "n_seeds": 2.7},
+         "'n_seeds'"),
+    ], ids=["missing-scale-in-q_fixed", "fraction-for-seed", "fraction-for-n_seeds"])
+    def test_experiment_value(self, tmp_path, capsys, payload, named):
+        cfg = write_config(tmp_path, "exp.json",
+                           {**payload, "outdir": str(tmp_path / "out")})
+        assert run_cli(["experiment", cfg]) == 1
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("extra, named", [
+        (["--p", '{"kind":"laplace","loc":0}', "--alpha", "2"], "'scale'"),
+        (["--p", '{"kind":"laplace","loc":"0","scale":1}', "--alpha", "2"], "'loc'"),
+        (["--p", '{"kind":"mixture","weights":[1],"components":[5]}', "--alpha", "2"],
+         "'components[0]'"),
+        (["--p", '{"kind":"gaussian","mean":0,"cov":1}', "--alpha", "2",
+          "--kl", "forward"], "--alpha"),
+    ], ids=["missing-scale-in-p", "string-for-loc", "number-for-component",
+            "alpha-with-kl"])
+    def test_divergence_value(self, capsys, extra, named):
+        code = run_cli(["divergence", "--q", '{"kind":"gaussian","mean":1,"cov":1}',
+                        *extra])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+
+    def test_whole_float_for_an_int_key_is_the_int(self, tmp_path):
+        for tag, n_max in (("float", 1e4), ("int", 10000)):
+            cfg = write_config(tmp_path, f"{tag}.json", {
+                "experiment": "rate-violation", "n_max": n_max,
+                "outdir": str(tmp_path / tag),
+            })
+            assert run_cli(["experiment", cfg]) == 0
+        assert ((tmp_path / "float" / "report.csv").read_bytes()
+                == (tmp_path / "int" / "report.csv").read_bytes())
+
+
 # The per-experiment config keys as the CLI listed them by hand, before they
 # were derived from the runners' signatures.
 KEYS_BEFORE = {
     "consistency": {"model", "family", "alpha", "n_grid", "seeds", "n_seeds",
-                    "theta0", "quad_tol", "budget", "slope_range", "cover_min"},
+                    "theta0", "quad_tol", "budget"},
     "ep": {"model", "family", "alpha", "n_grid", "seeds", "n_seeds", "theta0",
-           "quad_tol", "budget", "slope_range", "cover_min"},
+           "quad_tol", "budget"},
     "ubfin": {"model", "alpha", "M_bar", "n_grid", "theta0"},
-    "ndegen": {"model", "alpha", "q_fixed", "n_grid", "theta0", "slope_range"},
+    "ndegen": {"model", "alpha", "q_fixed", "n_grid", "theta0"},
     "mixture": {"model", "alpha", "w", "theta1", "spike_width", "n_grid",
-                "theta0", "slack"},
+                "theta0"},
     "rate-violation": {"kappa", "alpha", "sigma", "B", "n_max", "expected_n0"},
     "figure1": {"rho", "alphas", "budget", "grid_extent", "grid_points"},
     "goodseq-audit": {"model", "family", "alpha", "audit_grid", "rate_grid",
@@ -246,8 +307,7 @@ KEYS_BEFORE = {
 # (plus M_bar, which ubfin requires), after the runner's defaults.
 RENYI = {"model": GM, "family": "laplace", "alpha": 2.0,
          "n_grid": [100, 1000, 10**4, 10**5], "seeds": list(range(10)),
-         "theta0": None, "quad_tol": 1e-7, "budget": 260, "jobs": 1,
-         "slope_range": [-1.2, -0.8], "cover_min": 0.95}
+         "theta0": None, "quad_tol": 1e-7, "budget": 260, "jobs": 1}
 BOUND_BEFORE = {
     "consistency": {**RENYI, "objective_kind": "renyi-alpha"},
     "ep": RENYI,
@@ -256,10 +316,10 @@ BOUND_BEFORE = {
     "ndegen": {"model": GM, "alpha": 2.0,
                "q_fixed": {"kind": "gaussian", "mean": 0.5, "cov": 1.0},
                "n_grid": [100, 1000, 10**4, 10**5, 10**6], "seed": 0,
-               "theta0": None, "slope_range": [0.45, 0.55]},
+               "theta0": None},
     "mixture": {"model": GM, "alpha": 2.0, "w": 0.5, "theta1": 1.5,
                 "spike_width": 1e-3, "n_grid": [100, 1000, 10**4, 10**5],
-                "seed": 0, "theta0": None, "slack": 0.1},
+                "seed": 0, "theta0": None},
     "rate-violation": {"kappa": 0.75, "alpha": 2.0, "sigma": 1.0, "B": 1.0,
                        "n_max": 10**4, "expected_n0": None},
     "figure1": {"rho": 0.9, "alphas": [2.0, 5.0, 20.0], "budget": 700,

@@ -28,6 +28,7 @@ from renyi_vi.divergence import (
     renyi_gauss_closed,
     renyi_quadrature,
 )
+from renyi_vi import divergence
 from renyi_vi.models import gaussian_mean_model
 from renyi_vi.numerics import QuadratureSpec, integrate
 
@@ -205,6 +206,27 @@ class TestRenyiQuadrature2D:
         est = renyi_quadrature(FIG1_TARGET, q, 2.0, rel_tol=1e-7)
         assert est.converged and 0 < est.panels <= 600
         assert abs(est.value - renyi_gauss_closed(FIG1_TARGET, q, 2.0).value) <= 1e-10
+
+
+class TestKLQuadrature2D:
+    # kl_forward takes the closed form for two Gaussians, so these reach the
+    # 2-D quadrature directly or through a mixture; they pin values, not the
+    # number of boxes
+    def test_gaussian_pair_matches_closed_form(self):
+        q = make_gaussian([0.1, -0.1], 1.4 * np.eye(2))
+        est = divergence._kl_quadrature(FIG1_TARGET, q, 1e-9)
+        closed = divergence._kl_gauss_closed(FIG1_TARGET, q).value
+        assert est.converged and est.method == divergence.QUADRATURE
+        assert abs(est.value - closed) <= 1e-12 * closed
+
+    def test_bimodal_mixture_is_finite_and_converged(self):
+        p = make_mixture([0.5, 0.5], [
+            make_gaussian([-2.0, 0.0], 0.5 * np.eye(2)),
+            make_gaussian([2.0, 0.5], [[0.6, 0.2], [0.2, 0.4]]),
+        ])
+        est = kl_forward(p, make_gaussian([0.0, 0.0], 4.0 * np.eye(2)))
+        assert est.converged and est.method == divergence.QUADRATURE
+        assert abs(est.value - 1.092196449713045) <= 1e-8
 
 
 class TestConvergenceFlag:
