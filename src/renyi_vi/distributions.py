@@ -10,13 +10,15 @@ concurrent use is race-free.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 from scipy.special import digamma, gammaln
 
-from .numerics import QuadratureSpec, integrate
+from .numerics import QuadratureSpec, cholesky_rows, integrate
 
 __all__ = [
     "Density",
@@ -43,6 +45,12 @@ class Density:
     dim > 1 and returns (m,) log-density values (-inf outside support).
     ``sample_rng`` draws using a caller-provided Generator; ``sample`` is
     the seeded convenience wrapper.
+
+    A Gaussian also holds its covariance's factor, computed once when it is
+    made: ``chol``, the rows of the lower Cholesky factor L (row i holds
+    L[i, 0..i] as Python floats), and ``log_det``, log det cov. Its
+    ``log_pdf`` walks those rows, and the closed-form divergences read both.
+    They are None for every other kind.
     """
 
     dim: int
@@ -54,6 +62,8 @@ class Density:
     kind: str = "custom"
     params: Mapping[str, Any] = field(default_factory=dict)
     entropy: float | None = None
+    chol: tuple[tuple[float, ...], ...] | None = None
+    log_det: float | None = None
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         if self.sample_rng is None:
@@ -71,6 +81,19 @@ class Density:
     def sd(self) -> float:
         return float(np.sqrt(self.var))
 
+    @cached_property
+    def bulk(self) -> tuple[np.ndarray, ...]:
+        """:func:`bulk_points` along each coordinate, computed on first use
+        and read-only, so a density used in many divergences sets them up
+        once."""
+        out = tuple(_bulk_points(self, i) for i in range(self.dim))
+        for pts in out:
+            pts.setflags(write=False)
+        return out
+
+
+_LOG_2PI = float(np.log(2.0 * np.pi))
+
 
 def _as_mean_cov(mu, cov, name: str):
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
@@ -86,18 +109,19 @@ def _as_mean_cov(mu, cov, name: str):
 
 def make_gaussian(mean, cov) -> Density:
     """Gaussian density; ``cov`` may be a scalar variance, a diagonal, or a
-    full SPD matrix (dim <= 2 is all the rest of the package needs)."""
+    full SPD matrix, of which the lower triangle is read."""
     mu, cov = _as_mean_cov(mean, cov, "make_gaussian")
     d = mu.size
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("covariance must be symmetric positive definite") from exc
-    log_det = 2.0 * float(np.log(np.diag(chol)).sum())
-    const = -0.5 * (d * np.log(2.0 * np.pi) + log_det)
+    rows = cholesky_rows(cov.tolist())
+    if rows is None:
+        raise ValueError("covariance must be symmetric positive definite")
+    # numpy's log, not math.log: the two differ in the last bit on a few
+    # inputs in 1e4, and the 1-D constant and entropy keep their bits
+    log_det = 2.0 * float(np.log(math.prod(row[i] for i, row in enumerate(rows))))
+    const = -0.5 * (d * _LOG_2PI + log_det)
 
     if d == 1:
-        loc, scale = float(mu[0]), float(chol[0, 0])
+        loc, scale = float(mu[0]), rows[0][0]
 
         def log_pdf(x):
             z = (np.asarray(x, dtype=float).reshape(-1) - loc) / scale
@@ -107,7 +131,7 @@ def make_gaussian(mean, cov) -> Density:
         # time, with L's entries as Python floats: no factorisation and no
         # transposed copy of the points per call. Updates are in place, so a
         # call allocates few arrays; const + (-0.5 q) equals const - 0.5 q.
-        loc, rows = mu.tolist(), chol.tolist()
+        loc = mu.tolist()
 
         def log_pdf(x):
             pts = np.asarray(x, dtype=float).reshape(-1, d)
@@ -128,13 +152,14 @@ def make_gaussian(mean, cov) -> Density:
 
     def sample_rng(rng, n):
         z = rng.standard_normal((n, d))
-        out = mu + z @ chol.T
+        lower = np.array([row + (0.0,) * (d - len(row)) for row in rows])
+        out = mu + z @ lower.T
         return out[:, 0] if d == 1 else out
 
-    entropy = 0.5 * d * (1.0 + np.log(2.0 * np.pi)) + 0.5 * log_det
+    entropy = 0.5 * d * (1.0 + _LOG_2PI) + 0.5 * log_det
     return Density(
         dim=d,
-        support=tuple((-np.inf, np.inf) for _ in range(d)),
+        support=((-np.inf, np.inf),) * d,
         log_pdf=log_pdf,
         mean=mu,
         cov=cov,
@@ -142,6 +167,8 @@ def make_gaussian(mean, cov) -> Density:
         kind="gaussian",
         params={"mu": mu, "cov": cov},
         entropy=float(entropy),
+        chol=rows,
+        log_det=log_det,
     )
 
 
@@ -353,7 +380,14 @@ def bulk_points(d: Density, coord: int = 0) -> np.ndarray:
     Renyi quadrature also sets its log-integrand shift from them; the 2-D one
     takes the bulk points of a Gaussian fitted at each maximum of its
     integrand.
+
+    Computed once per density (see :attr:`Density.bulk`); the array is
+    read-only.
     """
+    return d.bulk[coord]
+
+
+def _bulk_points(d: Density, coord: int) -> np.ndarray:
     lo, hi = d.support[coord]
     if d.kind == "mixture":
         pts = np.sort(np.concatenate([bulk_points(c, coord) for c in d.params["components"]]))

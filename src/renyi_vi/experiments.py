@@ -401,6 +401,9 @@ def run_ubfin(
 
 # The growth_slope verdict: against a fixed q the divergence grows like 0.5 log n.
 GROWTH_SLOPE_RANGE = (0.45, 0.55)
+# Finite values the slope is fitted on; fewer, and the divergence is taken to
+# have gone infinite, so a grid must offer at least this many sizes.
+NDEGEN_MIN_SIZES = 4
 
 
 def run_ndegen(
@@ -414,13 +417,17 @@ def run_ndegen(
     """Divergence growth against a fixed density: slope vs log n.
 
     A fixed non-degenerate q accrues divergence like 0.5 log n; a q that
-    vanishes at theta0 goes infinite outright.
+    vanishes at theta0 goes infinite outright. ``n_grid`` must hold at least
+    :data:`NDEGEN_MIN_SIZES` distinct sizes.
     """
     t0 = time.perf_counter()
     alpha, seed = float(alpha), int(seed)
     bayes, theta0 = _model_at(model, theta0)
     q = build_density(q_fixed)
     n_grid = sorted(int(n) for n in n_grid)
+    if len(set(n_grid)) < NDEGEN_MIN_SIZES:
+        raise ValueError(f"n_grid needs at least {NDEGEN_MIN_SIZES} distinct sizes to "
+                         f"fit the growth slope, got {n_grid}")
     data_full = bayes.simulate(theta0, max(n_grid), seed)
     records = []
     for n in n_grid:
@@ -428,7 +435,7 @@ def run_ndegen(
         records.append({"n": n, "d_alpha": renyi(post, q, alpha).value})
     finite = [(r["n"], r["d_alpha"]) for r in records if np.isfinite(r["d_alpha"])]
     verdicts = []
-    if len(finite) >= 4:
+    if len(finite) >= NDEGEN_MIN_SIZES:
         ns, ds = zip(*finite)
         slope = float(np.polyfit(np.log(ns), ds, 1)[0])
         verdicts.append(

@@ -1,14 +1,17 @@
 """Deterministic numeric kernels shared by all modules.
 
 Adaptive Gauss-Kronrod quadrature on finite, half-infinite and doubly
-infinite intervals, and a stable log-sum-exp. One adaptive loop serves 1-D
-intervals and 2-D boxes alike: a tensor G7/K15 rule on every box of a
-transformed grid, QUADPACK's error estimate, and splits of the worst boxes
-at the midpoint of their widest side. Each axis's change of variables is
-applied to that axis's abscissae before the tensor product, so a 2-D box
-maps 2 x 15 abscissae, not 225 nodes. A first pass that meets the tolerance
-returns at once, so a well-seeded call costs one vectorized evaluation of
-the integrand plus its set-up. :func:`integrate` and :func:`integrate_2d`
+infinite intervals, a stable log-sum-exp, and, for the few-dimensional
+matrices of the Gaussian closed forms, a Cholesky factor and its triangular
+solve in Python floats.
+
+One adaptive loop serves 1-D intervals and 2-D boxes alike: a tensor G7/K15
+rule on every box of a transformed grid, QUADPACK's error estimate, and
+splits of the worst boxes at the midpoint of their widest side. Each axis's
+change of variables is applied to that axis's abscissae before the tensor
+product, so a 2-D box maps 2 x 15 abscissae, not 225 nodes. A first pass
+that meets the tolerance returns at once, so a well-seeded call costs one
+vectorized evaluation of the integrand plus its set-up. :func:`integrate` and :func:`integrate_2d`
 only choose the axis maps and seed the first boxes.
 
 All functions are pure: results depend only on their arguments, node
@@ -29,6 +32,8 @@ __all__ = [
     "integrate",
     "integrate_2d",
     "log_sum_exp",
+    "cholesky_rows",
+    "solve_lower",
 ]
 
 # 15-point Kronrod rule with embedded 7-point Gauss rule on [-1, 1].
@@ -369,3 +374,44 @@ def log_sum_exp(values: Sequence[float]) -> float:
     if m == -np.inf:
         return -np.inf
     return m + float(np.log(np.sum(np.exp(v - m))))
+
+
+def cholesky_rows(a) -> tuple[tuple[float, ...], ...] | None:
+    """Rows of the lower Cholesky factor L of a symmetric matrix, L L' = a,
+    or None when a pivot is zero or negative: a is not positive definite.
+
+    ``a`` is a nested sequence of floats, of which only the lower triangle
+    is read. Row i of the result holds L[i, 0..i]. As with LAPACK's
+    ``potrf`` behind ``np.linalg.cholesky``, a NaN pivot is not a failed
+    one: it passes through into L. Plain float arithmetic: for the d <= 3
+    matrices of this package it is several times cheaper than a LAPACK call
+    on a tiny array.
+    """
+    rows: list[tuple[float, ...]] = []
+    for i, ai in enumerate(a):
+        row = []
+        for j, rj in enumerate(rows):
+            s = ai[j]
+            for k in range(j):
+                s -= row[k] * rj[k]
+            row.append(s / rj[j])
+        s = ai[i]
+        for v in row:
+            s -= v * v
+        if s <= 0.0:
+            return None
+        row.append(math.sqrt(s))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def solve_lower(rows, b) -> list[float]:
+    """z with L z = b, by forward substitution; ``rows`` as returned by
+    :func:`cholesky_rows`."""
+    z: list[float] = []
+    for row, bi in zip(rows, b):
+        s = bi
+        for k, zk in enumerate(z):
+            s -= row[k] * zk
+        z.append(s / row[len(z)])
+    return z

@@ -196,7 +196,9 @@ def gamma_family() -> VariationalFamily:
 
 def isotropic_gaussian_family() -> VariationalFamily:
     def unpack(p):
-        return make_gaussian(np.array([p[0], p[1]]), p[2] ** 2 * np.eye(2))
+        x, y, s = (float(v) for v in p)
+        s2 = s ** 2
+        return make_gaussian([x, y], [[s2, 0.0], [0.0, s2]])
 
     def init_from(t):
         m = np.atleast_1d(t.mean)
@@ -260,7 +262,9 @@ class _Objective:
         self.best_val = math.inf
 
     def __call__(self, z: np.ndarray) -> float:
-        key = tuple(np.round(np.asarray(z, dtype=float), 14))
+        # np.round(z, 14)'s arithmetic (rint of z * 1e14, over 1e14) on
+        # Python floats: the same keys at a fraction of the cost
+        key = tuple(round(v * 1e14) / 1e14 for v in np.asarray(z, dtype=float).tolist())
         if key in self._cache:
             return self._cache[key]
         if self.n_evals >= self.budget:

@@ -215,9 +215,10 @@ class TestExperimentCommand:
         ({"experiment": "rate-violation", "seed": "x"}, "seed"),
         ({"experiment": "ndegen", "seed": "x"}, "seed"),
         ({"experiment": "consistency", "seeds": [0, "x"]}, "seeds"),
+        ({"experiment": "ndegen", "n_grid": [100, 1000, 10000]}, "n_grid"),
     ], ids=["missing-required", "scalar-for-list", "list-for-number", "not-an-object",
             "list-for-jobs", "string-for-unread-seed", "string-for-seed",
-            "string-in-seeds"])
+            "string-in-seeds", "short-ndegen-grid"])
     def test_config_error_exits_one_naming_it(self, tmp_path, capsys, payload, named):
         cfg = write_config(tmp_path, "exp.json", payload)
         assert run_cli(["experiment", cfg]) == 1

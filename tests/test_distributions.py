@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
@@ -55,6 +55,22 @@ def gaussian_2d_and_points(draw):
     return mu, np.array([[vx, cxy], [cxy, vy]]), pts
 
 
+@st.composite
+def matrices_near_definite(draw):
+    """A symmetric d x d matrix, d <= 3, whose smallest eigenvalue is 1e-6 to
+    10 from zero on either side, sometimes with one entry set to NaN."""
+    d = draw(st.integers(1, 3))
+    q, _ = np.linalg.qr(np.array(
+        [[draw(st.floats(-1.0, 1.0)) for _ in range(d)] for _ in range(d)]))
+    lam = [10.0 ** draw(st.floats(-3.0, 1.0)) for _ in range(d)]
+    lam[0] = (-1.0 if draw(st.booleans()) else 1.0) * 10.0 ** draw(st.floats(-6.0, 1.0))
+    cov = (q * lam) @ q.T
+    cov = 0.5 * (cov + cov.T)
+    if draw(st.booleans()):
+        cov[draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))] = math.nan
+    return cov
+
+
 class TestGaussian:
     def test_standard_logpdf_at_zero(self):
         d = make_gaussian(0.0, 1.0)
@@ -77,6 +93,32 @@ class TestGaussian:
     def test_non_spd_rejected(self):
         with pytest.raises(ValueError):
             make_gaussian([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=300)
+    @given(matrices_near_definite())
+    @example(np.zeros((2, 2)))
+    @example(np.array([[math.nan]]))
+    @example(np.array([[1.0, math.nan], [math.nan, 1.0]]))
+    @example(np.array([[1.0, math.nan], [0.5, 1.0]]))  # NaN above: not read
+    @example(np.array([[1.0, 5.0], [0.5, 1.0]]))  # only the lower triangle is SPD
+    @example(np.array([[1.0, 0.5], [5.0, 1.0]]))  # only the upper triangle is SPD
+    def test_accepts_what_lapack_cholesky_accepts(self, cov):
+        try:
+            np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            lapack = False
+        else:
+            lapack = True
+        try:
+            d = make_gaussian(np.zeros(len(cov)), cov)
+        except ValueError:
+            assert not lapack
+        else:
+            assert lapack
+            low = np.array([r + (0.0,) * (len(cov) - len(r)) for r in d.chol])
+            read = np.tril(cov) + np.tril(cov, -1).T  # the triangle that was read
+            if np.all(np.isfinite(read)):
+                assert np.abs(low @ low.T - read).max() <= 1e-14 * np.abs(read).max()
 
     @settings(derandomize=True, deadline=None, database=None)
     @given(gaussian_2d_and_points())
@@ -268,6 +310,14 @@ class TestBulkPoints:
         got = bulk_points(d)
         assert got.tolist() == bulk_points_loop(d).tolist()
         assert np.all(np.diff(got) > 0)
+
+    def test_computed_once_and_read_only(self):
+        for d in (ALL_1D["gaussian"], ALL_1D["mixture"],
+                  make_gaussian([0.5, -1.0], [[1.0, 0.3], [0.3, 2.0]])):
+            for coord in range(d.dim):
+                pts = bulk_points(d, coord)
+                assert bulk_points(d, coord) is pts
+                assert not pts.flags.writeable
 
     def test_matches_loop_reference_random(self):
         rng = np.random.default_rng(5)

@@ -307,6 +307,100 @@ class TestRenyiClosedForm:
             assert renyi_gauss_closed(p, q, 2.0).value >= -1e-9
 
 
+def renyi_gauss_numpy(p, q, alpha):
+    """The Gaussian Renyi closed form on numpy arrays: S* definite by its
+    eigenvalues, d' S*^{-1} d by a solve, three log-determinants by slogdet.
+    The oracle for the library's float form."""
+    mp, sp, mq, sq = p.mean, p.cov, q.mean, q.cov
+    s_star = alpha * sq + (1.0 - alpha) * sp
+    if np.linalg.eigvalsh(s_star).min() <= 0.0:
+        return math.inf
+    diff = mp - mq
+    quad = 0.5 * alpha * float(diff @ np.linalg.solve(s_star, diff))
+    logdets = (np.linalg.slogdet(s_star)[1] - (1.0 - alpha) * np.linalg.slogdet(sp)[1]
+               - alpha * np.linalg.slogdet(sq)[1])
+    return max(float(quad - logdets / (2.0 * (alpha - 1.0))), 0.0)
+
+
+def kl_gauss_numpy(p, q):
+    """KL(p || q) for two Gaussians on numpy arrays, with inv and slogdet."""
+    sq_inv = np.linalg.inv(q.cov)
+    diff = p.mean - q.mean
+    value = 0.5 * (np.trace(sq_inv @ p.cov) + diff @ sq_inv @ diff - p.dim
+                   + np.linalg.slogdet(q.cov)[1] - np.linalg.slogdet(p.cov)[1])
+    return max(float(value), 0.0)
+
+
+def _rotation(draw, d):
+    q, _ = np.linalg.qr(np.array(
+        [[draw(st.floats(-1.0, 1.0)) for _ in range(d)] for _ in range(d)]))
+    return q
+
+
+def _symmetric(rot, lam):
+    m = (rot * lam) @ rot.T
+    return 0.5 * (m + m.T)
+
+
+@st.composite
+def gaussian_pairs_at_gap(draw, gap):
+    """(p, q, alpha, cond(S*)) in d = 1, 2 or 3 with S* = alpha S_q +
+    (1 - alpha) S_p of eigenvalues between |gap| and 1 times its largest, the
+    smallest exactly gap times it: 1e-9 below singular for gap = -1e-9.
+    S_p has eigenvalues 1e-3 to 10 and q's mean is 1e-6 to 1 from p's."""
+    d = draw(st.integers(1, 3))
+    alpha = draw(st.floats(1.001, 20.0))
+    sp = _symmetric(_rotation(draw, d), [10.0 ** draw(st.floats(-3.0, 1.0)) for _ in range(d)])
+    top = 10.0 ** draw(st.floats(-1.0, 1.0))
+    lam = [top * 10.0 ** draw(st.floats(math.log10(abs(gap)), 0.0)) for _ in range(d)]
+    lam[-1] = top
+    lam[0] = gap * top  # last, so that it is the one eigenvalue when d = 1
+    s_star = _symmetric(_rotation(draw, d), lam)
+    sq = (s_star + (alpha - 1.0) * sp) / alpha  # symmetric, as both terms are
+    mp = np.array([draw(st.floats(-3.0, 3.0)) for _ in range(d)])
+    shift = 10.0 ** draw(st.floats(-6.0, 0.0))
+    mq = mp + shift * np.array([draw(st.floats(-1.0, 1.0)) for _ in range(d)])
+    return make_gaussian(mp, sp), make_gaussian(mq, sq), alpha, 1.0 / abs(gap)
+
+
+class TestGaussClosedFormsInFloats:
+    """The float closed forms against their numpy oracles. Errors are
+    relative to the sum of the magnitudes of the terms each form adds up,
+    which bounds the value and is what rounding scales with: near p = q the
+    value itself cancels to almost nothing."""
+
+    @pytest.mark.parametrize("gap", [1e-1, 1e-9, -1e-9])
+    @settings(derandomize=True, deadline=None, database=None, max_examples=300)
+    @given(data=st.data())
+    def test_renyi_matches_numpy_oracle(self, gap, data):
+        p, q, alpha, cond = data.draw(gaussian_pairs_at_gap(gap))
+        got = renyi_gauss_closed(p, q, alpha).value
+        expect = renyi_gauss_numpy(p, q, alpha)
+        assert np.isinf(got) == np.isinf(expect) == (gap < 0.0)
+        if gap > 0.0:
+            s_star = alpha * q.cov + (1.0 - alpha) * p.cov
+            diff = p.mean - q.mean
+            terms = (0.5 * alpha * float(diff @ np.linalg.solve(s_star, diff))
+                     + (abs(np.linalg.slogdet(s_star)[1])
+                        + (alpha - 1.0) * abs(np.linalg.slogdet(p.cov)[1])
+                        + alpha * abs(np.linalg.slogdet(q.cov)[1])) / (2.0 * (alpha - 1.0)))
+            assert abs(got - expect) <= (1e-12 + 1e-14 * cond) * terms
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=300)
+    @given(gaussian_pairs_at_gap(1e-1))
+    def test_kl_matches_numpy_oracle(self, case):
+        p, q, _, _ = case
+        for a, b in ((p, q), (q, p)):
+            got = divergence._kl_gauss_closed(a, b).value
+            expect = kl_gauss_numpy(a, b)
+            b_inv = np.linalg.inv(b.cov)
+            diff = a.mean - b.mean
+            terms = 0.5 * (np.trace(b_inv @ a.cov) + diff @ b_inv @ diff + a.dim
+                           + abs(np.linalg.slogdet(b.cov)[1])
+                           + abs(np.linalg.slogdet(a.cov)[1]))
+            assert abs(got - expect) <= (1e-12 + 1e-14 * np.linalg.cond(b.cov)) * terms
+
+
 class TestRenyiDispatcher:
     def test_gaussian_pair_is_closed_form(self):
         est = renyi(make_gaussian(0.0, 1.0), make_gaussian(1.0, 1.0), 2.0)

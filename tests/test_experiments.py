@@ -103,9 +103,14 @@ class TestNdegen:
 
     def test_vanishing_q_at_theta0_diverges(self):
         rep = run_ndegen(GM, 2.0, {"kind": "spike", "center": 5.0, "width": 1e-3},
-                         [100, 1000, 10**4], seed=0)
+                         [100, 1000, 10**4, 10**5], seed=0)
         assert all(np.isinf(r["d_alpha"]) for r in rep.records)
         assert rep.verdict("divergence_reported")["passed"]
+
+    def test_short_grid_rejected(self):
+        with pytest.raises(ValueError, match="n_grid"):
+            run_ndegen(GM, 2.0, {"kind": "gaussian", "mean": 0.5, "cov": 1.0},
+                       [100, 1000, 1000, 10**4], seed=0)
 
     def test_exact_posterior_control_is_zero(self):
         # degenerate control: scoring the posterior against itself
@@ -210,6 +215,36 @@ class TestFigure1:
     def test_grid_rows(self, report):
         assert all(col.shape == (61 * 61,) for col in report.grid.values())
         assert {"x", "y", "target", "kl_forward", "kl_reverse"} <= set(report.grid)
+
+
+def figure1_exact_s2(rho, objective, alpha):
+    """The exact optimum s^2 of an isotropic fit to N(0, [[1, rho], [rho, 1]]).
+
+    Renyi: dD/ds^2 = 0 gives sum_i s^2 / (alpha s^2 + (1 - alpha) lam_i) = 2,
+    that is 2 alpha (alpha - 1) t^2 + (1 - alpha)(2 alpha - 1)(lam_1 + lam_2) t
+    + 2 (1 - alpha)^2 lam_1 lam_2 = 0 in t = s^2; the optimum is the root with
+    alpha t + (1 - alpha) lam_max > 0. Forward KL: tr Sigma / 2. Reverse KL:
+    2 / tr Sigma^-1.
+    """
+    lam1, lam2 = 1.0 - abs(rho), 1.0 + abs(rho)
+    if objective == "kl-forward":
+        return (lam1 + lam2) / 2.0
+    if objective == "kl-reverse":
+        return 2.0 / (1.0 / lam1 + 1.0 / lam2)
+    roots = np.roots([2.0 * alpha * (alpha - 1.0),
+                      (1.0 - alpha) * (2.0 * alpha - 1.0) * (lam1 + lam2),
+                      2.0 * (1.0 - alpha) ** 2 * lam1 * lam2])
+    (t,) = [t.real for t in roots if alpha * t.real + (1.0 - alpha) * lam2 > 0.0]
+    return t
+
+
+@pytest.mark.parametrize("rho", [-0.7, 0.3, 0.5, 0.9])
+def test_figure1_fits_reach_exact_optima(rho):
+    rep = run_figure1(rho=rho, alphas=(2.0, 5.0, 20.0), grid_points=2)
+    for r in rep.records:
+        objective = r["objective"] if r["alpha"] == 1.0 else "renyi"
+        exact = figure1_exact_s2(rho, objective, r["alpha"])
+        assert abs(r["s_sq"] - exact) <= 1e-7 * exact, (r["objective"], r["s_sq"], exact)
 
 
 class TestGoodseqAuditExperiment:

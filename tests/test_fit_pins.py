@@ -73,14 +73,14 @@ PINS = {
     'gaussian/exponential/kl-forward': (['0x1.c4d073942f5a0p+0', '0x1.ff065e7fd88cfp-4'], '0x1.b346298fdd130p-10', 112, True, 18),
     'gaussian/exponential/kl-reverse': 'DominanceError',
     'gaussian/exponential/renyi-alpha': (['0x1.c3c403a5416c0p+0', '0x1.63f784e3980bap-2'], '0x1.6d2af4fb90048p-1', 209, True, 9),
-    'gaussian/gaussian-mean/kl-forward': (['0x1.1757844ad3ecdp-1', '0x1.20e8d8d96ad6bp-4'], '0x0.0p+0', 112, True, 18),
+    'gaussian/gaussian-mean/kl-forward': (['0x1.1757844ad3ecdp-1', '0x1.20e8d9a918a16p-4'], '0x1.0000000000000p-51', 113, True, 18),
     'gaussian/gaussian-mean/kl-reverse': (['0x1.1757844ad3ecdp-1', '0x1.20e8d924823fep-4'], '0x0.0p+0', 112, True, 20),
     'gaussian/gaussian-mean/renyi-alpha': (['0x1.1757844ad3ecdp-1', '0x1.20e8d9478ae63p-4'], '0x0.0p+0', 114, True, 11),
     'gaussian/stochastic': (['0x1.74947841024fcp-2', '0x1.3e1d10e3ed667p-2'], '0x1.8dd589463fa80p-9', 300, True, 60),
-    'isotropic-gaussian-2d/aniso-2d/kl-forward': (['0x0.0p+0', '0x0.0p+0', '0x1.0000000e441b8p+0'], '0x1.a925ae2cbedfep-1', 334, True, 15),
-    'isotropic-gaussian-2d/aniso-2d/kl-reverse': (['0x0.0p+0', '0x0.0p+0', '0x1.be59eba407845p-2'], '0x1.a925ae2cbedfep-1', 255, True, 9),
-    'isotropic-gaussian-2d/aniso-2d/renyi-alpha': (['0x0.0p+0', '0x0.0p+0', '0x1.328810faebfc0p+0'], '0x1.0ef9dd172adcbp+0', 336, True, 10),
-    'isotropic-gaussian-2d/stochastic': (['0x1.2049a927b41acp-5', '-0x1.24709312849eap-5', '0x1.3825c1cd0f750p+0'], '0x1.0faaaccfa30eap+0', 1400, True, 200),
+    'isotropic-gaussian-2d/aniso-2d/kl-forward': (['0x0.0p+0', '0x0.0p+0', '0x1.ffffffc933c00p-1'], '0x1.a925ae2cbedfep-1', 346, True, 16),
+    'isotropic-gaussian-2d/aniso-2d/kl-reverse': (['0x0.0p+0', '0x0.0p+0', '0x1.be59eba41dde0p-2'], '0x1.a925ae2cbedffp-1', 255, True, 9),
+    'isotropic-gaussian-2d/aniso-2d/renyi-alpha': (['0x0.0p+0', '0x0.0p+0', '0x1.328810faebfcdp+0'], '0x1.0ef9dd172adcbp+0', 334, True, 10),
+    'isotropic-gaussian-2d/stochastic': (['0x1.2049a927b7561p-5', '-0x1.2470931287141p-5', '0x1.3825c1cd0f897p+0'], '0x1.0faaaccfa312fp+0', 1400, True, 200),
     'laplace/exponential/kl-forward': (['0x1.c41044ca25cd9p+0', '0x1.977508c86f985p-4'], '0x1.949336043e6d0p-5', 116, True, 23),
     'laplace/exponential/kl-reverse': 'DominanceError',
     'laplace/exponential/renyi-alpha': (['0x1.c3d77812fb9b0p+0', '0x1.ae2913a206f9bp-4'], '0x1.423a6ec29cb40p-4', 136, True, 25),
