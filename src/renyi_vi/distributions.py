@@ -109,15 +109,22 @@ def _as_mean_cov(mu, cov, name: str):
 
 def make_gaussian(mean, cov) -> Density:
     """Gaussian density; ``cov`` may be a scalar variance, a diagonal, or a
-    full SPD matrix, of which the lower triangle is read."""
+    full SPD matrix, of which the lower triangle is read. Every entry read
+    must be finite."""
     mu, cov = _as_mean_cov(mean, cov, "make_gaussian")
     d = mu.size
+    if not all(map(math.isfinite, mu.tolist())):
+        raise ValueError(f"mean must be finite, got {mu.tolist()}")
     rows = cholesky_rows(cov.tolist())
     if rows is None:
-        raise ValueError("covariance must be symmetric positive definite")
+        raise ValueError("covariance must be finite and symmetric positive definite")
     # numpy's log, not math.log: the two differ in the last bit on a few
     # inputs in 1e4, and the 1-D constant and entropy keep their bits
     log_det = 2.0 * float(np.log(math.prod(row[i] for i, row in enumerate(rows))))
+    # a NaN or infinite entry of the lower triangle that fails no pivot
+    # leaves a NaN or infinite one, and so a log-determinant that is not finite
+    if not math.isfinite(log_det):
+        raise ValueError("covariance must be finite, with a finite log-determinant")
     const = -0.5 * (d * _LOG_2PI + log_det)
 
     if d == 1:
@@ -174,9 +181,11 @@ def make_gaussian(mean, cov) -> Density:
 
 def make_laplace(loc: float, scale: float) -> Density:
     """Laplace density with location k = loc and scale b; variance 2 b^2."""
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
     k, b = float(loc), float(scale)
+    if not (math.isfinite(k) and math.isfinite(b)):
+        raise ValueError(f"loc and scale must be finite, got {k}, {b}")
+    if b <= 0:
+        raise ValueError(f"scale must be positive, got {scale}")
     const = -np.log(2.0 * b)
 
     def log_pdf(x):

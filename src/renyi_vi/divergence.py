@@ -2,10 +2,15 @@
 a Monte-Carlo evidence upper bound, and the Holder lower bound on the Renyi
 integral.
 
-Two Gaussians are scored by the closed forms (Gil, Alajaji & Linder 2013),
-in Python floats from the Cholesky factor and log-determinant each Gaussian
-:class:`~renyi_vi.distributions.Density` holds; every other pair is scored
-by adaptive quadrature (dim <= 2).
+Closed forms, in Python floats from the parameters each
+:class:`~renyi_vi.distributions.Density` holds (a Gaussian's Cholesky factor
+and log-determinant, a Laplace's location and scale):
+
+- Renyi: two Gaussians (Gil, Alajaji & Linder 2013);
+- KL: two Gaussians, and a 1-D Gaussian against a Laplace in either
+  direction, chosen by ``kl_forward`` from one table keyed on the two kinds.
+
+Every other pair is scored by adaptive quadrature (dim <= 2).
 
 Infinity is a first-class value here: D_alpha is infinite whenever q fails
 to dominate p or the integral q (p/q)^alpha diverges, and both outcomes are
@@ -374,6 +379,36 @@ def _kl_gauss_closed(p: Density, q: Density) -> DivergenceEstimate:
     return DivergenceEstimate(max(value, 0.0), CLOSED_FORM, 0.0, None)
 
 
+_SQRT_2 = math.sqrt(2.0)
+_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+_LOG_2PI = math.log(2.0 * math.pi)
+
+
+def _kl_gauss_laplace(p: Density, q: Density) -> DivergenceEstimate:
+    """KL(N(mu, s^2) || Laplace(k, b)) = -H(N) + log 2b + E|X - k| / b, where
+    the folded normal's mean is, with d = mu - k,
+
+        E|X - k| = s sqrt(2/pi) exp(-d^2 / 2s^2) + d erf(d / (s sqrt 2)).
+    """
+    s = p.chol[0][0]
+    k, b = q.params["loc"], q.params["scale"]
+    d = p.mean.tolist()[0] - k
+    folded = s * _SQRT_2_OVER_PI * math.exp(-0.5 * (d / s) ** 2) + d * math.erf(d / (s * _SQRT_2))
+    value = -p.entropy + math.log(2.0 * b) + folded / b
+    return DivergenceEstimate(value, CLOSED_FORM, 0.0, None)
+
+
+def _kl_laplace_gauss(p: Density, q: Density) -> DivergenceEstimate:
+    """KL(Laplace(k, b) || N(mu, s^2)) = -H(L) + (1/2) log 2 pi s^2
+    + E(X - mu)^2 / 2s^2, with E(X - mu)^2 = (k - mu)^2 + 2 b^2."""
+    k, b = p.params["loc"], p.params["scale"]
+    s = q.chol[0][0]
+    d = k - q.mean.tolist()[0]
+    value = (-p.entropy + 0.5 * (_LOG_2PI + q.log_det)
+             + (d * d + 2.0 * b * b) / (2.0 * s * s))
+    return DivergenceEstimate(value, CLOSED_FORM, 0.0, None)
+
+
 def _kl_quadrature(p: Density, q: Density, rel_tol: float) -> DivergenceEstimate:
     if not dominates(p, q):
         return DivergenceEstimate(np.inf, QUADRATURE, 0.0, None)
@@ -417,12 +452,24 @@ def renyi(p: Density, q: Density, alpha: float, rel_tol: float = 1e-8) -> Diverg
     return renyi_quadrature(p, q, alpha, rel_tol=rel_tol)
 
 
+# KL(p || q) in closed form, by (p.kind, q.kind). A Laplace is 1-D, so its
+# Gaussian partner is too once the dimensions agree.
+_KL_CLOSED = {
+    ("gaussian", "gaussian"): _kl_gauss_closed,
+    ("gaussian", "laplace"): _kl_gauss_laplace,
+    ("laplace", "gaussian"): _kl_laplace_gauss,
+}
+
+
 def kl_forward(p: Density, q: Density, rel_tol: float = 1e-9) -> DivergenceEstimate:
-    """KL(p || q) = int p log(p/q); closed form when both inputs are Gaussian."""
+    """KL(p || q) = int p log(p/q): in closed form for a pair in
+    ``_KL_CLOSED`` (Gaussian/Gaussian of any dimension, and a 1-D Gaussian
+    against a Laplace either way), else by quadrature (dim <= 2)."""
     if p.dim != q.dim:
         raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    if p.kind == "gaussian" and q.kind == "gaussian":
-        return _kl_gauss_closed(p, q)
+    closed = _KL_CLOSED.get((p.kind, q.kind))
+    if closed is not None:
+        return closed(p, q)
     return _kl_quadrature(p, q, rel_tol)
 
 

@@ -135,13 +135,11 @@ def mvn_mean_model(mu0=(0.0, 0.0), Sigma=((1.0, 0.0), (0.0, 1.0))) -> BayesModel
     d = mu0.size
     if d > 2:
         raise ValueError("mvn_mean_model supports dim <= 2")
-    try:
-        chol = np.linalg.cholesky(Sigma)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("Sigma must be symmetric positive definite") from exc
+    prior = make_gaussian(mu0, Sigma)  # raises unless Sigma is finite and SPD
+    # simulate draws through LAPACK's factor, whose bits the seeded data keep
+    chol = np.linalg.cholesky(Sigma)
     Sinv = np.linalg.inv(Sigma)
-    log_det = 2.0 * float(np.log(np.diag(chol)).sum())
-    prior = make_gaussian(mu0, Sigma)
+    log_det = prior.log_det
 
     def loglik(data, thetas):
         x = np.asarray(data, dtype=float).reshape(-1, d)

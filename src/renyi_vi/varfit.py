@@ -6,11 +6,13 @@ objectives computable by closed form or quadrature, and a stochastic one
 that descends the Monte-Carlo evidence upper bound with central finite
 differences under common random numbers.
 
-Objectives are dispatched per pair: Gaussian/Gaussian uses the closed forms
-(validated against quadrature in the test suite), everything else is scored
-by quadrature. An infinite objective region (dominance failure or a
-divergent integral) is skipped by the grid and reported as an error only
-when the whole initial grid is infinite.
+Objectives are dispatched per pair by ``divergence.renyi`` and
+``kl_forward``: a Gaussian pair uses the closed forms, as do both KLs
+between a 1-D Gaussian and a Laplace (all validated against quadrature in
+the test suite); every other pair is scored by quadrature. An infinite
+objective region (dominance failure or a divergent integral) is skipped by
+the grid and reported as an error only when the whole initial grid is
+infinite.
 """
 
 from __future__ import annotations

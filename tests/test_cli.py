@@ -3,6 +3,7 @@ output files."""
 
 import inspect
 import json
+import math
 import subprocess
 import sys
 
@@ -267,8 +268,9 @@ class TestValuesTypedByTheirFunction:
          "'components[0]'"),
         (["--p", '{"kind":"gaussian","mean":0,"cov":1}', "--alpha", "2",
           "--kl", "forward"], "--alpha"),
+        (["--p", '{"kind":"gaussian","mean":0,"cov":NaN}', "--alpha", "2"], "finite"),
     ], ids=["missing-scale-in-p", "string-for-loc", "number-for-component",
-            "alpha-with-kl"])
+            "alpha-with-kl", "nan-cov"])
     def test_divergence_value(self, capsys, extra, named):
         code = run_cli(["divergence", "--q", '{"kind":"gaussian","mean":1,"cov":1}',
                         *extra])
@@ -399,6 +401,19 @@ class TestDivergenceCommand:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert abs(payload["value"] - 0.3181471805599453) <= 1e-9
+
+    def test_gauss_laplace_kl_is_closed_form(self, capsys):
+        code = run_cli([
+            "divergence",
+            "--p", '{"kind":"gaussian","mean":0,"cov":1}',
+            "--q", '{"kind":"laplace","loc":0,"scale":1}',
+            "--kl", "forward",
+        ])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        expect = math.log(2.0) + math.sqrt(2.0 / math.pi) - 0.5 * math.log(2.0 * math.pi * math.e)
+        assert payload["method"] == "closed-form"
+        assert abs(payload["value"] - expect) <= 1e-12
 
     def test_missing_mode_exits_one(self, capsys):
         code = run_cli([

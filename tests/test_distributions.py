@@ -103,6 +103,14 @@ class TestGaussian:
     @example(np.array([[1.0, 5.0], [0.5, 1.0]]))  # only the lower triangle is SPD
     @example(np.array([[1.0, 0.5], [5.0, 1.0]]))  # only the upper triangle is SPD
     def test_accepts_what_lapack_cholesky_accepts(self, cov):
+        """A NaN in the lower triangle, which is read, is rejected (LAPACK's
+        ``potrf`` passes a NaN pivot through); every finite lower triangle is
+        accepted exactly when np.linalg.cholesky accepts it."""
+        read = np.tril(cov) + np.tril(cov, -1).T  # the triangle that is read
+        if not np.all(np.isfinite(read)):
+            with pytest.raises(ValueError):
+                make_gaussian(np.zeros(len(cov)), cov)
+            return
         try:
             np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
@@ -116,9 +124,16 @@ class TestGaussian:
         else:
             assert lapack
             low = np.array([r + (0.0,) * (len(cov) - len(r)) for r in d.chol])
-            read = np.tril(cov) + np.tril(cov, -1).T  # the triangle that was read
-            if np.all(np.isfinite(read)):
-                assert np.abs(low @ low.T - read).max() <= 1e-14 * np.abs(read).max()
+            assert np.abs(low @ low.T - read).max() <= 1e-14 * np.abs(read).max()
+
+    @pytest.mark.parametrize("mean, cov", [
+        (math.nan, 1.0), (0.0, math.nan), (math.inf, 1.0), (0.0, math.inf),
+        ([0.0, -math.inf], np.eye(2)), ([0.0, 0.0], [[1.0, 0.0], [math.inf, 1.0]]),
+        ([0.0, 0.0], [[1.0, 0.0], [0.0, math.inf]]),
+    ])
+    def test_non_finite_rejected(self, mean, cov):
+        with pytest.raises(ValueError, match="finite"):
+            make_gaussian(mean, cov)
 
     @settings(derandomize=True, deadline=None, database=None)
     @given(gaussian_2d_and_points())
@@ -169,6 +184,10 @@ class TestScalarFamilies:
             (make_gamma, (1.0, 0.0)),
             (make_spike, (0.0, 0.0)),
             (make_uniform, (1.0, 1.0)),
+            (make_laplace, (math.nan, 1.0)),
+            (make_laplace, (math.inf, 1.0)),
+            (make_laplace, (0.0, math.nan)),
+            (make_laplace, (0.0, math.inf)),
         ],
     )
     def test_bad_parameters_rejected(self, ctor, args):

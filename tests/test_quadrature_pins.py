@@ -1,10 +1,11 @@
 """Bit-identity pins for 1-D quadrature.
 
-Each case is one seeded call to ``renyi_quadrature``, ``kl_forward``,
-``interval_mass`` or bare ``integrate``; its value, error estimate, panel
-count and convergence flag are pinned as ``float.hex``. A change meant to
-leave 1-D quadrature numerically alone must keep every pin. A change that
-moves them on purpose regenerates ``EXPECTED`` (``python
+Each case is one seeded call to ``renyi_quadrature``, ``kl_forward`` (or,
+for a pair that ``kl_forward`` scores in closed form, the ``_kl_quadrature``
+path behind it), ``interval_mass`` or bare ``integrate``; its value, error
+estimate, panel count and convergence flag are pinned as ``float.hex``. A
+change meant to leave 1-D quadrature numerically alone must keep every pin.
+A change that moves them on purpose regenerates ``EXPECTED`` (``python
 tests/test_quadrature_pins.py`` prints the table) and records the move in
 CHANGES.md.
 """
@@ -22,6 +23,7 @@ from renyi_vi.distributions import (
     make_mixture,
     make_uniform,
 )
+from renyi_vi import divergence
 from renyi_vi.divergence import kl_forward, renyi_quadrature
 from renyi_vi.models import exponential_model
 from renyi_vi.numerics import QuadratureSpec, integrate
@@ -56,6 +58,10 @@ def _kl(p, q):
     return lambda: kl_forward(p, q)
 
 
+def _kl_quadrature(p, q):
+    return lambda: divergence._kl_quadrature(p, q, 1e-9)
+
+
 def _integrate(f, *args, **kwargs):
     return lambda: integrate(f, QuadratureSpec(*args, **kwargs))
 
@@ -75,8 +81,8 @@ CASES = {
     "renyi-mixture-gauss": _renyi(
         make_mixture([0.3, 0.7], [make_gaussian(-1.0, 0.3), make_gaussian(1.0, 0.4)]),
         make_laplace(0.2, 1.5), 1.5),
-    "kl-gauss-laplace": _kl(GAUSS, LAPLACE),
-    "kl-laplace-gauss": _kl(LAPLACE, GAUSS),
+    "kl-gauss-laplace": _kl_quadrature(GAUSS, LAPLACE),
+    "kl-laplace-gauss": _kl_quadrature(LAPLACE, GAUSS),
     "kl-gauss-logistic": _kl(GAUSS_WIDE, LOGISTIC),
     "kl-gamma-gamma": _kl(GAMMA_P, GAMMA_Q),
     "kl-exp-posterior-gamma": _kl(EXP_POST, EXP_GAMMA),
