@@ -3,10 +3,9 @@ ad-hoc divergence evaluation.
 
 Configuration is a single JSON file per run (``divergence`` takes flags
 only: --p, --q and one of --alpha or --kl). Seed precedence is ``--seed``
-flag > ``RENYI_VI_SEED`` environment variable > config value. Exit codes: 0
-success/criteria pass, 1 usage or config error, 2 ran but failed
-(non-convergence, dominance failure, or failed verdicts; outputs are still
-written).
+flag > config value. Exit codes: 0 success/criteria pass, 1 usage or config
+error, 2 ran but failed (non-convergence, dominance failure, or failed
+verdicts; outputs are still written).
 
 Each subcommand's ``--help`` lists its config keys; fit's objective is one of
 renyi-alpha, kl-forward, kl-reverse or mc-upper-bound. An experiment's keys and
@@ -22,7 +21,6 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-import os
 import sys
 import textwrap
 import time
@@ -77,20 +75,12 @@ def _load_config(path: str) -> dict:
 
 
 def _resolve_seed(args, config: dict, where: str):
-    """--seed, else RENYI_VI_SEED, else the config's seed (type-checked in any case)."""
+    """--seed, else the config's seed (type-checked in any case)."""
     seed = config.get("seed")
     if seed is not None:
         check_type(where, "seed", seed, 0)
         seed = int(seed)
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("RENYI_VI_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise _CliError(f"RENYI_VI_SEED must be an integer, got {env!r}")
-    return seed
+    return args.seed if getattr(args, "seed", None) is not None else seed
 
 
 def _outdir(args, config: dict, tag: str) -> Path:
@@ -273,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Mass-covering variational inference: fits, good-sequence audits, "
             "experiments and ad-hoc divergences. Configs are JSON files; seed "
-            "precedence is --seed > RENYI_VI_SEED > config."
+            "precedence is --seed > config."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -206,9 +206,11 @@ def make_laplace(loc: float, scale: float) -> Density:
 
 def make_logistic(loc: float, scale: float) -> Density:
     """Logistic density with mean m = loc and scale s; variance s^2 pi^2 / 3."""
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
     m, s = float(loc), float(scale)
+    if not (math.isfinite(m) and math.isfinite(s)):
+        raise ValueError(f"loc and scale must be finite, got {m}, {s}")
+    if s <= 0:
+        raise ValueError(f"scale must be positive, got {scale}")
 
     def log_pdf(x):
         z = (np.asarray(x, dtype=float).reshape(-1) - m) / (2.0 * s)
@@ -231,10 +233,11 @@ def make_logistic(loc: float, scale: float) -> Density:
 
 def make_gamma(shape: float, rate: float) -> Density:
     """Gamma density with shape k and rate beta; mean k/beta, var k/beta^2."""
-    if shape <= 0 or rate <= 0:
+    k, beta = float(shape), float(rate)
+    if not (math.isfinite(k) and math.isfinite(beta)):
+        raise ValueError(f"shape and rate must be finite, got {k}, {beta}")
+    if k <= 0 or beta <= 0:
         raise ValueError(f"shape and rate must be positive, got {shape}, {rate}")
-    k = float(shape)
-    beta = float(rate)
     const = k * np.log(beta) - gammaln(k)
 
     def log_pdf(x):
@@ -261,10 +264,12 @@ def make_gamma(shape: float, rate: float) -> Density:
 
 
 def make_uniform(lo: float, hi: float) -> Density:
+    """Uniform density on the bounded interval [lo, hi]."""
+    lo, hi = float(lo), float(hi)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"lo and hi must be finite, got {lo}, {hi}")
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    lo = float(lo)
-    hi = float(hi)
     const = -np.log(hi - lo)
 
     def log_pdf(x):
@@ -304,8 +309,8 @@ def make_mixture(weights: Sequence[float], components: Sequence[Density]) -> Den
     comps = tuple(components)
     if w.size != len(comps) or w.size == 0:
         raise ValueError("weights and components must be non-empty and aligned")
-    if np.any(w <= 0.0) or np.any(w >= 1.0):
-        raise ValueError("mixture weights must lie strictly inside (0, 1)")
+    if not np.all((w > 0.0) & (w < 1.0)):  # also false for a NaN weight
+        raise ValueError(f"mixture weights must be finite and inside (0, 1), got {w.tolist()}")
     if abs(float(w.sum()) - 1.0) > 1e-12:
         raise ValueError(f"mixture weights must sum to 1, got {w.sum()!r}")
     dims = {c.dim for c in comps}

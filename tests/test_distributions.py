@@ -188,6 +188,18 @@ class TestScalarFamilies:
             (make_laplace, (math.inf, 1.0)),
             (make_laplace, (0.0, math.nan)),
             (make_laplace, (0.0, math.inf)),
+            (make_logistic, (math.nan, 1.0)),
+            (make_logistic, (-math.inf, 1.0)),
+            (make_logistic, (0.0, math.nan)),
+            (make_logistic, (0.0, math.inf)),
+            (make_gamma, (math.nan, 1.0)),
+            (make_gamma, (math.inf, 1.0)),
+            (make_gamma, (2.0, math.nan)),
+            (make_gamma, (2.0, math.inf)),
+            (make_uniform, (math.nan, 1.0)),
+            (make_uniform, (-math.inf, 1.0)),
+            (make_uniform, (0.0, math.nan)),
+            (make_uniform, (0.0, math.inf)),
         ],
     )
     def test_bad_parameters_rejected(self, ctor, args):
@@ -267,6 +279,12 @@ class TestMixture:
     def test_weights_strictly_inside_unit_interval(self):
         with pytest.raises(ValueError):
             make_mixture([1.0], [make_gaussian(0, 1)])
+
+    @pytest.mark.parametrize("weights", [[math.nan, 0.5], [math.nan, math.nan],
+                                         [math.inf, 0.5], [-math.inf, 0.5]])
+    def test_non_finite_weights_rejected(self, weights):
+        with pytest.raises(ValueError, match="finite"):
+            make_mixture(weights, [make_gaussian(0, 1), make_gaussian(1, 1)])
 
     def test_moments(self):
         mix = make_mixture([0.5, 0.5], [make_gaussian(-1, 1), make_gaussian(1, 1)])

@@ -64,15 +64,15 @@ def outcome(case):
 
 
 PINS = {
-    'gamma/exponential/kl-forward': (['0x1.c4d070a09a801p+0', '0x1.ff065ea07810dp-4'], '0x1.d5df0c5654000p-41', 154, True, 22),
+    'gamma/exponential/kl-forward': (['0x1.c4d070a61f946p+0', '0x1.ff0654b2958d0p-4'], '0x1.ebcba84b80000p-41', 170, True, 22),
     'gamma/exponential/kl-reverse': 'DominanceError',
-    'gamma/exponential/renyi-alpha': (['0x1.c4d073c4086aep+0', '0x1.ff0664453c230p-4'], '-0x1.2200000000000p-45', 175, True, 17),
+    'gamma/exponential/renyi-alpha': (['0x1.c4d0741b05acbp+0', '0x1.ff0661caa4a02p-4'], '0x1.6800000000000p-46', 172, True, 18),
     'gamma/gaussian-mean/kl-forward': 'DominanceError',
     'gamma/gaussian-mean/kl-reverse': (['0x1.1764c9a47f0ecp-1', '0x1.1f4d019d2a4e6p-4'], '0x1.6c8634fa3171ap-8', 145, True, 23),
     'gamma/gaussian-mean/renyi-alpha': 'DominanceError',
-    'gaussian/exponential/kl-forward': (['0x1.c4d073942f5a0p+0', '0x1.ff065e7fd88cfp-4'], '0x1.b346298fdd130p-10', 112, True, 18),
+    'gaussian/exponential/kl-forward': (['0x1.c4d073942f5b7p+0', '0x1.ff065fa662b2dp-4'], '0x1.b346298fe1ef2p-10', 112, True, 18),
     'gaussian/exponential/kl-reverse': 'DominanceError',
-    'gaussian/exponential/renyi-alpha': (['0x1.c3c403a5416c0p+0', '0x1.63f784e3980bap-2'], '0x1.6d2af4fb90048p-1', 209, True, 9),
+    'gaussian/exponential/renyi-alpha': (['0x1.c3c403405dc46p+0', '0x1.63f784e3980c8p-2'], '0x1.6d2af4fb900acp-1', 208, True, 9),
     'gaussian/gaussian-mean/kl-forward': (['0x1.1757844ad3ecdp-1', '0x1.20e8d9a918a16p-4'], '0x1.0000000000000p-51', 113, True, 18),
     'gaussian/gaussian-mean/kl-reverse': (['0x1.1757844ad3ecdp-1', '0x1.20e8d924823fep-4'], '0x0.0p+0', 112, True, 20),
     'gaussian/gaussian-mean/renyi-alpha': (['0x1.1757844ad3ecdp-1', '0x1.20e8d9478ae63p-4'], '0x0.0p+0', 114, True, 11),
@@ -81,16 +81,16 @@ PINS = {
     'isotropic-gaussian-2d/aniso-2d/kl-reverse': (['0x0.0p+0', '0x0.0p+0', '0x1.be59eba41dde0p-2'], '0x1.a925ae2cbedffp-1', 255, True, 9),
     'isotropic-gaussian-2d/aniso-2d/renyi-alpha': (['0x0.0p+0', '0x0.0p+0', '0x1.328810faebfcdp+0'], '0x1.0ef9dd172adcbp+0', 334, True, 10),
     'isotropic-gaussian-2d/stochastic': (['0x1.2049a927b7561p-5', '-0x1.2470931287141p-5', '0x1.3825c1cd0f897p+0'], '0x1.0faaaccfa312fp+0', 1400, True, 200),
-    'laplace/exponential/kl-forward': (['0x1.c41044ca25cd9p+0', '0x1.977508c86f985p-4'], '0x1.949336043e6d0p-5', 116, True, 23),
+    'laplace/exponential/kl-forward': (['0x1.c41044ca261f7p+0', '0x1.977508c97e4eep-4'], '0x1.949336043e95ap-5', 116, True, 23),
     'laplace/exponential/kl-reverse': 'DominanceError',
-    'laplace/exponential/renyi-alpha': (['0x1.c3d77812fb9b0p+0', '0x1.ae2913a206f9bp-4'], '0x1.423a6ec29cb40p-4', 136, True, 25),
+    'laplace/exponential/renyi-alpha': (['0x1.c3d77813cf12cp+0', '0x1.ae2914c9a17cep-4'], '0x1.423a6ec29cda0p-4', 134, True, 25),
     'laplace/gaussian-mean/kl-forward': (['0x1.1757844ad3ecdp-1', '0x1.cd08702d21df9p-5'], '0x1.8ca26d2af6770p-5', 112, True, 22),
     'laplace/gaussian-mean/kl-reverse': (['0x1.1757844ad3ecdp-1', '0x1.98946f43c168ap-5'], '0x1.28682473d0de0p-4', 112, True, 20),
     'laplace/gaussian-mean/renyi-alpha': (['0x1.1757844ad3ecdp-1', '0x1.e672e15d9053cp-5'], '0x1.3e0e8763eebc0p-4', 112, True, 20),
     'laplace/stochastic': (['0x1.718fe9754b412p-2', '0x1.003a09481637ap-2'], '0x1.423508c0f1aa0p-4', 300, True, 60),
-    'logistic/exponential/kl-forward': (['0x1.c4686b3583a27p+0', '0x1.2402ee826be09p-4'], '0x1.5dcfc77915286p-7', 130, True, 23),
+    'logistic/exponential/kl-forward': (['0x1.c4686b3583984p+0', '0x1.2402edb16a59ep-4'], '0x1.5dcfc779158f5p-7', 128, True, 23),
     'logistic/exponential/kl-reverse': 'DominanceError',
-    'logistic/exponential/renyi-alpha': (['0x1.c43df77ffe556p+0', '0x1.2962a10a18112p-4'], '0x1.112db548b4bc0p-6', 131, True, 23),
+    'logistic/exponential/renyi-alpha': (['0x1.c43df77f33917p+0', '0x1.2962a10a81d88p-4'], '0x1.112db548b5600p-6', 131, True, 22),
     'logistic/gaussian-mean/kl-forward': (['0x1.1757844ad3ecdp-1', '0x1.4a68a5e267d4fp-5'], '0x1.37ad39e36ca1fp-7', 111, True, 20),
     'logistic/gaussian-mean/kl-reverse': (['0x1.1757844ad3ecdp-1', '0x1.3e9181686efebp-5'], '0x1.d69f7e1bfc97ep-7', 112, True, 20),
     'logistic/gaussian-mean/renyi-alpha': (['0x1.1757844ad3ecdp-1', '0x1.501d7f3c0c991p-5'], '0x1.efc5cc1abcd80p-7', 112, True, 18),

@@ -135,8 +135,8 @@ EXPECTED = {
     'renyi-gamma-gamma-1.5': ('0x1.bfa13479be6c0p-6', '0x1.a303dae2d07fap-30', 36, True),
     'renyi-gamma-gamma-2.0': ('0x1.241285473d7d0p-5', '0x1.6477ddb2094f5p-31', 36, True),
     'renyi-gamma-gamma-5.0': ('0x1.43f055106523cp-4', '0x1.6b0cbecbe582bp-37', 36, True),
-    'renyi-exp-posterior-gamma-2.0': ('0x1.401acf0fa3fb4p+1', '0x1.01c4e1e83281ap-44', 40, True),
-    'renyi-exp-posterior-gamma-20.0': ('0x1.75cdf81f079a3p+3', '0x1.b09d4774a6ea5p-47', 47, True),
+    'renyi-exp-posterior-gamma-2.0': ('0x1.401acf0fa3fcdp+1', '0x1.01c42d1699f24p-44', 40, True),
+    'renyi-exp-posterior-gamma-20.0': ('0x1.75cdf81f079b7p+3', '0x1.be68469fc9498p-47', 47, True),
     'renyi-laplace-logistic-2.0': ('0x1.28c0dbaf6d776p-2', '0x1.46f70a34918d6p-63', 39, True),
     'renyi-inf-tail': ('inf', '0x0.0p+0', 0, True),
     'renyi-inf-dominance': ('inf', '0x0.0p+0', 0, True),
@@ -147,7 +147,7 @@ EXPECTED = {
     'kl-laplace-gauss': ('0x1.d74cb1cbc98adp-4', '0x1.af1a153810c38p-38', 42, True),
     'kl-gauss-logistic': ('0x1.f4eb678205ef1p-5', '0x1.68526a09b358dp-63', 39, True),
     'kl-gamma-gamma': ('0x1.310f4e9747328p-6', '0x1.52d5f6b2e30d0p-46', 37, True),
-    'kl-exp-posterior-gamma': ('0x1.57dd321b17365p+0', '0x1.90b1cacdbada6p-50', 40, True),
+    'kl-exp-posterior-gamma': ('0x1.57dd321b1738cp+0', '0x1.90b72170031e2p-50', 40, True),
     'kl-bounded-uniform': ('0x1.dccf46f5ed59ap-2', '0x1.1506ad7f08e30p-64', 12, True),
     'kl-moment-free': ('0x1.1b60a35a27021p-2', '0x1.2bd5e70156408p-33', 23, True),
     'kl-inf-dominance': ('inf', '0x0.0p+0', 0, True),
@@ -155,7 +155,7 @@ EXPECTED = {
     'mass-laplace': ('0x1.4848cbbe49547p-2',),
     'mass-logistic': ('0x1.a00694aae1f37p-1',),
     'mass-gamma': ('0x1.aaadb1c0ec609p-1',),
-    'mass-exp-posterior': ('0x1.9196a808785dfp-2',),
+    'mass-exp-posterior': ('0x1.9196a808785fcp-2',),
     'mass-gauss-merged-bulk-points': ('0x1.ffffffed768fcp-1',),
     'integrate-normal-line': ('0x1.40d931ff6b6a3p+1', '0x1.2b10789f40037p-25', 8, True),
     'integrate-half-line-bps': ('0x1.80000000081c1p+2', '0x1.09fa7720255f0p-19', 6, True),
