@@ -62,7 +62,6 @@ from .varfit import (
     FitResult,
     VariationalFamily,
     fit,
-    fit_stochastic,
     gamma_family,
     gaussian_family,
     isotropic_gaussian_family,

@@ -8,7 +8,7 @@ error, 2 ran but failed (non-convergence, dominance failure, or failed
 verdicts; outputs are still written).
 
 Each subcommand's ``--help`` lists its config keys; fit's objective is one of
-renyi-alpha, kl-forward, kl-reverse or mc-upper-bound. An experiment's keys and
+renyi-alpha, kl-forward or kl-reverse. An experiment's keys and
 their defaults are its runner's parameters (experiment_keys), with ``seeds``
 also given by ``n_seeds``; a model or density spec's keys are the parameters
 of the function its "name" or "kind" selects (renyi_vi.config). Every value's
@@ -33,7 +33,7 @@ from .divergence import kl_forward, kl_reverse, renyi
 from .experiments import write_report
 from .goodseq import AUDIT_COLUMNS
 from .models import load_data_csv
-from .varfit import DominanceError, fit, fit_stochastic
+from .varfit import OBJECTIVE_KINDS, DominanceError, fit
 
 # Experiment name -> runner. Each runner's signature gives the experiment's
 # config keys and their defaults. The CLI calls the runner by name, as an
@@ -117,17 +117,16 @@ def _resolve_data(config: dict, model, seed):
     return model.simulate(float(spec["theta0"]), int(spec["n"]), int(seed))
 
 
-# Numeric fit settings: each is a parameter of fit, of fit_stochastic or of
-# both, whose signature gives its type and its default.
-_FIT_NUMBERS = ("budget", "steps", "batch_size", "quad_tol")
+# Numeric fit settings: each is a parameter of fit, whose signature gives its
+# type and its default.
+_FIT_NUMBERS = ("budget", "quad_tol")
 # The fit config's other plain values, each with a default of its type.
 _FIT_VALUES = {"data": {}, "family": "", "objective": "", "alpha": None, "outdir": ""}
 
 
 def cmd_fit(args) -> int:
     config = _load_config(args.config)
-    params = {**inspect.signature(fit).parameters,
-              **inspect.signature(fit_stochastic).parameters}
+    params = inspect.signature(fit).parameters
     typed = {**_FIT_VALUES, **{key: params[key].default for key in _FIT_NUMBERS}}
     check_keys(config, {"model", "target", "seed", *typed}, "fit config")
     for key, default in typed.items():
@@ -137,13 +136,14 @@ def cmd_fit(args) -> int:
     if "family" not in config or "objective" not in config:
         raise _CliError("fit config needs 'family' and 'objective'")
     objective = config["objective"]
+    if objective not in OBJECTIVE_KINDS:
+        raise _CliError(f"unknown objective {objective!r}; valid kinds: "
+                        + ", ".join(OBJECTIVE_KINDS))
     alpha = config.get("alpha")
-    fitter = fit_stochastic if objective == "mc-upper-bound" else fit
-    # the numeric settings that fitter takes, cast to their defaults' types
-    numbers = {key: type(typed[key])(config[key]) for key in _FIT_NUMBERS
-               if key in config and key in inspect.signature(fitter).parameters}
-    if objective in ("renyi-alpha", "mc-upper-bound") and alpha is None:
-        raise _CliError(f"objective {objective!r} requires 'alpha'")
+    # the numeric settings, cast to their defaults' types
+    numbers = {key: type(typed[key])(config[key]) for key in _FIT_NUMBERS if key in config}
+    if objective == "renyi-alpha" and alpha is None:
+        raise _CliError("objective 'renyi-alpha' requires 'alpha'")
     family = build_family(config["family"])
     if "target" in config:
         target = build_density(config["target"])
@@ -156,17 +156,11 @@ def cmd_fit(args) -> int:
 
     out = _outdir(args, config, "fit")
     try:
-        if objective == "mc-upper-bound":
-            result = fit_stochastic(
-                target, family, float(alpha),
-                seed=int(seed if seed is not None else 0), **numbers,
-            )
-        else:
-            result = fit(
-                target, family, objective,
-                alpha=None if alpha is None else float(alpha),
-                seed=seed, **numbers,
-            )
+        result = fit(
+            target, family, objective,
+            alpha=None if alpha is None else float(alpha),
+            seed=seed, **numbers,
+        )
     except DominanceError as exc:
         payload = {"error": "dominance", "message": str(exc), "config": config}
         with open(out / "fit.json", "w") as fh:

@@ -40,7 +40,6 @@ from .numerics import (
 __all__ = [
     "CLOSED_FORM",
     "QUADRATURE",
-    "MONTE_CARLO",
     "OVERFLOW_NATS",
     "DivergenceEstimate",
     "MCUpperBound",
@@ -55,7 +54,6 @@ __all__ = [
 
 CLOSED_FORM = "closed-form"
 QUADRATURE = "quadrature"
-MONTE_CARLO = "monte-carlo"
 
 # Log-integrand excess over the shift beyond which the Renyi integral is
 # declared divergent. The shift is the log-integrand's maximum over both

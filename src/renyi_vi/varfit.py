@@ -1,10 +1,8 @@
 """Minimize a divergence objective over a parametric variational family.
 
-Two optimizers: a deterministic one (coarse grid over location x log-spaced
-grid over scale, then coordinate line searches by Brent's method) for
-objectives computable by closed form or quadrature, and a stochastic one
-that descends the Monte-Carlo evidence upper bound with central finite
-differences under common random numbers.
+One deterministic optimizer: a coarse grid over location x log-spaced grid
+over scale, then coordinate line searches by Brent's method, minimizing the
+alpha-Renyi divergence (alpha > 1), the forward KL or the reverse KL.
 
 Objectives are dispatched per pair by ``divergence.renyi`` and
 ``kl_forward``: a Gaussian pair uses the closed forms, as do both KLs
@@ -25,14 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .distributions import Density, make_gamma, make_gaussian, make_laplace, make_logistic
-from .divergence import (
-    MONTE_CARLO,
-    DivergenceEstimate,
-    kl_forward,
-    kl_reverse,
-    renyi,
-    renyi_quadrature,
-)
+from .divergence import DivergenceEstimate, kl_forward, kl_reverse, renyi
 from .models import BayesModel
 
 __all__ = [
@@ -47,10 +38,9 @@ __all__ = [
     "gamma_family",
     "isotropic_gaussian_family",
     "fit",
-    "fit_stochastic",
 ]
 
-OBJECTIVE_KINDS = ("renyi-alpha", "kl-reverse", "kl-forward", "mc-upper-bound")
+OBJECTIVE_KINDS = ("renyi-alpha", "kl-reverse", "kl-forward")
 
 
 class DominanceError(ValueError):
@@ -61,12 +51,12 @@ class DominanceError(ValueError):
 class VariationalFamily:
     """Parametric map from a parameter vector to a Density.
 
+    ``unpack`` builds the member from its parameters, and ``init_from`` gives
+    the parameters a fit starts from, matched to a target's moments.
     ``param_roles`` marks each coordinate "location", "positive" (a location
     that must stay above 0, such as a Gamma mean) or "scale". Positive and
     scale coordinates are optimized in log space, and the family's dimension
-    is its number of locations. ``std_sampler`` draws the standard variates
-    of a location-scale family, whose last coordinate is its one scale:
-    theta = locations + scale * eps. It is None for other families.
+    is its number of locations.
     """
 
     name: str
@@ -74,7 +64,6 @@ class VariationalFamily:
     param_roles: tuple[str, ...]
     unpack: Callable[[np.ndarray], Density]
     init_from: Callable[[Density], np.ndarray]
-    std_sampler: Callable[[np.random.Generator, int], np.ndarray] | None = None
 
     @property
     def dim(self) -> int:
@@ -95,10 +84,6 @@ class VariationalFamily:
             if role != "location":
                 out[i] = math.log(out[i])
         return out
-
-    def assemble(self, params: np.ndarray, eps: np.ndarray) -> np.ndarray:
-        """Draws of a location-scale member from its standard variates."""
-        return params[:-1] + params[-1] * eps
 
 
 @dataclass
@@ -149,7 +134,7 @@ def _target_sd(target: Density) -> np.ndarray:
     return np.sqrt(np.diag(cov))
 
 
-def _location_scale(name, param_names, make, start_scale, std_sampler) -> VariationalFamily:
+def _location_scale(name, param_names, make, start_scale) -> VariationalFamily:
     """A 1-D family of members ``make(location, scale)``, started at the
     target's mean and at the scale ``start_scale(sd)`` that matches its sd."""
     return VariationalFamily(
@@ -160,25 +145,22 @@ def _location_scale(name, param_names, make, start_scale, std_sampler) -> Variat
         init_from=lambda t: np.array(
             [float(np.atleast_1d(t.mean)[0]), start_scale(_target_sd(t)[0])]
         ),
-        std_sampler=std_sampler,
     )
 
 
 def gaussian_family() -> VariationalFamily:
     return _location_scale("gaussian", ("mean", "sd"), lambda m, s: make_gaussian(m, s**2),
-                           lambda sd: sd, lambda rng, n: rng.standard_normal(n))
+                           lambda sd: sd)
 
 
 def laplace_family() -> VariationalFamily:
     return _location_scale("laplace", ("loc", "scale"), make_laplace,
-                           lambda sd: sd / math.sqrt(2.0),
-                           lambda rng, n: rng.laplace(0.0, 1.0, size=n))
+                           lambda sd: sd / math.sqrt(2.0))
 
 
 def logistic_family() -> VariationalFamily:
     return _location_scale("logistic", ("loc", "scale"), make_logistic,
-                           lambda sd: sd * math.sqrt(3.0) / math.pi,
-                           lambda rng, n: rng.logistic(0.0, 1.0, size=n))
+                           lambda sd: sd * math.sqrt(3.0) / math.pi)
 
 
 def gamma_family() -> VariationalFamily:
@@ -213,7 +195,6 @@ def isotropic_gaussian_family() -> VariationalFamily:
         param_roles=("location", "location", "scale"),
         unpack=unpack,
         init_from=init_from,
-        std_sampler=lambda rng, n: rng.standard_normal((n, 2)),
     )
 
 
@@ -240,9 +221,7 @@ def _make_scorer(target: Density, family: VariationalFamily, kind: str,
             return renyi(target, q, alpha, rel_tol=quad_tol)
         if kind == "kl-forward":
             return kl_forward(target, q, rel_tol=quad_tol)
-        if kind == "kl-reverse":
-            return kl_reverse(target, q, rel_tol=quad_tol)
-        raise ValueError("mc-upper-bound is served by fit_stochastic")
+        return kl_reverse(target, q, rel_tol=quad_tol)
 
     return estimate
 
@@ -362,9 +341,7 @@ def fit(
     is infinite on the entire initial grid. ``budget`` caps objective
     evaluations; a fit stopped by it returns the best point it scored.
     """
-    if objective_kind == "mc-upper-bound":
-        raise ValueError("the mc-upper-bound objective is served by fit_stochastic")
-    _, target = _resolve_log_joint(target, family)
+    target = _target_density(target, family)
     score = _make_scorer(target, family, objective_kind, alpha, quad_tol)
     obj = _Objective(score, family, budget)
 
@@ -488,153 +465,14 @@ def fit(
     )
 
 
-def _resolve_log_joint(target, family: VariationalFamily):
-    """(log_joint, target density) of a Density or a (BayesModel, data)
-    pair; the target's dimension must be the family's."""
-    if isinstance(target, Density):
-        log_joint = target.log_pdf
-    elif isinstance(target, tuple) and len(target) == 2 and isinstance(target[0], BayesModel):
+def _target_density(target, family: VariationalFamily) -> Density:
+    """The density a Density or a (BayesModel, data) pair stands for: itself,
+    or the model's exact posterior. Its dimension must be the family's."""
+    if isinstance(target, tuple) and len(target) == 2 and isinstance(target[0], BayesModel):
         model, data = target
-        data = np.asarray(data, dtype=float)
-
-        def log_joint(theta):
-            th = np.atleast_1d(theta)
-            if model.dim == 1:
-                th1 = th.reshape(-1)
-                return model.prior.log_pdf(th1) + model.loglik(data, th1)
-            th2 = th.reshape(-1, model.dim)
-            return model.prior.log_pdf(th2) + model.loglik(data, th2)
-
-        target = model.exact_posterior(data)
-    else:
+        target = model.exact_posterior(np.asarray(data, dtype=float))
+    elif not isinstance(target, Density):
         raise TypeError("target must be a Density or a (BayesModel, data) pair")
     if target.dim != family.dim:
         raise ValueError(f"family dim {family.dim} != target dim {target.dim}")
-    return log_joint, target
-
-
-def fit_stochastic(
-    target,
-    family: VariationalFamily,
-    alpha: float,
-    steps: int = 2000,
-    batch_size: int = 256,
-    step_size: Callable[[int], float] | float | None = None,
-    seed: int = 0,
-    quad_tol: float = 1e-8,
-) -> FitResult:
-    """Stochastic descent of the Monte-Carlo evidence upper bound.
-
-    Gradients are central finite differences in internal coordinates with
-    common random numbers (the same standard draws are pushed through both
-    sides of every difference), so each step is a deterministic function of
-    (seed, step index). Final parameters are re-scored by the quadrature
-    Renyi objective when the dimension allows it. A fit converged when its
-    final Monte-Carlo bound is finite and its re-scored objective is not
-    infinite: the bound keeps falling as q runs away from the posterior.
-    """
-    if not alpha > 1.0:
-        raise ValueError(f"alpha must exceed 1, got {alpha}")
-    if family.std_sampler is None:
-        raise ValueError(
-            f"family {family.name!r} has no location-scale reparameterization"
-        )
-    log_joint, target_density = _resolve_log_joint(target, family)
-
-    if step_size is None:
-        sched = lambda t: 0.25 / (1.0 + 16.0 * t / max(steps, 1))
-    elif callable(step_size):
-        sched = step_size
-    else:
-        sched = lambda t: float(step_size)
-
-    z = family.internal(family.init_from(target_density))
-    p = len(z)
-    h = 1e-4
-
-    def surrogate(zv: np.ndarray, eps: np.ndarray) -> float:
-        if not np.all(np.isfinite(zv)):
-            return np.inf
-        try:
-            params = family.natural(zv)
-            q = family.unpack(params)
-        except (ValueError, OverflowError):
-            return np.inf  # parameters blown out of the representable range
-        theta = family.assemble(params, eps)
-        lw = np.asarray(log_joint(theta), dtype=float) - q.log_pdf(theta)
-        m = float(np.max(alpha * lw))
-        if m == -np.inf:
-            return np.inf
-        return (m + math.log(float(np.mean(np.exp(alpha * lw - m))))) / alpha
-
-    trace: list[dict] = []
-    f_init = None
-    best = (np.inf, z.copy())
-    for t in range(steps):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(t,)))
-        eps = family.std_sampler(rng, batch_size)
-        f0 = surrogate(z, eps)
-        if f_init is None:
-            f_init = f0
-        if f0 > f_init + 1e3:
-            err = RuntimeError(
-                f"divergent trajectory at step {t}: objective {f0:.3g} "
-                f"exceeds initial {f_init:.3g} + 1e3"
-            )
-            err.trace = trace  # type: ignore[attr-defined]
-            raise err
-        accepted = f0 < best[0]
-        if accepted:
-            best = (f0, z.copy())
-        trace.append(
-            {"step": t, "params": family.natural(z).tolist(), "objective": f0,
-             "accepted": accepted}
-        )
-        grad = np.empty(p)
-        for i in range(p):
-            zp = z.copy()
-            zm = z.copy()
-            zp[i] += h
-            zm[i] -= h
-            grad[i] = (surrogate(zp, eps) - surrogate(zm, eps)) / (2.0 * h)
-        z = z - sched(t) * grad
-        if t == (3 * steps) // 4:
-            z_tail_sum = z.copy()
-            n_tail = 1
-        elif t > (3 * steps) // 4:
-            z_tail_sum += z
-            n_tail += 1
-
-    # average the tail iterates: same minimizer, much lower noise floor
-    if steps >= 8:
-        z = z_tail_sum / n_tail
-
-    params = family.natural(z)
-    q_final = family.unpack(params)
-    if family.dim <= 2:
-        objective = renyi_quadrature(target_density, q_final, alpha, rel_tol=quad_tol)
-    else:
-        objective = DivergenceEstimate(np.nan, MONTE_CARLO, np.nan, alpha)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(steps,)))
-    eps = family.std_sampler(rng, batch_size)
-    final_mc = surrogate(z, eps)
-    return FitResult(
-        params=params,
-        density=q_final,
-        objective=objective,
-        objective_kind="mc-upper-bound",
-        trace=trace,
-        converged=bool(np.isfinite(final_mc) and not np.isinf(objective.value)),
-        seed=seed,
-        n_evals=steps * (1 + 2 * p),
-        config={
-            "family": family.name,
-            "param_names": list(family.param_names),
-            "objective_kind": "mc-upper-bound",
-            "alpha": alpha,
-            "steps": steps,
-            "batch_size": batch_size,
-            "quad_tol": quad_tol,
-        },
-        extras={"final_mc_bound": float(final_mc)},
-    )
+    return target

@@ -85,19 +85,33 @@ class TestFitCommand:
         # posterior mean (mu0 + sum x)/(n+1) = 2.2/5
         assert abs(payload["params"][0] - 0.44) <= 1e-6
 
-    def test_stochastic_objective(self, tmp_path):
+    @pytest.mark.parametrize("objective", ["mc-upper-bound", "bogus"])
+    def test_unknown_objective_exits_one_before_any_work(self, tmp_path, capsys,
+                                                         objective):
         cfg = write_config(tmp_path, "fit.json", {
-            "model": GM, "data": {"theta0": 0.5, "n": 10, "seed": 1},
-            "family": "gaussian", "objective": "mc-upper-bound", "alpha": 2.0,
-            "steps": 120, "batch_size": 64, "seed": 0,
+            "model": GM, "data": {"theta0": 0.5, "n": 20, "seed": 0},
+            "family": "gaussian", "objective": objective, "alpha": 2.0,
             "outdir": str(tmp_path / "out"),
         })
-        assert run_cli(["fit", cfg]) == 0
+        assert run_cli(["fit", cfg]) == 1
+        err = capsys.readouterr().err
+        assert all(kind in err for kind in varfit.OBJECTIVE_KINDS)
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["steps", "batch_size"])
+    def test_stochastic_settings_are_unknown_keys(self, tmp_path, capsys, key):
+        cfg = write_config(tmp_path, "fit.json", {
+            "model": GM, "data": {"n": 20}, "family": "gaussian",
+            "objective": "renyi-alpha", "alpha": 2.0, key: 64,
+        })
+        assert run_cli(["fit", cfg]) == 1
+        err = capsys.readouterr().err
+        assert f"unknown key(s) [{key!r}]" in err
 
     @pytest.mark.parametrize("objective, key", [
         ("kl-forward", "budget"), ("renyi-alpha", "quad_tol"),
-        ("mc-upper-bound", "steps"), ("kl-forward", "alpha"),
-        ("kl-forward", "seed"),
+        ("kl-forward", "alpha"), ("kl-forward", "seed"),
     ])
     def test_wrongly_typed_value_exits_one_naming_it(self, tmp_path, capsys,
                                                       objective, key):
@@ -109,22 +123,21 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert repr(key) in err and "Traceback" not in err
 
-    def test_stochastic_objective_scores_at_quad_tol(self, tmp_path, monkeypatch):
+    def test_fit_scores_at_quad_tol(self, tmp_path, monkeypatch):
         tols = []
 
         def recording(*args, rel_tol, **kwargs):
             tols.append(rel_tol)
-            return divergence.renyi_quadrature(*args, rel_tol=rel_tol, **kwargs)
+            return divergence.renyi(*args, rel_tol=rel_tol, **kwargs)
 
-        monkeypatch.setattr(varfit, "renyi_quadrature", recording)
+        monkeypatch.setattr(varfit, "renyi", recording)
         cfg = write_config(tmp_path, "fit.json", {
             "model": GM, "data": {"theta0": 0.5, "n": 10, "seed": 1},
-            "family": "gaussian", "objective": "mc-upper-bound", "alpha": 2.0,
-            "steps": 8, "batch_size": 16, "quad_tol": 1e-3, "seed": 0,
-            "outdir": str(tmp_path / "out"),
+            "family": "laplace", "objective": "renyi-alpha", "alpha": 2.0,
+            "quad_tol": 1e-3, "outdir": str(tmp_path / "out"),
         })
         assert run_cli(["fit", cfg]) == 0
-        assert tols == [1e-3]
+        assert tols and all(tol == 1e-3 for tol in tols)
         payload = json.loads((tmp_path / "out" / "fit.json").read_text())
         assert payload["config"]["quad_tol"] == 1e-3
 

@@ -1,11 +1,10 @@
-"""Bit-for-bit pins of the two optimizers' results.
+"""Bit-for-bit pins of the optimizer's results.
 
-Each case runs one fit: every registered family under each deterministic
-objective, on the Gaussian-mean and exponential posteriors (given as a
-``(model, data)`` pair) or the anisotropic 2-D Gaussian, and one stochastic
-fit per location-scale family. A pin holds the parameters and the objective
-value as ``float.hex``, with ``n_evals``, ``converged`` and the trace
-length; a fit that raises :class:`DominanceError` is pinned as such.
+Each case runs one fit: every registered family under each objective, on
+the Gaussian-mean and exponential posteriors (given as a ``(model, data)``
+pair) or the anisotropic 2-D Gaussian. A pin holds the parameters and the
+objective value as ``float.hex``, with ``n_evals``, ``converged`` and the
+trace length; a fit that raises :class:`DominanceError` is pinned as such.
 
 A pin moves only when a change to the optimizer, a family or a scorer is
 meant to move a fit's bits. Regenerate with ``python tests/test_fit_pins.py``
@@ -18,7 +17,7 @@ import pytest
 
 from renyi_vi.distributions import make_gaussian
 from renyi_vi.models import exponential_model, gaussian_mean_model
-from renyi_vi.varfit import FAMILY_BUILDERS, DominanceError, fit, fit_stochastic
+from renyi_vi.varfit import FAMILY_BUILDERS, DominanceError, fit
 
 GM = gaussian_mean_model(0.0, 1.0)
 EM = exponential_model()
@@ -38,16 +37,6 @@ def _cases() -> dict:
                 cases[f"{name}/{tname}/{kind}"] = partial(
                     fit, target, build(), kind,
                     alpha=2.0 if kind == "renyi-alpha" else None)
-    # settings under which each stochastic fit settles: on the n = 200
-    # posterior the default step size runs the mean away
-    for name in ("gaussian", "laplace", "logistic", "isotropic-gaussian-2d"):
-        build = FAMILY_BUILDERS[name]
-        if build().dim == 1:
-            target, steps, batch = (GM, GM.simulate(0.5, 10, 3)), 60, 64
-        else:
-            target, steps, batch = ANISO, 200, 256
-        cases[f"{name}/stochastic"] = partial(
-            fit_stochastic, target, build(), 2.0, steps=steps, batch_size=batch, seed=1)
     return cases
 
 
@@ -76,25 +65,21 @@ PINS = {
     'gaussian/gaussian-mean/kl-forward': (['0x1.1757844ad3ecdp-1', '0x1.20e8d9a918a16p-4'], '0x1.0000000000000p-51', 113, True, 18),
     'gaussian/gaussian-mean/kl-reverse': (['0x1.1757844ad3ecdp-1', '0x1.20e8d924823fep-4'], '0x0.0p+0', 112, True, 20),
     'gaussian/gaussian-mean/renyi-alpha': (['0x1.1757844ad3ecdp-1', '0x1.20e8d9478ae63p-4'], '0x0.0p+0', 114, True, 11),
-    'gaussian/stochastic': (['0x1.74947841024fcp-2', '0x1.3e1d10e3ed667p-2'], '0x1.8dd589463fa80p-9', 300, True, 60),
     'isotropic-gaussian-2d/aniso-2d/kl-forward': (['0x0.0p+0', '0x0.0p+0', '0x1.ffffffc933c00p-1'], '0x1.a925ae2cbedfep-1', 346, True, 16),
     'isotropic-gaussian-2d/aniso-2d/kl-reverse': (['0x0.0p+0', '0x0.0p+0', '0x1.be59eba41dde0p-2'], '0x1.a925ae2cbedffp-1', 255, True, 9),
     'isotropic-gaussian-2d/aniso-2d/renyi-alpha': (['0x0.0p+0', '0x0.0p+0', '0x1.328810faebfcdp+0'], '0x1.0ef9dd172adcbp+0', 334, True, 10),
-    'isotropic-gaussian-2d/stochastic': (['0x1.2049a927b7561p-5', '-0x1.2470931287141p-5', '0x1.3825c1cd0f897p+0'], '0x1.0faaaccfa312fp+0', 1400, True, 200),
     'laplace/exponential/kl-forward': (['0x1.c41044ca261f7p+0', '0x1.977508c97e4eep-4'], '0x1.949336043e95ap-5', 116, True, 23),
     'laplace/exponential/kl-reverse': 'DominanceError',
     'laplace/exponential/renyi-alpha': (['0x1.c3d77813cf12cp+0', '0x1.ae2914c9a17cep-4'], '0x1.423a6ec29cda0p-4', 134, True, 25),
     'laplace/gaussian-mean/kl-forward': (['0x1.1757844ad3ecdp-1', '0x1.cd08702d21df9p-5'], '0x1.8ca26d2af6770p-5', 112, True, 22),
     'laplace/gaussian-mean/kl-reverse': (['0x1.1757844ad3ecdp-1', '0x1.98946f43c168ap-5'], '0x1.28682473d0de0p-4', 112, True, 20),
     'laplace/gaussian-mean/renyi-alpha': (['0x1.1757844ad3ecdp-1', '0x1.e672e15d9053cp-5'], '0x1.3e0e8763eebc0p-4', 112, True, 20),
-    'laplace/stochastic': (['0x1.718fe9754b412p-2', '0x1.003a09481637ap-2'], '0x1.423508c0f1aa0p-4', 300, True, 60),
     'logistic/exponential/kl-forward': (['0x1.c4686b3583984p+0', '0x1.2402edb16a59ep-4'], '0x1.5dcfc779158f5p-7', 128, True, 23),
     'logistic/exponential/kl-reverse': 'DominanceError',
     'logistic/exponential/renyi-alpha': (['0x1.c43df77f33917p+0', '0x1.2962a10a81d88p-4'], '0x1.112db548b5600p-6', 131, True, 22),
     'logistic/gaussian-mean/kl-forward': (['0x1.1757844ad3ecdp-1', '0x1.4a68a5e267d4fp-5'], '0x1.37ad39e36ca1fp-7', 111, True, 20),
     'logistic/gaussian-mean/kl-reverse': (['0x1.1757844ad3ecdp-1', '0x1.3e9181686efebp-5'], '0x1.d69f7e1bfc97ep-7', 112, True, 20),
     'logistic/gaussian-mean/renyi-alpha': (['0x1.1757844ad3ecdp-1', '0x1.501d7f3c0c991p-5'], '0x1.efc5cc1abcd80p-7', 112, True, 18),
-    'logistic/stochastic': (['0x1.6fe45e276e9f4p-2', '0x1.6c056efefe496p-3'], '0x1.0465df6dfe7a8p-6', 300, True, 60),
 }
 
 

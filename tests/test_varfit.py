@@ -1,4 +1,4 @@
-"""Deterministic and stochastic divergence minimization over families."""
+"""Deterministic divergence minimization over families."""
 
 import json
 import warnings
@@ -14,7 +14,6 @@ from renyi_vi.varfit import (
     FAMILY_BUILDERS,
     _brent_1d,
     fit,
-    fit_stochastic,
     gamma_family,
     gaussian_family,
     isotropic_gaussian_family,
@@ -183,69 +182,6 @@ class TestFitMechanics:
         post = m.exact_posterior(data)
         assert abs(res.params[0] - float(post.mean[0])) <= 0.01
         assert res.objective.value <= 1e-3  # posterior is Gamma up to truncation
-
-
-class TestFitStochastic:
-    MODEL = gaussian_mean_model(0.0, 1.0)
-    DATA = MODEL.simulate(0.5, 10, 42)
-
-    def test_conjugate_target_reaches_small_divergence(self):
-        res = fit_stochastic((self.MODEL, self.DATA), gaussian_family(), alpha=2.0,
-                             steps=2000, batch_size=256, seed=0)
-        assert res.objective.value <= 1e-3
-
-    def test_bit_identical_rerun(self):
-        a = fit_stochastic((self.MODEL, self.DATA), gaussian_family(), alpha=2.0,
-                           steps=60, batch_size=64, seed=9)
-        b = fit_stochastic((self.MODEL, self.DATA), gaussian_family(), alpha=2.0,
-                           steps=60, batch_size=64, seed=9)
-        assert a.trace == b.trace
-        assert np.array_equal(a.params, b.params)
-
-    def test_accepted_subsequence_monotone(self):
-        res = fit_stochastic((self.MODEL, self.DATA), gaussian_family(), alpha=2.0,
-                             steps=120, batch_size=64, seed=2)
-        accepted = [t["objective"] for t in res.trace if t["accepted"]]
-        assert all(accepted[i + 1] <= accepted[i] for i in range(len(accepted) - 1))
-
-    def test_figure1_target_alpha_ordering(self):
-        s2 = {}
-        for alpha in (2.0, 5.0):
-            res = fit_stochastic(ANISO, isotropic_gaussian_family(), alpha=alpha,
-                                 steps=900, batch_size=256, seed=4)
-            s2[alpha] = float(res.params[2] ** 2)
-        assert s2[5.0] >= s2[2.0] - 0.02
-
-    def test_mc_bound_tracks_log_evidence(self):
-        # near the optimum the population bound equals log evidence plus
-        # ((alpha-1)/alpha) D ~ 0; the estimate sits within sampling noise
-        res = fit_stochastic((self.MODEL, self.DATA), gaussian_family(), alpha=2.0,
-                             steps=500, batch_size=256, seed=1)
-        le = self.MODEL.log_evidence(self.DATA)
-        assert abs(res.extras["final_mc_bound"] - le) <= 0.01
-
-    def test_runaway_fit_not_converged(self):
-        # the default step size runs the mean off to about 1e12 on this
-        # posterior; the Monte-Carlo bound keeps falling, the re-scored
-        # objective is infinite
-        data = self.MODEL.simulate(0.5, 100, 1)
-        res = fit_stochastic((self.MODEL, data), gaussian_family(), alpha=2.0,
-                             steps=60, batch_size=64, seed=1)
-        assert abs(res.params[0]) > 1e6
-        assert np.isinf(res.objective.value)
-        assert not res.converged
-
-    def test_family_without_reparameterization_rejected(self):
-        with pytest.raises(ValueError, match="location-scale"):
-            fit_stochastic((self.MODEL, self.DATA), gamma_family(), alpha=2.0,
-                           steps=10, batch_size=16, seed=0)
-
-    def test_divergent_trajectory_raises_with_trace(self):
-        with pytest.raises(RuntimeError, match="divergent") as exc_info:
-            fit_stochastic((self.MODEL, self.DATA), gaussian_family(), alpha=2.0,
-                           steps=200, batch_size=16, seed=0,
-                           step_size=lambda t: 1e7)
-        assert len(exc_info.value.trace) >= 1
 
 
 def test_family_registry_complete():
