@@ -10,12 +10,11 @@ auditing the consistency machinery itself.
 from renyi_vi import (
     GoodSequenceSpec,
     audit,
-    build_good_sequence,
     cited_ratio_bound,
     exponential_model,
     gaussian_mean_model,
-    rate_estimate,
 )
+from renyi_vi.experiments import run_goodseq_audit
 
 gm = gaussian_mean_model(0.0, 1.0)
 em = exponential_model()
@@ -39,15 +38,12 @@ for family, model, theta0 in (
         print(f"{family:<20}{n:>6} {a.ratio_sup:>10.3g} {str(a.logconcave_ok):>8} "
               f"{a.entropy - a.entropy_bound:>16.2e} {str(a.rate_ok):>9}")
 
-print("\nShrink rate of each constructor (log variance vs log n slope):")
-for family, model, theta0 in (
-    ("gaussian-meanfield", gm, 0.5),
-    ("laplace", gm, 0.5),
-    ("logistic", gm, 0.5),
-    ("gamma", em, 2.0),
+print("\nShrink rate of each constructor (slope of log(variance / M_bar_n) vs log n):")
+for family, model in (
+    ("gaussian-meanfield", {"name": "gaussian-mean"}),
+    ("laplace", {"name": "gaussian-mean"}),
+    ("logistic", {"name": "gaussian-mean"}),
+    ("gamma", {"name": "exponential"}),
 ):
-    spec = GoodSequenceSpec(family, alpha=2.0)
-    data = model.simulate(theta0, 100_000, seed=0)
-    seq = [(n, build_good_sequence(spec, model, data[:n]))
-           for n in (100, 1000, 10_000, 100_000)]
-    print(f"  {family:<20} slope = {rate_estimate(seq):+.4f}")
+    slope = run_goodseq_audit(model, family).verdict("rate_slope")["measured"]
+    print(f"  {family:<20} slope = {slope:+.4f}")

@@ -39,14 +39,11 @@ from .goodseq import (
     audit,
     build_good_sequence,
     cited_ratio_bound,
-    rate_estimate,
 )
 from .models import (
     BayesModel,
-    LANDiagnostic,
     exponential_model,
     gaussian_mean_model,
-    lan_residual,
     load_data_csv,
     mvn_mean_model,
 )

@@ -31,7 +31,7 @@ from .goodseq import (
     audit,
     build_good_sequence,
     cited_ratio_bound,
-    rate_estimate,
+    default_variance_scale,
 )
 from .varfit import fit
 
@@ -166,6 +166,16 @@ def _loglog_slope(ns, values) -> float:
     return float(np.polyfit(np.log(ns), np.log(values), 1)[0])
 
 
+def _sizes(key: str, grid, least: int, fitted: str) -> list[int]:
+    """The sizes of ``grid``, sorted; a ValueError naming ``key`` unless it
+    holds the ``least`` distinct sizes that ``fitted`` is fitted on."""
+    sizes = sorted(int(n) for n in grid)
+    if len(set(sizes)) < least:
+        raise ValueError(f"{key} needs at least {least} distinct sizes to fit "
+                         f"{fitted}, got {sizes}")
+    return sizes
+
+
 def _model_at(spec: dict, theta0):
     """The model a spec builds, and ``theta0`` or else the model's default."""
     bayes = build_model(spec)
@@ -210,6 +220,13 @@ def consistency_cell(model_spec, family_name, objective_kind, alpha, theta0,
 # (-1 for 1/n shrinkage), and the least share of means within 3 sd/sqrt(n).
 VARIANCE_SLOPE_RANGE = (-1.2, -0.8)
 COVER_MIN = 0.95
+# Distinct sizes the consistency slopes are fitted on.
+CONSISTENCY_MIN_SIZES = 2
+# The goodseq-audit rate_slope verdict: the log-log slope of the member
+# variance in units of its scale M_bar_n (-1 at the parametric rate), fitted
+# on at least RATE_MIN_SIZES distinct sizes.
+RATE_SLOPE_RANGE = (-1.01, -0.99)
+RATE_MIN_SIZES = 4
 
 
 def run_consistency(
@@ -226,11 +243,13 @@ def run_consistency(
 ) -> ExperimentReport:
     """Fit the approximate posterior per (n, seed); verify the shrink rate,
     the coverage of the true parameter, and concentration of mass. A
-    forward-KL (EP) fit also checks KL <= Renyi at ``alpha`` per cell."""
+    forward-KL (EP) fit also checks KL <= Renyi at ``alpha`` per cell.
+    ``n_grid`` must hold at least :data:`CONSISTENCY_MIN_SIZES` distinct
+    sizes."""
     t0 = time.perf_counter()
     bayes, theta0 = _model_at(model, theta0)
     alpha, quad_tol, budget = float(alpha), float(quad_tol), int(budget)
-    n_grid = sorted(int(n) for n in n_grid)
+    n_grid = _sizes("n_grid", n_grid, CONSISTENCY_MIN_SIZES, "the variance slope")
     seeds = [int(s) for s in seeds]
     config = {
         "model": model,
@@ -424,10 +443,7 @@ def run_ndegen(
     alpha, seed = float(alpha), int(seed)
     bayes, theta0 = _model_at(model, theta0)
     q = build_density(q_fixed)
-    n_grid = sorted(int(n) for n in n_grid)
-    if len(set(n_grid)) < NDEGEN_MIN_SIZES:
-        raise ValueError(f"n_grid needs at least {NDEGEN_MIN_SIZES} distinct sizes to "
-                         f"fit the growth slope, got {n_grid}")
+    n_grid = _sizes("n_grid", n_grid, NDEGEN_MIN_SIZES, "the growth slope")
     data_full = bayes.simulate(theta0, max(n_grid), seed)
     records = []
     for n in n_grid:
@@ -681,39 +697,46 @@ def run_goodseq_audit(
     seed: int = 0,
     theta0: float | None = None,
     M_bar: float | None = None,
-    rate_tol: float = 0.01,
 ) -> ExperimentReport:
     """Audit one good-sequence constructor over an n-grid.
 
-    One nested data stream (a prefix per n) feeds both the per-n audits and
-    the rate fit over ``rate_grid``.
+    One nested data stream (a prefix per n) feeds both the per-n audits over
+    ``audit_grid`` and the rate verdict over ``rate_grid``, which must hold
+    at least :data:`RATE_MIN_SIZES` distinct sizes. ``rate_slope`` fits the
+    log-log slope of Var(q_n) / M_bar_n against n, where M_bar_n is the
+    constructor's own variance scale on the same prefix (the scale
+    ``rate_cap`` checks against). A scale taken from the data, as the
+    Gamma's 2 lambda_hat^2 is, cancels the draw, so the slope depends on no
+    seed; it must lie in :data:`RATE_SLOPE_RANGE`.
     """
     t0 = time.perf_counter()
-    alpha, seed, rate_tol = float(alpha), int(seed), float(rate_tol)
+    if not audit_grid:
+        raise ValueError("audit_grid needs at least one size")
+    audit_grid = sorted(int(v) for v in audit_grid)
+    rate_grid = _sizes("rate_grid", rate_grid, RATE_MIN_SIZES, "the rate slope")
+    alpha, seed = float(alpha), int(seed)
     bayes, theta0 = _model_at(model, theta0)
     gspec = GoodSequenceSpec(family=family, alpha=alpha, variance_scale=M_bar)
-    n_all = max(max(audit_grid), max(rate_grid))
-    data_full = bayes.simulate(theta0, n_all, seed)
+    data_full = bayes.simulate(theta0, max(audit_grid[-1], rate_grid[-1]), seed)
     # the compact set centers on the known true parameter here
     half = 5.0 / math.sqrt(float(bayes.fisher_info(theta0)))
     lo, hi = bayes.param_support[0]
     K = (max(lo, theta0 - half), min(hi, theta0 + half))
     records = []
-    for n in sorted(int(v) for v in audit_grid):
+    for n in audit_grid:
         a = audit(gspec, bayes, data_full[:n], K=K)
         rec = {c: getattr(a, c) for c in AUDIT_COLUMNS}
         if a.ratio_bound is None:  # no cited bound for this family
             rec["ratio_bound"], rec["ratio_bound_ok"] = np.nan, True
         records.append(rec)
-    seq = [
-        (n, build_good_sequence(gspec, bayes, data_full[:n]))
-        for n in sorted(int(v) for v in rate_grid)
-    ]
-    slope = rate_estimate(seq)
+    scaled = [build_good_sequence(gspec, bayes, data_full[:n]).var
+              / default_variance_scale(gspec, bayes, data_full[:n])
+              for n in rate_grid]
+    slope = _loglog_slope(rate_grid, scaled)
     bound = cited_ratio_bound(family, alpha)
     verdicts = [
-        _verdict("rate_slope", abs(slope + 1.0) <= rate_tol, slope,
-                 [-1.0 - rate_tol, -1.0 + rate_tol]),
+        _verdict("rate_slope", RATE_SLOPE_RANGE[0] <= slope <= RATE_SLOPE_RANGE[1],
+                 slope, list(RATE_SLOPE_RANGE)),
         _verdict("entropy_bounded", all(r["entropy_ok"] for r in records),
                  [r["entropy"] - r["entropy_bound"] for r in records], 1e-9),
         _verdict("logconcave", all(r["logconcave_ok"] for r in records),
@@ -726,8 +749,7 @@ def run_goodseq_audit(
         verdicts.append(_verdict("ratio_bound", worst <= bound, worst, bound))
     config = {
         "model": model, "family": family, "alpha": alpha,
-        "audit_grid": sorted(int(v) for v in audit_grid),
-        "rate_grid": sorted(int(v) for v in rate_grid),
+        "audit_grid": audit_grid, "rate_grid": rate_grid,
         "seed": seed, "theta0": theta0, "M_bar": M_bar,
         "first_n_all_ok": next(
             (r["n"] for r in records

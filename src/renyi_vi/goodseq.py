@@ -29,7 +29,6 @@ __all__ = [
     "default_variance_scale",
     "cited_ratio_bound",
     "audit",
-    "rate_estimate",
 ]
 
 FAMILIES = ("gaussian-meanfield", "laplace", "logistic", "gamma")
@@ -290,20 +289,3 @@ def audit(
         entropy_bound=entropy_bound,
         entropy_ok=bool(entropy_ok),
     )
-
-
-def rate_estimate(densities) -> float:
-    """Least-squares slope of log variance against log n.
-
-    ``densities`` is a sequence of (n, Density) pairs; a slope of -1 is the
-    parametric sqrt(n) rate.
-    """
-    pairs = list(densities)
-    if len(pairs) < 4:
-        raise ValueError(f"need at least 4 grid points, got {len(pairs)}")
-    ns = np.array([float(n) for n, _ in pairs])
-    variances = np.array([d.var for _, d in pairs])
-    if np.any(variances <= 0.0):
-        raise ValueError("variances must be positive")
-    slope = np.polyfit(np.log(ns), np.log(variances), 1)[0]
-    return float(slope)

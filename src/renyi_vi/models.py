@@ -1,5 +1,4 @@
-"""Conjugate Bayesian models with exact posteriors, MLE, Fisher information,
-and a local-asymptotic-normality residual diagnostic.
+"""Conjugate Bayesian models with exact posteriors, MLE and Fisher information.
 
 Three models are shipped: a univariate Gaussian mean model with known
 variance and a conjugate Gaussian prior, its 2-D analogue, and a univariate
@@ -22,11 +21,9 @@ from .distributions import Density, make_gaussian, make_uniform
 
 __all__ = [
     "BayesModel",
-    "LANDiagnostic",
     "gaussian_mean_model",
     "mvn_mean_model",
     "exponential_model",
-    "lan_residual",
     "load_data_csv",
 ]
 
@@ -52,26 +49,6 @@ class BayesModel:
     fisher_info: Callable[[float], float]
     simulate: Callable[[float, int, int], np.ndarray]
     log_evidence: Callable[[np.ndarray], float] | None = None
-
-
-@dataclass(frozen=True)
-class LANDiagnostic:
-    """Residuals of the quadratic log-likelihood expansion on a compact grid.
-
-    residuals[i] = |log P_n(theta0 + h_i/sqrt(n)) - log P_n(theta0)
-                    - h_i I(theta0) Delta_n + h_i^2 I(theta0)/2|
-    with Delta_n = sqrt(n) (mle - theta0).
-    """
-
-    theta0: float
-    n: int
-    h_grid: np.ndarray
-    residuals: np.ndarray
-    delta_n: float
-
-    @property
-    def max_residual(self) -> float:
-        return float(np.max(self.residuals))
 
 
 def gaussian_mean_model(mu0: float = 0.0, sigma: float = 1.0) -> BayesModel:
@@ -302,45 +279,6 @@ def exponential_model(prior: Density | None = None) -> BayesModel:
             1.0 / theta0, size=n
         ),
         log_evidence=None,
-    )
-
-
-def lan_residual(
-    model: BayesModel,
-    theta0: float,
-    data,
-    K_radius: float,
-    grid_points: int = 41,
-) -> LANDiagnostic:
-    """Quadratic-expansion residuals of the log-likelihood over a compact
-    grid h in [-K_radius, K_radius] (uniform, 41 points by default)."""
-    if model.dim != 1:
-        raise ValueError("lan_residual is defined for univariate models")
-    x = np.asarray(data, dtype=float).reshape(-1)
-    n = x.size
-    if n == 0:
-        raise ValueError("lan_residual requires data")
-    h = np.linspace(-K_radius, K_radius, grid_points)
-    thetas = theta0 + h / np.sqrt(n)
-    lo, hi = model.param_support[0]
-    inside = (thetas > lo) & (thetas < hi)
-    if not inside.all():
-        bad = float(h[~inside][0])
-        raise ValueError(
-            f"h = {bad} puts theta0 + h/sqrt(n) = {theta0 + bad / np.sqrt(n)} "
-            f"outside the parameter support ({lo}, {hi})"
-        )
-    info = float(model.fisher_info(theta0))
-    mle = float(model.mle(x)[0])
-    delta = np.sqrt(n) * (mle - theta0)
-    ll = model.loglik(x, thetas) - model.loglik(x, np.array([theta0]))[0]
-    residuals = np.abs(ll - h * info * delta + 0.5 * h * h * info)
-    return LANDiagnostic(
-        theta0=float(theta0),
-        n=n,
-        h_grid=h,
-        residuals=residuals,
-        delta_n=float(delta),
     )
 
 

@@ -155,8 +155,7 @@ def test_criterion_07_good_sequence_audits():
     logi = run_goodseq_audit(GM, "logistic", alpha=2.0, audit_grid=(10, 100, 1000))
     gauss = run_goodseq_audit(GM, "gaussian-meanfield", alpha=2.0,
                               audit_grid=(10, 100, 1000))
-    gam = run_goodseq_audit(EM, "gamma", alpha=2.0, audit_grid=(10, 100, 1000),
-                            seed=1, rate_tol=0.1)
+    gam = run_goodseq_audit(EM, "gamma", alpha=2.0, audit_grid=(10, 100, 1000))
     lap_sup = max(r["ratio_sup"] for r in lap.records)
     logi_sup = max(r["ratio_sup"] for r in logi.records)
     entropy_ok = all(
@@ -167,9 +166,10 @@ def test_criterion_07_good_sequence_audits():
         "laplace": lap.verdict("rate_slope")["measured"],
         "logistic": logi.verdict("rate_slope")["measured"],
         "gaussian": gauss.verdict("rate_slope")["measured"],
+        "gamma": gam.verdict("rate_slope")["measured"],
     }
     slopes_ok = all(abs(s + 1.0) <= 0.01 for s in slopes.values())
-    gamma_ok = gam.verdict("rate_slope")["passed"] and gam.verdict("rate_cap")["passed"]
+    gamma_ok = gam.verdict("rate_cap")["passed"]
     ok = (lap_sup <= 1.64872 and logi_sup <= 1.50550 and entropy_ok
           and slopes_ok and gamma_ok)
     _report(7, "good-sequence audits", ok,

@@ -193,6 +193,37 @@ class TestExperimentCommand:
         assert run_cli([command, cfg]) == 1
         assert "M_r_claim" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, extra", [
+        ("experiment", {"experiment": "goodseq-audit"}),
+        ("audit", {}),
+    ], ids=["experiment", "audit"])
+    def test_retired_rate_tolerance_is_an_unknown_key(self, tmp_path, capsys,
+                                                      command, extra):
+        cfg = write_config(tmp_path, "exp.json", {
+            **extra, "model": {"name": "exponential"}, "family": "gamma",
+            "rate_tol": 0.1, "outdir": str(tmp_path / "out"),
+        })
+        assert run_cli([command, cfg]) == 1
+        assert "unknown key(s) ['rate_tol']" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, payload, named", [
+        ("experiment", {"experiment": "consistency", "n_grid": [100]}, "n_grid"),
+        ("experiment", {"experiment": "ep", "n_grid": [1000, 1000]}, "n_grid"),
+        ("audit", {"rate_grid": [1000, 1000, 1000, 1000]}, "rate_grid"),
+        ("audit", {"rate_grid": []}, "rate_grid"),
+        ("audit", {"audit_grid": []}, "audit_grid"),
+    ], ids=["one-consistency-size", "one-ep-size", "repeated-rate-size",
+            "empty-rate-grid", "empty-audit-grid"])
+    def test_grid_too_short_exits_one_before_any_work(self, tmp_path, capsys,
+                                                      command, payload, named):
+        cfg = write_config(tmp_path, "exp.json",
+                           {**payload, "outdir": str(tmp_path / "out")})
+        assert run_cli([command, cfg]) == 1
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_byte_identical_report_csv(self, tmp_path):
         base = {
             "experiment": "consistency", "model": GM, "family": "laplace",
@@ -311,7 +342,7 @@ class TestValuesTypedByTheirFunction:
 
 
 # The per-experiment config keys as the CLI listed them by hand, before they
-# were derived from the runners' signatures.
+# were derived from the runners' signatures, less the ones since retired.
 KEYS_BEFORE = {
     "consistency": {"model", "family", "alpha", "n_grid", "seeds", "n_seeds",
                     "theta0", "quad_tol", "budget"},
@@ -324,7 +355,7 @@ KEYS_BEFORE = {
     "rate-violation": {"kappa", "alpha", "sigma", "B", "n_max", "expected_n0"},
     "figure1": {"rho", "alphas", "budget", "grid_extent", "grid_points"},
     "goodseq-audit": {"model", "family", "alpha", "audit_grid", "rate_grid",
-                      "M_bar", "theta0", "rate_tol"},
+                      "M_bar", "theta0"},
 }
 
 # What each runner was called with for a config naming only the experiment
@@ -351,7 +382,7 @@ BOUND_BEFORE = {
     "goodseq-audit": {"model": GM, "family": "laplace", "alpha": 2.0,
                       "audit_grid": [10, 100, 1000],
                       "rate_grid": [100, 1000, 10**4, 10**5], "seed": 0,
-                      "theta0": None, "M_bar": None, "rate_tol": 0.01},
+                      "theta0": None, "M_bar": None},
 }
 
 

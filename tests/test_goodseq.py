@@ -1,5 +1,5 @@
 """Good-sequence constructors and audits: scales, centering, tail-ratio
-bounds, log-concavity, entropy cap and the shrink rate."""
+bounds, log-concavity and the entropy cap."""
 
 import math
 
@@ -13,7 +13,6 @@ from renyi_vi.goodseq import (
     build_good_sequence,
     cited_ratio_bound,
     default_variance_scale,
-    rate_estimate,
 )
 from renyi_vi.models import exponential_model, gaussian_mean_model
 from renyi_vi.numerics import QuadratureSpec, integrate
@@ -205,33 +204,6 @@ class TestAuditProperties:
         for alpha in (1.5, 2.0, 5.0):
             q = build_good_sequence(GoodSequenceSpec(fam, alpha), model, data)
             assert abs(q.entropy - entropy_quadrature(q)) <= 1e-9
-
-
-class TestRateEstimate:
-    def test_exact_inverse_n(self):
-        from renyi_vi.distributions import make_gaussian
-
-        seq = [(n, make_gaussian(0.0, 3.0 / n)) for n in (100, 1000, 10**4, 10**5)]
-        assert abs(rate_estimate(seq) + 1.0) <= 1e-12
-
-    def test_faster_rate(self):
-        from renyi_vi.distributions import make_gaussian
-
-        seq = [(n, make_gaussian(0.0, 2.0 / n**1.5)) for n in (100, 1000, 10**4, 10**5)]
-        assert abs(rate_estimate(seq) + 1.5) <= 1e-12
-
-    def test_laplace_sequence_slope(self):
-        seq = [
-            (n, build_good_sequence(GoodSequenceSpec("laplace", 2.0), GM, gm_data(n)))
-            for n in (100, 1000, 10**4, 10**5)
-        ]
-        assert abs(rate_estimate(seq) + 1.0) <= 1e-6
-
-    def test_needs_four_points(self):
-        from renyi_vi.distributions import make_gaussian
-
-        with pytest.raises(ValueError, match="4"):
-            rate_estimate([(10, make_gaussian(0, 0.1)), (100, make_gaussian(0, 0.01))])
 
 
 class TestVarianceScale:

@@ -1,5 +1,5 @@
-"""Conjugate models: exact posteriors, MLE, Fisher information, LAN
-residuals, evidence, and the posterior-concentration / prior-tail checks."""
+"""Conjugate models: exact posteriors, MLE, Fisher information, evidence,
+and the posterior-concentration / prior-tail checks."""
 
 import math
 
@@ -22,7 +22,6 @@ from renyi_vi.distributions import (
 from renyi_vi.models import (
     exponential_model,
     gaussian_mean_model,
-    lan_residual,
     load_data_csv,
     mvn_mean_model,
 )
@@ -210,40 +209,6 @@ class TestExponentialModel:
         prior = make_mixture([0.5, 0.5], [make_uniform(0.0, 10.0), make_uniform(5.0, 50.0)])
         with pytest.raises(ValueError, match="bounded"):
             exponential_model(prior)
-
-
-class TestLanResidual:
-    def test_gaussian_model_exact(self):
-        m = gaussian_mean_model(0.0, 1.0)
-        for n in (10, 100, 10**4):
-            diag = lan_residual(m, 0.5, m.simulate(0.5, n, seed=n), K_radius=2.0)
-            assert diag.max_residual <= 1e-9
-            assert diag.h_grid.size == 41
-
-    def test_zero_offset_zero_residual(self):
-        m = exponential_model()
-        diag = lan_residual(m, 1.0, m.simulate(1.0, 50, seed=2), K_radius=2.0,
-                            grid_points=41)
-        mid = diag.h_grid.size // 2
-        assert diag.h_grid[mid] == 0.0
-        assert diag.residuals[mid] <= 1e-12
-
-    def test_exponential_residual_shrinks_with_n(self):
-        m = exponential_model()
-        med = {}
-        for n in (100, 10**4):
-            vals = [
-                lan_residual(m, 1.0, m.simulate(1.0, n, seed=s), K_radius=2.0).max_residual
-                for s in range(50)
-            ]
-            med[n] = float(np.median(vals))
-        assert med[10**4] < med[100]
-
-    def test_support_violation_names_offender(self):
-        m = exponential_model()
-        data = m.simulate(1.0, 4, seed=3)
-        with pytest.raises(ValueError, match="h = "):
-            lan_residual(m, 0.5, data, K_radius=3.0)
 
 
 class TestConcentration:
