@@ -246,7 +246,7 @@ def cmd_divergence(args) -> int:
         est = (kl_forward if args.kl == "forward" else kl_reverse)(p, q)
     print(json.dumps({
         "value": est.value, "method": est.method, "error": est.error,
-        "alpha": est.alpha,
+        "alpha": est.alpha, "reason": est.reason,
     }))
     return 0
 

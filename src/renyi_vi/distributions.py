@@ -51,6 +51,12 @@ class Density:
     L[i, 0..i] as Python floats), and ``log_det``, log det cov. Its
     ``log_pdf`` walks those rows, and the closed-form divergences read both.
     They are None for every other kind.
+
+    Two things are derived on first use and kept: :attr:`bulk`, where the
+    density carries its mass, and :attr:`tails`, the leading term of its
+    log-density at each end of its support, from which the Renyi quadrature
+    decides whether its integral is finite. Making a density computes
+    neither.
     """
 
     dim: int
@@ -90,6 +96,31 @@ class Density:
         for pts in out:
             pts.setflags(write=False)
         return out
+
+    @property
+    def tails(self) -> tuple | None:
+        """The leading term of the log-density at each end of its support,
+        computed on first use; None for a kind that declares none.
+
+        In 1-D, ``(lower, upper)``, each a triple ``(k, c, m)``:
+
+        - at an infinite end, log p(x) = -c |x|^k + m log |x| + smaller
+          terms, with k > 0 and c > 0. The smaller terms are bounded when
+          k = 1 (Laplace, logistic, the Gamma at +inf) and linear in x for
+          a Gaussian (k = 2);
+        - at a finite end e, log p(x) = m log |x - e| + O(1), and k = c = 0.
+          m = 0 where the density stays finite and positive up to its end.
+
+        A mixture takes, at each end, its slowest component among those
+        that reach it. A 2-D Gaussian declares its precision matrix instead,
+        as rows of Python floats, since its tails differ by direction.
+        """
+        # cached by hand: a cached_property's lock costs more than the tails
+        cache = self.__dict__
+        if "_tails" not in cache:
+            declare = _TAILS.get(self.kind)
+            cache["_tails"] = None if declare is None else declare(self)
+        return cache["_tails"]
 
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -420,6 +451,61 @@ def _bulk_points(d: Density, coord: int) -> np.ndarray:
         pts = pts[(pts > lo) & (pts < hi)]
     repeat = pts[1:] == pts[:-1]
     return np.delete(pts, np.flatnonzero(repeat) + 1) if repeat.any() else pts
+
+
+def _gaussian_tails(d: Density) -> tuple | None:
+    if d.dim == 1:
+        s = d.chol[0][0]
+        end = (2, 0.5 / (s * s), 0.0)
+        return end, end
+    if d.dim != 2:
+        return None
+    # inv(L) from L's rows, then the precision inv(L)' inv(L)
+    (l00,), (l10, l11) = d.chol
+    a, b, c = 1.0 / l00, -l10 / (l00 * l11), 1.0 / l11
+    return (a * a + b * b, b * c), (b * c, c * c)
+
+
+def _exponential_tails(d: Density) -> tuple:
+    end = (1, 1.0 / d.params["scale"], 0.0)
+    return end, end
+
+
+def _gamma_tails(d: Density) -> tuple:
+    m = d.params["shape"] - 1.0
+    return (0, 0.0, m), (1, d.params["rate"], m)
+
+
+def _truncated_gamma_tails(d: Density) -> tuple:
+    """Gamma(shape, rate) cut to [lo, hi], 0 <= lo < hi < inf: the Gamma's
+    power at 0 when the cut starts there, else a finite positive density."""
+    params = d.params
+    return (0, 0.0, params["shape"] - 1.0 if params["lo"] == 0.0 else 0.0), (0, 0.0, 0.0)
+
+
+def _mixture_tails(d: Density) -> tuple | None:
+    comps = d.params["components"]
+    if d.dim != 1 or any(c.tails is None for c in comps):
+        return None
+    # the slowest decay among the components that reach the end: at an
+    # infinite end the smallest k, then the smallest c, then the largest
+    # m; at a finite one the smallest m
+    return tuple(
+        min((c.tails[side] for c in comps if c.support[0][side] == end),
+            key=(lambda t: (t[0], t[1], -t[2])) if math.isinf(end) else (lambda t: t[2]))
+        for side, end in enumerate(d.support[0]))
+
+
+# Density.tails by kind; a kind missing here declares none.
+_TAILS = {
+    "gaussian": _gaussian_tails,
+    "laplace": _exponential_tails,
+    "logistic": _exponential_tails,
+    "gamma": _gamma_tails,
+    "truncated-gamma": _truncated_gamma_tails,
+    "uniform": lambda d: ((0, 0.0, 0.0), (0, 0.0, 0.0)),
+    "mixture": _mixture_tails,
+}
 
 
 def interval_mass(d: Density, lo: float, hi: float, rel_tol: float = 1e-9) -> float:

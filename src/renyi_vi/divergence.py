@@ -14,10 +14,15 @@ Every other pair is scored by adaptive quadrature (dim <= 2).
 
 Infinity is a first-class value here: D_alpha is infinite whenever q fails
 to dominate p or the integral q (p/q)^alpha diverges, and both outcomes are
-reported as ``value = inf`` rather than raised. The divergence-detection
-threshold is :data:`OVERFLOW_NATS`: once the shifted log-integrand exceeds
-it on any refinement node (i.e. the integrand keeps growing as the adaptive
-pass widens), the integral is declared divergent.
+reported as ``value = inf`` rather than raised, with the reason in
+:attr:`DivergenceEstimate.reason`. Whether the integral diverges is decided
+from the two densities' tails (:attr:`Density.tails`) before any node is
+evaluated: with alpha > 1 it diverges when q's tail is lighter than p's.
+:data:`OVERFLOW_NATS` is a re-seed trigger: a node whose shifted
+log-integrand exceeds it means the shift missed the integrand's peak. With
+finite tails the 1-D quadrature then locates the peak and integrates again;
+only for tails that some density does not declare is an overflow still read
+as divergence.
 """
 
 from __future__ import annotations
@@ -41,6 +46,8 @@ __all__ = [
     "CLOSED_FORM",
     "QUADRATURE",
     "OVERFLOW_NATS",
+    "DOMINANCE",
+    "OVERFLOW_UNDECIDED",
     "DivergenceEstimate",
     "MCUpperBound",
     "renyi",
@@ -55,13 +62,21 @@ __all__ = [
 CLOSED_FORM = "closed-form"
 QUADRATURE = "quadrature"
 
-# Log-integrand excess over the shift beyond which the Renyi integral is
-# declared divergent. The shift is the log-integrand's maximum over both
-# densities' bulk points in 1-D; in 2-D it is its largest located maximum,
-# or, for a pair where none is located, its maximum over an 81 x 81 probe
-# mesh. 700 nats is just below exp-overflow in float64, so a finite integral
-# whose shift is sound never trips it.
+# Log-integrand excess over the shift that stops a quadrature pass: the
+# shift has missed the integrand's peak. The shift is the log-integrand's
+# maximum over both densities' bulk points in 1-D; in 2-D it is its largest
+# located maximum, or, for a pair where none is located, its maximum over an
+# 81 x 81 probe mesh. 700 nats is just below exp-overflow in float64, so a
+# pass whose shift is sound never trips it. With finite tails, the 1-D pass
+# is re-seeded at the located peak; only when a density declares no tails is
+# the integral declared divergent.
 OVERFLOW_NATS = 700.0
+
+# Why a value is infinite (DivergenceEstimate.reason), besides a divergent
+# tail, whose reason names the end.
+DOMINANCE = "dominance"
+OVERFLOW_UNDECIDED = "overflow, tails undecided"
+_S_STAR_INDEFINITE = "divergent tail: S* is not positive definite"
 
 
 @dataclass(frozen=True)
@@ -74,6 +89,10 @@ class DivergenceEstimate:
     tolerance; closed forms and ``inf`` verdicts are always converged.
     ``panels`` counts the final quadrature panels (boxes in 2-D) behind a
     finite quadrature value; it is 0 for closed forms and ``inf`` verdicts.
+    ``reason`` says why a value is infinite and is None when it is finite:
+    ``"dominance"`` (q vanishes where p does not), ``"divergent tail at
+    <end>"`` (or, for a Gaussian pair, an S* that is not positive definite),
+    or ``"overflow, tails undecided"``.
     """
 
     value: float
@@ -82,6 +101,7 @@ class DivergenceEstimate:
     alpha: float | None = None
     converged: bool = True
     panels: int = 0
+    reason: str | None = None
 
 
 @dataclass(frozen=True)
@@ -273,13 +293,197 @@ def _frame(p, q, log_integrand):
     return plane, (bx, by), shift, log_jac, lambda z: log_integrand(to_x(z))
 
 
+# Stands for q at an end of p's support that lies inside q's: there q is
+# finite and positive, a power 0 of the distance to the end.
+_INSIDE = (0, 0.0, 0.0)
+_FINITE = "finite"
+_UNDECIDED = "undecided"
+
+
+def _end_finite(tp, tq, alpha: float) -> bool | None:
+    """Whether p^alpha q^(1-alpha) is integrable at one end of p's support,
+    from p's and q's :attr:`~renyi_vi.distributions.Density.tails` terms
+    there; None when the leading terms cancel and the rest is not declared.
+
+    At an infinite end the log-integrand is -alpha c_p |x|^k_p + (alpha - 1)
+    c_q |x|^k_q + (alpha m_p - (alpha - 1) m_q) log |x| + smaller terms: the
+    larger power wins, an equal one goes by the sign of alpha c_p - (alpha -
+    1) c_q, and where that is 0 with bounded remainders (k = 1), by the log
+    term, integrable iff its power is below -1. At a finite end the
+    integrand is |x - e|^(alpha m_p - (alpha - 1) m_q), integrable iff that
+    power exceeds -1.
+    """
+    kp, cp, mp = tp
+    kq, cq, mq = tq
+    if kp != kq:
+        return kp > kq
+    power = alpha * mp - (alpha - 1.0) * mq
+    if not kp:
+        return power > -1.0
+    rate = alpha * cp - (alpha - 1.0) * cq
+    if rate != 0.0:
+        return rate > 0.0
+    return power < -1.0 if kp == 1 else None
+
+
+def _tail_verdict(p: Density, q: Density, alpha: float) -> str:
+    """``_FINITE`` or ``_UNDECIDED`` for int p^alpha q^(1-alpha), with q
+    dominating p, or the reason it diverges, read from the densities'
+    declared tails; undecided when either declares none.
+
+    In 1-D each end of p's support is decided by :func:`_end_finite`. In 2-D
+    two Gaussians give a finite integral iff alpha P_p - (alpha - 1) P_q is
+    positive definite, which is the closed form's S* > 0.
+    """
+    tp, tq = p.tails, q.tails
+    if tp is None or tq is None:
+        return _UNDECIDED
+    if p.dim == 2:
+        beta = alpha - 1.0
+        a = [[alpha * x - beta * y for x, y in zip(rp[:i + 1], rq[:i + 1])]
+             for i, (rp, rq) in enumerate(zip(tp, tq))]
+        if cholesky_rows(a) is None:
+            return _S_STAR_INDEFINITE
+        return _FINITE
+    (lo, hi), = p.support
+    (q_lo, q_hi), = q.support
+    lower = _end_finite(tp[0], tq[0] if lo == q_lo else _INSIDE, alpha)
+    upper = _end_finite(tp[1], tq[1] if hi == q_hi else _INSIDE, alpha)
+    if lower and upper:
+        return _FINITE
+    for finite, end in ((lower, lo), (upper, hi)):
+        if finite is False:
+            return f"divergent tail at {end:+g}" if math.isinf(end) else f"divergent tail at {end:g}"
+    return _UNDECIDED
+
+
+_STENCIL_1D = np.array([-1.0, 0.0, 1.0])
+
+
+def _newton_max_1d(log_integrand, x: float, h: float, lo: float, hi: float):
+    """Maximise a 1-D log-integrand on (lo, hi) by Newton steps on a 3-point
+    stencil, kept inside the support.
+
+    Starts at ``x`` with stencil step ``h``. Where the curvature is negative
+    the step is Newton's and the scale 1/sqrt(-H); elsewhere the step runs
+    up the gradient to the end it points at and the scale is 1/|gradient|.
+    A step that would leave the support goes half way to the end instead, so
+    a maximum at a finite end is approached geometrically. Later stencil
+    steps are the scale. Returns ``(maximiser, scale)`` once a step is
+    within ``_NEWTON_STEP_TOL`` scales. Where the steps stop short of that
+    (a stencil value that is not finite, a gradient up to an infinite end
+    with no curvature to stop it, rounding that flattens the stencil far
+    from the origin, or ``_NEWTON_MAX_STEPS`` steps), it returns the best
+    stencil centre seen with its stencil step, or None when there is none.
+    """
+    best = None
+    for _ in range(_NEWTON_MAX_STEPS):
+        h = min(h, 0.5 * (x - lo), 0.5 * (hi - x))
+        if not h > 0.0:  # rounding has put x on an end
+            break
+        v0, v1, v2 = log_integrand(x + h * _STENCIL_1D).tolist()
+        if not (math.isfinite(v0) and math.isfinite(v1) and math.isfinite(v2)):
+            break
+        if best is None or v1 > best[0]:
+            best = (v1, x, h)
+        grad = (v2 - v0) / (2.0 * h)
+        curv = (2.0 * v1 - v0 - v2) / (h * h)
+        if curv > 0.0:
+            scale, step = 1.0 / math.sqrt(curv), grad / curv
+        elif grad != 0.0:
+            scale, step = 1.0 / abs(grad), math.copysign(math.inf, grad)
+        else:
+            break
+        end = hi if step > 0.0 else lo
+        if abs(step) >= abs(end - x):  # would leave the support
+            if math.isinf(end):
+                break
+            step = 0.5 * (end - x)
+        x += step
+        if abs(step) <= _NEWTON_STEP_TOL * scale:
+            return x, scale
+        h = scale
+    return None if best is None else best[1:]
+
+
+# Breakpoint offsets, in units of a scale, on either side of a located
+# maximum or a finite end: 2^-40 to 2^7 scales, so that panels of the
+# integrand's own width meet it there even when rounding has skewed the
+# scale that the stencil measured.
+_LADDER = np.multiply.outer([-1.0, 1.0], 2.0 ** np.arange(-40.0, 8.0)).ravel()
+
+
+def _peak_anchors_1d(log_integrand, anchors: np.ndarray, support):
+    """The log-integrand's largest value on p's support and breakpoints that
+    resolve it, ``(shift, breakpoints)``, or None when none is found.
+
+    The candidates are the maximum that Newton steps locate from the best
+    anchor, at its scale, and, on a bounded support, each end, at the
+    support's width: an end can hold the larger value, as against a narrow
+    Gaussian q, whose q^(1-alpha) grows like exp(+x^2) towards the ends of
+    a bounded p, past a local maximum in p's bulk that the Newton steps
+    settle on. Each candidate whose log-integrand is finite adds the
+    :data:`_LADDER` of breakpoints around it to the anchors.
+    """
+    lo, hi = support
+    pts = np.unique(anchors)
+    i = int(np.argmax(log_integrand(pts)))
+    candidates = []
+    if pts.size > 1:
+        gaps = np.diff(pts)
+        h = float(min(gaps[max(i - 1, 0)], gaps[min(i, gaps.size - 1)]))
+        found = _newton_max_1d(log_integrand, float(pts[i]), h, lo, hi)
+        if found is not None:
+            candidates.append(found)
+    if math.isfinite(hi - lo):
+        candidates += [(lo, hi - lo), (hi, hi - lo)]
+    if not candidates:
+        return None
+    values = log_integrand(np.array([c for c, _ in candidates]))
+    finite = np.isfinite(values)
+    if not finite.any():
+        return None
+    ladders = [c + s * _LADDER for (c, s), ok in zip(candidates, finite) if ok]
+    return float(values[finite].max()), np.concatenate([anchors, *ladders])
+
+
+def _shifted_integral(log_g, shift, supports, breakpoints, rel_tol):
+    """The quadrature of exp(log_g - shift) and whether q vanished where p
+    does not. The result is None when the pass overflowed: a node rose more
+    than :data:`OVERFLOW_NATS` above the shift (+inf where q vanishes), or
+    the weighted sum is not finite."""
+    state = {"over": False, "vanished": False}
+
+    def f(x):
+        if state["over"]:  # the pass is already void
+            return np.zeros(np.shape(x)[:1] if np.ndim(x) > 1 else np.shape(x))
+        lv = log_g(x) - shift
+        top = lv.max(initial=-np.inf)
+        if top > OVERFLOW_NATS:
+            state["over"], state["vanished"] = True, top == np.inf
+            return np.zeros(lv.shape)
+        return np.exp(lv)
+
+    specs = [QuadratureSpec(*s, rel_tol=rel_tol, breakpoints=b)
+             for s, b in zip(supports, breakpoints)]
+    res = integrate(f, *specs) if len(specs) == 1 else integrate_2d(f, *specs)
+    if state["over"] or not math.isfinite(res.value):
+        return None, state["vanished"]
+    return res, False
+
+
 def renyi_quadrature(
     p: Density, q: Density, alpha: float, rel_tol: float = 1e-8
 ) -> DivergenceEstimate:
     """(1/(alpha-1)) log int q (p/q)^alpha by adaptive quadrature (dim <= 2).
 
-    Returns inf when q does not dominate p, or when the integral diverges
-    past :data:`OVERFLOW_NATS`.
+    Returns inf, before any node is evaluated, when q does not dominate p
+    or when the densities' tails make the integral diverge
+    (:func:`_tail_verdict`). A pass whose log-integrand overflows its shift
+    (:data:`OVERFLOW_NATS`) returns inf only when some density declares no
+    tails; with finite tails the 1-D pass is taken again from the located
+    peak, and an overflow there, or in 2-D, raises ``ArithmeticError``, as
+    does an integral that is not positive.
     """
     alpha = _check_alpha(alpha)
     if p.dim != q.dim:
@@ -287,7 +491,10 @@ def renyi_quadrature(
     if p.dim > 2:
         raise ValueError("quadrature divergences support dim <= 2")
     if not dominates(p, q):
-        return DivergenceEstimate(np.inf, QUADRATURE, 0.0, alpha)
+        return DivergenceEstimate(np.inf, QUADRATURE, 0.0, alpha, reason=DOMINANCE)
+    tails = _tail_verdict(p, q, alpha)
+    if tails is not _FINITE and tails is not _UNDECIDED:
+        return DivergenceEstimate(np.inf, QUADRATURE, 0.0, alpha, reason=tails)
 
     def log_integrand(x):
         lp = p.log_pdf(x)
@@ -300,22 +507,19 @@ def renyi_quadrature(
         return out
 
     supports, breakpoints, shift, log_jac, log_g = _frame(p, q, log_integrand)
-    overflow = {"hit": False}
-
-    def f(x):
-        if overflow["hit"]:  # integral already declared divergent
-            return np.zeros(np.shape(x)[:1] if np.ndim(x) > 1 else np.shape(x))
-        lv = log_g(x) - shift
-        if lv.max(initial=-np.inf) > OVERFLOW_NATS:
-            overflow["hit"] = True
-            return np.zeros(lv.shape)
-        return np.exp(lv)
-
-    specs = [QuadratureSpec(*s, rel_tol=rel_tol, breakpoints=b)
-             for s, b in zip(supports, breakpoints)]
-    res = integrate(f, *specs) if p.dim == 1 else integrate_2d(f, *specs)
-    if overflow["hit"] or not math.isfinite(res.value):
-        return DivergenceEstimate(np.inf, QUADRATURE, 0.0, alpha)
+    res, vanished = _shifted_integral(log_g, shift, supports, breakpoints, rel_tol)
+    if res is None and not vanished and tails is _FINITE and p.dim == 1:
+        peak = _peak_anchors_1d(log_integrand, breakpoints[0], supports[0])
+        if peak is not None:
+            shift, anchors = peak
+            res, vanished = _shifted_integral(log_g, shift, supports, (anchors,), rel_tol)
+    if vanished:
+        return DivergenceEstimate(np.inf, QUADRATURE, 0.0, alpha, reason=DOMINANCE)
+    if res is None:
+        if tails is _FINITE:
+            raise ArithmeticError("Renyi integral overflowed its shift although "
+                                  "the tails make it finite")
+        return DivergenceEstimate(np.inf, QUADRATURE, 0.0, alpha, reason=OVERFLOW_UNDECIDED)
     if res.value <= 0.0:
         raise ArithmeticError("Renyi integral evaluated to a non-positive value")
     value = (shift + log_jac + np.log(res.value)) / (alpha - 1.0)
@@ -354,7 +558,7 @@ def renyi_gauss_closed(p: Density, q: Density, alpha: float) -> DivergenceEstima
               for i, (rp, rq) in enumerate(zip(p.cov.tolist(), q.cov.tolist()))]
     rows = cholesky_rows(s_star)
     if rows is None:
-        return DivergenceEstimate(np.inf, CLOSED_FORM, 0.0, alpha)
+        return DivergenceEstimate(np.inf, CLOSED_FORM, 0.0, alpha, reason=_S_STAR_INDEFINITE)
     z = solve_lower(rows, [a - b for a, b in zip(p.mean.tolist(), q.mean.tolist())])
     quad = 0.5 * alpha * sum(v * v for v in z)
     log_det = 2.0 * sum(math.log(row[i]) for i, row in enumerate(rows))
@@ -409,7 +613,7 @@ def _kl_laplace_gauss(p: Density, q: Density) -> DivergenceEstimate:
 
 def _kl_quadrature(p: Density, q: Density, rel_tol: float) -> DivergenceEstimate:
     if not dominates(p, q):
-        return DivergenceEstimate(np.inf, QUADRATURE, 0.0, None)
+        return DivergenceEstimate(np.inf, QUADRATURE, 0.0, None, reason=DOMINANCE)
     blown = {"hit": False}
 
     def f(x):
@@ -432,8 +636,10 @@ def _kl_quadrature(p: Density, q: Density, rel_tol: float) -> DivergenceEstimate
         for i in range(p.dim)
     ]
     res = integrate(f, *specs) if p.dim == 1 else integrate_2d(f, *specs)
-    if blown["hit"] or not math.isfinite(res.value):
-        return DivergenceEstimate(np.inf, QUADRATURE, 0.0, None)
+    if blown["hit"]:  # q vanishes where p does not
+        return DivergenceEstimate(np.inf, QUADRATURE, 0.0, None, reason=DOMINANCE)
+    if not math.isfinite(res.value):
+        return DivergenceEstimate(np.inf, QUADRATURE, 0.0, None, reason=OVERFLOW_UNDECIDED)
     return DivergenceEstimate(
         max(float(res.value), 0.0), QUADRATURE, float(res.error), None,
         res.converged, res.panels,

@@ -166,13 +166,13 @@ def _loglog_slope(ns, values) -> float:
     return float(np.polyfit(np.log(ns), np.log(values), 1)[0])
 
 
-def _sizes(key: str, grid, least: int, fitted: str) -> list[int]:
+def _sizes(key: str, grid, least: int, used: str) -> list[int]:
     """The sizes of ``grid``, sorted; a ValueError naming ``key`` unless it
-    holds the ``least`` distinct sizes that ``fitted`` is fitted on."""
+    holds the ``least`` distinct sizes that ``used`` needs."""
     sizes = sorted(int(n) for n in grid)
     if len(set(sizes)) < least:
-        raise ValueError(f"{key} needs at least {least} distinct sizes to fit "
-                         f"{fitted}, got {sizes}")
+        raise ValueError(f"{key} needs at least {least} distinct "
+                         f"size{'s' if least > 1 else ''} for {used}, got {sizes}")
     return sizes
 
 
@@ -370,7 +370,7 @@ def run_ubfin(
         )
     B = 0.5 * math.log(math.e * M_bar * info / A)
     sigma2 = 1.0 / info
-    n_grid = sorted(int(n) for n in n_grid)
+    n_grid = _sizes("n_grid", n_grid, 1, "the family minimum")
     records = []
     for n in n_grid:
         var_post = sigma2 / (n + 1.0)
@@ -504,7 +504,7 @@ def run_mixture_bound(
         raise ValueError("theta1 must differ from theta0")
     q = make_mixture([w, 1.0 - w],
                      [make_spike(theta0, spike_width), make_spike(theta1, spike_width)])
-    n_grid = sorted(int(n) for n in n_grid)
+    n_grid = _sizes("n_grid", n_grid, 1, "the liminf proxy")
     data_full = bayes.simulate(theta0, max(n_grid), seed)
     records = []
     for n in n_grid:
@@ -710,9 +710,7 @@ def run_goodseq_audit(
     seed; it must lie in :data:`RATE_SLOPE_RANGE`.
     """
     t0 = time.perf_counter()
-    if not audit_grid:
-        raise ValueError("audit_grid needs at least one size")
-    audit_grid = sorted(int(v) for v in audit_grid)
+    audit_grid = _sizes("audit_grid", audit_grid, 1, "the audits")
     rate_grid = _sizes("rate_grid", rate_grid, RATE_MIN_SIZES, "the rate slope")
     alpha, seed = float(alpha), int(seed)
     bayes, theta0 = _model_at(model, theta0)

@@ -11,8 +11,9 @@ splits of the worst boxes at the midpoint of their widest side. Each axis's
 change of variables is applied to that axis's abscissae before the tensor
 product, so a 2-D box maps 2 x 15 abscissae, not 225 nodes. A first pass
 that meets the tolerance returns at once, so a well-seeded call costs one
-vectorized evaluation of the integrand plus its set-up. :func:`integrate` and :func:`integrate_2d`
-only choose the axis maps and seed the first boxes.
+vectorized pass over the integrand, in calls of at most 8192 nodes, plus
+its set-up. :func:`integrate` and :func:`integrate_2d` only choose the axis
+maps and seed the first boxes.
 
 All functions are pure: results depend only on their arguments, node
 placement is deterministic, and repeated calls are bit-for-bit identical.
@@ -212,10 +213,34 @@ def _tensor_rule(d: int):
 _RULES = {d: _tensor_rule(d) for d in (1, 2)}
 
 
+# Nodes per call of the integrand. A call's per-node float64 arrays then
+# take at most 64 KB each, below glibc's default mmap threshold (128 KB), so
+# a large batch of boxes does not send its temporaries through mmap and
+# munmap.
+_CHUNK_NODES = 8192
+
+
 def _box_sums(f: Callable, maps: Sequence[tuple], lo: np.ndarray, hi: np.ndarray):
     """Evaluate the tensor G7/K15 pair on a batch of (m, d) boxes of the
-    transformed variable t with one call to f; returns the Kronrod value and
-    QUADPACK's error estimate per box.
+    transformed variable t; returns the Kronrod value and QUADPACK's error
+    estimate per box.
+
+    f is called on the nodes of at most :data:`_CHUNK_NODES` // 15^d boxes
+    at a time, in box order. Each box's sums depend on its own nodes alone,
+    so the chunks change no bit of them.
+    """
+    m, d = lo.shape
+    step = _CHUNK_NODES // 15 ** d
+    if m <= step:
+        return _chunk_sums(f, maps, lo, hi)
+    parts = [_chunk_sums(f, maps, lo[i:i + step], hi[i:i + step])
+             for i in range(0, m, step)]
+    return (np.concatenate([k15 for k15, _ in parts]),
+            np.concatenate([err for _, err in parts]))
+
+
+def _chunk_sums(f: Callable, maps: Sequence[tuple], lo: np.ndarray, hi: np.ndarray):
+    """:func:`_box_sums` on a batch of boxes with one call to f.
 
     ``maps`` holds each axis's map ``(fwd, weight, ...)``. Each is applied
     to its axis's 15 abscissae per box, before the tensor product, so a 2-D

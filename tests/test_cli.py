@@ -213,8 +213,11 @@ class TestExperimentCommand:
         ("audit", {"rate_grid": [1000, 1000, 1000, 1000]}, "rate_grid"),
         ("audit", {"rate_grid": []}, "rate_grid"),
         ("audit", {"audit_grid": []}, "audit_grid"),
+        ("experiment", {"experiment": "ubfin", "M_bar": 1.0, "n_grid": []}, "n_grid"),
+        ("experiment", {"experiment": "mixture", "n_grid": []}, "n_grid"),
     ], ids=["one-consistency-size", "one-ep-size", "repeated-rate-size",
-            "empty-rate-grid", "empty-audit-grid"])
+            "empty-rate-grid", "empty-audit-grid", "empty-ubfin-grid",
+            "empty-mixture-grid"])
     def test_grid_too_short_exits_one_before_any_work(self, tmp_path, capsys,
                                                       command, payload, named):
         cfg = write_config(tmp_path, "exp.json",
@@ -466,6 +469,29 @@ class TestDivergenceCommand:
         expect = math.log(2.0) + math.sqrt(2.0 / math.pi) - 0.5 * math.log(2.0 * math.pi * math.e)
         assert payload["method"] == "closed-form"
         assert abs(payload["value"] - expect) <= 1e-12
+
+    def test_infinite_value_says_why(self, capsys):
+        code = run_cli([
+            "divergence",
+            "--p", '{"kind":"laplace","loc":0,"scale":1}',
+            "--q", '{"kind":"gaussian","mean":1,"cov":1}',
+            "--alpha", "2",
+        ])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["value"] == math.inf
+        assert payload["reason"] == "divergent tail at -inf"
+
+    def test_finite_value_has_no_reason(self, capsys):
+        code = run_cli([
+            "divergence",
+            "--p", '{"kind":"gaussian","mean":0,"cov":1}',
+            "--q", '{"kind":"laplace","loc":0,"scale":1}',
+            "--alpha", "2",
+        ])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert math.isfinite(payload["value"]) and payload["reason"] is None
 
     def test_missing_mode_exits_one(self, capsys):
         code = run_cli([
