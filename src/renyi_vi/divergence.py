@@ -2,15 +2,10 @@
 a Monte-Carlo evidence upper bound, and the Holder lower bound on the Renyi
 integral.
 
-Closed forms, in Python floats from the parameters each
-:class:`~renyi_vi.distributions.Density` holds (a Gaussian's Cholesky factor
-and log-determinant, a Laplace's location and scale):
-
-- Renyi: two Gaussians (Gil, Alajaji & Linder 2013);
-- KL: two Gaussians, and a 1-D Gaussian against a Laplace in either
-  direction, chosen by ``kl_forward`` from one table keyed on the two kinds.
-
-Every other pair is scored by adaptive quadrature (dim <= 2).
+``renyi`` and ``kl_forward`` score a pair by the closed form that
+``_RENYI_CLOSED`` or ``_KL_CLOSED`` lists for its two kinds, else by
+adaptive quadrature (dim <= 2), both objectives in the frame of
+:func:`_frame`.
 
 Infinity is a first-class value here: D_alpha is infinite whenever q fails
 to dominate p or the integral q (p/q)^alpha diverges, and both outcomes are
@@ -18,17 +13,13 @@ reported as ``value = inf`` rather than raised, with the reason in
 :attr:`DivergenceEstimate.reason`. Whether the integral diverges is decided
 from the two densities' tails (:attr:`Density.tails`) before any node is
 evaluated: with alpha > 1 it diverges when q's tail is lighter than p's.
-:data:`OVERFLOW_NATS` is a re-seed trigger: a node whose shifted
-log-integrand exceeds it means the shift missed the integrand's peak. With
-finite tails the 1-D quadrature then locates the peak and integrates again;
-only for tails that some density does not declare is an overflow still read
-as divergence.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -62,14 +53,12 @@ __all__ = [
 CLOSED_FORM = "closed-form"
 QUADRATURE = "quadrature"
 
-# Log-integrand excess over the shift that stops a quadrature pass: the
-# shift has missed the integrand's peak. The shift is the log-integrand's
-# maximum over both densities' bulk points in 1-D; in 2-D it is its largest
-# located maximum, or, for a pair where none is located, its maximum over an
-# 81 x 81 probe mesh. 700 nats is just below exp-overflow in float64, so a
-# pass whose shift is sound never trips it. With finite tails, the 1-D pass
-# is re-seeded at the located peak; only when a density declares no tails is
-# the integral declared divergent.
+# Log-integrand excess over the frame's shift (:func:`_frame`) that stops a
+# quadrature pass: the shift has missed the integrand's peak. 700 nats is
+# just below exp-overflow in float64, so a pass whose shift is sound never
+# trips it. With finite tails, the 1-D pass is re-seeded at the located
+# peak; only when a density declares no tails is the integral declared
+# divergent.
 OVERFLOW_NATS = 700.0
 
 # Why a value is infinite (DivergenceEstimate.reason), besides a divergent
@@ -120,13 +109,11 @@ class MCUpperBound:
     alpha: float
 
 
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not alpha > 1.0:
-        raise ValueError(
-            f"alpha must exceed 1 (got {alpha}); use kl_forward for the limit"
-        )
-    return alpha
+def _check_alpha(alpha: float | None) -> float:
+    if alpha is None or not 1.0 < float(alpha) < math.inf:
+        raise ValueError(f"alpha must be finite and exceed 1 (got {alpha}); "
+                         "use kl_forward for the limit alpha -> 1")
+    return float(alpha)
 
 
 # Fallback shift/breakpoint grid for 1-D pairs where neither density declares
@@ -199,19 +186,40 @@ def _centres(d: Density):
     return [(c.mean, np.sqrt(np.diag(c.cov))) for c in comps]
 
 
+class _Frame(NamedTuple):
+    """Where and how to integrate. ``supports`` and ``breakpoints`` are per
+    axis of the integration variable u; ``to_x`` maps (N, 2) points u to x,
+    and is None when u is x itself; ``log_jac`` is log |dx/du|; ``shift`` is
+    the largest value of the log-integrand that the frame located."""
+
+    supports: tuple
+    breakpoints: tuple
+    shift: float
+    log_jac: float
+    to_x: Callable | None
+
+    def integrate(self, f, rel_tol: float):
+        """The quadrature of ``f``, a function of x, in u without the
+        Jacobian: the one place where a divergence builds its quadrature
+        specs and picks ``integrate`` or ``integrate_2d``."""
+        g = f if self.to_x is None else lambda u: f(self.to_x(u))
+        specs = [QuadratureSpec(*s, rel_tol=rel_tol, breakpoints=b)
+                 for s, b in zip(self.supports, self.breakpoints)]
+        return integrate(g, *specs) if len(specs) == 1 else integrate_2d(g, *specs)
+
+
 def _peak_frame_2d(p, q, log_integrand):
-    """Integration frame and breakpoints from the log-integrand's maxima.
+    """The integration frame from the log-integrand's maxima.
 
     Newton runs once from each centre of p and q; a maximum within one
     marginal sd of one already found is dropped. Each maximum c with
     curvature H stands for N(c, inv(-H)). The frame is x = origin + A z with
     A A' = inv(-H) at the largest maximum, so its peak is a unit isotropic
     bump in z and a thin ridge along a diagonal of x still meets boxes of its
-    own width. Returns ``(to_x, log_jac, bx, by, shift)``: the map from
-    (N, 2) points z to x, log |det A|, the per-axis bulk points in z of every
-    maximum's Gaussian, and the largest log-integrand value at the maxima.
-    None when p's support is not the whole plane, a density has no centres,
-    or any start fails.
+    own width. Its breakpoints are the per-axis bulk points in z of every
+    maximum's Gaussian, and its shift the largest log-integrand value at the
+    maxima. None when p's support is not the whole plane, a density has no
+    centres, or any start fails.
     """
     starts = [_centres(p), _centres(q)]
     if np.isfinite(p.support).any() or None in starts:
@@ -247,13 +255,13 @@ def _peak_frame_2d(p, q, log_integrand):
         x[:, 1] = o1 + (a10 * z0 + a11 * z1)
         return x
 
-    return (to_x, float(np.log(abs(np.linalg.det(a)))), bx, by,
-            float(np.max(peaks)))
+    return _Frame(((-np.inf, np.inf), (-np.inf, np.inf)), (bx, by), float(np.max(peaks)),
+                  float(np.log(abs(np.linalg.det(a)))), to_x)
 
 
-def _mesh_anchors_2d(p, q, log_integrand):
-    """Both densities' bulk points per axis, with the shift from an 81 x 81
-    mesh over their span."""
+def _mesh_frame_2d(p, q, log_integrand):
+    """The frame of x itself, seeded at both densities' bulk points per
+    axis, with the shift from an 81 x 81 mesh over their span."""
     bx = np.unique(np.concatenate([bulk_points(p, 0), bulk_points(q, 0)]))
     by = np.unique(np.concatenate([bulk_points(p, 1), bulk_points(q, 1)]))
     gx = np.linspace(bx.min(), bx.max(), 81)
@@ -262,14 +270,12 @@ def _mesh_anchors_2d(p, q, log_integrand):
     shift = float(np.max(log_integrand(mesh)))
     if shift == -np.inf:
         raise ValueError("integrand vanishes on the entire 81 x 81 probe mesh")
-    return bx, by, shift
+    return _Frame(p.support, (bx, by), shift, 0.0, None)
 
 
-def _frame(p, q, log_integrand):
-    """Where and how to integrate: ``(supports, breakpoints, shift, log_jac,
-    log_g)``, with per-axis supports and breakpoints of the integration
-    variable, the log-integrand's shift, the log Jacobian of the change of
-    variables, and the log-integrand in that variable.
+def _frame(p, q, log_integrand) -> _Frame:
+    """Where to integrate a function of x whose mass follows
+    ``log_integrand``: the Renyi integrand, or p's log-density for the KL.
 
     In 1-D the variable is x, seeded at both densities' bulk points, which
     hold each density's centre, so a Laplace or logistic kink is a panel
@@ -283,14 +289,10 @@ def _frame(p, q, log_integrand):
         shift = float(log_integrand(anchors).max(initial=-np.inf))
         if shift == -np.inf:
             raise ValueError("integrand vanishes on every anchor point")
-        return p.support, (anchors,), shift, 0.0, log_integrand
-    peak = _peak_frame_2d(p, q, log_integrand)
-    if peak is None:
-        bx, by, shift = _mesh_anchors_2d(p, q, log_integrand)
-        return p.support, (bx, by), shift, 0.0, log_integrand
-    to_x, log_jac, bx, by, shift = peak
-    plane = ((-np.inf, np.inf), (-np.inf, np.inf))
-    return plane, (bx, by), shift, log_jac, lambda z: log_integrand(to_x(z))
+        return _Frame(p.support, (anchors,), shift, 0.0, None)
+    if p.dim > 2:
+        raise ValueError("quadrature divergences support dim <= 2")
+    return _peak_frame_2d(p, q, log_integrand) or _mesh_frame_2d(p, q, log_integrand)
 
 
 # Stands for q at an end of p's support that lies inside q's: there q is
@@ -447,26 +449,24 @@ def _peak_anchors_1d(log_integrand, anchors: np.ndarray, support):
     return float(values[finite].max()), np.concatenate([anchors, *ladders])
 
 
-def _shifted_integral(log_g, shift, supports, breakpoints, rel_tol):
-    """The quadrature of exp(log_g - shift) and whether q vanished where p
-    does not. The result is None when the pass overflowed: a node rose more
-    than :data:`OVERFLOW_NATS` above the shift (+inf where q vanishes), or
-    the weighted sum is not finite."""
+def _shifted_integral(log_integrand, frame: _Frame, rel_tol):
+    """The quadrature of exp(log_integrand - frame.shift) in the frame, and
+    whether q vanished where p does not. It is None when the pass overflowed:
+    a node rose more than :data:`OVERFLOW_NATS` above the shift (+inf where
+    q vanishes), or the weighted sum is not finite."""
     state = {"over": False, "vanished": False}
 
     def f(x):
         if state["over"]:  # the pass is already void
             return np.zeros(np.shape(x)[:1] if np.ndim(x) > 1 else np.shape(x))
-        lv = log_g(x) - shift
+        lv = log_integrand(x) - frame.shift
         top = lv.max(initial=-np.inf)
         if top > OVERFLOW_NATS:
             state["over"], state["vanished"] = True, top == np.inf
             return np.zeros(lv.shape)
         return np.exp(lv)
 
-    specs = [QuadratureSpec(*s, rel_tol=rel_tol, breakpoints=b)
-             for s, b in zip(supports, breakpoints)]
-    res = integrate(f, *specs) if len(specs) == 1 else integrate_2d(f, *specs)
+    res = frame.integrate(f, rel_tol)
     if state["over"] or not math.isfinite(res.value):
         return None, state["vanished"]
     return res, False
@@ -483,13 +483,10 @@ def renyi_quadrature(
     (:data:`OVERFLOW_NATS`) returns inf only when some density declares no
     tails; with finite tails the 1-D pass is taken again from the located
     peak, and an overflow there, or in 2-D, raises ``ArithmeticError``, as
-    does an integral that is not positive.
+    does an integral that is not positive. A log-integrand that overflows
+    to NaN (a huge alpha) raises ``ValueError``.
     """
     alpha = _check_alpha(alpha)
-    if p.dim != q.dim:
-        raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    if p.dim > 2:
-        raise ValueError("quadrature divergences support dim <= 2")
     if not dominates(p, q):
         return DivergenceEstimate(np.inf, QUADRATURE, 0.0, alpha, reason=DOMINANCE)
     tails = _tail_verdict(p, q, alpha)
@@ -506,13 +503,16 @@ def renyi_quadrature(
         out[ok] = alpha * lp[ok] + (1.0 - alpha) * lq[ok]
         return out
 
-    supports, breakpoints, shift, log_jac, log_g = _frame(p, q, log_integrand)
-    res, vanished = _shifted_integral(log_g, shift, supports, breakpoints, rel_tol)
+    frame = _frame(p, q, log_integrand)
+    if math.isnan(frame.shift):
+        raise ValueError(f"the Renyi integrand overflows at alpha = {alpha:g}")
+    res, vanished = _shifted_integral(log_integrand, frame, rel_tol)
     if res is None and not vanished and tails is _FINITE and p.dim == 1:
-        peak = _peak_anchors_1d(log_integrand, breakpoints[0], supports[0])
+        peak = _peak_anchors_1d(log_integrand, frame.breakpoints[0], frame.supports[0])
         if peak is not None:
             shift, anchors = peak
-            res, vanished = _shifted_integral(log_g, shift, supports, (anchors,), rel_tol)
+            frame = frame._replace(shift=shift, breakpoints=(anchors,))
+            res, vanished = _shifted_integral(log_integrand, frame, rel_tol)
     if vanished:
         return DivergenceEstimate(np.inf, QUADRATURE, 0.0, alpha, reason=DOMINANCE)
     if res is None:
@@ -522,7 +522,7 @@ def renyi_quadrature(
         return DivergenceEstimate(np.inf, QUADRATURE, 0.0, alpha, reason=OVERFLOW_UNDECIDED)
     if res.value <= 0.0:
         raise ArithmeticError("Renyi integral evaluated to a non-positive value")
-    value = (shift + log_jac + np.log(res.value)) / (alpha - 1.0)
+    value = (frame.shift + frame.log_jac + np.log(res.value)) / (alpha - 1.0)
     err = res.error / (res.value * (alpha - 1.0))
     return DivergenceEstimate(float(value), QUADRATURE, float(err), alpha,
                               res.converged, res.panels)
@@ -550,6 +550,7 @@ def renyi_gauss_closed(p: Density, q: Density, alpha: float) -> DivergenceEstima
     S*'s lower triangle: the value is ``inf`` when one is not positive.
     The same factor gives d' S*^{-1} d by forward substitution and log det
     S*; log det S_p and log det S_q are the densities' own ``log_det``.
+    Raises ``ValueError`` where a large alpha overflows the value to NaN.
     """
     alpha = _check_alpha(alpha)
     _check_gaussians(p, q)
@@ -564,13 +565,14 @@ def renyi_gauss_closed(p: Density, q: Density, alpha: float) -> DivergenceEstima
     log_det = 2.0 * sum(math.log(row[i]) for i, row in enumerate(rows))
     logdets = log_det - beta * p.log_det - alpha * q.log_det
     value = quad - logdets / (2.0 * (alpha - 1.0))
+    if math.isnan(value):
+        raise ValueError(f"the Gaussian Renyi closed form overflows at alpha = {alpha:g}")
     return DivergenceEstimate(max(value, 0.0), CLOSED_FORM, 0.0, alpha)
 
 
 def _kl_gauss_closed(p: Density, q: Density) -> DivergenceEstimate:
     """KL(p || q) for two Gaussians, from their factors L_p and L_q:
     tr(S_q^{-1} S_p) = ||L_q^{-1} L_p||_F^2, solved column by column."""
-    _check_gaussians(p, q)
     trace = 0.0
     for j in range(p.dim):
         col = [0.0] * j + [row[j] for row in p.chol[j:]]
@@ -612,6 +614,8 @@ def _kl_laplace_gauss(p: Density, q: Density) -> DivergenceEstimate:
 
 
 def _kl_quadrature(p: Density, q: Density, rel_tol: float) -> DivergenceEstimate:
+    """KL(p || q) = int p log(p/q) by adaptive quadrature (dim <= 2), in the
+    frame that :func:`_frame` finds for p's log-density."""
     if not dominates(p, q):
         return DivergenceEstimate(np.inf, QUADRATURE, 0.0, None, reason=DOMINANCE)
     blown = {"hit": False}
@@ -628,53 +632,51 @@ def _kl_quadrature(p: Density, q: Density, rel_tol: float) -> DivergenceEstimate
         out[ok] = np.exp(lp_ok) * (lp_ok - lq[ok])
         return out
 
-    if p.dim > 2:
-        raise ValueError("quadrature divergences support dim <= 2")
-    specs = [
-        QuadratureSpec(*p.support[i], rel_tol=rel_tol, breakpoints=np.concatenate(
-            [bulk_points(p, i), bulk_points(q, i)]))
-        for i in range(p.dim)
-    ]
-    res = integrate(f, *specs) if p.dim == 1 else integrate_2d(f, *specs)
+    frame = _frame(p, q, p.log_pdf)
+    res = frame.integrate(f, rel_tol)
     if blown["hit"]:  # q vanishes where p does not
         return DivergenceEstimate(np.inf, QUADRATURE, 0.0, None, reason=DOMINANCE)
     if not math.isfinite(res.value):
         return DivergenceEstimate(np.inf, QUADRATURE, 0.0, None, reason=OVERFLOW_UNDECIDED)
-    return DivergenceEstimate(
-        max(float(res.value), 0.0), QUADRATURE, float(res.error), None,
-        res.converged, res.panels,
-    )
+    jac = math.exp(frame.log_jac)
+    return DivergenceEstimate(max(float(res.value) * jac, 0.0), QUADRATURE,
+                              float(res.error) * jac, None, res.converged, res.panels)
 
 
-def renyi(p: Density, q: Density, alpha: float, rel_tol: float = 1e-8) -> DivergenceEstimate:
-    """D_alpha(p || q); closed form when both inputs are Gaussian, else
-    quadrature (dim <= 2)."""
-    if p.dim != q.dim:
-        raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    if p.kind == "gaussian" and q.kind == "gaussian":
-        return renyi_gauss_closed(p, q, alpha)
-    return renyi_quadrature(p, q, alpha, rel_tol=rel_tol)
-
-
-# KL(p || q) in closed form, by (p.kind, q.kind). A Laplace is 1-D, so its
-# Gaussian partner is too once the dimensions agree.
+# Closed forms by (p.kind, q.kind), one table per objective; a pair that is
+# not listed is scored by the objective's quadrature. Each entry names a
+# module attribute, which :func:`_score` looks up at call time, so a
+# rebinding of that attribute (a test's patch, a call tracer) is what runs.
+# A Laplace is 1-D, so its Gaussian partner is too once the dimensions agree.
+_RENYI_CLOSED = {("gaussian", "gaussian"): "renyi_gauss_closed"}
 _KL_CLOSED = {
-    ("gaussian", "gaussian"): _kl_gauss_closed,
-    ("gaussian", "laplace"): _kl_gauss_laplace,
-    ("laplace", "gaussian"): _kl_laplace_gauss,
+    ("gaussian", "gaussian"): "_kl_gauss_closed",
+    ("gaussian", "laplace"): "_kl_gauss_laplace",
+    ("laplace", "gaussian"): "_kl_laplace_gauss",
 }
 
 
-def kl_forward(p: Density, q: Density, rel_tol: float = 1e-9) -> DivergenceEstimate:
-    """KL(p || q) = int p log(p/q): in closed form for a pair in
-    ``_KL_CLOSED`` (Gaussian/Gaussian of any dimension, and a 1-D Gaussian
-    against a Laplace either way), else by quadrature (dim <= 2)."""
+def _score(table: dict, quadrature, p: Density, q: Density, *args, rel_tol: float):
+    """The pair scored by the closed form that ``table`` lists for its kinds,
+    else by ``quadrature`` at ``rel_tol``."""
     if p.dim != q.dim:
         raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    closed = _KL_CLOSED.get((p.kind, q.kind))
+    closed = table.get((p.kind, q.kind))
     if closed is not None:
-        return closed(p, q)
-    return _kl_quadrature(p, q, rel_tol)
+        return globals()[closed](p, q, *args)
+    return quadrature(p, q, *args, rel_tol=rel_tol)
+
+
+def renyi(p: Density, q: Density, alpha: float, rel_tol: float = 1e-8) -> DivergenceEstimate:
+    """D_alpha(p || q): the closed form that ``_RENYI_CLOSED`` lists for the
+    pair, else :func:`renyi_quadrature` (dim <= 2)."""
+    return _score(_RENYI_CLOSED, renyi_quadrature, p, q, alpha, rel_tol=rel_tol)
+
+
+def kl_forward(p: Density, q: Density, rel_tol: float = 1e-9) -> DivergenceEstimate:
+    """KL(p || q) = int p log(p/q): the closed form that ``_KL_CLOSED`` lists
+    for the pair, else quadrature (dim <= 2)."""
+    return _score(_KL_CLOSED, _kl_quadrature, p, q, rel_tol=rel_tol)
 
 
 def kl_reverse(p: Density, q: Density, rel_tol: float = 1e-9) -> DivergenceEstimate:

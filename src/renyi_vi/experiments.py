@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import build_density, build_family, build_model
 from .distributions import interval_mass, make_gaussian, make_mixture, make_spike
-from .divergence import kl_forward, renyi, renyi_quadrature
+from .divergence import _check_alpha, renyi, renyi_quadrature
 from .goodseq import (
     AUDIT_COLUMNS,
     GoodSequenceSpec,
@@ -185,7 +185,8 @@ def _model_at(spec: dict, theta0):
 def consistency_cell(model_spec, family_name, objective_kind, alpha, theta0,
                      n, seed, quad_tol, budget) -> dict:
     """One (n, seed) fit; module-level and picklable for worker pools. A
-    forward-KL fit also records KL and the Renyi divergence at ``alpha``."""
+    forward-KL fit also records KL, which is its own objective at q, and the
+    Renyi divergence at ``alpha``."""
     model = build_model(model_spec)
     family = build_family(family_name)
     data = model.simulate(theta0, n, seed)
@@ -211,7 +212,7 @@ def consistency_cell(model_spec, family_name, objective_kind, alpha, theta0,
         "tail_mass": 1.0 - interval_mass(q, theta0 - 0.1, theta0 + 0.1, rel_tol=1e-7),
     }
     if objective_kind == "kl-forward":
-        rec["kl_forward"] = kl_forward(posterior, q, rel_tol=quad_tol).value
+        rec["kl_forward"] = result.objective.value
         rec["renyi"] = renyi(posterior, q, alpha, rel_tol=quad_tol).value
     return rec
 
@@ -509,7 +510,7 @@ def run_mixture_bound(
     records = []
     for n in n_grid:
         post = bayes.exact_posterior(data_full[:n])
-        d = renyi_quadrature(post, q, alpha, rel_tol=1e-7).value
+        d = renyi(post, q, alpha, rel_tol=1e-7).value
         records.append({"n": n, "d_alpha": d})
     bound = 2.0 * (1.0 - w) ** 2
     tail = [r["d_alpha"] for r in records[-2:]]
@@ -548,8 +549,7 @@ def run_rate_violation(kappa: float = 0.75, alpha: float = 2.0, sigma: float = 1
     n_max = int(n_max)
     if kappa < 0.5:
         raise ValueError(f"kappa must be >= 0.5, got {kappa}")
-    if not alpha > 1.0:
-        raise ValueError(f"alpha must exceed 1, got {alpha}")
+    _check_alpha(alpha)
     if not (sigma > 0 and B > 0):
         raise ValueError("sigma and B must be positive")
     s2 = sigma**2

@@ -17,6 +17,7 @@ import numpy as np
 from scipy.special import erfcinv
 
 from .distributions import Density, make_gamma, make_gaussian, make_laplace, make_logistic
+from .divergence import _check_alpha
 from .models import BayesModel
 
 __all__ = [
@@ -41,8 +42,7 @@ _TAIL_POINTS = 1000
 
 def alpha_factor(alpha: float) -> float:
     """alpha^(1/(alpha-1)); appears in every good-sequence scale."""
-    if not alpha > 1.0:
-        raise ValueError(f"alpha must exceed 1, got {alpha}")
+    alpha = _check_alpha(alpha)
     return float(alpha ** (1.0 / (alpha - 1.0)))
 
 
@@ -58,8 +58,7 @@ class GoodSequenceSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; choose from {FAMILIES}")
-        if not self.alpha > 1.0:
-            raise ValueError(f"alpha must exceed 1, got {self.alpha}")
+        _check_alpha(self.alpha)
         if self.variance_scale is not None and not self.variance_scale > 0:
             raise ValueError("variance_scale must be positive")
 

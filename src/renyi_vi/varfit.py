@@ -4,13 +4,11 @@ One deterministic optimizer: a coarse grid over location x log-spaced grid
 over scale, then coordinate line searches by Brent's method, minimizing the
 alpha-Renyi divergence (alpha > 1), the forward KL or the reverse KL.
 
-Objectives are dispatched per pair by ``divergence.renyi`` and
-``kl_forward``: a Gaussian pair uses the closed forms, as do both KLs
-between a 1-D Gaussian and a Laplace (all validated against quadrature in
-the test suite); every other pair is scored by quadrature. An infinite
-objective region (dominance failure or a divergent integral) is skipped by
-the grid and reported as an error only when the whole initial grid is
-infinite.
+Objectives are scored by ``divergence.renyi`` and ``kl_forward``, which
+take a closed form where their tables list the pair and quadrature
+elsewhere. An infinite objective region (dominance failure or a divergent
+integral) is skipped by the grid and reported as an error only when the
+whole initial grid is infinite.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .distributions import Density, make_gamma, make_gaussian, make_laplace, make_logistic
-from .divergence import DivergenceEstimate, kl_forward, kl_reverse, renyi
+from .divergence import DivergenceEstimate, _check_alpha, kl_forward, kl_reverse, renyi
 from .models import BayesModel
 
 __all__ = [
@@ -212,8 +210,7 @@ def _make_scorer(target: Density, family: VariationalFamily, kind: str,
     if kind not in OBJECTIVE_KINDS:
         raise ValueError(f"unknown objective kind {kind!r}; choose from {OBJECTIVE_KINDS}")
     if kind == "renyi-alpha":
-        if alpha is None or not alpha > 1.0:
-            raise ValueError("renyi-alpha objective requires alpha > 1")
+        alpha = _check_alpha(alpha)
 
     def estimate(params: np.ndarray) -> DivergenceEstimate:
         q = family.unpack(params)

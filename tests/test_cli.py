@@ -58,6 +58,14 @@ class TestFitCommand:
         })
         assert run_cli(["fit", cfg]) == 1
 
+    def test_infinite_alpha_exits_one_naming_it(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "fit.json", {
+            "model": GM, "data": {"n": 20}, "family": "laplace",
+            "objective": "renyi-alpha", "alpha": math.inf,
+        })
+        assert run_cli(["fit", cfg]) == 1
+        assert "alpha must be finite" in capsys.readouterr().err
+
     def test_unknown_config_key_exits_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "fit.json", {
             "model": GM, "data": {"n": 20}, "family": "gaussian",
@@ -492,6 +500,19 @@ class TestDivergenceCommand:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert math.isfinite(payload["value"]) and payload["reason"] is None
+
+    @pytest.mark.parametrize("q", ['{"kind":"gaussian","mean":1,"cov":2}',
+                                   '{"kind":"laplace","loc":1,"scale":1}'])
+    @pytest.mark.parametrize("alpha,named", [("inf", "alpha must be finite"),
+                                             ("1e308", "overflows at alpha = 1e+308")])
+    def test_unusable_alpha_exits_one_naming_it(self, capsys, q, alpha, named):
+        code = run_cli([
+            "divergence", "--p", '{"kind":"gaussian","mean":0,"cov":1}',
+            "--q", q, "--alpha", alpha,
+        ])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert named in err
 
     def test_missing_mode_exits_one(self, capsys):
         code = run_cli([

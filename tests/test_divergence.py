@@ -210,13 +210,15 @@ class TestRenyiQuadrature2D:
 
 class TestKLQuadrature2D:
     # kl_forward takes the closed form for two Gaussians, so these reach the
-    # 2-D quadrature directly or through a mixture; they pin values, not the
-    # number of boxes
+    # 2-D quadrature directly or through a mixture
     def test_gaussian_pair_matches_closed_form(self):
+        # boxes seeded in p's whitened frame: 400, where the tensor of both
+        # densities' bulk points took 1521
         q = make_gaussian([0.1, -0.1], 1.4 * np.eye(2))
         est = divergence._kl_quadrature(FIG1_TARGET, q, 1e-9)
         closed = divergence._kl_gauss_closed(FIG1_TARGET, q).value
         assert est.converged and est.method == divergence.QUADRATURE
+        assert 0 < est.panels <= 600
         assert abs(est.value - closed) <= 1e-12 * closed
 
     def test_bimodal_mixture_is_finite_and_converged(self):
@@ -473,6 +475,18 @@ class TestRenyiDispatcher:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             renyi(make_gaussian(0.0, 1.0), make_gaussian([0.0, 0.0], np.eye(2)), 2.0)
+
+    @pytest.mark.parametrize("q", [make_gaussian(1.0, 2.0), make_laplace(1.0, 1.0)])
+    def test_infinite_alpha_is_rejected_by_name(self, q):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            renyi(make_gaussian(0.0, 1.0), q, math.inf)
+
+    @pytest.mark.parametrize("q", [make_gaussian(1.0, 2.0), make_laplace(1.0, 1.0)])
+    def test_alpha_that_overflows_to_nan_raises(self, q):
+        # alpha (1 - alpha) terms overflow: the closed form's to inf / inf,
+        # the quadrature's log-integrand to inf - inf
+        with pytest.raises(ValueError, match="overflows at alpha = 1e\\+308"):
+            renyi(make_gaussian(0.0, 1.0), q, 1e308)
 
 
 class TestKL:

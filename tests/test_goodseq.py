@@ -102,6 +102,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             alpha_factor(1.0)
 
+    def test_infinite_alpha_rejected_by_name(self):
+        # inf ** (1 / inf) would be a silent factor of 1
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            alpha_factor(math.inf)
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            GoodSequenceSpec("laplace", math.inf)
+
 
 class TestMeanGap:
     """The constructors center at the posterior mean; the gap to the MLE is

@@ -1,6 +1,7 @@
 """Deterministic divergence minimization over families."""
 
 import json
+import math
 import warnings
 
 import numpy as np
@@ -153,6 +154,10 @@ class TestFitMechanics:
     def test_alpha_required_for_renyi(self):
         with pytest.raises(ValueError, match="alpha"):
             fit(make_gaussian(0, 1), gaussian_family(), "renyi-alpha")
+
+    def test_infinite_alpha_rejected_by_name(self):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            fit(make_gaussian(0, 1), laplace_family(), "renyi-alpha", alpha=math.inf)
 
     def test_unknown_objective_rejected(self):
         with pytest.raises(ValueError, match="objective"):
