@@ -331,7 +331,7 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except (_CliError, ConfigError, ValueError, OSError) as exc:
+    except (_CliError, ConfigError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -16,7 +16,6 @@ from functools import cached_property
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import digamma, gammaln
 
 from .numerics import QuadratureSpec, cholesky_rows, integrate
 
@@ -264,6 +263,9 @@ def make_logistic(loc: float, scale: float) -> Density:
 
 def make_gamma(shape: float, rate: float) -> Density:
     """Gamma density with shape k and rate beta; mean k/beta, var k/beta^2."""
+    # scipy.special costs about 0.3 s of start-up, and only Gamma code needs it
+    from scipy.special import digamma, gammaln
+
     k, beta = float(shape), float(rate)
     if not (math.isfinite(k) and math.isfinite(beta)):
         raise ValueError(f"shape and rate must be finite, got {k}, {beta}")

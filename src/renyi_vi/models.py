@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, gammainccinv, gammaincinv, gammaln
 
 from .distributions import Density, make_gaussian, make_uniform
 
@@ -168,6 +167,9 @@ def _stirlerr(a: float) -> float:
     """log a! - (a + 1/2) log a + a - log(2 pi) / 2, Stirling's error: by its
     series from a = 20 on, where log a! is too large to subtract from exactly."""
     if a < 20.0:
+        # scipy.special costs about 0.3 s of start-up, and only Gamma code needs it
+        from scipy.special import gammaln
+
         return float(gammaln(a + 1.0)) - (a + 0.5) * math.log(a) + a - 0.5 * _LOG_2PI
     r = 1.0 / (a * a)
     return (1.0 / 12.0 - r * (1.0 / 360.0 - r * (1.0 / 1260.0 - r / 1680.0))) / a
@@ -211,6 +213,9 @@ def exponential_model(prior: Density | None = None) -> BayesModel:
         return x
 
     def exact_posterior(data):
+        # scipy.special costs about 0.3 s of start-up, and only Gamma code needs it
+        from scipy.special import gammainc, gammaincc, gammainccinv, gammaincinv
+
         x = _check_data(data)
         n = x.size
         if n == 0:
@@ -230,6 +235,9 @@ def exponential_model(prior: Density | None = None) -> BayesModel:
 
         def log_pdf(lam):
             t = np.asarray(lam, dtype=float).reshape(-1) * ratio
+            t_min = t.min(initial=np.inf)
+            if t_min > 0.0 and t_min >= t_lo and t.max(initial=-np.inf) <= t_hi:
+                return n * (np.log(t) - (t - 1.0)) + const  # the usual case: no mask
             with np.errstate(divide="ignore", invalid="ignore"):
                 out = n * (np.log(t) - (t - 1.0)) + const
             return np.where((t >= t_lo) & (t <= t_hi), out, -np.inf)

@@ -514,6 +514,16 @@ class TestDivergenceCommand:
         assert code == 1 and out == ""
         assert named in err
 
+    def test_cancelling_alpha_exits_one_without_traceback(self, capsys):
+        # at alpha 1e20 the log-integrand cancels to a non-positive integral
+        code = run_cli([
+            "divergence", "--p", '{"kind":"gaussian","mean":0,"cov":1}',
+            "--q", '{"kind":"laplace","loc":1,"scale":1}', "--alpha", "1e20",
+        ])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "non-positive" in err
+
     def test_missing_mode_exits_one(self, capsys):
         code = run_cli([
             "divergence",
@@ -554,16 +564,31 @@ class TestSeedPrecedence:
         assert self._fitted_mean(tmp_path, "a") == self._fitted_mean(tmp_path, "b")
 
 
+LAPLACE_CELL = {"model": GM, "family": "laplace", "n_grid": [100, 1000], "n_seeds": 1}
+
+
 class TestImport:
-    def test_import_leaves_scipy_optimize_unloaded(self):
-        # importing scipy.optimize adds about 0.28 s to every start-up
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, renyi_vi.cli; print('scipy.optimize' in sys.modules)"],
-            capture_output=True, text=True,
-        )
+    # scipy.special adds about 0.3 s and scipy.optimize about 0.28 s to every
+    # start-up; only Gamma code loads scipy
+    @pytest.mark.parametrize("config, argv", [
+        (None, None),
+        ({"experiment": "consistency", **LAPLACE_CELL}, ["experiment"]),
+        ({"experiment": "ep", **LAPLACE_CELL}, ["experiment"]),
+        ({"experiment": "figure1", "rho": 0.5}, ["experiment"]),
+        (None, ["divergence", "--p", '{"kind":"gaussian","mean":0,"cov":1}',
+                "--q", '{"kind":"laplace","loc":0,"scale":1}', "--alpha", "2"]),
+    ], ids=["import", "consistency", "ep", "figure1", "divergence"])
+    def test_scipy_stays_unloaded(self, tmp_path, config, argv):
+        script = "import sys, renyi_vi.cli\n"
+        if config is not None:
+            argv = [*argv, write_config(tmp_path, "cfg.json", config),
+                    "--outdir", str(tmp_path / "out")]
+        if argv is not None:
+            script += f"assert renyi_vi.cli.main({argv!r}) == 0\n"
+        script += "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestHelp:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from renyi_vi import goodseq
 from renyi_vi.goodseq import (
     GoodSequenceSpec,
     alpha_factor,
@@ -140,6 +141,13 @@ class TestMeanGap:
 
 
 class TestRatioBounds:
+    def test_z_tail_is_the_gaussian_quantile(self):
+        # the scan's outer edge is a literal so that importing goodseq loads
+        # no scipy; it must equal the quantile bit for bit
+        from scipy.special import erfcinv
+
+        assert goodseq._Z_TAIL == math.sqrt(2.0) * erfcinv(2e-10)
+
     def test_cited_constants(self):
         assert abs(cited_ratio_bound("laplace", 2.0) - math.exp(0.5)) <= 1e-12
         assert abs(

@@ -158,6 +158,19 @@ class TestExponentialModel:
         res = kstest(draws, lambda lam: (gammainc(k, sx * lam) - c_lo) / (c_hi - c_lo))
         assert res.pvalue > 1e-3
 
+    @pytest.mark.parametrize("case", TRUNCATIONS)
+    def test_log_pdf_bits_do_not_depend_on_the_batch(self, case):
+        """Points inside the support score alike alone and batched with points
+        outside it (0, NaN, beyond either end), which score -inf."""
+        lo, hi = case[0], case[1]
+        post, _, _ = _truncated_gamma_case(*case, n=40, seed=5)
+        inside = np.linspace(lo, hi, 101)
+        inside = inside[inside > 0.0]
+        outside = [0.0, lo - 1.0, hi + 1.0, math.nan]
+        batched = post.log_pdf(np.concatenate([inside, outside]))
+        assert batched[:inside.size].tobytes() == post.log_pdf(inside).tobytes()
+        assert np.all(batched[inside.size:] == -np.inf)
+
     def test_makes_no_integrate_call(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("exact_posterior ran a quadrature")
