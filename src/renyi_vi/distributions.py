@@ -21,8 +21,11 @@ from .numerics import QuadratureSpec, cholesky_rows, integrate
 
 __all__ = [
     "Density",
+    "Members",
     "make_gaussian",
+    "isotropic_gaussians",
     "make_laplace",
+    "laplace_members",
     "make_logistic",
     "make_gamma",
     "make_uniform",
@@ -209,6 +212,68 @@ def make_gaussian(mean, cov) -> Density:
     )
 
 
+@dataclass(frozen=True)
+class Members:
+    """A batch of densities of one kind, as arrays over the batch: for each
+    member, the bits of the attributes of the :class:`Density` that
+    ``make_gaussian`` or ``make_laplace`` builds for it, without building it.
+
+    ``mean`` holds one array per coordinate. ``cov`` and ``chol`` hold the
+    rows of the lower triangles of the covariance and of its Cholesky
+    factor, as :attr:`Density.chol` does, with a float where an entry is the
+    same for every member. A Laplace batch holds ``loc`` and ``scale`` in
+    ``params``.
+    """
+
+    kind: str
+    dim: int
+    mean: tuple[np.ndarray, ...]
+    entropy: np.ndarray
+    cov: tuple = ()
+    chol: tuple = ()
+    log_det: np.ndarray | None = None
+    params: Mapping[str, Any] = field(default_factory=dict)
+
+
+def isotropic_gaussians(mean, sd) -> Members | None:
+    """The Gaussians N(mean_i, sd_i ** 2 I), for the rows of the (m, d)
+    array ``mean``, as ``make_gaussian`` holds each; None when it would
+    refuse one of them.
+
+    Each variance is squared as Python squares a float, which is not always
+    sd * sd. For var I, :func:`cholesky_rows` gives sqrt(var) on the
+    diagonal and 0.0 below it, so the log-determinant is the numpy log of
+    the product of d such pivots.
+    """
+    mean = np.asarray(mean, dtype=float)
+    d = mean.shape[1]
+    try:
+        var = np.array([s ** 2 for s in np.asarray(sd, dtype=float).tolist()])
+    except OverflowError:  # unpack meets it member by member, as before
+        return None
+    with np.errstate(all="ignore"):
+        pivot = np.sqrt(var)
+        prod = pivot
+        for _ in range(d - 1):
+            prod = prod * pivot
+        log_det = 2.0 * np.log(prod)
+    if not (np.isfinite(mean).all() and (var > 0.0).all() and np.isfinite(log_det).all()):
+        return None
+
+    def lower(diag):
+        return tuple(tuple(diag if j == i else 0.0 for j in range(i + 1)) for i in range(d))
+
+    return Members(
+        kind="gaussian",
+        dim=d,
+        mean=tuple(mean.T),
+        entropy=0.5 * d * (1.0 + _LOG_2PI) + 0.5 * log_det,
+        cov=lower(var),
+        chol=lower(pivot),
+        log_det=log_det,
+    )
+
+
 def make_laplace(loc: float, scale: float) -> Density:
     """Laplace density with location k = loc and scale b; variance 2 b^2."""
     k, b = float(loc), float(scale)
@@ -232,6 +297,16 @@ def make_laplace(loc: float, scale: float) -> Density:
         params={"loc": k, "scale": b},
         entropy=1.0 + float(np.log(2.0 * b)),
     )
+
+
+def laplace_members(loc, scale) -> Members | None:
+    """The Laplace densities (loc_i, scale_i), as ``make_laplace`` holds
+    each; None when it would refuse one of them."""
+    k, b = np.asarray(loc, dtype=float), np.asarray(scale, dtype=float)
+    if not (np.isfinite(k).all() and np.isfinite(b).all() and (b > 0.0).all()):
+        return None
+    return Members(kind="laplace", dim=1, mean=(k,), entropy=1.0 + np.log(2.0 * b),
+                   params={"loc": k, "scale": b})
 
 
 def make_logistic(loc: float, scale: float) -> Density:

@@ -5,7 +5,11 @@ integral.
 ``renyi`` and ``kl_forward`` score a pair by the closed form that
 ``_RENYI_CLOSED`` or ``_KL_CLOSED`` lists for its two kinds, else by
 adaptive quadrature (dim <= 2), both objectives in the frame of
-:func:`_frame`.
+:func:`_frame`. Each closed-form row has a batch form, which
+``renyi_batch`` and ``kl_forward_batch`` run: it scores a batch of members
+(:class:`~renyi_vi.distributions.Members`) on either side of the pair in one
+call, each with the bits its scalar row gives it, so that a fit scores its
+start grid in one call for pairs that have one.
 
 Infinity is a first-class value here: D_alpha is infinite whenever q fails
 to dominate p or the integral q (p/q)^alpha diverges, and both outcomes are
@@ -23,9 +27,17 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .distributions import Density, bulk_points, dominates, interval_mass, make_gaussian
+from .distributions import (
+    Density,
+    Members,
+    bulk_points,
+    dominates,
+    interval_mass,
+    make_gaussian,
+)
 from .numerics import (
     QuadratureSpec,
+    cholesky_batch,
     cholesky_rows,
     integrate,
     integrate_2d,
@@ -44,7 +56,9 @@ __all__ = [
     "renyi",
     "renyi_quadrature",
     "renyi_gauss_closed",
+    "renyi_batch",
     "kl_forward",
+    "kl_forward_batch",
     "kl_reverse",
     "mc_renyi_upper_bound",
     "holder_lower_bound",
@@ -503,7 +517,16 @@ def renyi_quadrature(
         out[ok] = alpha * lp[ok] + (1.0 - alpha) * lq[ok]
         return out
 
-    frame = _frame(p, q, log_integrand)
+    # A huge alpha overflows alpha log p to -inf and the sum to NaN at the
+    # frame's first points, and the shift check refuses it by name, so numpy
+    # need not warn of it first. Only where alpha - 1 rounds to alpha: below
+    # that, only a log-density past -1e292 overflows, and numpy's ufuncs run
+    # slower under an errstate (about 3% of a Gamma pair's quadrature).
+    if alpha - 1.0 == alpha:
+        with np.errstate(over="ignore", invalid="ignore"):
+            frame = _frame(p, q, log_integrand)
+    else:
+        frame = _frame(p, q, log_integrand)
     if math.isnan(frame.shift):
         raise ValueError(f"the Renyi integrand overflows at alpha = {alpha:g}")
     res, vanished = _shifted_integral(log_integrand, frame, rel_tol)
@@ -643,16 +666,89 @@ def _kl_quadrature(p: Density, q: Density, rel_tol: float) -> DivergenceEstimate
                               float(res.error) * jac, None, res.converged, res.panels)
 
 
+# Batch forms of the closed forms. One side of the pair is a Density and the
+# other a batch of members (:class:`~renyi_vi.distributions.Members`), on
+# whichever side the objective puts them; each returns every member's value
+# with the bits its scalar row gives it. So each repeats its row's
+# operations in its order: numpy only for +, -, *, / and sqrt, which round
+# correctly, as Python's floats do, and the row's own function, element by
+# element, for every log, exp, erf and ``** 2`` (the numpy log where a
+# Density's own log_det or entropy used it). The rows stay the reference.
+
+
+def _means(d) -> list:
+    """d's mean, coordinate by coordinate: floats, or arrays over a batch."""
+    return d.mean.tolist() if isinstance(d, Density) else list(d.mean)
+
+
+def _each(fn, x):
+    """``fn`` of x, of each element where x is an array over a batch."""
+    if isinstance(x, np.ndarray):
+        return np.array([fn(v) for v in x.tolist()])
+    return fn(x)
+
+
+def _square(v: float) -> float:
+    return v ** 2
+
+
+def _renyi_gauss_batch(p: Density, q: Members, alpha: float) -> np.ndarray:
+    """:func:`renyi_gauss_closed` of p against each member of q."""
+    beta = 1.0 - alpha
+    s_star = [[alpha * sq + beta * sp for sp, sq in zip(rp[:i + 1], rq)]
+              for i, (rp, rq) in enumerate(zip(p.cov.tolist(), q.cov))]
+    rows, ok = cholesky_batch(s_star)
+    z = solve_lower(rows, [a - b for a, b in zip(_means(p), _means(q))])
+    quad = 0.5 * alpha * sum(v * v for v in z)
+    log_det = 2.0 * sum(_each(math.log, np.where(ok, row[i], 1.0))
+                        for i, row in enumerate(rows))
+    logdets = log_det - beta * p.log_det - alpha * q.log_det
+    value = quad - logdets / (2.0 * (alpha - 1.0))
+    return np.where(ok, np.where(0.0 > value, 0.0, value), np.inf)
+
+
+def _kl_gauss_batch(p, q) -> np.ndarray:
+    """:func:`_kl_gauss_closed` with a batch of members as p or as q."""
+    trace = 0.0
+    for j in range(p.dim):
+        col = [0.0] * j + [row[j] for row in p.chol[j:]]
+        trace = trace + sum(v * v for v in solve_lower(q.chol, col))
+    z = solve_lower(q.chol, [a - b for a, b in zip(_means(p), _means(q))])
+    value = 0.5 * (trace + sum(v * v for v in z) - p.dim + q.log_det - p.log_det)
+    return np.where(0.0 > value, 0.0, value)
+
+
+def _kl_gauss_laplace_batch(p, q) -> np.ndarray:
+    """:func:`_kl_gauss_laplace` with a batch of members as p or as q."""
+    s = p.chol[0][0]
+    k, b = q.params["loc"], q.params["scale"]
+    d = _means(p)[0] - k
+    folded = (s * _SQRT_2_OVER_PI * _each(math.exp, -0.5 * _each(_square, d / s))
+              + d * _each(math.erf, d / (s * _SQRT_2)))
+    return -p.entropy + _each(math.log, 2.0 * b) + folded / b
+
+
+def _kl_laplace_gauss_batch(p, q) -> np.ndarray:
+    """:func:`_kl_laplace_gauss` with a batch of members as p or as q."""
+    k, b = p.params["loc"], p.params["scale"]
+    s = q.chol[0][0]
+    d = k - _means(q)[0]
+    return (-p.entropy + 0.5 * (_LOG_2PI + q.log_det)
+            + (d * d + 2.0 * b * b) / (2.0 * s * s))
+
+
 # Closed forms by (p.kind, q.kind), one table per objective; a pair that is
-# not listed is scored by the objective's quadrature. Each entry names a
-# module attribute, which :func:`_score` looks up at call time, so a
-# rebinding of that attribute (a test's patch, a call tracer) is what runs.
-# A Laplace is 1-D, so its Gaussian partner is too once the dimensions agree.
-_RENYI_CLOSED = {("gaussian", "gaussian"): "renyi_gauss_closed"}
+# not listed is scored by the objective's quadrature. Each entry names two
+# module attributes, the scalar row and its batch form (None for a row
+# without one), which :func:`_score` and :func:`_score_batch` look up at
+# call time, so a rebinding of either (a test's patch, a call tracer) is
+# what runs. A Laplace is 1-D, so its Gaussian partner is too once the
+# dimensions agree.
+_RENYI_CLOSED = {("gaussian", "gaussian"): ("renyi_gauss_closed", "_renyi_gauss_batch")}
 _KL_CLOSED = {
-    ("gaussian", "gaussian"): "_kl_gauss_closed",
-    ("gaussian", "laplace"): "_kl_gauss_laplace",
-    ("laplace", "gaussian"): "_kl_laplace_gauss",
+    ("gaussian", "gaussian"): ("_kl_gauss_closed", "_kl_gauss_batch"),
+    ("gaussian", "laplace"): ("_kl_gauss_laplace", "_kl_gauss_laplace_batch"),
+    ("laplace", "gaussian"): ("_kl_laplace_gauss", "_kl_laplace_gauss_batch"),
 }
 
 
@@ -661,10 +757,24 @@ def _score(table: dict, quadrature, p: Density, q: Density, *args, rel_tol: floa
     else by ``quadrature`` at ``rel_tol``."""
     if p.dim != q.dim:
         raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    closed = table.get((p.kind, q.kind))
-    if closed is not None:
-        return globals()[closed](p, q, *args)
+    row = table.get((p.kind, q.kind))
+    if row is not None:
+        return globals()[row[0]](p, q, *args)
     return quadrature(p, q, *args, rel_tol=rel_tol)
+
+
+def _score_batch(table: dict, p, q, *args) -> np.ndarray | None:
+    """Each member of the batch on one side scored by the batch form of the
+    row that ``table`` lists for the kinds; None where it lists no row, or
+    a row without one (None in place of its name). Python's floats
+    overflow without a word, so numpy does not warn here either."""
+    if p.dim != q.dim:
+        raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
+    row = table.get((p.kind, q.kind))
+    if row is None or row[1] is None:
+        return None
+    with np.errstate(all="ignore"):
+        return globals()[row[1]](p, q, *args)
 
 
 def renyi(p: Density, q: Density, alpha: float, rel_tol: float = 1e-8) -> DivergenceEstimate:
@@ -673,10 +783,25 @@ def renyi(p: Density, q: Density, alpha: float, rel_tol: float = 1e-8) -> Diverg
     return _score(_RENYI_CLOSED, renyi_quadrature, p, q, alpha, rel_tol=rel_tol)
 
 
+def renyi_batch(p: Density, q: Members, alpha: float) -> np.ndarray | None:
+    """D_alpha(p || q_i) for each member q_i of the batch q, with the bits
+    that :func:`renyi` gives each, by the batch form of the pair's
+    ``_RENYI_CLOSED`` row; None when the pair has none. A value that the
+    scalar row refuses (a NaN) is NaN here."""
+    return _score_batch(_RENYI_CLOSED, p, q, _check_alpha(alpha))
+
+
 def kl_forward(p: Density, q: Density, rel_tol: float = 1e-9) -> DivergenceEstimate:
     """KL(p || q) = int p log(p/q): the closed form that ``_KL_CLOSED`` lists
     for the pair, else quadrature (dim <= 2)."""
     return _score(_KL_CLOSED, _kl_quadrature, p, q, rel_tol=rel_tol)
+
+
+def kl_forward_batch(p, q) -> np.ndarray | None:
+    """KL(p || q) for each member of a batch of members on either side, with
+    the bits that :func:`kl_forward` gives each, by the batch form of the
+    pair's ``_KL_CLOSED`` row; None when the pair has none."""
+    return _score_batch(_KL_CLOSED, p, q)
 
 
 def kl_reverse(p: Density, q: Density, rel_tol: float = 1e-9) -> DivergenceEstimate:

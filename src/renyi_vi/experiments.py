@@ -126,14 +126,19 @@ def _write_csv(path: Path, rows: list[dict]) -> None:
 
 
 def _write_grid_csv(path: Path, grid: dict[str, np.ndarray]) -> None:
-    """Float columns in the format of :func:`_write_csv`, with one format
-    call for the whole table."""
-    table = np.column_stack(list(grid.values()))
-    n_rows, n_cols = table.shape
-    row = ",".join(["%.17g"] * n_cols) + "\n"
+    """Float columns in the format of :func:`_write_csv`. Each column is
+    formatted once per distinct value, told apart by its bits (so 0.0 and
+    -0.0 stay apart): a mesh coordinate has one per mesh line, and a
+    symmetric density repeats its values."""
+    cols = []
+    for col in grid.values():
+        bits, inverse = np.unique(np.asarray(col, dtype=float).view(np.int64),
+                                  return_inverse=True)
+        text = np.array(["%.17g" % v for v in bits.view(float).tolist()], dtype=object)
+        cols.append(text[inverse])
     with open(path, "w") as fh:
         fh.write(f"# schema={CSV_SCHEMA}\n" + ",".join(grid) + "\n")
-        fh.write((row * n_rows) % tuple(table.ravel().tolist()))
+        fh.write("".join(",".join(row) + "\n" for row in np.column_stack(cols).tolist()))
 
 
 def write_report(report: ExperimentReport, outdir) -> dict[str, Path]:

@@ -34,6 +34,7 @@ __all__ = [
     "integrate_2d",
     "log_sum_exp",
     "cholesky_rows",
+    "cholesky_batch",
     "solve_lower",
 ]
 
@@ -430,13 +431,41 @@ def cholesky_rows(a) -> tuple[tuple[float, ...], ...] | None:
     return tuple(rows)
 
 
-def solve_lower(rows, b) -> list[float]:
+def cholesky_batch(a) -> tuple[tuple, np.ndarray]:
+    """:func:`cholesky_rows` of a batch of matrices, with the same operations
+    in the same order, so each member's factor has the same bits.
+
+    An entry of ``a`` is an array over the batch, or a float that all its
+    members share. Returns the rows, and a mask of the members whose pivots
+    are all positive; the rows of the others hold no factor. As in
+    :func:`cholesky_rows`, a NaN pivot is not a failed one.
+    """
+    rows: list[tuple] = []
+    ok = np.True_
+    for i, ai in enumerate(a):
+        row = []
+        for j, rj in enumerate(rows):
+            s = ai[j]
+            for k in range(j):
+                s = s - row[k] * rj[k]
+            row.append(s / rj[j])
+        s = ai[i]
+        for v in row:
+            s = s - v * v
+        ok = ok & ~(np.asarray(s) <= 0.0)
+        row.append(np.sqrt(s))
+        rows.append(tuple(row))
+    return tuple(rows), ok
+
+
+def solve_lower(rows, b) -> list:
     """z with L z = b, by forward substitution; ``rows`` as returned by
-    :func:`cholesky_rows`."""
-    z: list[float] = []
+    :func:`cholesky_rows` or :func:`cholesky_batch`. Entries may be floats
+    or arrays over a batch: none is updated in place."""
+    z: list = []
     for row, bi in zip(rows, b):
         s = bi
         for k, zk in enumerate(z):
-            s -= row[k] * zk
+            s = s - row[k] * zk
         z.append(s / row[len(z)])
     return z

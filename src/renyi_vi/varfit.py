@@ -6,7 +6,10 @@ alpha-Renyi divergence (alpha > 1), the forward KL or the reverse KL.
 
 Objectives are scored by ``divergence.renyi`` and ``kl_forward``, which
 take a closed form where their tables list the pair and quadrature
-elsewhere. An infinite objective region (dominance failure or a divergent
+elsewhere. Where the family and the pair have a batch form, the start grid
+is scored in one call (``renyi_batch``, ``kl_forward_batch``), with the
+bits the scalar rows give each member; every member still counts as one
+evaluation. An infinite objective region (dominance failure or a divergent
 integral) is skipped by the grid and reported as an error only when the
 whole initial grid is infinite.
 """
@@ -20,8 +23,25 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import Density, make_gamma, make_gaussian, make_laplace, make_logistic
-from .divergence import DivergenceEstimate, _check_alpha, kl_forward, kl_reverse, renyi
+from .distributions import (
+    Density,
+    Members,
+    isotropic_gaussians,
+    laplace_members,
+    make_gamma,
+    make_gaussian,
+    make_laplace,
+    make_logistic,
+)
+from .divergence import (
+    DivergenceEstimate,
+    _check_alpha,
+    kl_forward,
+    kl_forward_batch,
+    kl_reverse,
+    renyi,
+    renyi_batch,
+)
 from .models import BayesModel
 
 __all__ = [
@@ -54,7 +74,10 @@ class VariationalFamily:
     ``param_roles`` marks each coordinate "location", "positive" (a location
     that must stay above 0, such as a Gamma mean) or "scale". Positive and
     scale coordinates are optimized in log space, and the family's dimension
-    is its number of locations.
+    is its number of locations. ``unpack_batch``, where a family has one,
+    maps the rows of an (m, k) array of parameters to their members as
+    :class:`~renyi_vi.distributions.Members`, building no Density, or to
+    None where ``unpack`` would refuse one of them.
     """
 
     name: str
@@ -62,6 +85,7 @@ class VariationalFamily:
     param_roles: tuple[str, ...]
     unpack: Callable[[np.ndarray], Density]
     init_from: Callable[[Density], np.ndarray]
+    unpack_batch: Callable[[np.ndarray], Members | None] | None = None
 
     @property
     def dim(self) -> int:
@@ -132,9 +156,10 @@ def _target_sd(target: Density) -> np.ndarray:
     return np.sqrt(np.diag(cov))
 
 
-def _location_scale(name, param_names, make, start_scale) -> VariationalFamily:
+def _location_scale(name, param_names, make, start_scale, make_batch=None) -> VariationalFamily:
     """A 1-D family of members ``make(location, scale)``, started at the
-    target's mean and at the scale ``start_scale(sd)`` that matches its sd."""
+    target's mean and at the scale ``start_scale(sd)`` that matches its sd;
+    ``make_batch(locations, scales)`` makes a batch of them."""
     return VariationalFamily(
         name=name,
         param_names=param_names,
@@ -143,17 +168,18 @@ def _location_scale(name, param_names, make, start_scale) -> VariationalFamily:
         init_from=lambda t: np.array(
             [float(np.atleast_1d(t.mean)[0]), start_scale(_target_sd(t)[0])]
         ),
+        unpack_batch=None if make_batch is None else lambda ps: make_batch(ps[:, 0], ps[:, 1]),
     )
 
 
 def gaussian_family() -> VariationalFamily:
     return _location_scale("gaussian", ("mean", "sd"), lambda m, s: make_gaussian(m, s**2),
-                           lambda sd: sd)
+                           lambda sd: sd, lambda m, s: isotropic_gaussians(m[:, None], s))
 
 
 def laplace_family() -> VariationalFamily:
     return _location_scale("laplace", ("loc", "scale"), make_laplace,
-                           lambda sd: sd / math.sqrt(2.0))
+                           lambda sd: sd / math.sqrt(2.0), laplace_members)
 
 
 def logistic_family() -> VariationalFamily:
@@ -193,6 +219,7 @@ def isotropic_gaussian_family() -> VariationalFamily:
         param_roles=("location", "location", "scale"),
         unpack=unpack,
         init_from=init_from,
+        unpack_batch=lambda ps: isotropic_gaussians(ps[:, :2], ps[:, 2]),
     )
 
 
@@ -223,32 +250,73 @@ def _make_scorer(target: Density, family: VariationalFamily, kind: str,
     return estimate
 
 
+def _prescore(target: Density, family: VariationalFamily, kind: str, alpha,
+              zs: np.ndarray) -> dict[tuple, float]:
+    """The objective at each row of ``zs`` (internal coords), by its key,
+    scored in one call by the batch form of the pair's closed-form row: the
+    values the scorer gives them one by one. Empty where the family or the
+    pair has no batch form, and where a member or a value needs the scalar
+    path (a member ``unpack`` refuses, or a NaN, which a scalar row raises
+    on or returns), so that path runs as it always has."""
+    if family.unpack_batch is None:
+        return {}
+    params = np.array(zs, dtype=float)
+    for i, role in enumerate(family.param_roles):
+        if role != "location":  # as family.natural does, row by row
+            params[:, i] = [math.exp(v) for v in params[:, i].tolist()]
+    members = family.unpack_batch(params)
+    if members is None:
+        return {}
+    if kind == "renyi-alpha":
+        values = renyi_batch(target, members, alpha)
+    elif kind == "kl-forward":
+        values = kl_forward_batch(target, members)
+    else:
+        values = kl_forward_batch(members, target)
+    if values is None or np.isnan(values).any():
+        return {}
+    scored: dict[tuple, float] = {}
+    for z, v in zip(zs.tolist(), values.tolist()):
+        scored.setdefault(_key(z), v)  # a repeated key is scored once, first
+    return scored
+
+
+def _key(z: list[float]) -> tuple:
+    # np.round(z, 14)'s arithmetic (rint of z * 1e14, over 1e14) on Python
+    # floats: the same keys at a fraction of the cost
+    return tuple(round(v * 1e14) / 1e14 for v in z)
+
+
 class _Objective:
     """Caching, budgeted wrapper around a parameter scorer (internal coords).
 
     Keeps the best ``(z, value)`` it has scored, so a fit stopped by the
     budget in the middle of a line search still returns its best point.
+    ``scored`` holds values already scored by key (:func:`_prescore`): a
+    point found there counts as an evaluation like any other, but is not
+    scored again.
     """
 
-    def __init__(self, score, family, budget):
+    def __init__(self, score, family, budget, scored):
         self._score = score
         self._family = family
         self.budget = budget
         self.n_evals = 0
         self._cache: dict[tuple, float] = {}
+        self._scored = scored
         self.best_z: np.ndarray | None = None
         self.best_val = math.inf
 
     def __call__(self, z: np.ndarray) -> float:
-        # np.round(z, 14)'s arithmetic (rint of z * 1e14, over 1e14) on
-        # Python floats: the same keys at a fraction of the cost
-        key = tuple(round(v * 1e14) / 1e14 for v in np.asarray(z, dtype=float).tolist())
+        key = _key(np.asarray(z, dtype=float).tolist())
         if key in self._cache:
             return self._cache[key]
         if self.n_evals >= self.budget:
             raise _BudgetExhausted
         self.n_evals += 1
-        val = float(self._score(self._family.natural(np.asarray(z, dtype=float))).value)
+        val = self._scored.pop(key, None)
+        if val is None:
+            val = float(self._score(self._family.natural(np.asarray(z, dtype=float))).value)
         self._cache[key] = val
         if val < self.best_val:
             self.best_val = val
@@ -340,7 +408,6 @@ def fit(
     """
     target = _target_density(target, family)
     score = _make_scorer(target, family, objective_kind, alpha, quad_tol)
-    obj = _Objective(score, family, budget)
 
     x0 = family.init_from(target)
     sd = _target_sd(target)
@@ -377,6 +444,10 @@ def fit(
 
     mesh = np.meshgrid(*axes, indexing="ij")
     grid = np.column_stack([m.ravel() for m in mesh])
+    # the grid in one call where the pair has a batch form; each member
+    # still counts as one evaluation, in grid order
+    obj = _Objective(score, family, budget,
+                     _prescore(target, family, objective_kind, alpha, grid[:budget]))
 
     trace: list[dict] = []
     best_val = np.inf

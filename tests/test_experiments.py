@@ -325,3 +325,15 @@ class TestReports:
         assert lines[2].split(",")[0] == "%.17g" % rep.grid["x"][0]
         back = np.loadtxt(path, delimiter=",", skiprows=2)
         assert np.array_equal(back, np.column_stack(list(rep.grid.values())))
+
+    def test_grid_file_is_each_value_in_17_digits(self, tmp_path):
+        odd = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 0.1, 0.1 + 2.0 ** -56, 0.1])
+        grids = [run_figure1(rho=0.5, alphas=(2.0,), grid_points=7).grid,
+                 {"a": odd, "b": odd[::-1]}]
+        for i, grid in enumerate(grids):
+            path = tmp_path / f"grid{i}.csv"
+            experiments._write_grid_csv(path, grid)
+            expect = "".join(",".join("%.17g" % v for v in row) + "\n"
+                             for row in zip(*grid.values()))
+            header = f"# schema={experiments.CSV_SCHEMA}\n" + ",".join(grid) + "\n"
+            assert path.read_text() == header + expect

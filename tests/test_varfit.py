@@ -106,6 +106,49 @@ class TestBrentLineSearch:
         assert _brent_1d(lambda x: abs(x - 0.25), 0.0, 0.5, 0.25) == (0.25, 0.0)
 
 
+# (target, family, objective, alpha, budget): the figure1 fits, the 1-D
+# Gaussian family under each objective and the Laplace family under both
+# KLs, each also with a budget that ends inside its start grid (100 of the
+# 225 members, 30 of the 45).
+BATCHED_FITS = [
+    (ANISO, "isotropic-gaussian-2d", kind, alpha, budget)
+    for kind, alpha in (("kl-reverse", None), ("kl-forward", None), ("renyi-alpha", 5.0))
+    for budget in (700, 100)
+] + [
+    (make_gaussian(0.3, 0.04), "gaussian", kind, alpha, budget)
+    for kind, alpha in (("kl-reverse", None), ("kl-forward", None), ("renyi-alpha", 2.0))
+    for budget in (400, 260, 30)
+] + [
+    (make_gaussian(0.3, 0.04), "laplace", kind, None, budget)
+    for kind in ("kl-reverse", "kl-forward") for budget in (260, 30)
+]
+
+
+@pytest.mark.parametrize("target,family,kind,alpha,budget", BATCHED_FITS)
+def test_batched_start_grid_leaves_the_fit_as_it_was(monkeypatch, target, family, kind,
+                                                     alpha, budget):
+    batched = []
+    score_batch = divergence._score_batch
+
+    def recording(*args):
+        batched.append(score_batch(*args))
+        return batched[-1]
+
+    monkeypatch.setattr(divergence, "_score_batch", recording)
+    res = fit(target, FAMILY_BUILDERS[family](), kind, alpha=alpha, budget=budget)
+    assert len(batched) == 1 and batched[0] is not None
+    for table in ("_RENYI_CLOSED", "_KL_CLOSED"):
+        monkeypatch.setattr(divergence, table, {pair: (row[0], None) for pair, row
+                                                in getattr(divergence, table).items()})
+    ref = fit(target, FAMILY_BUILDERS[family](), kind, alpha=alpha, budget=budget)
+    assert batched[1:] == [None]
+    assert res.params.tobytes() == ref.params.tobytes()
+    assert res.objective == ref.objective
+    assert (res.n_evals, res.converged) == (ref.n_evals, ref.converged)
+    assert repr(res.trace) == repr(ref.trace)
+    assert res.n_evals <= budget
+
+
 class TestFitMechanics:
     def test_trace_objective_nonincreasing(self):
         post = make_gaussian(0.2, 0.04)
