@@ -84,16 +84,21 @@ def _resolve_seed(args, config: dict, where: str):
 
 
 def _outdir(args, config: dict, tag: str) -> Path:
+    """Where a command writes: --outdir, else the config's outdir, else a
+    stamped directory under runs/. It is made where a file is written."""
     if getattr(args, "outdir", None):
-        out = Path(args.outdir)
-    elif config.get("outdir"):
-        out = Path(config["outdir"])
-    else:
-        stamp = time.strftime("%Y%m%d-%H%M%S")
-        seed = config.get("seed", 0)
-        out = Path(f"runs/{tag}-{stamp}-seed{seed}")
+        return Path(args.outdir)
+    if config.get("outdir"):
+        return Path(config["outdir"])
+    stamp = time.strftime("%Y%m%d-%H%M%S")
+    return Path(f"runs/{tag}-{stamp}-seed{config.get('seed', 0)}")
+
+
+def _fit_json(out: Path) -> Path:
+    """The path of fit.json in ``out``, made only now, so that a refused
+    config leaves no empty run directory."""
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    return out / "fit.json"
 
 
 # The keys of a generated-data spec, each with its default; "n" is required.
@@ -163,7 +168,7 @@ def cmd_fit(args) -> int:
         )
     except DominanceError as exc:
         payload = {"error": "dominance", "message": str(exc), "config": config}
-        with open(out / "fit.json", "w") as fh:
+        with open(_fit_json(out), "w") as fh:
             json.dump(payload, fh, indent=2)
         print(f"dominance failure: {exc}", file=sys.stderr)
         print(f"wrote {out / 'fit.json'}")
@@ -171,7 +176,7 @@ def cmd_fit(args) -> int:
 
     payload = result.to_json_dict()
     payload["config_echo"] = config
-    with open(out / "fit.json", "w") as fh:
+    with open(_fit_json(out), "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
     print(f"wrote {out / 'fit.json'}  objective={result.objective.value:.6g} "

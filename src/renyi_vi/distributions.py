@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -21,10 +21,13 @@ from .numerics import QuadratureSpec, cholesky_rows, integrate
 
 __all__ = [
     "Density",
+    "Member",
     "Members",
     "make_gaussian",
+    "gaussian_member",
     "isotropic_gaussians",
     "make_laplace",
+    "laplace_member",
     "laplace_members",
     "make_logistic",
     "make_gamma",
@@ -140,15 +143,14 @@ def _as_mean_cov(mu, cov, name: str):
     return mu, cov
 
 
-def make_gaussian(mean, cov) -> Density:
-    """Gaussian density; ``cov`` may be a scalar variance, a diagonal, or a
-    full SPD matrix, of which the lower triangle is read. Every entry read
-    must be finite."""
-    mu, cov = _as_mean_cov(mean, cov, "make_gaussian")
-    d = mu.size
-    if not all(map(math.isfinite, mu.tolist())):
-        raise ValueError(f"mean must be finite, got {mu.tolist()}")
-    rows = cholesky_rows(cov.tolist())
+def _gaussian_factor(mu: list[float], cov) -> tuple:
+    """The factor rows, log-determinant and entropy that ``make_gaussian``
+    holds for the mean ``mu`` and the covariance ``cov``, both of Python
+    floats (only cov's lower triangle is read); raises ``ValueError`` where
+    it refuses them."""
+    if not all(map(math.isfinite, mu)):
+        raise ValueError(f"mean must be finite, got {list(mu)}")
+    rows = cholesky_rows(cov)
     if rows is None:
         raise ValueError("covariance must be finite and symmetric positive definite")
     # numpy's log, not math.log: the two differ in the last bit on a few
@@ -158,6 +160,16 @@ def make_gaussian(mean, cov) -> Density:
     # leaves a NaN or infinite one, and so a log-determinant that is not finite
     if not math.isfinite(log_det):
         raise ValueError("covariance must be finite, with a finite log-determinant")
+    return rows, log_det, 0.5 * len(mu) * (1.0 + _LOG_2PI) + 0.5 * log_det
+
+
+def make_gaussian(mean, cov) -> Density:
+    """Gaussian density; ``cov`` may be a scalar variance, a diagonal, or a
+    full SPD matrix, of which the lower triangle is read. Every entry read
+    must be finite."""
+    mu, cov = _as_mean_cov(mean, cov, "make_gaussian")
+    d = mu.size
+    rows, log_det, entropy = _gaussian_factor(mu.tolist(), cov.tolist())
     const = -0.5 * (d * _LOG_2PI + log_det)
 
     if d == 1:
@@ -196,7 +208,6 @@ def make_gaussian(mean, cov) -> Density:
         out = mu + z @ lower.T
         return out[:, 0] if d == 1 else out
 
-    entropy = 0.5 * d * (1.0 + _LOG_2PI) + 0.5 * log_det
     return Density(
         dim=d,
         support=((-np.inf, np.inf),) * d,
@@ -206,10 +217,41 @@ def make_gaussian(mean, cov) -> Density:
         sample_rng=sample_rng,
         kind="gaussian",
         params={"mu": mu, "cov": cov},
-        entropy=float(entropy),
+        entropy=entropy,
         chol=rows,
         log_det=log_det,
     )
+
+
+class Member(NamedTuple):
+    """One density as the closed forms of :mod:`~renyi_vi.divergence` read
+    it: the attributes of the :class:`Density` that ``make_gaussian`` or
+    ``make_laplace`` builds, with the same bits, in Python floats, and no
+    ``log_pdf``. Cheaper to make than the Density, so a fit's line searches
+    score these where a closed form lists the pair.
+
+    ``mean`` holds one float per coordinate. ``cov`` and ``chol`` hold the
+    rows of the lower triangles of the covariance and of its Cholesky
+    factor, as :attr:`Density.chol` does; ``chol`` and ``log_det`` are None
+    for a Laplace, whose ``params`` hold ``loc`` and ``scale``.
+    """
+
+    kind: str
+    dim: int
+    mean: tuple[float, ...]
+    cov: tuple[tuple[float, ...], ...]
+    chol: tuple[tuple[float, ...], ...] | None
+    log_det: float | None
+    entropy: float
+    params: Mapping[str, Any]
+
+
+def gaussian_member(mean: tuple[float, ...], cov: tuple[tuple[float, ...], ...]) -> Member:
+    """The Gaussian ``make_gaussian(mean, cov)`` makes, as a :class:`Member`,
+    for a mean of Python floats and the rows of a covariance's lower
+    triangle; raises ``ValueError`` where make_gaussian refuses it."""
+    rows, log_det, entropy = _gaussian_factor(mean, cov)
+    return Member("gaussian", len(mean), mean, cov, rows, log_det, entropy, {})
 
 
 @dataclass(frozen=True)
@@ -274,13 +316,20 @@ def isotropic_gaussians(mean, sd) -> Members | None:
     )
 
 
-def make_laplace(loc: float, scale: float) -> Density:
-    """Laplace density with location k = loc and scale b; variance 2 b^2."""
+def _laplace_parts(loc, scale) -> tuple[float, float, float]:
+    """Location, scale and entropy of the Laplace ``make_laplace`` makes, as
+    Python floats; raises ``ValueError`` where it refuses them."""
     k, b = float(loc), float(scale)
     if not (math.isfinite(k) and math.isfinite(b)):
         raise ValueError(f"loc and scale must be finite, got {k}, {b}")
     if b <= 0:
         raise ValueError(f"scale must be positive, got {scale}")
+    return k, b, 1.0 + float(np.log(2.0 * b))
+
+
+def make_laplace(loc: float, scale: float) -> Density:
+    """Laplace density with location k = loc and scale b; variance 2 b^2."""
+    k, b, entropy = _laplace_parts(loc, scale)
     const = -np.log(2.0 * b)
 
     def log_pdf(x):
@@ -295,8 +344,16 @@ def make_laplace(loc: float, scale: float) -> Density:
         sample_rng=lambda rng, n: rng.laplace(k, b, size=n),
         kind="laplace",
         params={"loc": k, "scale": b},
-        entropy=1.0 + float(np.log(2.0 * b)),
+        entropy=entropy,
     )
+
+
+def laplace_member(loc: float, scale: float) -> Member:
+    """The Laplace ``make_laplace(loc, scale)`` makes, as a :class:`Member`;
+    raises ``ValueError`` where make_laplace refuses it."""
+    k, b, entropy = _laplace_parts(loc, scale)
+    return Member("laplace", 1, (k,), ((2.0 * b * b,),), None, None, entropy,
+                  {"loc": k, "scale": b})
 
 
 def laplace_members(loc, scale) -> Members | None:

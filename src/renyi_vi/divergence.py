@@ -9,7 +9,10 @@ adaptive quadrature (dim <= 2), both objectives in the frame of
 ``renyi_batch`` and ``kl_forward_batch`` run: it scores a batch of members
 (:class:`~renyi_vi.distributions.Members`) on either side of the pair in one
 call, each with the bits its scalar row gives it, so that a fit scores its
-start grid in one call for pairs that have one.
+start grid in one call for pairs that have one. A closed-form row also
+reads a :class:`~renyi_vi.distributions.Member`, the attributes of one
+Gaussian or Laplace in Python floats, which a fit's line searches score in
+place of a Density.
 
 Infinity is a first-class value here: D_alpha is infinite whenever q fails
 to dominate p or the integral q (p/q)^alpha diverges, and both outcomes are
@@ -57,8 +60,10 @@ __all__ = [
     "renyi_quadrature",
     "renyi_gauss_closed",
     "renyi_batch",
+    "renyi_has_closed_form",
     "kl_forward",
     "kl_forward_batch",
+    "kl_has_closed_form",
     "kl_reverse",
     "mc_renyi_upper_bound",
     "holder_lower_bound",
@@ -551,6 +556,20 @@ def renyi_quadrature(
                               res.converged, res.panels)
 
 
+# The closed forms read a Density, a Member (distributions.Member: the same
+# attributes in Python floats) or, in their batch forms, a batch of members.
+
+def _means(d) -> list | tuple:
+    """d's mean, coordinate by coordinate: floats, or arrays over a batch."""
+    return d.mean.tolist() if isinstance(d, Density) else d.mean
+
+
+def _covs(d) -> list | tuple:
+    """The rows of d's covariance, of which the closed forms read the lower
+    triangle: floats, or arrays over a batch."""
+    return d.cov.tolist() if isinstance(d, Density) else d.cov
+
+
 def _check_gaussians(p: Density, q: Density) -> None:
     for d in (p, q):
         if d.kind != "gaussian":
@@ -579,11 +598,11 @@ def renyi_gauss_closed(p: Density, q: Density, alpha: float) -> DivergenceEstima
     _check_gaussians(p, q)
     beta = 1.0 - alpha
     s_star = [[alpha * sq + beta * sp for sp, sq in zip(rp[:i + 1], rq[:i + 1])]
-              for i, (rp, rq) in enumerate(zip(p.cov.tolist(), q.cov.tolist()))]
+              for i, (rp, rq) in enumerate(zip(_covs(p), _covs(q)))]
     rows = cholesky_rows(s_star)
     if rows is None:
         return DivergenceEstimate(np.inf, CLOSED_FORM, 0.0, alpha, reason=_S_STAR_INDEFINITE)
-    z = solve_lower(rows, [a - b for a, b in zip(p.mean.tolist(), q.mean.tolist())])
+    z = solve_lower(rows, [a - b for a, b in zip(_means(p), _means(q))])
     quad = 0.5 * alpha * sum(v * v for v in z)
     log_det = 2.0 * sum(math.log(row[i]) for i, row in enumerate(rows))
     logdets = log_det - beta * p.log_det - alpha * q.log_det
@@ -600,7 +619,7 @@ def _kl_gauss_closed(p: Density, q: Density) -> DivergenceEstimate:
     for j in range(p.dim):
         col = [0.0] * j + [row[j] for row in p.chol[j:]]
         trace += sum(v * v for v in solve_lower(q.chol, col))
-    z = solve_lower(q.chol, [a - b for a, b in zip(p.mean.tolist(), q.mean.tolist())])
+    z = solve_lower(q.chol, [a - b for a, b in zip(_means(p), _means(q))])
     value = 0.5 * (trace + sum(v * v for v in z) - p.dim
                    + q.log_det - p.log_det)
     return DivergenceEstimate(max(value, 0.0), CLOSED_FORM, 0.0, None)
@@ -619,7 +638,7 @@ def _kl_gauss_laplace(p: Density, q: Density) -> DivergenceEstimate:
     """
     s = p.chol[0][0]
     k, b = q.params["loc"], q.params["scale"]
-    d = p.mean.tolist()[0] - k
+    d = _means(p)[0] - k
     folded = s * _SQRT_2_OVER_PI * math.exp(-0.5 * (d / s) ** 2) + d * math.erf(d / (s * _SQRT_2))
     value = -p.entropy + math.log(2.0 * b) + folded / b
     return DivergenceEstimate(value, CLOSED_FORM, 0.0, None)
@@ -630,7 +649,7 @@ def _kl_laplace_gauss(p: Density, q: Density) -> DivergenceEstimate:
     + E(X - mu)^2 / 2s^2, with E(X - mu)^2 = (k - mu)^2 + 2 b^2."""
     k, b = p.params["loc"], p.params["scale"]
     s = q.chol[0][0]
-    d = k - q.mean.tolist()[0]
+    d = k - _means(q)[0]
     value = (-p.entropy + 0.5 * (_LOG_2PI + q.log_det)
              + (d * d + 2.0 * b * b) / (2.0 * s * s))
     return DivergenceEstimate(value, CLOSED_FORM, 0.0, None)
@@ -676,11 +695,6 @@ def _kl_quadrature(p: Density, q: Density, rel_tol: float) -> DivergenceEstimate
 # Density's own log_det or entropy used it). The rows stay the reference.
 
 
-def _means(d) -> list:
-    """d's mean, coordinate by coordinate: floats, or arrays over a batch."""
-    return d.mean.tolist() if isinstance(d, Density) else list(d.mean)
-
-
 def _each(fn, x):
     """``fn`` of x, of each element where x is an array over a batch."""
     if isinstance(x, np.ndarray):
@@ -696,7 +710,7 @@ def _renyi_gauss_batch(p: Density, q: Members, alpha: float) -> np.ndarray:
     """:func:`renyi_gauss_closed` of p against each member of q."""
     beta = 1.0 - alpha
     s_star = [[alpha * sq + beta * sp for sp, sq in zip(rp[:i + 1], rq)]
-              for i, (rp, rq) in enumerate(zip(p.cov.tolist(), q.cov))]
+              for i, (rp, rq) in enumerate(zip(_covs(p), q.cov))]
     rows, ok = cholesky_batch(s_star)
     z = solve_lower(rows, [a - b for a, b in zip(_means(p), _means(q))])
     quad = 0.5 * alpha * sum(v * v for v in z)
@@ -779,8 +793,15 @@ def _score_batch(table: dict, p, q, *args) -> np.ndarray | None:
 
 def renyi(p: Density, q: Density, alpha: float, rel_tol: float = 1e-8) -> DivergenceEstimate:
     """D_alpha(p || q): the closed form that ``_RENYI_CLOSED`` lists for the
-    pair, else :func:`renyi_quadrature` (dim <= 2)."""
+    pair, else :func:`renyi_quadrature` (dim <= 2). Where the table lists
+    the pair, either side may be a :class:`~renyi_vi.distributions.Member`."""
     return _score(_RENYI_CLOSED, renyi_quadrature, p, q, alpha, rel_tol=rel_tol)
+
+
+def renyi_has_closed_form(p, q) -> bool:
+    """Whether :func:`renyi` scores the pair by a closed form: whether
+    ``_RENYI_CLOSED`` lists the kinds of p and q."""
+    return (p.kind, q.kind) in _RENYI_CLOSED
 
 
 def renyi_batch(p: Density, q: Members, alpha: float) -> np.ndarray | None:
@@ -793,8 +814,15 @@ def renyi_batch(p: Density, q: Members, alpha: float) -> np.ndarray | None:
 
 def kl_forward(p: Density, q: Density, rel_tol: float = 1e-9) -> DivergenceEstimate:
     """KL(p || q) = int p log(p/q): the closed form that ``_KL_CLOSED`` lists
-    for the pair, else quadrature (dim <= 2)."""
+    for the pair, else quadrature (dim <= 2). Where the table lists the
+    pair, either side may be a :class:`~renyi_vi.distributions.Member`."""
     return _score(_KL_CLOSED, _kl_quadrature, p, q, rel_tol=rel_tol)
+
+
+def kl_has_closed_form(p, q) -> bool:
+    """Whether :func:`kl_forward` scores the pair by a closed form: whether
+    ``_KL_CLOSED`` lists the kinds of p and q."""
+    return (p.kind, q.kind) in _KL_CLOSED
 
 
 def kl_forward_batch(p, q) -> np.ndarray | None:

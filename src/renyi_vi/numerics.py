@@ -132,28 +132,24 @@ class QuadratureResult:
         return self.value
 
 
-# A map is (fwd, weight, inv, a, b): x = fwd(t) for t in (a, b), its
-# Jacobian dx/dt = weight(t), and t = inv(x). The two fixed maps are built
-# once; only a half-infinite map closes over its finite end.
+# A map is (fwd, inv, a, b): fwd(t) gives x and its Jacobian dx/dt for t in
+# (a, b), and t = inv(x). The two fixed maps are built once; only a
+# half-infinite map closes over its finite end.
 
 def _identity(x):
     return x
 
 
-def _unit_weight(t):
-    return 1.0
+def _identity_fwd(t):
+    return t, 1.0
 
 
 # x = t / (1 - t^2) maps (-1, 1) onto the real line; the clamp keeps panel
 # edges that round onto +-1 finite.
 def _double_infinite_fwd(t):
-    return t / np.maximum(1.0 - t * t, 1e-150)
-
-
-def _double_infinite_weight(t):
     tt = t * t
     u = np.maximum(1.0 - tt, 1e-150)
-    return (1.0 + tt) / (u * u)
+    return t / u, (1.0 + tt) / (u * u)
 
 
 def _double_infinite_inv(x):
@@ -164,8 +160,7 @@ def _double_infinite_inv(x):
                      out=np.zeros(x.shape), where=x != 0.0)
 
 
-_DOUBLE_INFINITE = (_double_infinite_fwd, _double_infinite_weight,
-                    _double_infinite_inv, -1.0, 1.0)
+_DOUBLE_INFINITE = (_double_infinite_fwd, _double_infinite_inv, -1.0, 1.0)
 
 
 def _half_infinite_map(a: float, rising: bool):
@@ -174,25 +169,21 @@ def _half_infinite_map(a: float, rising: bool):
 
     def fwd(t):
         u = np.maximum(1.0 - t, 1e-150)
-        return a + sign * t / u
-
-    def weight(t):
-        u = np.maximum(1.0 - t, 1e-150)
-        return 1.0 / (u * u)
+        return a + sign * t / u, 1.0 / (u * u)
 
     def inv(x):
         u = sign * (np.asarray(x, dtype=float) - a)
         u = np.clip(u, 0.0, 1e150)
         return u / (1.0 + u)
 
-    return fwd, weight, inv, 0.0, 1.0
+    return fwd, inv, 0.0, 1.0
 
 
 def _make_map(lower: float, upper: float):
     lo_fin = math.isfinite(lower)
     hi_fin = math.isfinite(upper)
     if lo_fin and hi_fin:
-        return _identity, _unit_weight, _identity, lower, upper
+        return _identity_fwd, _identity, lower, upper
     if not lo_fin and not hi_fin:
         return _DOUBLE_INFINITE
     if lo_fin:
@@ -243,7 +234,7 @@ def _box_sums(f: Callable, maps: Sequence[tuple], lo: np.ndarray, hi: np.ndarray
 def _chunk_sums(f: Callable, maps: Sequence[tuple], lo: np.ndarray, hi: np.ndarray):
     """:func:`_box_sums` on a batch of boxes with one call to f.
 
-    ``maps`` holds each axis's map ``(fwd, weight, ...)``. Each is applied
+    ``maps`` holds each axis's map ``(fwd, ...)``. Each is applied
     to its axis's 15 abscissae per box, before the tensor product, so a 2-D
     call maps 2 x 15 m abscissae, not 225 m nodes. f receives the mapped
     points, (N,) in 1-D and (N, 2) in 2-D in row-major node order (the last
@@ -255,12 +246,13 @@ def _chunk_sums(f: Callable, maps: Sequence[tuple], lo: np.ndarray, hi: np.ndarr
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     xs, ws = [], []
-    for j, (fwd, weight, *_) in enumerate(maps):
+    for j, (fwd, *_) in enumerate(maps):
         # (m, 15) abscissae of axis j, shaped to broadcast over the tensor
         t = (mid[:, j, None] + half[:, j, None] * _NODES).reshape(
             (m,) + (1,) * j + (15,) + (1,) * (d - 1 - j))
-        xs.append(fwd(t))
-        ws.append(weight(t))
+        x, w = fwd(t)
+        xs.append(x)
+        ws.append(w)
     if d == 1:
         pts = xs[0].reshape(-1)
     else:
@@ -276,10 +268,13 @@ def _chunk_sums(f: Callable, maps: Sequence[tuple], lo: np.ndarray, hi: np.ndarr
     for j in range(1, d):
         volume = volume * half[:, j]
     k15 = (vals * w_kronrod).sum(axis=1) * volume
-    g7 = (vals[:, gauss] * w_gauss).sum(axis=1) * volume
+    # in 1-D the Gauss nodes are every other Kronrod node
+    g7 = ((vals[:, 1::2] if d == 1 else vals[:, gauss]) * w_gauss).sum(axis=1) * volume
     diff = np.abs(k15 - g7)
-    with np.errstate(over="ignore"):
-        err = np.minimum(diff, np.power(200.0 * diff, 1.5))
+    # QUADPACK's min(diff, (200 diff)^1.5): where 200 diff >= 1 the power is
+    # at least diff, so it is taken only below, where it cannot overflow
+    err = np.where(diff < 0.005,
+                   np.minimum(diff, np.power(200.0 * np.minimum(diff, 0.005), 1.5)), diff)
     return k15, err
 
 
@@ -365,7 +360,7 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], spec: QuadratureSpec) -> Qu
     raised, and the best estimate is carried along.
     """
     axis = _make_map(spec.lower, spec.upper)
-    edges = _initial_edges(spec, *axis[2:])
+    edges = _initial_edges(spec, *axis[1:])
     return _adapt(f, (axis,), edges[:-1, None], edges[1:, None], spec.rel_tol,
                   spec.max_refinements)
 
@@ -384,7 +379,7 @@ def integrate_2d(
     smooth 2-D densities used here; higher dimensions are out of scope.
     """
     maps = (_make_map(spec_x.lower, spec_x.upper), _make_map(spec_y.lower, spec_y.upper))
-    ex, ey = (_initial_edges(s, *mp[2:]) for s, mp in zip((spec_x, spec_y), maps))
+    ex, ey = (_initial_edges(s, *mp[1:]) for s, mp in zip((spec_x, spec_y), maps))
     lo = np.stack(np.meshgrid(ex[:-1], ey[:-1], indexing="ij"), axis=-1).reshape(-1, 2)
     hi = np.stack(np.meshgrid(ex[1:], ey[1:], indexing="ij"), axis=-1).reshape(-1, 2)
     return _adapt(f, maps, lo, hi, min(spec_x.rel_tol, spec_y.rel_tol),

@@ -9,9 +9,14 @@ take a closed form where their tables list the pair and quadrature
 elsewhere. Where the family and the pair have a batch form, the start grid
 is scored in one call (``renyi_batch``, ``kl_forward_batch``), with the
 bits the scalar rows give each member; every member still counts as one
-evaluation. An infinite objective region (dominance failure or a divergent
-integral) is skipped by the grid and reported as an error only when the
-whole initial grid is infinite.
+evaluation. Every other evaluation of a closed-form pair (the line
+searches, a grid member the batch leaves to the scalar path, the final
+score) passes the scalar row a :class:`~renyi_vi.distributions.Member`,
+which holds the attributes the row reads with the bits of the Density and
+builds no ``log_pdf``. A quadrature pair builds the member's Density, as
+does ``FitResult.density``. An infinite objective region (dominance failure
+or a divergent integral) is skipped by the grid and reported as an error
+only when the whole initial grid is infinite.
 """
 
 from __future__ import annotations
@@ -25,8 +30,11 @@ import numpy as np
 
 from .distributions import (
     Density,
+    Member,
     Members,
+    gaussian_member,
     isotropic_gaussians,
+    laplace_member,
     laplace_members,
     make_gamma,
     make_gaussian,
@@ -38,9 +46,11 @@ from .divergence import (
     _check_alpha,
     kl_forward,
     kl_forward_batch,
+    kl_has_closed_form,
     kl_reverse,
     renyi,
     renyi_batch,
+    renyi_has_closed_form,
 )
 from .models import BayesModel
 
@@ -77,7 +87,10 @@ class VariationalFamily:
     is its number of locations. ``unpack_batch``, where a family has one,
     maps the rows of an (m, k) array of parameters to their members as
     :class:`~renyi_vi.distributions.Members`, building no Density, or to
-    None where ``unpack`` would refuse one of them.
+    None where ``unpack`` would refuse one of them. ``unpack_member``, where
+    a family has one, builds the member as a
+    :class:`~renyi_vi.distributions.Member` with the bits of ``unpack``'s
+    Density, raising where ``unpack`` does.
     """
 
     name: str
@@ -86,6 +99,7 @@ class VariationalFamily:
     unpack: Callable[[np.ndarray], Density]
     init_from: Callable[[Density], np.ndarray]
     unpack_batch: Callable[[np.ndarray], Members | None] | None = None
+    unpack_member: Callable[[np.ndarray], Member] | None = None
 
     @property
     def dim(self) -> int:
@@ -156,10 +170,12 @@ def _target_sd(target: Density) -> np.ndarray:
     return np.sqrt(np.diag(cov))
 
 
-def _location_scale(name, param_names, make, start_scale, make_batch=None) -> VariationalFamily:
+def _location_scale(name, param_names, make, start_scale, make_batch=None,
+                    make_member=None) -> VariationalFamily:
     """A 1-D family of members ``make(location, scale)``, started at the
     target's mean and at the scale ``start_scale(sd)`` that matches its sd;
-    ``make_batch(locations, scales)`` makes a batch of them."""
+    ``make_batch(locations, scales)`` makes a batch of them and
+    ``make_member(location, scale)`` one as a Member."""
     return VariationalFamily(
         name=name,
         param_names=param_names,
@@ -169,17 +185,20 @@ def _location_scale(name, param_names, make, start_scale, make_batch=None) -> Va
             [float(np.atleast_1d(t.mean)[0]), start_scale(_target_sd(t)[0])]
         ),
         unpack_batch=None if make_batch is None else lambda ps: make_batch(ps[:, 0], ps[:, 1]),
+        unpack_member=None if make_member is None else lambda p: make_member(p[0], p[1]),
     )
 
 
 def gaussian_family() -> VariationalFamily:
+    # s ** 2 on the numpy scalar, in the Member as in the Density
     return _location_scale("gaussian", ("mean", "sd"), lambda m, s: make_gaussian(m, s**2),
-                           lambda sd: sd, lambda m, s: isotropic_gaussians(m[:, None], s))
+                           lambda sd: sd, lambda m, s: isotropic_gaussians(m[:, None], s),
+                           lambda m, s: gaussian_member((float(m),), ((float(s**2),),)))
 
 
 def laplace_family() -> VariationalFamily:
     return _location_scale("laplace", ("loc", "scale"), make_laplace,
-                           lambda sd: sd / math.sqrt(2.0), laplace_members)
+                           lambda sd: sd / math.sqrt(2.0), laplace_members, laplace_member)
 
 
 def logistic_family() -> VariationalFamily:
@@ -208,6 +227,11 @@ def isotropic_gaussian_family() -> VariationalFamily:
         s2 = s ** 2
         return make_gaussian([x, y], [[s2, 0.0], [0.0, s2]])
 
+    def unpack_member(p):
+        x, y, s = p.tolist()
+        s2 = s ** 2
+        return gaussian_member((x, y), ((s2,), (0.0, s2)))
+
     def init_from(t):
         m = np.atleast_1d(t.mean)
         s = math.sqrt(float(np.trace(np.atleast_2d(t.cov))) / 2.0)
@@ -220,6 +244,7 @@ def isotropic_gaussian_family() -> VariationalFamily:
         unpack=unpack,
         init_from=init_from,
         unpack_batch=lambda ps: isotropic_gaussians(ps[:, :2], ps[:, 2]),
+        unpack_member=unpack_member,
     )
 
 
@@ -239,8 +264,29 @@ def _make_scorer(target: Density, family: VariationalFamily, kind: str,
     if kind == "renyi-alpha":
         alpha = _check_alpha(alpha)
 
+    def closed(q) -> bool:
+        if kind == "renyi-alpha":
+            return renyi_has_closed_form(target, q)
+        if kind == "kl-forward":
+            return kl_has_closed_form(target, q)
+        return kl_has_closed_form(q, target)
+
+    light = family.unpack_member is not None
+
+    def member(params: np.ndarray):
+        """The member at params: a Member where a closed form scores the
+        pair, else the Density, whose log_pdf, bulk and tails quadrature
+        reads."""
+        nonlocal light
+        if light:
+            q = family.unpack_member(params)
+            if closed(q):
+                return q
+            light = False  # a family's members are all of one kind
+        return family.unpack(params)
+
     def estimate(params: np.ndarray) -> DivergenceEstimate:
-        q = family.unpack(params)
+        q = member(params)
         if kind == "renyi-alpha":
             return renyi(target, q, alpha, rel_tol=quad_tol)
         if kind == "kl-forward":
@@ -251,10 +297,10 @@ def _make_scorer(target: Density, family: VariationalFamily, kind: str,
 
 
 def _prescore(target: Density, family: VariationalFamily, kind: str, alpha,
-              zs: np.ndarray) -> dict[tuple, float]:
-    """The objective at each row of ``zs`` (internal coords), by its key,
-    scored in one call by the batch form of the pair's closed-form row: the
-    values the scorer gives them one by one. Empty where the family or the
+              zs: np.ndarray, keys: list[tuple]) -> dict[tuple, float]:
+    """The objective at each row of ``zs`` (internal coords), by its key in
+    ``keys``, scored in one call by the batch form of the pair's closed-form
+    row: the values the scorer gives them one by one. Empty where the family or the
     pair has no batch form, and where a member or a value needs the scalar
     path (a member ``unpack`` refuses, or a NaN, which a scalar row raises
     on or returns), so that path runs as it always has."""
@@ -276,8 +322,8 @@ def _prescore(target: Density, family: VariationalFamily, kind: str, alpha,
     if values is None or np.isnan(values).any():
         return {}
     scored: dict[tuple, float] = {}
-    for z, v in zip(zs.tolist(), values.tolist()):
-        scored.setdefault(_key(z), v)  # a repeated key is scored once, first
+    for key, v in zip(keys, values.tolist()):
+        scored.setdefault(key, v)  # a repeated key is scored once, first
     return scored
 
 
@@ -287,6 +333,13 @@ def _key(z: list[float]) -> tuple:
     return tuple(round(v * 1e14) / 1e14 for v in z)
 
 
+def _keys(zs: np.ndarray) -> list[tuple]:
+    """:func:`_key` of each row of ``zs``, in one numpy pass: the same
+    values, except that a value rounded to zero keeps its sign here, and
+    -0.0 equals 0.0 as a key."""
+    return [tuple(row) for row in (np.rint(zs * 1e14) / 1e14).tolist()]
+
+
 class _Objective:
     """Caching, budgeted wrapper around a parameter scorer (internal coords).
 
@@ -294,7 +347,7 @@ class _Objective:
     budget in the middle of a line search still returns its best point.
     ``scored`` holds values already scored by key (:func:`_prescore`): a
     point found there counts as an evaluation like any other, but is not
-    scored again.
+    scored again. A caller that has z's key already may pass it.
     """
 
     def __init__(self, score, family, budget, scored):
@@ -307,8 +360,9 @@ class _Objective:
         self.best_z: np.ndarray | None = None
         self.best_val = math.inf
 
-    def __call__(self, z: np.ndarray) -> float:
-        key = _key(np.asarray(z, dtype=float).tolist())
+    def __call__(self, z: np.ndarray, key: tuple | None = None) -> float:
+        if key is None:
+            key = _key(np.asarray(z, dtype=float).tolist())
         if key in self._cache:
             return self._cache[key]
         if self.n_evals >= self.budget:
@@ -444,17 +498,18 @@ def fit(
 
     mesh = np.meshgrid(*axes, indexing="ij")
     grid = np.column_stack([m.ravel() for m in mesh])
+    keys = _keys(grid)
     # the grid in one call where the pair has a batch form; each member
     # still counts as one evaluation, in grid order
     obj = _Objective(score, family, budget,
-                     _prescore(target, family, objective_kind, alpha, grid[:budget]))
+                     _prescore(target, family, objective_kind, alpha, grid[:budget], keys))
 
     trace: list[dict] = []
     best_val = np.inf
     best_z = None
     try:
-        for zrow in grid:
-            v = obj(zrow)
+        for zrow, key in zip(grid, keys):
+            v = obj(zrow, key)
             if v < best_val:
                 best_val = v
                 best_z = np.array(zrow)

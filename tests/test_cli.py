@@ -58,13 +58,26 @@ class TestFitCommand:
         })
         assert run_cli(["fit", cfg]) == 1
 
-    def test_infinite_alpha_exits_one_naming_it(self, tmp_path, capsys):
+    def test_infinite_alpha_exits_one_naming_it(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         cfg = write_config(tmp_path, "fit.json", {
             "model": GM, "data": {"n": 20}, "family": "laplace",
             "objective": "renyi-alpha", "alpha": math.inf,
         })
         assert run_cli(["fit", cfg]) == 1
         assert "alpha must be finite" in capsys.readouterr().err
+        # a refused fit leaves no run directory behind
+        assert not (tmp_path / "runs").exists()
+
+    def test_default_outdir_is_made_for_fit_json(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, "fit.json", {
+            "model": GM, "data": {"n": 20}, "family": "gaussian",
+            "objective": "kl-forward", "seed": 4,
+        })
+        assert run_cli(["fit", cfg]) == 0
+        written = list((tmp_path / "runs").glob("fit-*-seed4/fit.json"))
+        assert len(written) == 1
 
     def test_unknown_config_key_exits_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "fit.json", {

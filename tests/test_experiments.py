@@ -1,5 +1,6 @@
 """Experiment harness: verdicts, records, report files, reproducibility."""
 
+import hashlib
 import json
 import math
 
@@ -301,6 +302,17 @@ class TestReports:
         lines = (tmp_path / "run" / "report.csv").read_text().splitlines()
         assert lines[0] == "# schema=1"
         assert lines[1].split(",")[0] == "n"
+
+    @pytest.mark.parametrize("run,sha256", [
+        (lambda: run_figure1(rho=0.9),
+         "32803475f002d39f6144ab91e4085da687d3f3eb2296d123dff50764e4a165d7"),
+        (lambda: run_ep_consistency(n_grid=[100, 1000], seeds=[0, 1]),
+         "ac965991614d6aad1ad3e72f6dd610b29c7a0abe75d776cf45fa7304d75c0955"),
+    ], ids=["figure1", "ep"])
+    def test_report_csv_bytes_pinned(self, tmp_path, run, sha256):
+        # a change that moves any digit of a report moves its digest
+        path = write_report(run(), tmp_path / "run")["csv"]
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
     def test_byte_identical_reruns(self, tmp_path):
         a = run_consistency(GM, "laplace", 2.0, [100, 1000], [0, 1])

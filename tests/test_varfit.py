@@ -1,14 +1,16 @@
 """Deterministic divergence minimization over families."""
 
+import dataclasses
 import json
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from renyi_vi import divergence
-from renyi_vi.distributions import make_gaussian
+from renyi_vi.distributions import Density, make_gaussian
 from renyi_vi.models import exponential_model, gaussian_mean_model
 from renyi_vi.varfit import (
     DominanceError,
@@ -147,6 +149,105 @@ def test_batched_start_grid_leaves_the_fit_as_it_was(monkeypatch, target, family
     assert (res.n_evals, res.converged) == (ref.n_evals, ref.converged)
     assert repr(res.trace) == repr(ref.trace)
     assert res.n_evals <= budget
+
+
+@pytest.mark.parametrize("family", ["gaussian", "laplace", "isotropic-gaussian-2d"])
+def test_member_holds_the_bits_of_the_density(family):
+    fam = FAMILY_BUILDERS[family]()
+    rng = np.random.default_rng(3)
+    k = len(fam.param_names)
+    params = np.column_stack([rng.normal(0.0, 3.0, (4000, k - 1)),
+                              np.exp(rng.uniform(-8.0, 8.0, 4000))])
+    # a scale whose square is not s * s: the Member squares as unpack does
+    assert any(s * s != s ** 2 for s in params[:, -1].tolist())
+    for p in params:
+        m, d = fam.unpack_member(p), fam.unpack(p)
+        assert (m.kind, m.dim, m.entropy, m.chol, m.log_det) == (
+            d.kind, d.dim, d.entropy, d.chol, d.log_det)
+        assert m.mean == tuple(d.mean.tolist())
+        assert m.cov == tuple(tuple(row[:i + 1]) for i, row in enumerate(d.cov.tolist()))
+        if d.kind == "laplace":
+            assert m.params == d.params
+    for bad in ([math.nan, 1.0], [0.0, 0.0], [0.0, math.nan], [0.0, math.inf]):
+        p = np.array([0.0] * (k - 2) + bad)
+        with pytest.raises(ValueError) as refused:
+            fam.unpack(p)
+        with pytest.raises(ValueError, match=re.escape(str(refused.value))):
+            fam.unpack_member(p)
+
+
+# BATCHED_FITS, plus budgets that end inside a line search (240 evaluations
+# after a start grid of 225, 55 after one of 45), plus a 2-D target that
+# swapping the coordinates changes.
+SKEWED = make_gaussian([0.3, -0.2], [[1.0, 0.5], [0.5, 2.0]])
+MEMBER_FITS = BATCHED_FITS + [
+    (target, "isotropic-gaussian-2d", kind, alpha, budget)
+    for target, budget in ((ANISO, 240), (SKEWED, 700))
+    for kind, alpha in (("kl-reverse", None), ("kl-forward", None), ("renyi-alpha", 5.0))
+] + [
+    (make_gaussian(0.3, 0.04), family, kind, alpha, 55)
+    for family, kinds in (("gaussian", (("kl-reverse", None), ("kl-forward", None),
+                                        ("renyi-alpha", 2.0))),
+                          ("laplace", (("kl-reverse", None), ("kl-forward", None))))
+    for kind, alpha in kinds
+]
+
+
+@pytest.mark.parametrize("target,family,kind,alpha,budget", MEMBER_FITS)
+def test_member_records_leave_the_fit_as_it_was(target, family, kind, alpha, budget):
+    fam = FAMILY_BUILDERS[family]()
+    built = []
+
+    def unpack(p):
+        built.append(p)
+        return fam.unpack(p)
+
+    res = fit(target, dataclasses.replace(fam, unpack=unpack), kind, alpha=alpha,
+              budget=budget)
+    # a closed-form pair builds one Density per fit: FitResult.density
+    assert len(built) == 1 and isinstance(res.density, Density)
+    ref = fit(target, dataclasses.replace(fam, unpack_member=None), kind, alpha=alpha,
+              budget=budget)
+    assert res.params.tobytes() == ref.params.tobytes()
+    assert res.objective == ref.objective
+    assert (res.n_evals, res.converged) == (ref.n_evals, ref.converged)
+    assert repr(res.trace) == repr(ref.trace)
+    if budget in (240, 55):  # stopped inside a line search
+        assert res.n_evals == budget and not res.converged
+
+
+@pytest.mark.parametrize("model,theta0,family", [
+    (gaussian_mean_model(0.0, 1.0), 0.5, "laplace"),
+    (exponential_model(), 2.0, "gamma"),
+    (exponential_model(), 2.0, "gaussian"),  # a family with members, no closed form
+], ids=["laplace", "gamma", "gaussian-on-truncated-gamma"])
+def test_quadrature_pairs_score_densities(monkeypatch, model, theta0, family):
+    # one renyi_quadrature call per evaluation, plus the final score, each
+    # on two Densities: the benchmark counts these calls against n_evals
+    target = (model, model.simulate(theta0, 200, 3))
+    fam = FAMILY_BUILDERS[family]()
+    members = []
+    if fam.unpack_member is not None:
+        build = fam.unpack_member
+
+        def unpack_member(p):
+            members.append(p)
+            return build(p)
+
+        fam = dataclasses.replace(fam, unpack_member=unpack_member)
+    pairs = []
+    quadrature = divergence.renyi_quadrature
+
+    def recording(p, q, *args, **kwargs):
+        pairs.append((type(p), type(q)))
+        return quadrature(p, q, *args, **kwargs)
+
+    monkeypatch.setattr(divergence, "renyi_quadrature", recording)
+    res = fit(target, fam, "renyi-alpha", alpha=2.0, budget=120, quad_tol=1e-7)
+    assert len(pairs) == res.n_evals + 1
+    assert set(pairs) == {(Density, Density)}
+    # one Member at most, which tells the scorer that the pair has no closed form
+    assert len(members) <= 1
 
 
 class TestFitMechanics:
