@@ -251,7 +251,8 @@ def cmd_divergence(args) -> int:
         est = (kl_forward if args.kl == "forward" else kl_reverse)(p, q)
     print(json.dumps({
         "value": est.value, "method": est.method, "error": est.error,
-        "alpha": est.alpha, "reason": est.reason,
+        "alpha": est.alpha, "reason": est.reason, "converged": est.converged,
+        "panels": est.panels,
     }))
     return 0
 

@@ -556,9 +556,10 @@ def bulk_points(d: Density, coord: int = 0) -> np.ndarray:
 
     Used to seed quadrature panels, so narrow densities and the kink at a
     Laplace or logistic centre are seen by an adaptive first pass. The 1-D
-    Renyi quadrature also sets its log-integrand shift from them; in 2-D the
-    Renyi and KL quadratures take the bulk points of a Gaussian fitted at
-    each maximum of the integrand (of p, for the KL).
+    Renyi quadrature also sets its log-integrand shift from them. In 2-D
+    only the probe-mesh frame of the Renyi and KL quadratures takes them;
+    the peak frame seeds a shorter ladder of its own at each maximum of the
+    integrand (of p, for the KL), in the sds of a Gaussian fitted there.
 
     Computed once per density (see :attr:`Density.bulk`); the array is
     read-only.

@@ -36,7 +36,6 @@ from .distributions import (
     bulk_points,
     dominates,
     interval_mass,
-    make_gaussian,
 )
 from .numerics import (
     QuadratureSpec,
@@ -227,6 +226,12 @@ class _Frame(NamedTuple):
         return integrate(g, *specs) if len(specs) == 1 else integrate_2d(g, *specs)
 
 
+# Breakpoint offsets of the 2-D peak frame on either side of a maximum, in
+# its marginal sds in z. The frame makes the largest maximum a unit bump, so
+# a short ladder seeds boxes of its width where its mass is.
+_PEAK_LADDER = np.array([-12.0, -8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0, 12.0])
+
+
 def _peak_frame_2d(p, q, log_integrand):
     """The integration frame from the log-integrand's maxima.
 
@@ -235,10 +240,11 @@ def _peak_frame_2d(p, q, log_integrand):
     curvature H stands for N(c, inv(-H)). The frame is x = origin + A z with
     A A' = inv(-H) at the largest maximum, so its peak is a unit isotropic
     bump in z and a thin ridge along a diagonal of x still meets boxes of its
-    own width. Its breakpoints are the per-axis bulk points in z of every
-    maximum's Gaussian, and its shift the largest log-integrand value at the
-    maxima. None when p's support is not the whole plane, a density has no
-    centres, or any start fails.
+    own width. Its breakpoints, per axis of z, are each maximum's centre
+    plus :data:`_PEAK_LADDER` times its marginal sd there (11 per maximum,
+    so 144 first-pass boxes for one), and its shift the largest
+    log-integrand value at the maxima. None when p's support is not the
+    whole plane, a density has no centres, or any start fails.
     """
     starts = [_centres(p), _centres(q)]
     if np.isfinite(p.support).any() or None in starts:
@@ -258,10 +264,11 @@ def _peak_frame_2d(p, q, log_integrand):
     if not lam[0] > 0.0:
         return None
     a_inv = vec.T / np.sqrt(lam)[:, None]
-    gauss = [make_gaussian(a_inv @ (c - origin), a_inv @ s @ a_inv.T)
-             for c, s in maxima]
-    bx = np.unique(np.concatenate([bulk_points(g, 0) for g in gauss]))
-    by = np.unique(np.concatenate([bulk_points(g, 1) for g in gauss]))
+    # each maximum's centre and marginal sds in z, laddered along each axis
+    edges = np.concatenate([
+        a_inv @ (c - origin) + _PEAK_LADDER[:, None] * np.sqrt(np.diag(a_inv @ s @ a_inv.T))
+        for c, s in maxima])
+    bx, by = np.unique(edges[:, 0]), np.unique(edges[:, 1])
     a = vec * np.sqrt(lam)
     # x = origin + A z, column by column with A's entries as Python floats:
     # cheaper than an (N, 2) @ (2, 2) matmul on every batch of nodes
@@ -300,8 +307,10 @@ def _frame(p, q, log_integrand) -> _Frame:
     hold each density's centre, so a Laplace or logistic kink is a panel
     edge from the first pass. In 2-D a located maximum with negative-definite
     curvature (a log-concave integrand near its peak) seeds the boxes where
-    the mass is, in its whitened frame; divergent pairs and integrands
-    without one fall back to the 81 x 81 probe mesh, in x itself.
+    the mass is, in its whitened frame, at offsets of 0 to 12 of its own sds
+    (:func:`_peak_frame_2d`); divergent pairs and integrands without one
+    fall back to the 81 x 81 probe mesh and both densities' bulk points, in
+    x itself.
     """
     if p.dim == 1:
         anchors = _anchor_points_1d(p, q)
@@ -500,10 +509,13 @@ def renyi_quadrature(
     or when the densities' tails make the integral diverge
     (:func:`_tail_verdict`). A pass whose log-integrand overflows its shift
     (:data:`OVERFLOW_NATS`) returns inf only when some density declares no
-    tails; with finite tails the 1-D pass is taken again from the located
-    peak, and an overflow there, or in 2-D, raises ``ArithmeticError``, as
-    does an integral that is not positive. A log-integrand that overflows
-    to NaN (a huge alpha) raises ``ValueError``.
+    tails. With finite tails a 1-D pass that overflows, or that sums to a
+    value that is not positive (a peak so narrow, at a large alpha, that it
+    falls between the nodes of the panels either side of a breakpoint), is
+    taken again from the located peak. An overflow there, or in 2-D,
+    raises ``ArithmeticError``, as does an integral that is still not
+    positive. A log-integrand that overflows to NaN (a huge alpha) raises
+    ``ValueError``.
     """
     alpha = _check_alpha(alpha)
     if not dominates(p, q):
@@ -535,7 +547,7 @@ def renyi_quadrature(
     if math.isnan(frame.shift):
         raise ValueError(f"the Renyi integrand overflows at alpha = {alpha:g}")
     res, vanished = _shifted_integral(log_integrand, frame, rel_tol)
-    if res is None and not vanished and tails is _FINITE and p.dim == 1:
+    if (res is None or res.value <= 0.0) and not vanished and tails is _FINITE and p.dim == 1:
         peak = _peak_anchors_1d(log_integrand, frame.breakpoints[0], frame.supports[0])
         if peak is not None:
             shift, anchors = peak

@@ -95,12 +95,12 @@ def _jsonify(obj):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
+    if isinstance(obj, (bool, np.bool_)):  # before int: a bool is an int
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
     if isinstance(obj, np.ndarray):
         return [_jsonify(v) for v in obj.tolist()]
     return obj
@@ -623,7 +623,10 @@ def run_figure1(
     eigenvalue direction, forward KL moment-matches, and the mass-covering
     fits widen with alpha while staying below the top eigenvalue. Each
     mass-covering optimum is certified as a local minimum of the quadrature
-    objective. Emits contour-ready density evaluations.
+    objective, by quadratures that must each converge; their panel counts
+    and whether all converged go to report.json (``certificate_panels``,
+    ``certificates_converged``), never to report.csv. Emits contour-ready
+    density evaluations.
     """
     t0 = time.perf_counter()
     rho, alphas, budget = float(rho), tuple(float(a) for a in alphas), int(budget)
@@ -666,16 +669,22 @@ def run_figure1(
                  max(renyi_s2), float(lam[-1]) + 0.05),
     ]
     worst = -np.inf
-    for a in alphas:
-        res = fits[f"renyi-{a:g}"]
+    converged = True
+    certificate_panels = {}
+    for a, key in zip(alphas, renyi_keys):
+        res = fits[key]
         s_fit = float(res.params[2])
-        d0 = renyi_quadrature(target, family.unpack(res.params), a, rel_tol=1e-7).value
-        for mult in (0.97, 1.03):
+        ests = {}
+        for mult in (1.0, 0.97, 1.03):
             p = res.params.copy()
             p[2] = s_fit * mult
-            d1 = renyi_quadrature(target, family.unpack(p), a, rel_tol=1e-7).value
-            worst = max(worst, d0 - d1)
-    verdicts.append(_verdict("quadrature_local_min", worst <= 1e-6, worst, 1e-6))
+            ests[f"{mult:g}"] = renyi_quadrature(target, family.unpack(p), a, rel_tol=1e-7)
+        d0 = ests["1"].value
+        worst = max(worst, d0 - ests["0.97"].value, d0 - ests["1.03"].value)
+        converged = converged and all(e.converged for e in ests.values())
+        certificate_panels[key] = {m: e.panels for m, e in ests.items()}
+    verdicts.append(_verdict("quadrature_local_min", worst <= 1e-6 and converged,
+                             worst, 1e-6))
 
     g = np.linspace(-grid_extent, grid_extent, grid_points)
     mesh = np.column_stack([np.repeat(g, g.size), np.tile(g, g.size)])
@@ -688,6 +697,8 @@ def run_figure1(
         "rho": rho, "alphas": list(alphas), "budget": budget,
         "s2_expect": {"kl-forward": s2_fwd_expect, "kl-reverse": s2_rev_expect},
         "lambda_max": float(lam[-1]),
+        "certificate_panels": certificate_panels,
+        "certificates_converged": converged,
     }
     return ExperimentReport("figure1", config, records, verdicts,
                             time.perf_counter() - t0, grid=grid)

@@ -514,6 +514,18 @@ class TestDivergenceCommand:
         payload = json.loads(capsys.readouterr().out)
         assert math.isfinite(payload["value"]) and payload["reason"] is None
 
+    @pytest.mark.parametrize("q,method,has_panels", [
+        ('{"kind":"laplace","loc":0,"scale":1}', "quadrature", True),
+        ('{"kind":"gaussian","mean":1,"cov":2}', "closed-form", False),
+    ])
+    def test_prints_convergence_and_panels(self, capsys, q, method, has_panels):
+        code = run_cli(["divergence", "--p", '{"kind":"gaussian","mean":0,"cov":1}',
+                        "--q", q, "--alpha", "2"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["method"] == method and payload["converged"] is True
+        assert (payload["panels"] > 0) == has_panels
+
     @pytest.mark.parametrize("q", ['{"kind":"gaussian","mean":1,"cov":2}',
                                    '{"kind":"laplace","loc":1,"scale":1}'])
     @pytest.mark.parametrize("alpha,named", [("inf", "alpha must be finite"),
@@ -528,14 +540,16 @@ class TestDivergenceCommand:
         assert named in err
 
     def test_cancelling_alpha_exits_one_without_traceback(self, capsys):
-        # at alpha 1e20 the log-integrand cancels to a non-positive integral
+        # at alpha 1e20 the first pass sums to 0, and the pass re-seeded at
+        # the peak overflows its shift: alpha log p is about 1e20 nats
+        # there, and its float64 rounding, about 1e4 nats, passes 700
         code = run_cli([
             "divergence", "--p", '{"kind":"gaussian","mean":0,"cov":1}',
             "--q", '{"kind":"laplace","loc":1,"scale":1}', "--alpha", "1e20",
         ])
         out, err = capsys.readouterr()
         assert code == 1 and out == ""
-        assert err.startswith("error: ") and "non-positive" in err
+        assert err.startswith("error: ") and "overflowed its shift" in err
 
     def test_missing_mode_exits_one(self, capsys):
         code = run_cli([

@@ -203,23 +203,79 @@ class TestRenyiQuadrature2D:
         assert renyi_quadrature(FIG1_TARGET, q, 20.0, rel_tol=1e-7).value == np.inf
 
     def test_figure1_certificate_pair_box_count(self):
+        # the peak frame's first pass, 12 x 12 boxes, meets the tolerance
         q = make_gaussian([0.0, 0.0], FIG1_S2[2.0] * np.eye(2))
         est = renyi_quadrature(FIG1_TARGET, q, 2.0, rel_tol=1e-7)
-        assert est.converged and 0 < est.panels <= 600
+        assert est.converged and 0 < est.panels <= 160
         assert abs(est.value - renyi_gauss_closed(FIG1_TARGET, q, 2.0).value) <= 1e-10
+
+
+def twin_mixture(p):
+    """p as a mixture of two identical components: the same density, which
+    no closed-form row lists."""
+    return make_mixture([0.5, 0.5], [p, p])
+
+
+def peak_frame_excess(p, q, alpha, closed, rel_tol=1e-7):
+    """How far a converged 2-D Renyi quadrature of (p, q) lies outside
+    max(10 rel_tol max(1, |closed|), its own error) of ``closed``: at most 0
+    when within. None when the pair does not take the peak frame or the
+    quadrature does not converge."""
+    frame = divergence._frame(
+        p, q, lambda x: alpha * p.log_pdf(x) + (1.0 - alpha) * q.log_pdf(x))
+    est = renyi_quadrature(p, q, alpha, rel_tol=rel_tol)
+    if frame.to_x is None or not est.converged:  # to_x is None: the probe mesh
+        return None
+    assert est.method == divergence.QUADRATURE
+    return abs(est.value - closed) - max(10.0 * rel_tol * max(1.0, abs(closed)), est.error)
+
+
+# The pair that the CI runs through the CLI: figure1's target as a twin
+# mixture against its alpha-2 fit.
+FIG1_TWIN_PAIR = (twin_mixture(FIG1_TARGET),
+                  make_gaussian([0.0, 0.0], FIG1_S2[2.0] * np.eye(2)))
+
+
+class TestPeakFrameProperty:
+    @settings(derandomize=True, deadline=None, database=None, max_examples=200)
+    @given(gaussian_pairs_2d(), st.booleans())
+    @example(([0.0, 0.0], [[1.0, 0.9], [0.9, 1.0]], [0.0, 0.0], FIG1_S2[2.0], 2.0), True)
+    @example(([0.0, 0.0], [[1.0, 0.9], [0.9, 1.0]], [0.0, 0.0], FIG1_S2[20.0], 20.0), False)
+    @example(([2.82, 3.41], [[8.42e-6, 2.83e-6], [2.83e-6, 6.58e-6]],
+              [2.82, 3.41], 5.44e-6, 2.0), True)
+    def test_converged_value_is_within_tolerance(self, pair, twin):
+        mp, cp, mq, vq, a = pair
+        p, q = make_gaussian(mp, cp), make_gaussian(mq, vq * np.eye(2))
+        closed = renyi_gauss_closed(p, q, a).value
+        if np.isinf(closed):
+            return
+        excess = peak_frame_excess(twin_mixture(p) if twin else p, q, a, closed)
+        assert excess is None or excess <= 0.0, excess
+
+    def test_frame_without_its_jacobian_fails(self, monkeypatch):
+        # a mutant: the peak frame forgets log |det A| of x = origin + A z
+        real = divergence._peak_frame_2d
+
+        def no_jacobian(p, q, log_integrand):
+            frame = real(p, q, log_integrand)
+            return frame and frame._replace(log_jac=0.0)
+
+        monkeypatch.setattr(divergence, "_peak_frame_2d", no_jacobian)
+        p, q = FIG1_TWIN_PAIR
+        assert peak_frame_excess(p, q, 2.0, 1.058500116497147) > 0.0
 
 
 class TestKLQuadrature2D:
     # kl_forward takes the closed form for two Gaussians, so these reach the
     # 2-D quadrature directly or through a mixture
     def test_gaussian_pair_matches_closed_form(self):
-        # boxes seeded in p's whitened frame: 400, where the tensor of both
-        # densities' bulk points took 1521
+        # boxes seeded in p's whitened frame at the peak ladder: 172, a
+        # 12 x 12 first pass and one wave of splits
         q = make_gaussian([0.1, -0.1], 1.4 * np.eye(2))
         est = divergence._kl_quadrature(FIG1_TARGET, q, 1e-9)
         closed = divergence._kl_gauss_closed(FIG1_TARGET, q).value
         assert est.converged and est.method == divergence.QUADRATURE
-        assert 0 < est.panels <= 600
+        assert 0 < est.panels <= 190
         assert abs(est.value - closed) <= 1e-12 * closed
 
     def test_bimodal_mixture_is_finite_and_converged(self):

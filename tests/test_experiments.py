@@ -1,5 +1,6 @@
 """Experiment harness: verdicts, records, report files, reproducibility."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -219,6 +220,39 @@ class TestFigure1:
     def test_grid_rows(self, report):
         assert all(col.shape == (61 * 61,) for col in report.grid.values())
         assert {"x", "y", "target", "kl_forward", "kl_reverse"} <= set(report.grid)
+
+    def test_certificate_panels_go_to_report_json_only(self, report, tmp_path):
+        panels = report.config["certificate_panels"]
+        assert list(panels) == ["renyi-2", "renyi-5", "renyi-20"]
+        assert all(list(row) == ["1", "0.97", "1.03"] for row in panels.values())
+        # the alpha-20 member at 0.97 s is infinite (S* indefinite): no
+        # boxes; each finite one converges on or just past the peak frame's
+        # first-pass 12 x 12 boxes
+        finite = [n for key, row in panels.items() for m, n in row.items()
+                  if (key, m) != ("renyi-20", "0.97")]
+        assert panels["renyi-20"]["0.97"] == 0 and all(144 <= n <= 160 for n in finite)
+        paths = write_report(report, tmp_path / "fig")
+        written = json.loads(paths["json"].read_text())
+        assert written["config"]["certificate_panels"] == panels
+        assert written["config"]["certificates_converged"] is True
+        assert all(v["passed"] is True for v in written["verdicts"])
+        assert "panels" not in paths["csv"].read_text()
+
+
+def test_figure1_certificate_that_did_not_converge_fails(monkeypatch):
+    # one certificate quadrature of nine, the last, reports converged=False
+    real, calls = experiments.renyi_quadrature, []
+
+    def last_unconverged(*args, **kwargs):
+        calls.append(1)
+        est = real(*args, **kwargs)
+        return dataclasses.replace(est, converged=len(calls) < 9)
+
+    monkeypatch.setattr(experiments, "renyi_quadrature", last_unconverged)
+    rep = run_figure1(rho=0.9, alphas=(2.0, 5.0, 20.0), grid_points=2)
+    verdict = rep.verdict("quadrature_local_min")
+    assert len(calls) == 9 and rep.config["certificates_converged"] is False
+    assert not verdict["passed"] and verdict["measured"] <= verdict["threshold"]
 
 
 def figure1_exact_s2(rho, objective, alpha):

@@ -161,6 +161,36 @@ class TestLaplaceAgainstGaussian:
         assert math.isfinite(est.value) and est.reason is None
 
 
+# D_inf(N(0, 1) || Laplace(1, 1)) = max_x log p/q, at x = -1: 3/2 - log(2 pi)/2
+# + log 2. D_alpha rises to it as alpha grows.
+D_INF_N01_LAPLACE11 = 1.5 - 0.5 * math.log(2.0 * math.pi) + math.log(2.0)
+
+
+class TestLargeAlpha:
+    # N(0, 1) against Laplace(1, 1): the integrand peaks at x = -1, one of
+    # p's bulk points and so a panel edge, with width about alpha^(-1/2);
+    # from alpha 1e10 every node of the first pass misses it
+    P, Q = make_gaussian(0.0, 1.0), make_laplace(1.0, 1.0)
+
+    def test_pass_that_sums_to_zero_is_reseeded_at_the_peak(self):
+        est = renyi_quadrature(self.P, self.Q, 1e10)
+        assert est.converged
+        assert abs(est.value - 1.27420864615) <= 1e-11
+        assert est.value < D_INF_N01_LAPLACE11
+
+    def test_reseeded_value_keeps_rising_to_d_inf(self):
+        low = renyi_quadrature(self.P, self.Q, 1e10).value
+        est = renyi_quadrature(self.P, self.Q, 1e12)
+        assert not est.converged  # honest: the tolerance was not met
+        assert low < est.value < D_INF_N01_LAPLACE11
+
+    def test_rounding_past_the_shift_still_raises(self):
+        # at alpha 1e20 the log-densities' rounding, about 1e4 nats, swamps
+        # the re-seeded pass's shift
+        with pytest.raises(ArithmeticError, match="overflowed its shift"):
+            renyi_quadrature(self.P, self.Q, 1e20)
+
+
 EXP = exponential_model()
 
 
