@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -92,15 +91,20 @@ class Density:
     def sd(self) -> float:
         return float(np.sqrt(self.var))
 
-    @cached_property
+    @property
     def bulk(self) -> tuple[np.ndarray, ...]:
         """:func:`bulk_points` along each coordinate, computed on first use
         and read-only, so a density used in many divergences sets them up
-        once."""
-        out = tuple(_bulk_points(self, i) for i in range(self.dim))
-        for pts in out:
-            pts.setflags(write=False)
-        return out
+        once. Cached by hand, as :attr:`tails` is: a fit makes a fresh
+        member for each quadrature evaluation, and a cached_property's lock
+        cost each of them more than its bulk points."""
+        cache = self.__dict__
+        if "_bulk" not in cache:
+            out = tuple(_bulk_points(self, i) for i in range(self.dim))
+            for pts in out:
+                pts.setflags(write=False)
+            cache["_bulk"] = out
+        return cache["_bulk"]
 
     @property
     def tails(self) -> tuple | None:
@@ -574,8 +578,12 @@ def _bulk_points(d: Density, coord: int) -> np.ndarray:
     elif d.kind == "uniform":
         pts = np.linspace(lo, hi, 9)
     elif d.mean is not None and d.cov is not None:
-        c = float(np.atleast_1d(d.mean)[coord])
-        s = float(np.sqrt(np.atleast_2d(d.cov)[coord, coord]))
+        # Python floats, by flat index (the diagonal of a (dim, dim) cov, or
+        # a 0-d array's one entry): math.sqrt rounds correctly, as np.sqrt
+        # does, and a variance that is NaN or negative gives an sd of NaN,
+        # so no points
+        c, var = d.mean.item(coord), d.cov.item(coord * (d.dim + 1))
+        s = math.sqrt(var) if var >= 0.0 else math.nan
         pts = c + s * _BULK_SIGNED
     else:
         return np.empty(0)

@@ -25,6 +25,7 @@ evaluated: with alpha > 1 it diverges when q's tail is lighter than p's.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -208,11 +209,12 @@ class _Frame(NamedTuple):
     """Where and how to integrate. ``supports`` and ``breakpoints`` are per
     axis of the integration variable u; ``to_x`` maps (N, 2) points u to x,
     and is None when u is x itself; ``log_jac`` is log |dx/du|; ``shift`` is
-    the largest value of the log-integrand that the frame located."""
+    the largest value of the log-integrand that the frame located, or None
+    where the first Renyi pass is to take it (the 1-D frame)."""
 
     supports: tuple
     breakpoints: tuple
-    shift: float
+    shift: float | None
     log_jac: float
     to_x: Callable | None
 
@@ -303,24 +305,33 @@ def _frame(p, q, log_integrand) -> _Frame:
     """Where to integrate a function of x whose mass follows
     ``log_integrand``: the Renyi integrand, or p's log-density for the KL.
 
-    In 1-D the variable is x, seeded at both densities' bulk points, which
-    hold each density's centre, so a Laplace or logistic kink is a panel
-    edge from the first pass. In 2-D a located maximum with negative-definite
-    curvature (a log-concave integrand near its peak) seeds the boxes where
-    the mass is, in its whitened frame, at offsets of 0 to 12 of its own sds
-    (:func:`_peak_frame_2d`); divergent pairs and integrands without one
-    fall back to the 81 x 81 probe mesh and both densities' bulk points, in
-    x itself.
+    In 1-D the variable is x, seeded at the anchors, both densities' bulk
+    points (:func:`_anchor_points_1d`), which hold each density's centre, so
+    a Laplace or logistic kink is a panel edge from the first pass. The 1-D
+    frame evaluates nothing: its shift is None, and the Renyi pass takes it
+    from the log-integrand at the anchors, in one call with its first nodes
+    (:func:`_shifted_integral`). In 2-D a located maximum with
+    negative-definite curvature (a log-concave integrand near its peak)
+    seeds the boxes where the mass is, in its whitened frame, at offsets of
+    0 to 12 of its own sds (:func:`_peak_frame_2d`); divergent pairs and
+    integrands without one fall back to the 81 x 81 probe mesh and both
+    densities' bulk points, in x itself.
     """
     if p.dim == 1:
-        anchors = _anchor_points_1d(p, q)
-        shift = float(log_integrand(anchors).max(initial=-np.inf))
-        if shift == -np.inf:
-            raise ValueError("integrand vanishes on every anchor point")
-        return _Frame(p.support, (anchors,), shift, 0.0, None)
+        return _Frame(p.support, (_anchor_points_1d(p, q),), None, 0.0, None)
     if p.dim > 2:
         raise ValueError("quadrature divergences support dim <= 2")
     return _peak_frame_2d(p, q, log_integrand) or _mesh_frame_2d(p, q, log_integrand)
+
+
+def _anchor_shift(values: np.ndarray) -> float:
+    """The 1-D frame's shift: the largest log-integrand value at the anchors,
+    NaN if one is NaN; raises ``ValueError`` where the integrand vanishes on
+    every anchor."""
+    shift = float(values.max(initial=-np.inf))
+    if shift == -np.inf:
+        raise ValueError("integrand vanishes on every anchor point")
+    return shift
 
 
 # Stands for q at an end of p's support that lies inside q's: there q is
@@ -478,16 +489,36 @@ def _peak_anchors_1d(log_integrand, anchors: np.ndarray, support):
 
 
 def _shifted_integral(log_integrand, frame: _Frame, rel_tol):
-    """The quadrature of exp(log_integrand - frame.shift) in the frame, and
-    whether q vanished where p does not. It is None when the pass overflowed:
-    a node rose more than :data:`OVERFLOW_NATS` above the shift (+inf where
-    q vanishes), or the weighted sum is not finite."""
-    state = {"over": False, "vanished": False}
+    """The quadrature of exp(log_integrand - shift) in the frame, the frame
+    with its shift, and whether q vanished where p does not.
+
+    Where ``frame.shift`` is None (the 1-D frame), the pass's first call of
+    the integrand evaluates the log-integrand once, on the anchors and then
+    its nodes; :func:`_anchor_shift` takes the shift from the anchors' part,
+    and the nodes' part goes on as in every later call. A NaN shift (a
+    log-integrand that overflows to NaN) voids the pass, and the caller
+    raises. The quadrature is None when the pass is void or overflowed: a
+    node rose more than :data:`OVERFLOW_NATS` above the shift (+inf where q
+    vanishes), or the weighted sum is not finite.
+    """
+    state = {"over": False, "vanished": False, "shift": frame.shift}
+    if frame.shift is not None and math.isnan(frame.shift):
+        return None, False, frame
+    anchors = frame.breakpoints[0]
 
     def f(x):
         if state["over"]:  # the pass is already void
             return np.zeros(np.shape(x)[:1] if np.ndim(x) > 1 else np.shape(x))
-        lv = log_integrand(x) - frame.shift
+        shift = state["shift"]
+        if shift is None:
+            lv = log_integrand(np.concatenate([anchors, x]))
+            shift = state["shift"] = _anchor_shift(lv[:anchors.size])
+            if math.isnan(shift):
+                state["over"] = True
+                return np.zeros(x.shape)
+            lv = lv[anchors.size:] - shift
+        else:
+            lv = log_integrand(x) - shift
         top = lv.max(initial=-np.inf)
         if top > OVERFLOW_NATS:
             state["over"], state["vanished"] = True, top == np.inf
@@ -495,9 +526,10 @@ def _shifted_integral(log_integrand, frame: _Frame, rel_tol):
         return np.exp(lv)
 
     res = frame.integrate(f, rel_tol)
+    frame = frame._replace(shift=state["shift"])
     if state["over"] or not math.isfinite(res.value):
-        return None, state["vanished"]
-    return res, False
+        return None, state["vanished"], frame
+    return res, False, frame
 
 
 def renyi_quadrature(
@@ -507,15 +539,18 @@ def renyi_quadrature(
 
     Returns inf, before any node is evaluated, when q does not dominate p
     or when the densities' tails make the integral diverge
-    (:func:`_tail_verdict`). A pass whose log-integrand overflows its shift
-    (:data:`OVERFLOW_NATS`) returns inf only when some density declares no
-    tails. With finite tails a 1-D pass that overflows, or that sums to a
-    value that is not positive (a peak so narrow, at a large alpha, that it
-    falls between the nodes of the panels either side of a breakpoint), is
-    taken again from the located peak. An overflow there, or in 2-D,
-    raises ``ArithmeticError``, as does an integral that is still not
-    positive. A log-integrand that overflows to NaN (a huge alpha) raises
-    ``ValueError``.
+    (:func:`_tail_verdict`). Each pass integrates exp(log-integrand - shift).
+    In 1-D the shift is the log-integrand's largest value at both densities'
+    bulk points, which the first pass evaluates in one call with its first
+    nodes, so a pass that converges at once calls each ``log_pdf`` once. A
+    pass whose log-integrand overflows its shift (:data:`OVERFLOW_NATS`)
+    returns inf only when some density declares no tails. With finite tails
+    a 1-D pass that overflows, or that sums to a value that is not positive
+    (a peak so narrow, at a large alpha, that it falls between the nodes of
+    the panels either side of a breakpoint), is taken again from the located
+    peak. An overflow there, or in 2-D, raises ``ArithmeticError``, as does
+    an integral that is still not positive. A log-integrand that overflows
+    to NaN (a huge alpha) raises ``ValueError``.
     """
     alpha = _check_alpha(alpha)
     if not dominates(p, q):
@@ -535,24 +570,23 @@ def renyi_quadrature(
         return out
 
     # A huge alpha overflows alpha log p to -inf and the sum to NaN at the
-    # frame's first points, and the shift check refuses it by name, so numpy
-    # need not warn of it first. Only where alpha - 1 rounds to alpha: below
-    # that, only a log-density past -1e292 overflows, and numpy's ufuncs run
-    # slower under an errstate (about 3% of a Gamma pair's quadrature).
-    if alpha - 1.0 == alpha:
-        with np.errstate(over="ignore", invalid="ignore"):
-            frame = _frame(p, q, log_integrand)
-    else:
+    # frame's first points, and the NaN shift is refused by name, so numpy
+    # need not warn of it first. The first pass runs under the errstate too:
+    # in 1-D its first call evaluates those points. Only where alpha - 1
+    # rounds to alpha: below that, only a log-density past -1e292 overflows,
+    # and numpy's ufuncs run slower under an errstate (about 3% of a Gamma
+    # pair's quadrature).
+    with np.errstate(over="ignore", invalid="ignore") if alpha - 1.0 == alpha else nullcontext():
         frame = _frame(p, q, log_integrand)
+        res, vanished, frame = _shifted_integral(log_integrand, frame, rel_tol)
     if math.isnan(frame.shift):
         raise ValueError(f"the Renyi integrand overflows at alpha = {alpha:g}")
-    res, vanished = _shifted_integral(log_integrand, frame, rel_tol)
     if (res is None or res.value <= 0.0) and not vanished and tails is _FINITE and p.dim == 1:
         peak = _peak_anchors_1d(log_integrand, frame.breakpoints[0], frame.supports[0])
         if peak is not None:
             shift, anchors = peak
             frame = frame._replace(shift=shift, breakpoints=(anchors,))
-            res, vanished = _shifted_integral(log_integrand, frame, rel_tol)
+            res, vanished, frame = _shifted_integral(log_integrand, frame, rel_tol)
     if vanished:
         return DivergenceEstimate(np.inf, QUADRATURE, 0.0, alpha, reason=DOMINANCE)
     if res is None:
@@ -687,6 +721,8 @@ def _kl_quadrature(p: Density, q: Density, rel_tol: float) -> DivergenceEstimate
         return out
 
     frame = _frame(p, q, p.log_pdf)
+    if frame.shift is None:  # the 1-D frame: p must not vanish on every anchor
+        _anchor_shift(p.log_pdf(frame.breakpoints[0]))
     res = frame.integrate(f, rel_tol)
     if blown["hit"]:  # q vanishes where p does not
         return DivergenceEstimate(np.inf, QUADRATURE, 0.0, None, reason=DOMINANCE)

@@ -10,6 +10,7 @@ from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
 from renyi_vi.distributions import (
+    Density,
     bulk_points,
     dominates,
     interval_mass,
@@ -355,6 +356,14 @@ class TestBulkPoints:
                 pts = bulk_points(d, coord)
                 assert bulk_points(d, coord) is pts
                 assert not pts.flags.writeable
+
+    @pytest.mark.parametrize("var", [math.nan, -1.0, -math.inf])
+    def test_variance_without_an_sd_gives_no_points(self, var):
+        # declared moments whose variance has no square root: no points,
+        # and no warning or error on the way
+        d = Density(dim=1, support=((-np.inf, np.inf),), log_pdf=ALL_1D["gaussian"].log_pdf,
+                    mean=np.array([0.5]), cov=np.array([[var]]))
+        assert bulk_points(d).size == 0
 
     def test_matches_loop_reference_random(self):
         rng = np.random.default_rng(5)

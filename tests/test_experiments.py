@@ -342,7 +342,13 @@ class TestReports:
          "32803475f002d39f6144ab91e4085da687d3f3eb2296d123dff50764e4a165d7"),
         (lambda: run_ep_consistency(n_grid=[100, 1000], seeds=[0, 1]),
          "ac965991614d6aad1ad3e72f6dd610b29c7a0abe75d776cf45fa7304d75c0955"),
-    ], ids=["figure1", "ep"])
+        # fits by 1-D Renyi quadrature: Laplace members, and Gamma members
+        # against the exponential model's truncated-Gamma posterior
+        (lambda: run_consistency(GM, "laplace", n_grid=[100, 1000], seeds=[0, 1]),
+         "238d456fcf6e9fc08c13c8cd1c1cdf2f88c49535c0b2b6ee74a7f67435c1e014"),
+        (lambda: run_consistency(EM, "gamma", n_grid=[100, 1000], seeds=[0, 1]),
+         "fc5e11bff78242045c1722a6bd94e1d5139a1877958f03672d1952a6b835fb63"),
+    ], ids=["figure1", "ep", "consistency-laplace", "consistency-gamma"])
     def test_report_csv_bytes_pinned(self, tmp_path, run, sha256):
         # a change that moves any digit of a report moves its digest
         path = write_report(run(), tmp_path / "run")["csv"]

@@ -10,11 +10,18 @@ tests/test_quadrature_pins.py`` prints the table) and records the move in
 CHANGES.md.
 """
 
+import dataclasses
+import math
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from renyi_vi.distributions import (
     Density,
+    dominates,
     interval_mass,
     make_gamma,
     make_gaussian,
@@ -24,7 +31,14 @@ from renyi_vi.distributions import (
     make_uniform,
 )
 from renyi_vi import divergence
-from renyi_vi.divergence import kl_forward, renyi_quadrature
+from renyi_vi.divergence import (
+    DOMINANCE,
+    OVERFLOW_UNDECIDED,
+    QUADRATURE,
+    DivergenceEstimate,
+    kl_forward,
+    renyi_quadrature,
+)
 from renyi_vi.models import exponential_model
 from renyi_vi.numerics import QuadratureSpec, integrate
 
@@ -181,6 +195,185 @@ def test_moment_free_kl_is_near_its_closed_form():
     closed = kl_forward(make_gaussian(3.0, 1.0), make_laplace(2.5, 1.5)).value
     est = CASES["kl-moment-free"]()
     assert est.converged and abs(est.value - closed) <= 5e-9 * closed
+
+
+# The 1-D Renyi pass takes its shift from the anchors in the same call of the
+# log-integrand as its first nodes. The reference below takes it as it was
+# taken before: from a separate evaluation at the anchors, ahead of the pass.
+
+def _two_evaluation_pass(log_integrand, frame, rel_tol):
+    """The shifted pass with the shift already set: (quadrature or None,
+    whether q vanished)."""
+    state = {"over": False, "vanished": False}
+
+    def f(x):
+        if state["over"]:
+            return np.zeros(np.shape(x))
+        lv = log_integrand(x) - frame.shift
+        top = lv.max(initial=-np.inf)
+        if top > divergence.OVERFLOW_NATS:
+            state["over"], state["vanished"] = True, top == np.inf
+            return np.zeros(lv.shape)
+        return np.exp(lv)
+
+    res = frame.integrate(f, rel_tol)
+    if state["over"] or not math.isfinite(res.value):
+        return None, state["vanished"]
+    return res, False
+
+
+def two_evaluation_renyi(p, q, alpha, rel_tol=1e-8):
+    """1-D ``renyi_quadrature`` with the shift from its own evaluation of the
+    log-integrand at the anchors, the pass evaluating it again on its nodes."""
+    alpha = float(alpha)
+    if not dominates(p, q):
+        return DivergenceEstimate(np.inf, QUADRATURE, 0.0, alpha, reason=DOMINANCE)
+    tails = divergence._tail_verdict(p, q, alpha)
+    if tails not in (divergence._FINITE, divergence._UNDECIDED):
+        return DivergenceEstimate(np.inf, QUADRATURE, 0.0, alpha, reason=tails)
+
+    def log_integrand(x):
+        lp, lq = p.log_pdf(x), q.log_pdf(x)
+        if lp.min(initial=np.inf) > -np.inf:
+            return alpha * lp + (1.0 - alpha) * lq
+        out = np.full(lp.shape, -np.inf)
+        ok = lp > -np.inf
+        out[ok] = alpha * lp[ok] + (1.0 - alpha) * lq[ok]
+        return out
+
+    anchors = divergence._anchor_points_1d(p, q)
+    with np.errstate(over="ignore", invalid="ignore") if alpha - 1.0 == alpha else nullcontext():
+        shift = float(log_integrand(anchors).max(initial=-np.inf))
+    if shift == -np.inf:
+        raise ValueError("integrand vanishes on every anchor point")
+    if math.isnan(shift):
+        raise ValueError(f"the Renyi integrand overflows at alpha = {alpha:g}")
+    frame = divergence._Frame(p.support, (anchors,), shift, 0.0, None)
+    res, vanished = _two_evaluation_pass(log_integrand, frame, rel_tol)
+    if (res is None or res.value <= 0.0) and not vanished and tails == divergence._FINITE:
+        peak = divergence._peak_anchors_1d(log_integrand, anchors, p.support[0])
+        if peak is not None:
+            frame = frame._replace(shift=peak[0], breakpoints=(peak[1],))
+            res, vanished = _two_evaluation_pass(log_integrand, frame, rel_tol)
+    if vanished:
+        return DivergenceEstimate(np.inf, QUADRATURE, 0.0, alpha, reason=DOMINANCE)
+    if res is None:
+        if tails == divergence._FINITE:
+            raise ArithmeticError("Renyi integral overflowed its shift although "
+                                  "the tails make it finite")
+        return DivergenceEstimate(np.inf, QUADRATURE, 0.0, alpha, reason=OVERFLOW_UNDECIDED)
+    if res.value <= 0.0:
+        raise ArithmeticError("Renyi integral evaluated to a non-positive value")
+    value = (frame.shift + np.log(res.value)) / (alpha - 1.0)
+    err = res.error / (res.value * (alpha - 1.0))
+    return DivergenceEstimate(float(value), QUADRATURE, float(err), alpha,
+                              res.converged, res.panels)
+
+
+def _outcome(renyi_fn, p, q, alpha, rel_tol):
+    """The bits of a 1-D Renyi evaluation: value and error as float.hex,
+    converged, panels and reason; or the type and message it raised."""
+    try:
+        est = renyi_fn(p, q, alpha, rel_tol)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc)
+    return (float(est.value).hex(), float(est.error).hex(), est.converged, est.panels,
+            est.reason)
+
+
+def assert_matches_two_evaluation(p, q, alpha, rel_tol=1e-8):
+    got = _outcome(renyi_quadrature, p, q, alpha, rel_tol)
+    assert got == _outcome(two_evaluation_renyi, p, q, alpha, rel_tol)
+    return got
+
+
+@st.composite
+def one_d_pairs(draw):
+    """(p, q, alpha, rel_tol): p a Gaussian, Laplace, logistic, Gamma,
+    truncated-Gamma posterior or two-component mixture; q a Gaussian,
+    Laplace or (for p on the half-line) Gamma member near p's bulk, at a
+    scale from half to four times p's."""
+    kind = draw(st.sampled_from(["gaussian", "laplace", "logistic", "gamma",
+                                 "truncated-gamma", "mixture"]))
+    loc, scale = draw(st.floats(-3.0, 3.0)), draw(st.floats(0.02, 3.0))
+    if kind == "gaussian":
+        p = make_gaussian(loc, scale * scale)
+    elif kind == "laplace":
+        p = make_laplace(loc, scale)
+    elif kind == "logistic":
+        p = make_logistic(loc, scale)
+    elif kind == "gamma":
+        p = make_gamma(draw(st.floats(0.5, 60.0)), draw(st.floats(0.2, 20.0)))
+    elif kind == "truncated-gamma":
+        n = draw(st.sampled_from([1, 10, 100, 1000]))
+        p = EXP_MODEL.exact_posterior(np.full(n, 1.0 / draw(st.floats(0.2, 5.0))))
+    else:
+        shift = draw(st.floats(0.0, 4.0))
+        p = make_mixture([0.4, 0.6], [make_gaussian(loc - shift, scale * scale),
+                                      make_laplace(loc + shift, scale)])
+    centre = float(p.mean[0]) + draw(st.floats(-1.0, 1.0)) * p.sd
+    width = p.sd * draw(st.floats(0.5, 4.0))
+    # a Gamma q dominates only a p on the half-line
+    q_kind = draw(st.sampled_from(["gaussian", "laplace"] + ["gamma"] * (p.support[0][0] == 0.0)))
+    if q_kind == "gaussian":
+        q = make_gaussian(centre, width * width)
+    elif q_kind == "laplace":
+        q = make_laplace(centre, width / math.sqrt(2.0))
+    else:
+        centre = abs(centre) + 1e-3
+        q = make_gamma((centre / width) ** 2, centre / width**2)
+    alpha = draw(st.one_of(st.floats(1.001, 30.0), st.sampled_from([1e3, 1e6])))
+    return p, q, alpha, draw(st.sampled_from([1e-7, 1e-8]))
+
+
+class TestOneEvaluationPerPass:
+    @settings(derandomize=True, deadline=None, database=None, max_examples=400)
+    @given(one_d_pairs())
+    def test_bits_match_the_two_evaluation_shift(self, pair):
+        assert_matches_two_evaluation(*pair)
+
+    def test_shift_at_the_last_anchor_matches(self):
+        # the largest log-integrand value among the anchors is at the last
+        # one, q's largest bulk point, 0.43 nats above the rest
+        got = assert_matches_two_evaluation(make_gaussian(1.15, 0.72), make_laplace(0.62, 0.19),
+                                            5.0)
+        assert got[2] is True and got[4] is None
+
+    def test_reseeded_pass_matches(self):
+        # N(0, 1) against Laplace(1, 1): from alpha 1e10 the first pass sums
+        # to 0 and is taken again from the located peak
+        got = assert_matches_two_evaluation(make_gaussian(0.0, 1.0), make_laplace(1.0, 1.0),
+                                            1e10)
+        assert got[2] is True and got[3] > 40
+
+    @pytest.mark.parametrize("alpha", [2.0 ** 53, 1e20, 1e308])
+    def test_alpha_past_2_53_matches(self, alpha):
+        # the errstate path; 1e20 overflows its re-seeded shift, 1e308 to NaN
+        assert_matches_two_evaluation(make_gaussian(0.0, 1.0), make_laplace(1.0, 1.0), alpha)
+
+    def test_vanishing_integrand_raises_the_same(self):
+        # moment-free, so the anchors are the fallback grid on [-1e3, 1e3],
+        # where p vanishes
+        p = _moment_free(lambda x: np.where(np.abs(np.asarray(x, float)) > 2e3,
+                                            -np.abs(np.asarray(x, float)), -np.inf))
+        got = assert_matches_two_evaluation(p, FREE_Q, 2.0)
+        assert got == ("ValueError", "integrand vanishes on every anchor point")
+
+    def test_one_log_pdf_call_per_density_per_pass(self):
+        # a pair whose first pass, on 38 panels, meets the tolerance: one
+        # call each, for the anchors and the nodes together
+        calls = {"p": 0, "q": 0}
+
+        def counted(d, name):
+            def log_pdf(x):
+                calls[name] += 1
+                return d.log_pdf(x)
+            return dataclasses.replace(d, log_pdf=log_pdf)
+
+        p, q = counted(make_gaussian(0.3, 1.44), "p"), counted(make_laplace(0.0, 1.0), "q")
+        est = renyi_quadrature(p, q, 2.0)
+        assert est.converged and est.panels == 38
+        assert calls == {"p": 1, "q": 1}
 
 
 if __name__ == "__main__":
