@@ -121,8 +121,9 @@ class Density:
           m = 0 where the density stays finite and positive up to its end.
 
         A mixture takes, at each end, its slowest component among those
-        that reach it. A 2-D Gaussian declares its precision matrix instead,
-        as rows of Python floats, since its tails differ by direction.
+        that reach it. In 2-D, where tails differ by direction, a tuple of
+        precision matrices as rows of Python floats: one for a Gaussian, one
+        per component for a mixture of Gaussians.
         """
         # cached by hand: a cached_property's lock costs more than the tails
         cache = self.__dict__
@@ -407,6 +408,9 @@ def make_gamma(shape: float, rate: float) -> Density:
         raise ValueError(f"shape and rate must be finite, got {k}, {beta}")
     if k <= 0 or beta <= 0:
         raise ValueError(f"shape and rate must be positive, got {shape}, {rate}")
+    beta_sq = beta**2
+    if not (beta_sq > 0.0 and math.isfinite(k / beta_sq)):
+        raise ValueError(f"the variance shape / rate^2 must be finite, got shape {k}, rate {beta}")
     const = k * np.log(beta) - gammaln(k)
 
     def log_pdf(x):
@@ -424,7 +428,7 @@ def make_gamma(shape: float, rate: float) -> Density:
         support=((0.0, np.inf),),
         log_pdf=log_pdf,
         mean=np.array([k / beta]),
-        cov=np.array([[k / beta**2]]),
+        cov=np.array([[k / beta_sq]]),
         sample_rng=lambda rng, n: rng.gamma(k, 1.0 / beta, size=n),
         kind="gamma",
         params={"shape": k, "rate": beta},
@@ -560,10 +564,10 @@ def bulk_points(d: Density, coord: int = 0) -> np.ndarray:
 
     Used to seed quadrature panels, so narrow densities and the kink at a
     Laplace or logistic centre are seen by an adaptive first pass. The 1-D
-    Renyi quadrature also sets its log-integrand shift from them. In 2-D
-    only the probe-mesh frame of the Renyi and KL quadratures takes them;
-    the peak frame seeds a shorter ladder of its own at each maximum of the
-    integrand (of p, for the KL), in the sds of a Gaussian fitted there.
+    Renyi quadrature also sets its log-integrand shift from them. The 2-D
+    quadratures do not take them: their peak frame seeds a shorter ladder
+    of its own at each maximum of the integrand (of p, for the KL), in the
+    sds of a Gaussian fitted there.
 
     Computed once per density (see :attr:`Density.bulk`); the array is
     read-only.
@@ -580,10 +584,10 @@ def _bulk_points(d: Density, coord: int) -> np.ndarray:
     elif d.mean is not None and d.cov is not None:
         # Python floats, by flat index (the diagonal of a (dim, dim) cov, or
         # a 0-d array's one entry): math.sqrt rounds correctly, as np.sqrt
-        # does, and a variance that is NaN or negative gives an sd of NaN,
-        # so no points
+        # does, and a variance that is NaN, negative or infinite (whose sd
+        # times the centre's 0 is NaN, with a warning) gives no points
         c, var = d.mean.item(coord), d.cov.item(coord * (d.dim + 1))
-        s = math.sqrt(var) if var >= 0.0 else math.nan
+        s = math.sqrt(var) if 0.0 <= var < math.inf else math.nan
         pts = c + s * _BULK_SIGNED
     else:
         return np.empty(0)
@@ -606,7 +610,7 @@ def _gaussian_tails(d: Density) -> tuple | None:
     # inv(L) from L's rows, then the precision inv(L)' inv(L)
     (l00,), (l10, l11) = d.chol
     a, b, c = 1.0 / l00, -l10 / (l00 * l11), 1.0 / l11
-    return (a * a + b * b, b * c), (b * c, c * c)
+    return ((a * a + b * b, b * c), (b * c, c * c)),
 
 
 def _exponential_tails(d: Density) -> tuple:
@@ -628,8 +632,10 @@ def _truncated_gamma_tails(d: Density) -> tuple:
 
 def _mixture_tails(d: Density) -> tuple | None:
     comps = d.params["components"]
-    if d.dim != 1 or any(c.tails is None for c in comps):
+    if any(c.tails is None for c in comps):
         return None
+    if d.dim == 2:  # every component's precision
+        return tuple(t for c in comps for t in c.tails)
     # the slowest decay among the components that reach the end: at an
     # infinite end the smallest k, then the smallest c, then the largest
     # m; at a finite one the smallest m

@@ -53,7 +53,6 @@ __all__ = [
     "QUADRATURE",
     "OVERFLOW_NATS",
     "DOMINANCE",
-    "OVERFLOW_UNDECIDED",
     "DivergenceEstimate",
     "MCUpperBound",
     "renyi",
@@ -75,15 +74,12 @@ QUADRATURE = "quadrature"
 # Log-integrand excess over the frame's shift (:func:`_frame`) that stops a
 # quadrature pass: the shift has missed the integrand's peak. 700 nats is
 # just below exp-overflow in float64, so a pass whose shift is sound never
-# trips it. With finite tails, the 1-D pass is re-seeded at the located
-# peak; only when a density declares no tails is the integral declared
-# divergent.
+# trips it. The 1-D pass is then re-seeded at the located peak.
 OVERFLOW_NATS = 700.0
 
 # Why a value is infinite (DivergenceEstimate.reason), besides a divergent
 # tail, whose reason names the end.
 DOMINANCE = "dominance"
-OVERFLOW_UNDECIDED = "overflow, tails undecided"
 _S_STAR_INDEFINITE = "divergent tail: S* is not positive definite"
 
 
@@ -98,9 +94,9 @@ class DivergenceEstimate:
     ``panels`` counts the final quadrature panels (boxes in 2-D) behind a
     finite quadrature value; it is 0 for closed forms and ``inf`` verdicts.
     ``reason`` says why a value is infinite and is None when it is finite:
-    ``"dominance"`` (q vanishes where p does not), ``"divergent tail at
-    <end>"`` (or, for a Gaussian pair, an S* that is not positive definite),
-    or ``"overflow, tails undecided"``.
+    ``"dominance"`` (q vanishes where p does not) or ``"divergent tail at
+    <end>"`` (in 2-D, an S* that is not positive definite). An ``inf`` is
+    never a guess: a pair that these do not decide raises.
     """
 
     value: float
@@ -135,14 +131,13 @@ def _check_alpha(alpha: float | None) -> float:
     return float(alpha)
 
 
-# Fallback shift/breakpoint grid for 1-D pairs where neither density declares
-# moments (so bulk_points has nothing to offer inside p's support).
-_FALLBACK_POINTS = 129
-_FALLBACK_HALF_WIDTH = 1e3
+def _kinds(p: Density, q: Density) -> str:
+    return f"p (kind={p.kind!r}) and q (kind={q.kind!r})"
 
 
 def _anchor_points_1d(p: Density, q: Density) -> np.ndarray:
-    """Both densities' bulk points inside p's support, or a fallback grid.
+    """Both densities' bulk points inside p's support; raises ``ValueError``
+    where there are none.
 
     Unsorted, and a point both densities share appears twice: the shift is a
     maximum over them and the panel edges are sorted and deduplicated by
@@ -152,9 +147,7 @@ def _anchor_points_1d(p: Density, q: Density) -> np.ndarray:
     pts = np.concatenate([bulk_points(p), bulk_points(q)])
     pts = pts[(pts > lo) & (pts < hi)]
     if pts.size == 0:
-        grid = np.linspace(max(lo, -_FALLBACK_HALF_WIDTH),
-                           min(hi, _FALLBACK_HALF_WIDTH), _FALLBACK_POINTS)
-        pts = grid[(grid > lo) & (grid < hi)]
+        raise ValueError(f"{_kinds(p, q)} declare no (finite) moments inside p's support")
     return pts
 
 
@@ -245,8 +238,10 @@ def _peak_frame_2d(p, q, log_integrand):
     own width. Its breakpoints, per axis of z, are each maximum's centre
     plus :data:`_PEAK_LADDER` times its marginal sd there (11 per maximum,
     so 144 first-pass boxes for one), and its shift the largest
-    log-integrand value at the maxima. None when p's support is not the
-    whole plane, a density has no centres, or any start fails.
+    log-integrand value at the maxima. A start whose Newton steps fail (as
+    from q's centre between two modes of p) adds no maximum. None when p's
+    support is not the whole plane, a density has no centres, or every
+    start fails.
     """
     starts = [_centres(p), _centres(q)]
     if np.isfinite(p.support).any() or None in starts:
@@ -255,11 +250,13 @@ def _peak_frame_2d(p, q, log_integrand):
     for centre, sd in starts[0] + starts[1]:
         found = _newton_max_2d(log_integrand, centre, sd)
         if found is None:
-            return None
+            continue
         c, cov = found
         reach = np.sqrt(np.diag(cov))
         if all(np.any(np.abs(c - m) > reach) for m, _ in maxima):
             maxima.append((c, cov))
+    if not maxima:
+        return None
     peaks = log_integrand(np.array([c for c, _ in maxima]))
     origin, cov = maxima[int(np.argmax(peaks))]
     lam, vec = np.linalg.eigh(cov)
@@ -287,20 +284,6 @@ def _peak_frame_2d(p, q, log_integrand):
                   float(np.log(abs(np.linalg.det(a)))), to_x)
 
 
-def _mesh_frame_2d(p, q, log_integrand):
-    """The frame of x itself, seeded at both densities' bulk points per
-    axis, with the shift from an 81 x 81 mesh over their span."""
-    bx = np.unique(np.concatenate([bulk_points(p, 0), bulk_points(q, 0)]))
-    by = np.unique(np.concatenate([bulk_points(p, 1), bulk_points(q, 1)]))
-    gx = np.linspace(bx.min(), bx.max(), 81)
-    gy = np.linspace(by.min(), by.max(), 81)
-    mesh = np.column_stack([np.repeat(gx, gy.size), np.tile(gy, gx.size)])
-    shift = float(np.max(log_integrand(mesh)))
-    if shift == -np.inf:
-        raise ValueError("integrand vanishes on the entire 81 x 81 probe mesh")
-    return _Frame(p.support, (bx, by), shift, 0.0, None)
-
-
 def _frame(p, q, log_integrand) -> _Frame:
     """Where to integrate a function of x whose mass follows
     ``log_integrand``: the Renyi integrand, or p's log-density for the KL.
@@ -310,18 +293,20 @@ def _frame(p, q, log_integrand) -> _Frame:
     a Laplace or logistic kink is a panel edge from the first pass. The 1-D
     frame evaluates nothing: its shift is None, and the Renyi pass takes it
     from the log-integrand at the anchors, in one call with its first nodes
-    (:func:`_shifted_integral`). In 2-D a located maximum with
-    negative-definite curvature (a log-concave integrand near its peak)
-    seeds the boxes where the mass is, in its whitened frame, at offsets of
-    0 to 12 of its own sds (:func:`_peak_frame_2d`); divergent pairs and
-    integrands without one fall back to the 81 x 81 probe mesh and both
-    densities' bulk points, in x itself.
+    (:func:`_shifted_integral`). In 2-D the maxima that Newton steps find
+    from the densities' centres seed the boxes where the mass is, in the
+    whitened frame of the largest, at offsets of 0 to 12 of each one's sds
+    (:func:`_peak_frame_2d`). Raises ``ValueError``, naming both kinds,
+    where a 1-D pair declares no moments or no 2-D maximum is found.
     """
     if p.dim == 1:
         return _Frame(p.support, (_anchor_points_1d(p, q),), None, 0.0, None)
     if p.dim > 2:
         raise ValueError("quadrature divergences support dim <= 2")
-    return _peak_frame_2d(p, q, log_integrand) or _mesh_frame_2d(p, q, log_integrand)
+    frame = _peak_frame_2d(p, q, log_integrand)
+    if frame is None:
+        raise ValueError(f"no maximum of the integrand found from the centres of {_kinds(p, q)}")
+    return frame
 
 
 def _anchor_shift(values: np.ndarray) -> float:
@@ -338,7 +323,6 @@ def _anchor_shift(values: np.ndarray) -> float:
 # finite and positive, a power 0 of the distance to the end.
 _INSIDE = (0, 0.0, 0.0)
 _FINITE = "finite"
-_UNDECIDED = "undecided"
 
 
 def _end_finite(tp, tq, alpha: float) -> bool | None:
@@ -368,23 +352,32 @@ def _end_finite(tp, tq, alpha: float) -> bool | None:
 
 
 def _tail_verdict(p: Density, q: Density, alpha: float) -> str:
-    """``_FINITE`` or ``_UNDECIDED`` for int p^alpha q^(1-alpha), with q
-    dominating p, or the reason it diverges, read from the densities'
-    declared tails; undecided when either declares none.
+    """``_FINITE``, or the reason int p^alpha q^(1-alpha) diverges, with q
+    dominating p, read from the densities' declared tails. Raises
+    ``ValueError``, naming both kinds, where they do not decide it: tails
+    not declared, a 2-D q with more than one component, or cancelling
+    leading terms at a 1-D end (:func:`_end_finite` is None).
 
     In 1-D each end of p's support is decided by :func:`_end_finite`. In 2-D
-    two Gaussians give a finite integral iff alpha P_p - (alpha - 1) P_q is
-    positive definite, which is the closed form's S* > 0.
+    it is finite iff alpha P_k - (alpha - 1) P_q is positive definite for
+    q's precision P_q and each of p's P_k, since (sum_k w_k p_k)^alpha lies
+    between max_k (w_k p_k)^alpha and K^(alpha - 1) sum_k (w_k p_k)^alpha;
+    for one component that is the closed form's S* > 0.
     """
     tp, tq = p.tails, q.tails
     if tp is None or tq is None:
-        return _UNDECIDED
+        raise ValueError(f"the tails of {_kinds(p, q)} are not both declared, so whether "
+                         "the Renyi integral is finite is undecided")
     if p.dim == 2:
-        beta = alpha - 1.0
-        a = [[alpha * x - beta * y for x, y in zip(rp[:i + 1], rq[:i + 1])]
-             for i, (rp, rq) in enumerate(zip(tp, tq))]
-        if cholesky_rows(a) is None:
-            return _S_STAR_INDEFINITE
+        if len(tq) != 1:
+            raise ValueError(f"the tails of {_kinds(p, q)} do not decide the Renyi integral: "
+                             "q has more than one component")
+        (pq,), beta = tq, alpha - 1.0
+        for pk in tp:
+            a = [[alpha * x - beta * y for x, y in zip(rp[:i + 1], rq[:i + 1])]
+                 for i, (rp, rq) in enumerate(zip(pk, pq))]
+            if cholesky_rows(a) is None:
+                return _S_STAR_INDEFINITE
         return _FINITE
     (lo, hi), = p.support
     (q_lo, q_hi), = q.support
@@ -395,7 +388,8 @@ def _tail_verdict(p: Density, q: Density, alpha: float) -> str:
     for finite, end in ((lower, lo), (upper, hi)):
         if finite is False:
             return f"divergent tail at {end:+g}" if math.isinf(end) else f"divergent tail at {end:g}"
-    return _UNDECIDED
+    raise ValueError(f"the leading tail terms of {_kinds(p, q)} cancel, and the rest is "
+                     "not declared, so whether the Renyi integral is finite is undecided")
 
 
 _STENCIL_1D = np.array([-1.0, 0.0, 1.0])
@@ -538,25 +532,25 @@ def renyi_quadrature(
     """(1/(alpha-1)) log int q (p/q)^alpha by adaptive quadrature (dim <= 2).
 
     Returns inf, before any node is evaluated, when q does not dominate p
-    or when the densities' tails make the integral diverge
-    (:func:`_tail_verdict`). Each pass integrates exp(log-integrand - shift).
-    In 1-D the shift is the log-integrand's largest value at both densities'
-    bulk points, which the first pass evaluates in one call with its first
-    nodes, so a pass that converges at once calls each ``log_pdf`` once. A
-    pass whose log-integrand overflows its shift (:data:`OVERFLOW_NATS`)
-    returns inf only when some density declares no tails. With finite tails
-    a 1-D pass that overflows, or that sums to a value that is not positive
-    (a peak so narrow, at a large alpha, that it falls between the nodes of
-    the panels either side of a breakpoint), is taken again from the located
-    peak. An overflow there, or in 2-D, raises ``ArithmeticError``, as does
-    an integral that is still not positive. A log-integrand that overflows
-    to NaN (a huge alpha) raises ``ValueError``.
+    or when the densities' tails make the integral diverge; a pair whose
+    tails do not decide it raises ``ValueError`` (:func:`_tail_verdict`).
+    Each pass integrates exp(log-integrand - shift). In 1-D the shift is the
+    log-integrand's largest value at both densities' bulk points, which the
+    first pass evaluates in one call with its first nodes, so a pass that
+    converges at once calls each ``log_pdf`` once. A 1-D pass whose
+    log-integrand overflows its shift (:data:`OVERFLOW_NATS`), or that sums
+    to a value that is not positive (a peak so narrow, at a large alpha,
+    that it falls between the nodes of the panels either side of a
+    breakpoint), is taken again from the located peak. An overflow there,
+    or in 2-D, raises ``ArithmeticError``, as does an integral that is
+    still not positive: a finite integral that float64 cannot evaluate. A
+    log-integrand that overflows to NaN (a huge alpha) raises ``ValueError``.
     """
     alpha = _check_alpha(alpha)
     if not dominates(p, q):
         return DivergenceEstimate(np.inf, QUADRATURE, 0.0, alpha, reason=DOMINANCE)
     tails = _tail_verdict(p, q, alpha)
-    if tails is not _FINITE and tails is not _UNDECIDED:
+    if tails is not _FINITE:
         return DivergenceEstimate(np.inf, QUADRATURE, 0.0, alpha, reason=tails)
 
     def log_integrand(x):
@@ -581,7 +575,7 @@ def renyi_quadrature(
         res, vanished, frame = _shifted_integral(log_integrand, frame, rel_tol)
     if math.isnan(frame.shift):
         raise ValueError(f"the Renyi integrand overflows at alpha = {alpha:g}")
-    if (res is None or res.value <= 0.0) and not vanished and tails is _FINITE and p.dim == 1:
+    if (res is None or res.value <= 0.0) and not vanished and p.dim == 1:
         peak = _peak_anchors_1d(log_integrand, frame.breakpoints[0], frame.supports[0])
         if peak is not None:
             shift, anchors = peak
@@ -590,10 +584,8 @@ def renyi_quadrature(
     if vanished:
         return DivergenceEstimate(np.inf, QUADRATURE, 0.0, alpha, reason=DOMINANCE)
     if res is None:
-        if tails is _FINITE:
-            raise ArithmeticError("Renyi integral overflowed its shift although "
-                                  "the tails make it finite")
-        return DivergenceEstimate(np.inf, QUADRATURE, 0.0, alpha, reason=OVERFLOW_UNDECIDED)
+        raise ArithmeticError("Renyi integral overflowed its shift although "
+                              "the tails make it finite")
     if res.value <= 0.0:
         raise ArithmeticError("Renyi integral evaluated to a non-positive value")
     value = (frame.shift + frame.log_jac + np.log(res.value)) / (alpha - 1.0)
@@ -703,7 +695,8 @@ def _kl_laplace_gauss(p: Density, q: Density) -> DivergenceEstimate:
 
 def _kl_quadrature(p: Density, q: Density, rel_tol: float) -> DivergenceEstimate:
     """KL(p || q) = int p log(p/q) by adaptive quadrature (dim <= 2), in the
-    frame that :func:`_frame` finds for p's log-density."""
+    frame that :func:`_frame` finds for p's log-density. A sum that is not
+    finite raises ``ArithmeticError``."""
     if not dominates(p, q):
         return DivergenceEstimate(np.inf, QUADRATURE, 0.0, None, reason=DOMINANCE)
     blown = {"hit": False}
@@ -727,7 +720,7 @@ def _kl_quadrature(p: Density, q: Density, rel_tol: float) -> DivergenceEstimate
     if blown["hit"]:  # q vanishes where p does not
         return DivergenceEstimate(np.inf, QUADRATURE, 0.0, None, reason=DOMINANCE)
     if not math.isfinite(res.value):
-        return DivergenceEstimate(np.inf, QUADRATURE, 0.0, None, reason=OVERFLOW_UNDECIDED)
+        raise ArithmeticError(f"the KL integral of {_kinds(p, q)} is not finite in float64")
     jac = math.exp(frame.log_jac)
     return DivergenceEstimate(max(float(res.value) * jac, 0.0), QUADRATURE,
                               float(res.error) * jac, None, res.converged, res.panels)

@@ -345,8 +345,10 @@ class TestValuesTypedByTheirFunction:
           "--kl", "forward"], "--alpha"),
         (["--p", '{"kind":"gaussian","mean":0,"cov":NaN}', "--alpha", "2"], "finite"),
         (["--p", '{"kind":"logistic","loc":NaN,"scale":1}', "--alpha", "2"], "finite"),
+        (["--p", '{"kind":"gamma","shape":1,"rate":1e-200}', "--alpha", "2"],
+         "variance shape / rate^2 must be finite"),
     ], ids=["missing-scale-in-p", "string-for-loc", "number-for-component",
-            "alpha-with-kl", "nan-cov", "nan-logistic-loc"])
+            "alpha-with-kl", "nan-cov", "nan-logistic-loc", "gamma-rate-underflow"])
     def test_divergence_value(self, capsys, extra, named):
         code = run_cli(["divergence", "--q", '{"kind":"gaussian","mean":1,"cov":1}',
                         *extra])
@@ -550,6 +552,19 @@ class TestDivergenceCommand:
         out, err = capsys.readouterr()
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "overflowed its shift" in err
+
+    def test_mixture_q_in_2d_exits_one_naming_the_kinds(self, capsys):
+        # whether the integral is finite would need a scan over directions
+        g = '{"kind":"gaussian","mean":[0,0],"cov":[[1,0],[0,1]]}'
+        code = run_cli([
+            "divergence", "--p", '{"kind":"gaussian","mean":[0,0],"cov":[[4,0],[0,4]]}',
+            "--q", f'{{"kind":"mixture","weights":[0.5,0.5],"components":[{g},{g}]}}',
+            "--alpha", "2",
+        ])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "q (kind='mixture')" in err
+        assert "more than one component" in err and "Traceback" not in err
 
     def test_missing_mode_exits_one(self, capsys):
         code = run_cli([

@@ -207,6 +207,17 @@ class TestScalarFamilies:
         with pytest.raises(ValueError):
             ctor(*args)
 
+    @pytest.mark.parametrize("rate", [1e-160, 1e-200])
+    def test_gamma_without_a_finite_variance_is_refused_by_name(self, rate):
+        # shape / rate^2 overflows at 1e-160 and divides by an underflowed
+        # 0.0 at 1e-200
+        with pytest.raises(ValueError, match="variance shape / rate\\^2 must be finite"):
+            make_gamma(1.0, rate)
+
+    def test_gamma_with_a_huge_finite_variance_keeps_its_bits(self):
+        d = make_gamma(2.0, 1e-150)
+        assert d.var == 2.0 / 1e-150**2 and math.isfinite(d.var)
+
 
 class TestNormalization:
     @pytest.mark.parametrize("name", sorted(ALL_1D))
@@ -357,7 +368,7 @@ class TestBulkPoints:
                 assert bulk_points(d, coord) is pts
                 assert not pts.flags.writeable
 
-    @pytest.mark.parametrize("var", [math.nan, -1.0, -math.inf])
+    @pytest.mark.parametrize("var", [math.nan, -1.0, -math.inf, math.inf])
     def test_variance_without_an_sd_gives_no_points(self, var):
         # declared moments whose variance has no square root: no points,
         # and no warning or error on the way

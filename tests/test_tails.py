@@ -2,6 +2,7 @@
 closed forms as oracles: the Gaussian S* condition, the Gamma kernel
 integral, and the re-seeded quadrature where the tails say finite."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -24,7 +25,6 @@ from renyi_vi.distributions import (
 )
 from renyi_vi.divergence import (
     DOMINANCE,
-    OVERFLOW_UNDECIDED,
     renyi,
     renyi_gauss_closed,
     renyi_quadrature,
@@ -37,9 +37,13 @@ GAP = 1e-6
 
 
 def _divergent(p, q, alpha):
-    verdict = divergence._tail_verdict(p, q, alpha)
-    assert verdict != divergence._UNDECIDED
-    return verdict != divergence._FINITE
+    return divergence._tail_verdict(p, q, alpha) != divergence._FINITE
+
+
+def twin_mixture(p):
+    """p as a mixture of two identical components: the same density, with
+    the tails of a mixture."""
+    return make_mixture([0.5, 0.5], [p, p])
 
 
 @st.composite
@@ -111,10 +115,12 @@ class TestGaussianPairs:
             assert abs(quad.value - closed) <= 1e-6 * max(1.0, abs(closed))
 
     @SETTINGS
-    @given(gaussian_pairs_near_singular(2))
-    def test_2d_verdict_matches_closed_form(self, pair):
+    @given(gaussian_pairs_near_singular(2), st.booleans())
+    def test_2d_verdict_matches_closed_form(self, pair, twin):
         p, q, alpha = pair
         closed = renyi_gauss_closed(p, q, alpha)
+        if twin:
+            p = twin_mixture(p)
         assert _divergent(p, q, alpha) == math.isinf(closed.value)
         if math.isinf(closed.value):
             quad = renyi_quadrature(p, q, alpha, rel_tol=1e-7)
@@ -128,6 +134,26 @@ class TestGaussianPairs:
         if math.isfinite(closed):
             quad = renyi_quadrature(p, q, alpha, rel_tol=1e-7)
             assert abs(quad.value - closed) <= 1e-6 * max(1.0, abs(closed))
+
+    def test_second_component_alone_makes_it_diverge(self):
+        # S* = 2 S_q - S_k at alpha 2: positive definite for the first
+        # component, not for the second, so the mixture's integral diverges
+        q = make_gaussian([0.0, 0.0], np.eye(2))
+        first = make_gaussian([0.5, 0.0], 0.5 * np.eye(2))
+        second = make_gaussian([-0.5, 0.2], [[2.5, 0.3], [0.3, 0.5]])
+        assert math.isfinite(renyi_gauss_closed(first, q, 2.0).value)
+        assert renyi_gauss_closed(second, q, 2.0).value == math.inf
+        calls = []
+
+        def log_pdf(x):
+            calls.append(len(x))
+            return mix.log_pdf(x)
+
+        mix = make_mixture([0.7, 0.3], [first, second])
+        est = renyi_quadrature(dataclasses.replace(mix, log_pdf=log_pdf), q, 2.0)
+        assert est.value == math.inf
+        assert est.reason == "divergent tail: S* is not positive definite"
+        assert calls == []
 
     def test_barely_finite_1d_pair_is_reseeded_to_its_closed_form(self):
         # S* = 1e-4: the integrand peaks near x = -3000, far past both
@@ -334,12 +360,23 @@ class TestMixtures:
 
 
 class TestUndecided:
-    def test_moment_free_overflow_keeps_the_heuristic(self):
-        # no declared tails: the overflow still reads as divergence, and says so
+    def test_undecided_tails_raise_naming_the_kinds(self):
+        # tails not declared (a custom kind), a 2-D q with two components,
+        # and leading terms that cancel: refused by name, not scored
         p = Density(dim=1, support=((-np.inf, np.inf),), log_pdf=make_gaussian(0.0, 1.0).log_pdf)
         q = Density(dim=1, support=((-np.inf, np.inf),), log_pdf=make_gaussian(0.0, 0.25).log_pdf)
-        est = renyi_quadrature(p, q, 2.0)
-        assert est.value == math.inf and est.reason == OVERFLOW_UNDECIDED
+        with pytest.raises(ValueError, match=r"tails of p \(kind='custom'\) and q "
+                                             r"\(kind='custom'\) are not both declared"):
+            renyi_quadrature(p, q, 2.0)
+        g = make_gaussian([0.0, 0.0], 4.0 * np.eye(2))
+        with pytest.raises(ValueError, match=r"p \(kind='gaussian'\) and q \(kind='mixture'\) "
+                                             "do not decide .* more than one component"):
+            renyi_quadrature(g, make_mixture([0.5, 0.5], [g, make_gaussian([1.0, 0.0], np.eye(2))]),
+                             2.0)
+        # alpha c_p = (alpha - 1) c_q, with c = 1 / (2 var): 1.5 / 6 = 0.5 / 2
+        with pytest.raises(ValueError, match=r"leading tail terms of p \(kind='gaussian'\) "
+                                             r"and q \(kind='gaussian'\) cancel"):
+            renyi_quadrature(make_gaussian(0.0, 3.0), make_gaussian(0.0, 1.0), 1.5)
 
     def test_dominance_failure_says_so(self):
         est = renyi_quadrature(make_gaussian(0.0, 1.0), make_gamma(2.0, 1.0), 2.0)
