@@ -348,7 +348,10 @@ class TestReports:
          "238d456fcf6e9fc08c13c8cd1c1cdf2f88c49535c0b2b6ee74a7f67435c1e014"),
         (lambda: run_consistency(EM, "gamma", n_grid=[100, 1000], seeds=[0, 1]),
          "fc5e11bff78242045c1722a6bd94e1d5139a1877958f03672d1952a6b835fb63"),
-    ], ids=["figure1", "ep", "consistency-laplace", "consistency-gamma"])
+        # fits by the Gaussian Renyi closed form, start grid in one batch
+        (lambda: run_consistency(GM, "gaussian", n_grid=[100, 1000, 10000], seeds=[0, 1]),
+         "736ee4d28615fbcbc4bb5322ccef2e4eaf9c292645dece9b92f29a89f8ef0c9b"),
+    ], ids=["figure1", "ep", "consistency-laplace", "consistency-gamma", "consistency-gaussian"])
     def test_report_csv_bytes_pinned(self, tmp_path, run, sha256):
         # a change that moves any digit of a report moves its digest
         path = write_report(run(), tmp_path / "run")["csv"]

@@ -2,7 +2,9 @@
 
 Each case runs one fit: every registered family under each objective, on
 the Gaussian-mean and exponential posteriors (given as a ``(model, data)``
-pair) or the anisotropic 2-D Gaussian. A pin holds the parameters and the
+pair) or the anisotropic 2-D Gaussian, and the Gaussian family on a Laplace
+target, whose KL fits score the member on the Gaussian side of the
+Gaussian/Laplace closed forms. A pin holds the parameters and the
 objective value as ``float.hex``, with ``n_evals``, ``converged`` and the
 trace length; a fit that raises :class:`DominanceError` is pinned as such.
 
@@ -15,7 +17,7 @@ from functools import partial
 
 import pytest
 
-from renyi_vi.distributions import make_gaussian
+from renyi_vi.distributions import make_gaussian, make_laplace
 from renyi_vi.models import exponential_model, gaussian_mean_model
 from renyi_vi.varfit import FAMILY_BUILDERS, DominanceError, fit
 
@@ -26,12 +28,15 @@ TARGETS_1D = {
     "exponential": (EM, EM.simulate(2.0, 200, 3)),
 }
 ANISO = make_gaussian([0.0, 0.0], [[1.0, 0.9], [0.9, 1.0]])
+LAPLACE = make_laplace(0.3, 0.2)
 
 
 def _cases() -> dict:
     cases = {}
     for name, build in FAMILY_BUILDERS.items():
         targets = TARGETS_1D if build().dim == 1 else {"aniso-2d": ANISO}
+        if name == "gaussian":
+            targets = {**targets, "laplace": LAPLACE}
         for tname, target in targets.items():
             for kind in ("renyi-alpha", "kl-forward", "kl-reverse"):
                 cases[f"{name}/{tname}/{kind}"] = partial(
@@ -65,6 +70,9 @@ PINS = {
     'gaussian/gaussian-mean/kl-forward': (['0x1.1757844ad3ecdp-1', '0x1.20e8d9a918a16p-4'], '0x1.0000000000000p-51', 113, True, 18),
     'gaussian/gaussian-mean/kl-reverse': (['0x1.1757844ad3ecdp-1', '0x1.20e8d924823fep-4'], '0x0.0p+0', 112, True, 20),
     'gaussian/gaussian-mean/renyi-alpha': (['0x1.1757844ad3ecdp-1', '0x1.20e8d9478ae63p-4'], '0x0.0p+0', 114, True, 11),
+    'gaussian/laplace/kl-forward': (['0x1.3333333333333p-2', '0x1.21a18530d031bp-2'], '0x1.28682473d0decp-4', 112, True, 18),
+    'gaussian/laplace/kl-reverse': (['0x1.3333333333333p-2', '0x1.00adc19901c65p-2'], '0x1.8ca26d2af6770p-5', 112, True, 23),
+    'gaussian/laplace/renyi-alpha': 'DominanceError',
     'isotropic-gaussian-2d/aniso-2d/kl-forward': (['0x0.0p+0', '0x0.0p+0', '0x1.ffffffc933c00p-1'], '0x1.a925ae2cbedfep-1', 346, True, 16),
     'isotropic-gaussian-2d/aniso-2d/kl-reverse': (['0x0.0p+0', '0x0.0p+0', '0x1.be59eba41dde0p-2'], '0x1.a925ae2cbedffp-1', 255, True, 9),
     'isotropic-gaussian-2d/aniso-2d/renyi-alpha': (['0x0.0p+0', '0x0.0p+0', '0x1.328810faebfcdp+0'], '0x1.0ef9dd172adcbp+0', 334, True, 10),
