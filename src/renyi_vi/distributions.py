@@ -20,13 +20,10 @@ from .numerics import QuadratureSpec, cholesky_rows, integrate
 
 __all__ = [
     "Density",
-    "Member",
     "Members",
     "make_gaussian",
-    "gaussian_member",
-    "isotropic_gaussians",
+    "gaussian_members",
     "make_laplace",
-    "laplace_member",
     "laplace_members",
     "make_logistic",
     "make_gamma",
@@ -155,8 +152,8 @@ def _gaussian_factor(mu: list[float], cov) -> tuple:
     it refuses them."""
     if not all(map(math.isfinite, mu)):
         raise ValueError(f"mean must be finite, got {list(mu)}")
-    rows = cholesky_rows(cov)
-    if rows is None:
+    rows, ok = cholesky_rows(cov)
+    if not ok:
         raise ValueError("covariance must be finite and symmetric positive definite")
     # numpy's log, not math.log: the two differ in the last bit on a few
     # inputs in 1e4, and the 1-D constant and entropy keep their bits
@@ -228,14 +225,18 @@ def make_gaussian(mean, cov) -> Density:
     )
 
 
-class Member(NamedTuple):
-    """One density as the closed forms of :mod:`~renyi_vi.divergence` read
-    it: the attributes of the :class:`Density` that ``make_gaussian`` or
-    ``make_laplace`` builds, with the same bits, in Python floats, and no
-    ``log_pdf``. Cheaper to make than the Density, so a fit's line searches
-    score these where a closed form lists the pair.
+class Members(NamedTuple):
+    """Densities of one kind as the closed forms of
+    :mod:`~renyi_vi.divergence` read them: for each member, the attributes
+    of the :class:`Density` that ``make_gaussian`` or ``make_laplace``
+    builds for it, with the same bits, and no ``log_pdf``. One member holds
+    Python floats; a batch holds arrays over its members, with a float
+    where an entry is the same for every member. Cheaper to make than a
+    Density, so a fit scores these where a closed form lists the pair: its
+    start grid as one batch, and each point of its line searches as one
+    member.
 
-    ``mean`` holds one float per coordinate. ``cov`` and ``chol`` hold the
+    ``mean`` holds one entry per coordinate. ``cov`` and ``chol`` hold the
     rows of the lower triangles of the covariance and of its Cholesky
     factor, as :attr:`Density.chol` does; ``chol`` and ``log_det`` are None
     for a Laplace, whose ``params`` hold ``loc`` and ``scale``.
@@ -243,82 +244,65 @@ class Member(NamedTuple):
 
     kind: str
     dim: int
-    mean: tuple[float, ...]
-    cov: tuple[tuple[float, ...], ...]
-    chol: tuple[tuple[float, ...], ...] | None
-    log_det: float | None
-    entropy: float
+    mean: tuple
+    cov: tuple
+    chol: tuple | None
+    log_det: float | np.ndarray | None
+    entropy: float | np.ndarray
     params: Mapping[str, Any]
 
 
-def gaussian_member(mean: tuple[float, ...], cov: tuple[tuple[float, ...], ...]) -> Member:
-    """The Gaussian ``make_gaussian(mean, cov)`` makes, as a :class:`Member`,
-    for a mean of Python floats and the rows of a covariance's lower
-    triangle; raises ``ValueError`` where make_gaussian refuses it."""
-    rows, log_det, entropy = _gaussian_factor(mean, cov)
-    return Member("gaussian", len(mean), mean, cov, rows, log_det, entropy, {})
-
-
-@dataclass(frozen=True)
-class Members:
-    """A batch of densities of one kind, as arrays over the batch: for each
-    member, the bits of the attributes of the :class:`Density` that
-    ``make_gaussian`` or ``make_laplace`` builds for it, without building it.
-
-    ``mean`` holds one array per coordinate. ``cov`` and ``chol`` hold the
-    rows of the lower triangles of the covariance and of its Cholesky
-    factor, as :attr:`Density.chol` does, with a float where an entry is the
-    same for every member. A Laplace batch holds ``loc`` and ``scale`` in
-    ``params``.
-    """
-
-    kind: str
-    dim: int
-    mean: tuple[np.ndarray, ...]
-    entropy: np.ndarray
-    cov: tuple = ()
-    chol: tuple = ()
-    log_det: np.ndarray | None = None
-    params: Mapping[str, Any] = field(default_factory=dict)
-
-
-def isotropic_gaussians(mean, sd) -> Members | None:
-    """The Gaussians N(mean_i, sd_i ** 2 I), for the rows of the (m, d)
-    array ``mean``, as ``make_gaussian`` holds each; None when it would
-    refuse one of them.
-
-    Each variance is squared as Python squares a float, which is not always
-    sd * sd. For var I, :func:`cholesky_rows` gives sqrt(var) on the
-    diagonal and 0.0 below it, so the log-determinant is the numpy log of
-    the product of d such pivots.
-    """
-    mean = np.asarray(mean, dtype=float)
-    d = mean.shape[1]
+def _variance(sd):
+    """sd ** 2 as Python squares a float (not always sd * sd), element by
+    element over a batch, with inf where that overflows: a variance that
+    make_gaussian refuses."""
+    if isinstance(sd, np.ndarray):
+        try:
+            return np.array([s ** 2 for s in sd.tolist()])
+        except OverflowError:
+            return np.array([_variance(s) for s in sd.tolist()])
     try:
-        var = np.array([s ** 2 for s in np.asarray(sd, dtype=float).tolist()])
-    except OverflowError:  # unpack meets it member by member, as before
-        return None
-    with np.errstate(all="ignore"):
-        pivot = np.sqrt(var)
-        prod = pivot
-        for _ in range(d - 1):
-            prod = prod * pivot
-        log_det = 2.0 * np.log(prod)
-    if not (np.isfinite(mean).all() and (var > 0.0).all() and np.isfinite(log_det).all()):
-        return None
+        return float(sd) ** 2
+    except OverflowError:
+        return math.inf
 
-    def lower(diag):
-        return tuple(tuple(diag if j == i else 0.0 for j in range(i + 1)) for i in range(d))
 
-    return Members(
-        kind="gaussian",
-        dim=d,
-        mean=tuple(mean.T),
-        entropy=0.5 * d * (1.0 + _LOG_2PI) + 0.5 * log_det,
-        cov=lower(var),
-        chol=lower(pivot),
-        log_det=log_det,
-    )
+def _diagonal(v, d: int) -> tuple:
+    """The rows of the lower triangle of v I_d."""
+    return tuple([(0.0,) * i + (v,) for i in range(d)])
+
+
+def gaussian_members(mean, sd) -> Members:
+    """The Gaussians N(mean, sd ** 2 I) as ``make_gaussian`` makes them:
+    one, for a mean of one Python float per coordinate and a float sd, or a
+    batch, for one array per coordinate and an array of sds. Raises
+    make_gaussian's ``ValueError`` where it refuses one (the first, over a
+    batch).
+
+    Each variance is squared as Python squares a float (:func:`_variance`).
+    For var I, :func:`cholesky_rows` gives sqrt(var) on the diagonal and
+    0.0 below it, and make_gaussian's log-determinant is the numpy log of
+    the product of d such pivots, so each member gets its Density's bits
+    without a factorisation.
+    """
+    mean, var = tuple(mean), _variance(sd)
+    d = len(mean)
+    if isinstance(var, np.ndarray):
+        with np.errstate(all="ignore"):  # a refused member's pivot and log
+            pivot = np.sqrt(var)
+            log_det = 2.0 * np.log(math.prod([pivot] * d))
+        ok = np.all(np.isfinite(mean), axis=0) & (var > 0.0) & np.isfinite(log_det)
+        if not ok.all():  # make_gaussian refuses the first refused member
+            i = int(np.argmin(ok))
+            make_gaussian([m[i] for m in mean], [var[i]] * d)
+    else:
+        ok = var > 0.0 and all(map(math.isfinite, mean))
+        pivot = math.sqrt(var) if ok else math.nan
+        log_det = 2.0 * float(np.log(math.prod([pivot] * d)))
+        if not (ok and math.isfinite(log_det)):
+            make_gaussian(mean, [var] * d)  # which refuses it
+    return Members("gaussian", d, mean, _diagonal(var, d), _diagonal(pivot, d), log_det,
+                   0.5 * d * (1.0 + _LOG_2PI) + 0.5 * log_det, {})
 
 
 def _laplace_parts(loc, scale) -> tuple[float, float, float]:
@@ -353,22 +337,22 @@ def make_laplace(loc: float, scale: float) -> Density:
     )
 
 
-def laplace_member(loc: float, scale: float) -> Member:
-    """The Laplace ``make_laplace(loc, scale)`` makes, as a :class:`Member`;
-    raises ``ValueError`` where make_laplace refuses it."""
-    k, b, entropy = _laplace_parts(loc, scale)
-    return Member("laplace", 1, (k,), ((2.0 * b * b,),), None, None, entropy,
-                  {"loc": k, "scale": b})
-
-
-def laplace_members(loc, scale) -> Members | None:
-    """The Laplace densities (loc_i, scale_i), as ``make_laplace`` holds
-    each; None when it would refuse one of them."""
-    k, b = np.asarray(loc, dtype=float), np.asarray(scale, dtype=float)
-    if not (np.isfinite(k).all() and np.isfinite(b).all() and (b > 0.0).all()):
-        return None
-    return Members(kind="laplace", dim=1, mean=(k,), entropy=1.0 + np.log(2.0 * b),
-                   params={"loc": k, "scale": b})
+def laplace_members(loc, scale) -> Members:
+    """The Laplace densities (loc, scale) as ``make_laplace`` makes them:
+    one, for floats, or a batch, for arrays. Raises make_laplace's
+    ``ValueError`` where it refuses one (the first, over a batch)."""
+    if isinstance(scale, np.ndarray):
+        k, b = np.asarray(loc, dtype=float), np.asarray(scale, dtype=float)
+        ok = np.isfinite(k) & np.isfinite(b) & (b > 0.0)
+        if not ok.all():  # the first refused member raises, as make_laplace would
+            i = int(np.argmin(ok))
+            _laplace_parts(k[i], b[i])
+        with np.errstate(over="ignore"):  # as Python's floats overflow
+            entropy, var = 1.0 + np.log(2.0 * b), 2.0 * b * b
+    else:
+        k, b, entropy = _laplace_parts(loc, scale)
+        var = 2.0 * b * b
+    return Members("laplace", 1, (k,), ((var,),), None, None, entropy, {"loc": k, "scale": b})
 
 
 def make_logistic(loc: float, scale: float) -> Density:

@@ -5,14 +5,13 @@ integral.
 ``renyi`` and ``kl_forward`` score a pair by the closed form that
 ``_RENYI_CLOSED`` or ``_KL_CLOSED`` lists for its two kinds, else by
 adaptive quadrature (dim <= 2), both objectives in the frame of
-:func:`_frame`. Each closed-form row has a batch form, which
-``renyi_batch`` and ``kl_forward_batch`` run: it scores a batch of members
-(:class:`~renyi_vi.distributions.Members`) on either side of the pair in one
-call, each with the bits its scalar row gives it, so that a fit scores its
-start grid in one call for pairs that have one. A closed-form row also
-reads a :class:`~renyi_vi.distributions.Member`, the attributes of one
-Gaussian or Laplace in Python floats, which a fit's line searches score in
-place of a Density.
+:func:`_frame`. Each closed-form row is one function over Python floats or
+arrays: it reads a Density, or :class:`~renyi_vi.distributions.Members`
+(the attributes of Gaussians or Laplaces, without a ``log_pdf``) on either
+side of the pair. One member is what a fit's line searches score in place
+of a Density. A batch is what ``renyi_batch`` and ``kl_forward_batch``
+score in one call, each member with the bits the row gives it alone, so
+that a fit scores its start grid in one call for pairs that have a row.
 
 Infinity is a first-class value here: D_alpha is infinite whenever q fails
 to dominate p or the integral q (p/q)^alpha diverges, and both outcomes are
@@ -40,7 +39,6 @@ from .distributions import (
 )
 from .numerics import (
     QuadratureSpec,
-    cholesky_batch,
     cholesky_rows,
     integrate,
     integrate_2d,
@@ -376,7 +374,7 @@ def _tail_verdict(p: Density, q: Density, alpha: float) -> str:
         for pk in tp:
             a = [[alpha * x - beta * y for x, y in zip(rp[:i + 1], rq[:i + 1])]
                  for i, (rp, rq) in enumerate(zip(pk, pq))]
-            if cholesky_rows(a) is None:
+            if not cholesky_rows(a)[1]:
                 return _S_STAR_INDEFINITE
         return _FINITE
     (lo, hi), = p.support
@@ -594,8 +592,16 @@ def renyi_quadrature(
                               res.converged, res.panels)
 
 
-# The closed forms read a Density, a Member (distributions.Member: the same
-# attributes in Python floats) or, in their batch forms, a batch of members.
+# The closed forms read a Density, or Members (distributions.Members: the
+# same attributes, in Python floats for one member or in arrays over a
+# batch), on either side of the pair. Each row is one function over floats
+# or arrays, and gives each member of a batch the bits it gives that member
+# alone. So a float stays a Python float: numpy only for +, -, *, / and
+# sqrt over a batch, which round correctly, as Python's floats do, and the
+# row's own function, element by element (:func:`_each`), for every log,
+# exp, erf and ``** 2`` (the numpy log where a Density's own log_det or
+# entropy used it). The clamp at 0 (:func:`_nonneg`) and the inf mask
+# (:func:`_where`) dispatch the same way.
 
 def _means(d) -> list | tuple:
     """d's mean, coordinate by coordinate: floats, or arrays over a batch."""
@@ -608,12 +614,60 @@ def _covs(d) -> list | tuple:
     return d.cov.tolist() if isinstance(d, Density) else d.cov
 
 
+def _each(fn, x):
+    """``fn`` of x, of each element where x is an array over a batch."""
+    if isinstance(x, np.ndarray):
+        return np.array([fn(v) for v in x.tolist()])
+    return fn(x)
+
+
+def _kernel(r: float) -> float:
+    """exp(-r^2 / 2), with Python's ``** 2``, which is not always r * r."""
+    return math.exp(-0.5 * r ** 2)
+
+
+def _nonneg(x):
+    """max(x, 0.0), element by element where x is an array over a batch."""
+    return np.where(0.0 > x, 0.0, x) if isinstance(x, np.ndarray) else (0.0 if 0.0 > x else x)
+
+
+def _where(ok, x, y):
+    """x where ok, else y: ``np.where`` over a batch, whose ok is a mask."""
+    return np.where(ok, x, y) if isinstance(ok, np.ndarray) else (x if ok else y)
+
+
 def _check_gaussians(p: Density, q: Density) -> None:
     for d in (p, q):
         if d.kind != "gaussian":
             raise TypeError(f"expected a Gaussian density, got kind={d.kind!r}")
     if p.dim != q.dim:
         raise ValueError("dimension mismatch between Gaussian inputs")
+
+
+def _s_star_rows(p, q, alpha: float):
+    """:func:`~renyi_vi.numerics.cholesky_rows` of S* = alpha S_q +
+    (1 - alpha) S_p: its factor rows and whether it is positive definite."""
+    beta = 1.0 - alpha
+    return cholesky_rows([[alpha * sq + beta * sp for sp, sq in zip(rp[:i + 1], rq[:i + 1])]
+                          for i, (rp, rq) in enumerate(zip(_covs(p), _covs(q)))])
+
+
+def _renyi_gauss_value(p, q, alpha: float, rows):
+    """The Gaussian Renyi closed form from S*'s factor ``rows``, clamped at
+    0; NaN where a large alpha overflows it, or where S* is not positive
+    definite."""
+    z = solve_lower(rows, [a - b for a, b in zip(_means(p), _means(q))])
+    quad = 0.5 * alpha * sum(v * v for v in z)
+    log_det = 2.0 * sum(_each(math.log, row[i]) for i, row in enumerate(rows))
+    logdets = log_det - (1.0 - alpha) * p.log_det - alpha * q.log_det
+    return _nonneg(quad - logdets / (2.0 * (alpha - 1.0)))
+
+
+def _renyi_gauss(p, q, alpha: float):
+    """The Gaussian Renyi row: the value :func:`renyi_gauss_closed` gives,
+    inf where S* is not positive definite, and NaN where it raises."""
+    rows, ok = _s_star_rows(p, q, alpha)
+    return _where(ok, _renyi_gauss_value(p, q, alpha, rows), math.inf)
 
 
 def renyi_gauss_closed(p: Density, q: Density, alpha: float) -> DivergenceEstimate:
@@ -630,37 +684,30 @@ def renyi_gauss_closed(p: Density, q: Density, alpha: float) -> DivergenceEstima
     S*'s lower triangle: the value is ``inf`` when one is not positive.
     The same factor gives d' S*^{-1} d by forward substitution and log det
     S*; log det S_p and log det S_q are the densities' own ``log_det``.
-    Raises ``ValueError`` where a large alpha overflows the value to NaN.
+    Either side may be :class:`~renyi_vi.distributions.Members` of one
+    member. Raises ``ValueError`` where a large alpha overflows the value
+    to NaN.
     """
     alpha = _check_alpha(alpha)
     _check_gaussians(p, q)
-    beta = 1.0 - alpha
-    s_star = [[alpha * sq + beta * sp for sp, sq in zip(rp[:i + 1], rq[:i + 1])]
-              for i, (rp, rq) in enumerate(zip(_covs(p), _covs(q)))]
-    rows = cholesky_rows(s_star)
-    if rows is None:
+    rows, ok = _s_star_rows(p, q, alpha)
+    if not ok:
         return DivergenceEstimate(np.inf, CLOSED_FORM, 0.0, alpha, reason=_S_STAR_INDEFINITE)
-    z = solve_lower(rows, [a - b for a, b in zip(_means(p), _means(q))])
-    quad = 0.5 * alpha * sum(v * v for v in z)
-    log_det = 2.0 * sum(math.log(row[i]) for i, row in enumerate(rows))
-    logdets = log_det - beta * p.log_det - alpha * q.log_det
-    value = quad - logdets / (2.0 * (alpha - 1.0))
+    value = _renyi_gauss_value(p, q, alpha, rows)
     if math.isnan(value):
         raise ValueError(f"the Gaussian Renyi closed form overflows at alpha = {alpha:g}")
-    return DivergenceEstimate(max(value, 0.0), CLOSED_FORM, 0.0, alpha)
+    return DivergenceEstimate(value, CLOSED_FORM, 0.0, alpha)
 
 
-def _kl_gauss_closed(p: Density, q: Density) -> DivergenceEstimate:
+def _kl_gauss(p, q):
     """KL(p || q) for two Gaussians, from their factors L_p and L_q:
     tr(S_q^{-1} S_p) = ||L_q^{-1} L_p||_F^2, solved column by column."""
     trace = 0.0
     for j in range(p.dim):
         col = [0.0] * j + [row[j] for row in p.chol[j:]]
-        trace += sum(v * v for v in solve_lower(q.chol, col))
+        trace = trace + sum(v * v for v in solve_lower(q.chol, col))
     z = solve_lower(q.chol, [a - b for a, b in zip(_means(p), _means(q))])
-    value = 0.5 * (trace + sum(v * v for v in z) - p.dim
-                   + q.log_det - p.log_det)
-    return DivergenceEstimate(max(value, 0.0), CLOSED_FORM, 0.0, None)
+    return _nonneg(0.5 * (trace + sum(v * v for v in z) - p.dim + q.log_det - p.log_det))
 
 
 _SQRT_2 = math.sqrt(2.0)
@@ -668,7 +715,7 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-def _kl_gauss_laplace(p: Density, q: Density) -> DivergenceEstimate:
+def _kl_gauss_laplace(p, q):
     """KL(N(mu, s^2) || Laplace(k, b)) = -H(N) + log 2b + E|X - k| / b, where
     the folded normal's mean is, with d = mu - k,
 
@@ -677,32 +724,42 @@ def _kl_gauss_laplace(p: Density, q: Density) -> DivergenceEstimate:
     s = p.chol[0][0]
     k, b = q.params["loc"], q.params["scale"]
     d = _means(p)[0] - k
-    folded = s * _SQRT_2_OVER_PI * math.exp(-0.5 * (d / s) ** 2) + d * math.erf(d / (s * _SQRT_2))
-    value = -p.entropy + math.log(2.0 * b) + folded / b
-    return DivergenceEstimate(value, CLOSED_FORM, 0.0, None)
+    folded = s * _SQRT_2_OVER_PI * _each(_kernel, d / s) + d * _each(math.erf, d / (s * _SQRT_2))
+    return -p.entropy + _each(math.log, 2.0 * b) + folded / b
 
 
-def _kl_laplace_gauss(p: Density, q: Density) -> DivergenceEstimate:
+def _kl_laplace_gauss(p, q):
     """KL(Laplace(k, b) || N(mu, s^2)) = -H(L) + (1/2) log 2 pi s^2
     + E(X - mu)^2 / 2s^2, with E(X - mu)^2 = (k - mu)^2 + 2 b^2."""
     k, b = p.params["loc"], p.params["scale"]
     s = q.chol[0][0]
     d = k - _means(q)[0]
-    value = (-p.entropy + 0.5 * (_LOG_2PI + q.log_det)
-             + (d * d + 2.0 * b * b) / (2.0 * s * s))
-    return DivergenceEstimate(value, CLOSED_FORM, 0.0, None)
+    return (-p.entropy + 0.5 * (_LOG_2PI + q.log_det)
+            + (d * d + 2.0 * b * b) / (2.0 * s * s))
 
 
 def _kl_quadrature(p: Density, q: Density, rel_tol: float) -> DivergenceEstimate:
     """KL(p || q) = int p log(p/q) by adaptive quadrature (dim <= 2), in the
-    frame that :func:`_frame` finds for p's log-density. A sum that is not
+    frame that :func:`_frame` finds for p's log-density. In 1-D the first
+    call of the integrand evaluates p's log-density on the anchors too, as
+    the Renyi pass does (:func:`_shifted_integral`), and raises
+    ``ValueError`` where p vanishes on all of them. A sum that is not
     finite raises ``ArithmeticError``."""
     if not dominates(p, q):
         return DivergenceEstimate(np.inf, QUADRATURE, 0.0, None, reason=DOMINANCE)
     blown = {"hit": False}
+    frame = _frame(p, q, p.log_pdf)
+    # the 1-D frame's anchors, until the first call has checked them
+    anchors = frame.breakpoints[0] if frame.shift is None else None
 
     def f(x):
-        lp = p.log_pdf(x)
+        nonlocal anchors
+        if anchors is None:
+            lp = p.log_pdf(x)
+        else:
+            lp = p.log_pdf(np.concatenate([anchors, x]))
+            _anchor_shift(lp[:anchors.size])
+            lp, anchors = lp[anchors.size:], None
         lq = q.log_pdf(x)
         out = np.zeros(lp.shape)
         ok = lp > -700.0
@@ -713,9 +770,6 @@ def _kl_quadrature(p: Density, q: Density, rel_tol: float) -> DivergenceEstimate
         out[ok] = np.exp(lp_ok) * (lp_ok - lq[ok])
         return out
 
-    frame = _frame(p, q, p.log_pdf)
-    if frame.shift is None:  # the 1-D frame: p must not vanish on every anchor
-        _anchor_shift(p.log_pdf(frame.breakpoints[0]))
     res = frame.integrate(f, rel_tol)
     if blown["hit"]:  # q vanishes where p does not
         return DivergenceEstimate(np.inf, QUADRATURE, 0.0, None, reason=DOMINANCE)
@@ -726,117 +780,47 @@ def _kl_quadrature(p: Density, q: Density, rel_tol: float) -> DivergenceEstimate
                               float(res.error) * jac, None, res.converged, res.panels)
 
 
-# Batch forms of the closed forms. One side of the pair is a Density and the
-# other a batch of members (:class:`~renyi_vi.distributions.Members`), on
-# whichever side the objective puts them; each returns every member's value
-# with the bits its scalar row gives it. So each repeats its row's
-# operations in its order: numpy only for +, -, *, / and sqrt, which round
-# correctly, as Python's floats do, and the row's own function, element by
-# element, for every log, exp, erf and ``** 2`` (the numpy log where a
-# Density's own log_det or entropy used it). The rows stay the reference.
-
-
-def _each(fn, x):
-    """``fn`` of x, of each element where x is an array over a batch."""
-    if isinstance(x, np.ndarray):
-        return np.array([fn(v) for v in x.tolist()])
-    return fn(x)
-
-
-def _square(v: float) -> float:
-    return v ** 2
-
-
-def _renyi_gauss_batch(p: Density, q: Members, alpha: float) -> np.ndarray:
-    """:func:`renyi_gauss_closed` of p against each member of q."""
-    beta = 1.0 - alpha
-    s_star = [[alpha * sq + beta * sp for sp, sq in zip(rp[:i + 1], rq)]
-              for i, (rp, rq) in enumerate(zip(_covs(p), q.cov))]
-    rows, ok = cholesky_batch(s_star)
-    z = solve_lower(rows, [a - b for a, b in zip(_means(p), _means(q))])
-    quad = 0.5 * alpha * sum(v * v for v in z)
-    log_det = 2.0 * sum(_each(math.log, np.where(ok, row[i], 1.0))
-                        for i, row in enumerate(rows))
-    logdets = log_det - beta * p.log_det - alpha * q.log_det
-    value = quad - logdets / (2.0 * (alpha - 1.0))
-    return np.where(ok, np.where(0.0 > value, 0.0, value), np.inf)
-
-
-def _kl_gauss_batch(p, q) -> np.ndarray:
-    """:func:`_kl_gauss_closed` with a batch of members as p or as q."""
-    trace = 0.0
-    for j in range(p.dim):
-        col = [0.0] * j + [row[j] for row in p.chol[j:]]
-        trace = trace + sum(v * v for v in solve_lower(q.chol, col))
-    z = solve_lower(q.chol, [a - b for a, b in zip(_means(p), _means(q))])
-    value = 0.5 * (trace + sum(v * v for v in z) - p.dim + q.log_det - p.log_det)
-    return np.where(0.0 > value, 0.0, value)
-
-
-def _kl_gauss_laplace_batch(p, q) -> np.ndarray:
-    """:func:`_kl_gauss_laplace` with a batch of members as p or as q."""
-    s = p.chol[0][0]
-    k, b = q.params["loc"], q.params["scale"]
-    d = _means(p)[0] - k
-    folded = (s * _SQRT_2_OVER_PI * _each(math.exp, -0.5 * _each(_square, d / s))
-              + d * _each(math.erf, d / (s * _SQRT_2)))
-    return -p.entropy + _each(math.log, 2.0 * b) + folded / b
-
-
-def _kl_laplace_gauss_batch(p, q) -> np.ndarray:
-    """:func:`_kl_laplace_gauss` with a batch of members as p or as q."""
-    k, b = p.params["loc"], p.params["scale"]
-    s = q.chol[0][0]
-    d = k - _means(q)[0]
-    return (-p.entropy + 0.5 * (_LOG_2PI + q.log_det)
-            + (d * d + 2.0 * b * b) / (2.0 * s * s))
-
-
 # Closed forms by (p.kind, q.kind), one table per objective; a pair that is
-# not listed is scored by the objective's quadrature. Each entry names two
-# module attributes, the scalar row and its batch form (None for a row
-# without one), which :func:`_score` and :func:`_score_batch` look up at
-# call time, so a rebinding of either (a test's patch, a call tracer) is
-# what runs. A Laplace is 1-D, so its Gaussian partner is too once the
-# dimensions agree.
-_RENYI_CLOSED = {("gaussian", "gaussian"): ("renyi_gauss_closed", "_renyi_gauss_batch")}
+# not listed is scored by the objective's quadrature. Each entry names the
+# row, a module attribute that :func:`_closed_row` looks up at call time,
+# so that a rebinding of it (a test's patch) is what runs. The scalar path
+# of the one Renyi row goes through :func:`renyi_gauss_closed`. A Laplace
+# is 1-D, so its Gaussian partner is too once the dimensions agree.
+_RENYI_CLOSED = {("gaussian", "gaussian"): "_renyi_gauss"}
 _KL_CLOSED = {
-    ("gaussian", "gaussian"): ("_kl_gauss_closed", "_kl_gauss_batch"),
-    ("gaussian", "laplace"): ("_kl_gauss_laplace", "_kl_gauss_laplace_batch"),
-    ("laplace", "gaussian"): ("_kl_laplace_gauss", "_kl_laplace_gauss_batch"),
+    ("gaussian", "gaussian"): "_kl_gauss",
+    ("gaussian", "laplace"): "_kl_gauss_laplace",
+    ("laplace", "gaussian"): "_kl_laplace_gauss",
 }
 
 
-def _score(table: dict, quadrature, p: Density, q: Density, *args, rel_tol: float):
-    """The pair scored by the closed form that ``table`` lists for its kinds,
-    else by ``quadrature`` at ``rel_tol``."""
+def _closed_row(table: dict, p, q):
+    """The row that ``table`` lists for the kinds of p and q, or None."""
     if p.dim != q.dim:
         raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    row = table.get((p.kind, q.kind))
-    if row is not None:
-        return globals()[row[0]](p, q, *args)
-    return quadrature(p, q, *args, rel_tol=rel_tol)
+    name = table.get((p.kind, q.kind))
+    return None if name is None else globals()[name]
 
 
 def _score_batch(table: dict, p, q, *args) -> np.ndarray | None:
-    """Each member of the batch on one side scored by the batch form of the
-    row that ``table`` lists for the kinds; None where it lists no row, or
-    a row without one (None in place of its name). Python's floats
-    overflow without a word, so numpy does not warn here either."""
-    if p.dim != q.dim:
-        raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    row = table.get((p.kind, q.kind))
-    if row is None or row[1] is None:
+    """Each member of the batch on one side scored by the row that
+    ``table`` lists for the kinds; None where it lists none. Python's
+    floats overflow without a word, so numpy does not warn here either."""
+    row = _closed_row(table, p, q)
+    if row is None:
         return None
     with np.errstate(all="ignore"):
-        return globals()[row[1]](p, q, *args)
+        return row(p, q, *args)
 
 
 def renyi(p: Density, q: Density, alpha: float, rel_tol: float = 1e-8) -> DivergenceEstimate:
     """D_alpha(p || q): the closed form that ``_RENYI_CLOSED`` lists for the
-    pair, else :func:`renyi_quadrature` (dim <= 2). Where the table lists
-    the pair, either side may be a :class:`~renyi_vi.distributions.Member`."""
-    return _score(_RENYI_CLOSED, renyi_quadrature, p, q, alpha, rel_tol=rel_tol)
+    pair, by :func:`renyi_gauss_closed`, else :func:`renyi_quadrature` (dim
+    <= 2). Where the table lists the pair, either side may be
+    :class:`~renyi_vi.distributions.Members` of one member."""
+    if _closed_row(_RENYI_CLOSED, p, q) is None:
+        return renyi_quadrature(p, q, alpha, rel_tol=rel_tol)
+    return renyi_gauss_closed(p, q, alpha)
 
 
 def renyi_has_closed_form(p, q) -> bool:
@@ -847,17 +831,21 @@ def renyi_has_closed_form(p, q) -> bool:
 
 def renyi_batch(p: Density, q: Members, alpha: float) -> np.ndarray | None:
     """D_alpha(p || q_i) for each member q_i of the batch q, with the bits
-    that :func:`renyi` gives each, by the batch form of the pair's
-    ``_RENYI_CLOSED`` row; None when the pair has none. A value that the
-    scalar row refuses (a NaN) is NaN here."""
+    that :func:`renyi` gives each, by the pair's ``_RENYI_CLOSED`` row;
+    None when the pair has none. A value that :func:`renyi` refuses (a NaN)
+    is NaN here."""
     return _score_batch(_RENYI_CLOSED, p, q, _check_alpha(alpha))
 
 
 def kl_forward(p: Density, q: Density, rel_tol: float = 1e-9) -> DivergenceEstimate:
     """KL(p || q) = int p log(p/q): the closed form that ``_KL_CLOSED`` lists
     for the pair, else quadrature (dim <= 2). Where the table lists the
-    pair, either side may be a :class:`~renyi_vi.distributions.Member`."""
-    return _score(_KL_CLOSED, _kl_quadrature, p, q, rel_tol=rel_tol)
+    pair, either side may be :class:`~renyi_vi.distributions.Members` of
+    one member."""
+    row = _closed_row(_KL_CLOSED, p, q)
+    if row is None:
+        return _kl_quadrature(p, q, rel_tol)
+    return DivergenceEstimate(row(p, q), CLOSED_FORM, 0.0, None)
 
 
 def kl_has_closed_form(p, q) -> bool:
@@ -868,8 +856,8 @@ def kl_has_closed_form(p, q) -> bool:
 
 def kl_forward_batch(p, q) -> np.ndarray | None:
     """KL(p || q) for each member of a batch of members on either side, with
-    the bits that :func:`kl_forward` gives each, by the batch form of the
-    pair's ``_KL_CLOSED`` row; None when the pair has none."""
+    the bits that :func:`kl_forward` gives each, by the pair's
+    ``_KL_CLOSED`` row; None when the pair has none."""
     return _score_batch(_KL_CLOSED, p, q)
 
 

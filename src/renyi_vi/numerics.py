@@ -3,7 +3,7 @@
 Adaptive Gauss-Kronrod quadrature on finite, half-infinite and doubly
 infinite intervals, a stable log-sum-exp, and, for the few-dimensional
 matrices of the Gaussian closed forms, a Cholesky factor and its triangular
-solve in Python floats.
+solve, in Python floats or element by element over a batch.
 
 One adaptive loop serves 1-D intervals and 2-D boxes alike: a tensor G7/K15
 rule on every box of a transformed grid, QUADPACK's error estimate, and
@@ -34,7 +34,6 @@ __all__ = [
     "integrate_2d",
     "log_sum_exp",
     "cholesky_rows",
-    "cholesky_batch",
     "solve_lower",
 ]
 
@@ -304,7 +303,8 @@ def _adapt(f: Callable, maps: Sequence[tuple], lo: np.ndarray, hi: np.ndarray,
     Otherwise each wave splits every box whose error exceeds its share of
     the tolerance (or, if none does, the worst ones) at the midpoint of its
     widest side, until the summed error meets ``rel_tol`` or the splits
-    would exceed ``budget``.
+    would exceed ``budget``. A pass whose sum or error is NaN (a NaN value
+    of f, or box sums that overflow) stops it, unconverged, with that sum.
     """
     d = lo.shape[1]
     vals, errs = _box_sums(f, maps, lo, hi)
@@ -317,6 +317,8 @@ def _adapt(f: Callable, maps: Sequence[tuple], lo: np.ndarray, hi: np.ndarray,
         tol = rel_tol * max(abs(total), 1e-300)
         if total_err <= tol:
             converged = True
+            break
+        if math.isnan(total) or math.isnan(total_err):  # no box can be told worse
             break
         bad = errs > tol / (2.0 * vals.size)
         n_bad = np.count_nonzero(bad)
@@ -355,10 +357,11 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], spec: QuadratureSpec) -> Qu
     """Adaptive quadrature of a vectorized scalar function.
 
     ``f`` must accept a 1-D numpy array of abscissae and return the values
-    elementwise; it must be finite on every node (after the tail transform
-    for infinite ends). Returns the estimate, an achieved-error estimate and
-    a convergence flag; non-convergence is reported in the flag, never
-    raised, and the best estimate is carried along.
+    elementwise. Returns the estimate, an achieved-error estimate and a
+    convergence flag; non-convergence is reported in the flag, never
+    raised, and the best estimate is carried along. Where f is NaN on a
+    node, or its sums overflow, the estimate is not finite; a NaN sum or
+    error ends the refinement, with the flag False.
     """
     axis = _make_map(spec.lower, spec.upper)
     edges = _initial_edges(spec, *axis[1:])
@@ -398,46 +401,23 @@ def log_sum_exp(values: Sequence[float]) -> float:
     return m + float(np.log(np.sum(np.exp(v - m))))
 
 
-def cholesky_rows(a) -> tuple[tuple[float, ...], ...] | None:
+def cholesky_rows(a) -> tuple[tuple, bool | np.ndarray]:
     """Rows of the lower Cholesky factor L of a symmetric matrix, L L' = a,
-    or None when a pivot is zero or negative: a is not positive definite.
+    and whether a is positive definite: no pivot is zero or negative.
 
-    ``a`` is a nested sequence of floats, of which only the lower triangle
-    is read. Row i of the result holds L[i, 0..i]. As with LAPACK's
-    ``potrf`` behind ``np.linalg.cholesky``, a NaN pivot is not a failed
-    one: it passes through into L. Plain float arithmetic: for the d <= 3
-    matrices of this package it is several times cheaper than a LAPACK call
-    on a tiny array.
-    """
-    rows: list[tuple[float, ...]] = []
-    for i, ai in enumerate(a):
-        row = []
-        for j, rj in enumerate(rows):
-            s = ai[j]
-            for k in range(j):
-                s -= row[k] * rj[k]
-            row.append(s / rj[j])
-        s = ai[i]
-        for v in row:
-            s -= v * v
-        if s <= 0.0:
-            return None
-        row.append(math.sqrt(s))
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def cholesky_batch(a) -> tuple[tuple, np.ndarray]:
-    """:func:`cholesky_rows` of a batch of matrices, with the same operations
-    in the same order, so each member's factor has the same bits.
-
-    An entry of ``a`` is an array over the batch, or a float that all its
-    members share. Returns the rows, and a mask of the members whose pivots
-    are all positive; the rows of the others hold no factor. As in
-    :func:`cholesky_rows`, a NaN pivot is not a failed one.
+    ``a`` is a nested sequence of which only the lower triangle is read.
+    Its entries are Python floats, and the flag is a bool; or some are
+    arrays over a batch of matrices, with a float where an entry is the same
+    for every member, and the flag is a mask of the members. Row i of the
+    result holds L[i, 0..i], with each member's bits in a batch. A failed
+    pivot is NaN, and so is every entry of L that depends on it. As with
+    LAPACK's ``potrf`` behind ``np.linalg.cholesky``, a NaN pivot is not a
+    failed one: it passes through into L. Plain float arithmetic: for the
+    d <= 3 matrices of this package it is several times cheaper than a
+    LAPACK call on a tiny array.
     """
     rows: list[tuple] = []
-    ok = np.True_
+    ok = True
     for i, ai in enumerate(a):
         row = []
         for j, rj in enumerate(rows):
@@ -448,16 +428,22 @@ def cholesky_batch(a) -> tuple[tuple, np.ndarray]:
         s = ai[i]
         for v in row:
             s = s - v * v
-        ok = ok & ~(np.asarray(s) <= 0.0)
-        row.append(np.sqrt(s))
+        if isinstance(s, np.ndarray):
+            ok = ok & ~(s <= 0.0)
+            row.append(np.sqrt(np.where(s > 0.0, s, np.nan)))
+        elif s > 0.0:
+            row.append(math.sqrt(s))
+        else:  # a NaN pivot passes through; any other fails
+            ok = ok and math.isnan(s)
+            row.append(math.nan)
         rows.append(tuple(row))
     return tuple(rows), ok
 
 
 def solve_lower(rows, b) -> list:
     """z with L z = b, by forward substitution; ``rows`` as returned by
-    :func:`cholesky_rows` or :func:`cholesky_batch`. Entries may be floats
-    or arrays over a batch: none is updated in place."""
+    :func:`cholesky_rows`. Entries may be floats or arrays over a batch:
+    none is updated in place."""
     z: list = []
     for row, bi in zip(rows, b):
         s = bi

@@ -6,14 +6,14 @@ alpha-Renyi divergence (alpha > 1), the forward KL or the reverse KL.
 
 Objectives are scored by ``divergence.renyi`` and ``kl_forward``, which
 take a closed form where their tables list the pair and quadrature
-elsewhere. Where the family and the pair have a batch form, the start grid
-is scored in one call (``renyi_batch``, ``kl_forward_batch``), with the
-bits the scalar rows give each member; every member still counts as one
-evaluation. Every other evaluation of a closed-form pair (the line
-searches, a grid member the batch leaves to the scalar path, the final
-score) passes the scalar row a :class:`~renyi_vi.distributions.Member`,
-which holds the attributes the row reads with the bits of the Density and
-builds no ``log_pdf``. A quadrature pair builds the member's Density, as
+elsewhere. A family with member records scores a closed-form pair on
+:class:`~renyi_vi.distributions.Members`, which hold the attributes the row
+reads with the bits of the Density and build no ``log_pdf``: the start grid
+as one batch, in one call (``renyi_batch``, ``kl_forward_batch``), and
+every other evaluation (the line searches, a grid member the batch leaves
+to the scalar path, the final score) as one member. The row is the same
+function either way, so each member gets the same bits, and each still
+counts as one evaluation. A quadrature pair builds the member's Density, as
 does ``FitResult.density``. An infinite objective region (dominance failure
 or a divergent integral) is skipped by the grid and reported as an error
 only when the whole initial grid is infinite.
@@ -30,11 +30,8 @@ import numpy as np
 
 from .distributions import (
     Density,
-    Member,
     Members,
-    gaussian_member,
-    isotropic_gaussians,
-    laplace_member,
+    gaussian_members,
     laplace_members,
     make_gamma,
     make_gaussian,
@@ -84,13 +81,12 @@ class VariationalFamily:
     ``param_roles`` marks each coordinate "location", "positive" (a location
     that must stay above 0, such as a Gamma mean) or "scale". Positive and
     scale coordinates are optimized in log space, and the family's dimension
-    is its number of locations. ``unpack_batch``, where a family has one,
-    maps the rows of an (m, k) array of parameters to their members as
-    :class:`~renyi_vi.distributions.Members`, building no Density, or to
-    None where ``unpack`` would refuse one of them. ``unpack_member``, where
-    a family has one, builds the member as a
-    :class:`~renyi_vi.distributions.Member` with the bits of ``unpack``'s
-    Density, raising where ``unpack`` does.
+    is its number of locations. ``unpack_members``, where a family has it,
+    builds members as :class:`~renyi_vi.distributions.Members`, with the
+    bits of ``unpack``'s Densities and no Density built: one from a (k,)
+    vector of parameters, or a batch from the rows of an (m, k) array. It
+    raises ``unpack``'s ``ValueError`` where ``unpack`` refuses one (the
+    first, over a batch).
     """
 
     name: str
@@ -98,8 +94,7 @@ class VariationalFamily:
     param_roles: tuple[str, ...]
     unpack: Callable[[np.ndarray], Density]
     init_from: Callable[[Density], np.ndarray]
-    unpack_batch: Callable[[np.ndarray], Members | None] | None = None
-    unpack_member: Callable[[np.ndarray], Member] | None = None
+    unpack_members: Callable[[np.ndarray], Members] | None = None
 
     @property
     def dim(self) -> int:
@@ -170,12 +165,11 @@ def _target_sd(target: Density) -> np.ndarray:
     return np.sqrt(np.diag(cov))
 
 
-def _location_scale(name, param_names, make, start_scale, make_batch=None,
-                    make_member=None) -> VariationalFamily:
+def _location_scale(name, param_names, make, start_scale,
+                    unpack_members=None) -> VariationalFamily:
     """A 1-D family of members ``make(location, scale)``, started at the
-    target's mean and at the scale ``start_scale(sd)`` that matches its sd;
-    ``make_batch(locations, scales)`` makes a batch of them and
-    ``make_member(location, scale)`` one as a Member."""
+    target's mean and at the scale ``start_scale(sd)`` that matches its sd,
+    with ``unpack_members`` as its field."""
     return VariationalFamily(
         name=name,
         param_names=param_names,
@@ -184,21 +178,32 @@ def _location_scale(name, param_names, make, start_scale, make_batch=None,
         init_from=lambda t: np.array(
             [float(np.atleast_1d(t.mean)[0]), start_scale(_target_sd(t)[0])]
         ),
-        unpack_batch=None if make_batch is None else lambda ps: make_batch(ps[:, 0], ps[:, 1]),
-        unpack_member=None if make_member is None else lambda p: make_member(p[0], p[1]),
+        unpack_members=unpack_members,
     )
 
 
+def _columns(p: np.ndarray):
+    """One member's parameters as Python floats, from a (k,) vector, or a
+    batch's, column by column, from the rows of an (m, k) array."""
+    return p.tolist() if p.ndim == 1 else p.T
+
+
+def _isotropic_members(p: np.ndarray) -> Members:
+    """The Gaussians N(mean, sd ** 2 I) whose parameters are the mean's
+    coordinates and then the sd: one for a (k,) vector, a batch for the
+    rows of an (m, k) array."""
+    *mean, sd = _columns(p)
+    return gaussian_members(mean, sd)
+
+
 def gaussian_family() -> VariationalFamily:
-    # s ** 2 on the numpy scalar, in the Member as in the Density
     return _location_scale("gaussian", ("mean", "sd"), lambda m, s: make_gaussian(m, s**2),
-                           lambda sd: sd, lambda m, s: isotropic_gaussians(m[:, None], s),
-                           lambda m, s: gaussian_member((float(m),), ((float(s**2),),)))
+                           lambda sd: sd, _isotropic_members)
 
 
 def laplace_family() -> VariationalFamily:
     return _location_scale("laplace", ("loc", "scale"), make_laplace,
-                           lambda sd: sd / math.sqrt(2.0), laplace_members, laplace_member)
+                           lambda sd: sd / math.sqrt(2.0), lambda p: laplace_members(*_columns(p)))
 
 
 def logistic_family() -> VariationalFamily:
@@ -227,11 +232,6 @@ def isotropic_gaussian_family() -> VariationalFamily:
         s2 = s ** 2
         return make_gaussian([x, y], [[s2, 0.0], [0.0, s2]])
 
-    def unpack_member(p):
-        x, y, s = p.tolist()
-        s2 = s ** 2
-        return gaussian_member((x, y), ((s2,), (0.0, s2)))
-
     def init_from(t):
         m = np.atleast_1d(t.mean)
         s = math.sqrt(float(np.trace(np.atleast_2d(t.cov))) / 2.0)
@@ -243,8 +243,7 @@ def isotropic_gaussian_family() -> VariationalFamily:
         param_roles=("location", "location", "scale"),
         unpack=unpack,
         init_from=init_from,
-        unpack_batch=lambda ps: isotropic_gaussians(ps[:, :2], ps[:, 2]),
-        unpack_member=unpack_member,
+        unpack_members=_isotropic_members,
     )
 
 
@@ -271,15 +270,15 @@ def _make_scorer(target: Density, family: VariationalFamily, kind: str,
             return kl_has_closed_form(target, q)
         return kl_has_closed_form(q, target)
 
-    light = family.unpack_member is not None
+    light = family.unpack_members is not None
 
     def member(params: np.ndarray):
-        """The member at params: a Member where a closed form scores the
-        pair, else the Density, whose log_pdf, bulk and tails quadrature
+        """The member at params: Members of one where a closed form scores
+        the pair, else the Density, whose log_pdf, bulk and tails quadrature
         reads."""
         nonlocal light
         if light:
-            q = family.unpack_member(params)
+            q = family.unpack_members(params)
             if closed(q):
                 return q
             light = False  # a family's members are all of one kind
@@ -299,19 +298,21 @@ def _make_scorer(target: Density, family: VariationalFamily, kind: str,
 def _prescore(target: Density, family: VariationalFamily, kind: str, alpha,
               zs: np.ndarray, keys: list[tuple]) -> dict[tuple, float]:
     """The objective at each row of ``zs`` (internal coords), by its key in
-    ``keys``, scored in one call by the batch form of the pair's closed-form
-    row: the values the scorer gives them one by one. Empty where the family or the
-    pair has no batch form, and where a member or a value needs the scalar
-    path (a member ``unpack`` refuses, or a NaN, which a scalar row raises
-    on or returns), so that path runs as it always has."""
-    if family.unpack_batch is None:
+    ``keys``, scored in one call on a batch of members by the pair's
+    closed-form row: the values the scorer gives them one by one. Empty
+    where the family has no member records or the pair no row, and where a
+    member or a value needs the scalar path (a member ``unpack`` refuses,
+    or a NaN, which the scalar path raises on or returns), so that path
+    runs as it always has."""
+    if family.unpack_members is None:
         return {}
     params = np.array(zs, dtype=float)
     for i, role in enumerate(family.param_roles):
         if role != "location":  # as family.natural does, row by row
             params[:, i] = [math.exp(v) for v in params[:, i].tolist()]
-    members = family.unpack_batch(params)
-    if members is None:
+    try:
+        members = family.unpack_members(params)
+    except ValueError:  # the scalar path meets the refused member itself
         return {}
     if kind == "renyi-alpha":
         values = renyi_batch(target, members, alpha)
@@ -499,7 +500,7 @@ def fit(
     mesh = np.meshgrid(*axes, indexing="ij")
     grid = np.column_stack([m.ravel() for m in mesh])
     keys = _keys(grid)
-    # the grid in one call where the pair has a batch form; each member
+    # the grid in one call where the pair has a closed form; each member
     # still counts as one evaluation, in grid order
     obj = _Objective(score, family, budget,
                      _prescore(target, family, objective_kind, alpha, grid[:budget], keys))

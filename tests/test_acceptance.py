@@ -75,7 +75,7 @@ def test_criterion_01_closed_form_matches_quadrature():
             worst = max(worst, gap)
     _report(1, "closed form vs quadrature", worst <= 1e-6,
             f"max |closed - quadrature| = {worst:.2e} over 100 pairs x 3 alphas",
-            time.perf_counter() - t0, 10.0)
+            time.perf_counter() - t0, 2.0)
 
 
 def test_criterion_02_consistency_laplace_family():
@@ -146,7 +146,7 @@ def test_criterion_06_mixture_lower_bound():
     _report(6, "two-spike mixture lower bound", ok,
             f"min D = {measured} (width 1e-3), {measured2:.3f} (width 1e-2), "
             "bound 2(1-w)^2 - 0.05 = 0.45",
-            time.perf_counter() - t0, 30.0)
+            time.perf_counter() - t0, 3.0)
 
 
 def test_criterion_07_good_sequence_audits():
@@ -176,7 +176,7 @@ def test_criterion_07_good_sequence_audits():
             f"ratio_sup: laplace {lap_sup:.3g} <= 1.64872, "
             f"logistic {logi_sup:.3g} <= 1.50550; entropy caps hold; "
             f"slopes {dict((k, round(v, 4)) for k, v in slopes.items())}",
-            time.perf_counter() - t0, 30.0)
+            time.perf_counter() - t0, 3.0)
 
 
 def test_criterion_08_anisotropic_spread_ordering():
@@ -238,7 +238,7 @@ def test_criterion_10_mc_upper_bound():
     _report(10, "Monte-Carlo evidence upper bound", ok,
             f"|exact-posterior estimate - quadrature evidence| = {gap_exact:.1e}, "
             f"perturbed-q deviation = {z:.2f} MC standard errors",
-            time.perf_counter() - t0, 30.0)
+            time.perf_counter() - t0, 3.0)
 
 
 def test_criterion_11_holder_lower_bound():
@@ -262,4 +262,4 @@ def test_criterion_11_holder_lower_bound():
         checked += 1
     _report(11, "Holder lower bound", worst >= -1e-9,
             f"min (integral - bound) over 200 instances = {worst:.3e}",
-            time.perf_counter() - t0, 10.0)
+            time.perf_counter() - t0, 2.0)

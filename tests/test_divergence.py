@@ -288,7 +288,7 @@ class TestKLQuadrature2D:
         # 12 x 12 first pass and one wave of splits
         q = make_gaussian([0.1, -0.1], 1.4 * np.eye(2))
         est = divergence._kl_quadrature(FIG1_TARGET, q, 1e-9)
-        closed = divergence._kl_gauss_closed(FIG1_TARGET, q).value
+        closed = divergence._kl_gauss(FIG1_TARGET, q)
         assert est.converged and est.method == divergence.QUADRATURE
         assert 0 < est.panels <= 190
         assert abs(est.value - closed) <= 1e-12 * closed
@@ -465,7 +465,7 @@ class TestGaussClosedFormsInFloats:
     def test_kl_matches_numpy_oracle(self, case):
         p, q, _, _ = case
         for a, b in ((p, q), (q, p)):
-            got = divergence._kl_gauss_closed(a, b).value
+            got = divergence._kl_gauss(a, b)
             expect = kl_gauss_numpy(a, b)
             b_inv = np.linalg.inv(b.cov)
             diff = a.mean - b.mean
@@ -525,11 +525,11 @@ class TestKLGaussLaplaceClosedForm:
         assert kl_gauss_laplace_errors(pair)["forward"] > KL_GAUSS_LAPLACE_TOL["forward"]
 
 
-# (objective, target kind, family) for each batch form and side:
-# _renyi_gauss_batch in 1-D and 2-D, _kl_gauss_batch with members as q and
-# as p in 1-D and 2-D, then _kl_gauss_laplace_batch with Laplace members as
-# q and Gaussian members as p, and _kl_laplace_gauss_batch with Gaussian
-# members as q and Laplace members as p.
+# (objective, target kind, family) for each closed-form row and side of it
+# that a batch of members takes: _renyi_gauss in 1-D and 2-D, _kl_gauss
+# with members as q and as p in 1-D and 2-D, then _kl_gauss_laplace with
+# Laplace members as q and Gaussian members as p, and _kl_laplace_gauss
+# with Gaussian members as q and Laplace members as p.
 BATCH_CASES = [
     ("renyi-alpha", "gaussian", "gaussian"),
     ("renyi-alpha", "gaussian", "isotropic-gaussian-2d"),
@@ -582,26 +582,27 @@ def batch_cases(draw, objective, target_kind, family_name):
 
 def assert_batch_is_scalar_row(objective, target, family, alpha, params):
     """The batch of members with ``params`` scored in one call, against
-    each member scored alone, bit for bit."""
-    members = family.unpack_batch(params)
-    scalar = [family.unpack(p) for p in params]
+    each member scored alone, as its Density and as Members of one, bit for
+    bit."""
+    members = family.unpack_members(params)
     if objective == "renyi-alpha":
         got = divergence.renyi_batch(target, members, alpha)
-        want = [renyi(target, q, alpha).value for q in scalar]
+        score = lambda q: renyi(target, q, alpha)
     elif objective == "kl-forward":
         got = divergence.kl_forward_batch(target, members)
-        want = [kl_forward(target, q).value for q in scalar]
+        score = lambda q: kl_forward(target, q)
     else:
         got = divergence.kl_forward_batch(members, target)
-        want = [kl_reverse(target, q).value for q in scalar]
-    want = np.array(want, dtype=float)
-    differ = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
-    assert not differ.size, (params[differ].tolist(), got[differ], want[differ])
+        score = lambda q: kl_reverse(target, q)
+    for unpack in (family.unpack, family.unpack_members):
+        want = np.array([score(unpack(p)).value for p in params], dtype=float)
+        differ = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+        assert not differ.size, (params[differ].tolist(), got[differ], want[differ])
 
 
-# Members at which numpy's function in place of the one the scalar row or
-# Density uses changes the value's bits, found by search; random members
-# meet such a point about once in 1e4 to 1e5.
+# Members at which numpy's function in place of the one the row uses for a
+# float or a Density uses changes the value's bits, found by search; random
+# members meet such a point about once in 1e4 to 1e5.
 ROW_FUNCTION_CASES = {
     "pivot's math.log": ("renyi-alpha", make_gaussian(0.0, 1.0), "gaussian",
                          [0.5, 1.304435155525269]),
@@ -620,7 +621,7 @@ ROW_FUNCTION_CASES = {
 
 
 class TestBatchForms:
-    """Each batch form against its scalar row, member by member, bit for
+    """Each row on a batch against the same row member by member, bit for
     bit: the values fit takes from a batch must be the ones it would score."""
 
     @pytest.mark.parametrize("objective,target_kind,family", BATCH_CASES)
@@ -637,7 +638,7 @@ class TestBatchForms:
                                    np.array([member]))
 
     def test_pairs_without_a_batch_form(self):
-        members = FAMILY_BUILDERS["laplace"]().unpack_batch(np.array([[0.0, 1.0]]))
+        members = FAMILY_BUILDERS["laplace"]().unpack_members(np.array([[0.0, 1.0]]))
         assert divergence.renyi_batch(make_gaussian(0.0, 1.0), members, 2.0) is None
         assert divergence.kl_forward_batch(make_logistic(0.0, 1.0), members) is None
         with pytest.raises(ValueError, match="dimension"):
@@ -710,6 +711,38 @@ class TestKL:
 
     def test_dominance_failure_infinite(self):
         assert kl_forward(make_gaussian(0, 1), make_uniform(-1, 1)).value == np.inf
+
+    def test_anchors_ride_with_the_first_pass(self):
+        # p's log-density on the 1-D anchors is evaluated in one call with
+        # the first nodes: 2 calls of it, the first pass and one wave of
+        # splits (37 panels), with the bits of an anchor call of its own
+        p, q = make_gamma(30.0, 15.0), make_gamma(28.0, 14.5)
+        calls = []
+
+        def log_pdf(x):
+            calls.append(len(x))
+            return p.log_pdf(x)
+
+        est = kl_forward(dataclasses.replace(p, log_pdf=log_pdf), q)
+        assert len(calls) == 2
+        assert (est.value.hex(), est.error.hex(), est.panels, est.converged) == (
+            "0x1.310f4e9747328p-6", "0x1.52d5f6b2e30d0p-46", 37, True)
+
+    def test_p_vanishing_on_every_anchor_raises(self):
+        p = dataclasses.replace(make_gaussian(0.0, 1.0), kind="custom",
+                                log_pdf=lambda x: np.full(x.shape, -np.inf))
+        with pytest.raises(ValueError, match="vanishes on every anchor"):
+            kl_forward(p, make_laplace(0.0, 1.0))
+
+    @pytest.mark.parametrize("lq", [math.nan, -1.7e308], ids=["nan", "huge"])
+    def test_sum_that_is_not_finite_raises(self, lq):
+        # a NaN integrand, or one whose panel sums overflow (of which numpy
+        # warns, as it does of inf - inf in the error estimate)
+        q = dataclasses.replace(make_gaussian(0.0, 1.0), kind="custom",
+                                log_pdf=lambda x: np.full(x.shape, lq))
+        with pytest.raises(ArithmeticError, match="not finite"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            kl_forward(make_gaussian(0.0, 1.0), q)
 
     def test_kl_lower_bounds_renyi_sweep(self):
         rng = np.random.default_rng(11)

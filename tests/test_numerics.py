@@ -61,6 +61,17 @@ class TestIntegrate:
         assert not res.converged
         assert np.isfinite(res.value)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_nan_pass_stops_unconverged(self, dim):
+        # no box can be told worse than another, so the refinement stops
+        # with the NaN sum
+        def f(x):
+            return np.where(np.atleast_2d(x.T)[0] > 0.3, np.nan, 1.0)
+
+        specs = [QuadratureSpec(-np.inf, np.inf)] * dim
+        res = (integrate if dim == 1 else integrate_2d)(f, *specs)
+        assert math.isnan(res.value) and not res.converged
+
     def test_deterministic(self):
         spec = QuadratureSpec(-np.inf, np.inf, rel_tol=1e-9)
         a = integrate(std_normal_pdf, spec)

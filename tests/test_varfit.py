@@ -9,8 +9,8 @@ import warnings
 import numpy as np
 import pytest
 
-from renyi_vi import divergence
-from renyi_vi.distributions import Density, make_gaussian
+from renyi_vi import divergence, varfit
+from renyi_vi.distributions import Density, gaussian_members, make_gaussian
 from renyi_vi.models import exponential_model, gaussian_mean_model
 from renyi_vi.varfit import (
     DominanceError,
@@ -139,11 +139,10 @@ def test_batched_start_grid_leaves_the_fit_as_it_was(monkeypatch, target, family
     monkeypatch.setattr(divergence, "_score_batch", recording)
     res = fit(target, FAMILY_BUILDERS[family](), kind, alpha=alpha, budget=budget)
     assert len(batched) == 1 and batched[0] is not None
-    for table in ("_RENYI_CLOSED", "_KL_CLOSED"):
-        monkeypatch.setattr(divergence, table, {pair: (row[0], None) for pair, row
-                                                in getattr(divergence, table).items()})
+    # the reference scores every grid member alone, on Members of one
+    monkeypatch.setattr(varfit, "_prescore", lambda *args: {})
     ref = fit(target, FAMILY_BUILDERS[family](), kind, alpha=alpha, budget=budget)
-    assert batched[1:] == [None]
+    assert len(batched) == 1
     assert res.params.tobytes() == ref.params.tobytes()
     assert res.objective == ref.objective
     assert (res.n_evals, res.converged) == (ref.n_evals, ref.converged)
@@ -158,22 +157,54 @@ def test_member_holds_the_bits_of_the_density(family):
     k = len(fam.param_names)
     params = np.column_stack([rng.normal(0.0, 3.0, (4000, k - 1)),
                               np.exp(rng.uniform(-8.0, 8.0, 4000))])
-    # a scale whose square is not s * s: the Member squares as unpack does
+    # a scale whose square is not s * s: the members square as unpack does
     assert any(s * s != s ** 2 for s in params[:, -1].tolist())
-    for p in params:
-        m, d = fam.unpack_member(p), fam.unpack(p)
+    batch = fam.unpack_members(params)
+    for i, p in enumerate(params):
+        m, d = fam.unpack_members(p), fam.unpack(p)
         assert (m.kind, m.dim, m.entropy, m.chol, m.log_det) == (
             d.kind, d.dim, d.entropy, d.chol, d.log_det)
         assert m.mean == tuple(d.mean.tolist())
         assert m.cov == tuple(tuple(row[:i + 1]) for i, row in enumerate(d.cov.tolist()))
         if d.kind == "laplace":
             assert m.params == d.params
+        # the batch holds the same bits, member by member, in its arrays
+        assert repr(member_of(batch, i)) == repr(m)
     for bad in ([math.nan, 1.0], [0.0, 0.0], [0.0, math.nan], [0.0, math.inf]):
         p = np.array([0.0] * (k - 2) + bad)
         with pytest.raises(ValueError) as refused:
             fam.unpack(p)
         with pytest.raises(ValueError, match=re.escape(str(refused.value))):
-            fam.unpack_member(p)
+            fam.unpack_members(p)
+        # a batch raises for its first refused member
+        with pytest.raises(ValueError, match=re.escape(str(refused.value))):
+            fam.unpack_members(np.vstack([params[:3], p, params[3:5]]))
+
+
+@pytest.mark.parametrize("sd", [1e200, np.float64(1e200), np.array([1.0, 1e200])])
+def test_member_whose_variance_overflows_is_refused_by_name(sd):
+    # Python's ** 2 raises OverflowError: the members refuse the infinite
+    # variance as make_gaussian does
+    with pytest.raises(ValueError) as refused:
+        make_gaussian(0.0, math.inf)
+    mean = (np.zeros(np.shape(sd)),) if np.ndim(sd) else (0.0,)
+    with pytest.raises(ValueError, match=re.escape(str(refused.value))):
+        gaussian_members(mean, sd)
+
+
+def member_of(batch, i):
+    """Member i of a batch of Members, as Members of one: each array entry
+    replaced by its i-th element as a Python float."""
+    def pick(v):
+        if isinstance(v, np.ndarray):
+            return v[i].item()
+        if isinstance(v, tuple):
+            return tuple(pick(u) for u in v)
+        if isinstance(v, dict):
+            return {key: pick(u) for key, u in v.items()}
+        return v
+
+    return type(batch)(*(pick(v) for v in batch))
 
 
 # BATCHED_FITS, plus budgets that end inside a line search (240 evaluations
@@ -206,7 +237,7 @@ def test_member_records_leave_the_fit_as_it_was(target, family, kind, alpha, bud
               budget=budget)
     # a closed-form pair builds one Density per fit: FitResult.density
     assert len(built) == 1 and isinstance(res.density, Density)
-    ref = fit(target, dataclasses.replace(fam, unpack_member=None), kind, alpha=alpha,
+    ref = fit(target, dataclasses.replace(fam, unpack_members=None), kind, alpha=alpha,
               budget=budget)
     assert res.params.tobytes() == ref.params.tobytes()
     assert res.objective == ref.objective
@@ -227,14 +258,14 @@ def test_quadrature_pairs_score_densities(monkeypatch, model, theta0, family):
     target = (model, model.simulate(theta0, 200, 3))
     fam = FAMILY_BUILDERS[family]()
     members = []
-    if fam.unpack_member is not None:
-        build = fam.unpack_member
+    if fam.unpack_members is not None:
+        build = fam.unpack_members
 
-        def unpack_member(p):
+        def unpack_members(p):
             members.append(p)
             return build(p)
 
-        fam = dataclasses.replace(fam, unpack_member=unpack_member)
+        fam = dataclasses.replace(fam, unpack_members=unpack_members)
     pairs = []
     quadrature = divergence.renyi_quadrature
 
@@ -246,8 +277,10 @@ def test_quadrature_pairs_score_densities(monkeypatch, model, theta0, family):
     res = fit(target, fam, "renyi-alpha", alpha=2.0, budget=120, quad_tol=1e-7)
     assert len(pairs) == res.n_evals + 1
     assert set(pairs) == {(Density, Density)}
-    # one Member at most, which tells the scorer that the pair has no closed form
-    assert len(members) <= 1
+    # one batch, for the start grid, and Members of one at most, which tell
+    # the scorer that the pair has no closed form
+    assert sum(np.ndim(p) == 1 for p in members) <= 1
+    assert sum(np.ndim(p) == 2 for p in members) <= 1
 
 
 class TestFitMechanics:
