@@ -9,16 +9,17 @@ adaptive quadrature (dim <= 2), both objectives in the frame of
 arrays: it reads a Density, or :class:`~renyi_vi.distributions.Members`
 (the attributes of Gaussians or Laplaces, without a ``log_pdf``) on either
 side of the pair. One member is what a fit's line searches score in place
-of a Density. A batch is what ``renyi_batch`` and ``kl_forward_batch``
-score in one call, each member with the bits the row gives it alone, so
-that a fit scores its start grid in one call for pairs that have a row.
+of a Density. A batch is what ``closed_batch`` scores in one call, keyed
+by alpha (None for the KL), each member with the bits the row gives it
+alone, so that a fit scores its start grid in one call.
 
 Infinity is a first-class value here: D_alpha is infinite whenever q fails
 to dominate p or the integral q (p/q)^alpha diverges, and both outcomes are
 reported as ``value = inf`` rather than raised, with the reason in
-:attr:`DivergenceEstimate.reason`. Whether the integral diverges is decided
-from the two densities' tails (:attr:`Density.tails`) before any node is
-evaluated: with alpha > 1 it diverges when q's tail is lighter than p's.
+:attr:`DivergenceEstimate.reason`; a finite value that overflows float64
+raises. Whether the integral diverges is decided from the two densities'
+tails (:attr:`Density.tails`) before any node is evaluated: with alpha > 1
+it diverges when q's tail is lighter than p's.
 """
 
 from __future__ import annotations
@@ -56,11 +57,8 @@ __all__ = [
     "renyi",
     "renyi_quadrature",
     "renyi_gauss_closed",
-    "renyi_batch",
-    "renyi_has_closed_form",
     "kl_forward",
-    "kl_forward_batch",
-    "kl_has_closed_form",
+    "closed_batch",
     "kl_reverse",
     "mc_renyi_upper_bound",
     "holder_lower_bound",
@@ -94,7 +92,8 @@ class DivergenceEstimate:
     ``reason`` says why a value is infinite and is None when it is finite:
     ``"dominance"`` (q vanishes where p does not) or ``"divergent tail at
     <end>"`` (in 2-D, an S* that is not positive definite). An ``inf`` is
-    never a guess: a pair that these do not decide raises.
+    never a guess: a pair that these do not decide raises, as does a
+    closed form that overflows float64.
     """
 
     value: float
@@ -600,8 +599,9 @@ def renyi_quadrature(
 # sqrt over a batch, which round correctly, as Python's floats do, and the
 # row's own function, element by element (:func:`_each`), for every log,
 # exp, erf and ``** 2`` (the numpy log where a Density's own log_det or
-# entropy used it). The clamp at 0 (:func:`_nonneg`) and the inf mask
-# (:func:`_where`) dispatch the same way.
+# entropy used it). The clamp at 0 (:func:`_nonneg`), the inf mask
+# (:func:`_where`) and the check for a value float64 holds (:func:`_number`)
+# dispatch the same way.
 
 def _means(d) -> list | tuple:
     """d's mean, coordinate by coordinate: floats, or arrays over a batch."""
@@ -622,8 +622,12 @@ def _each(fn, x):
 
 
 def _kernel(r: float) -> float:
-    """exp(-r^2 / 2), with Python's ``** 2``, which is not always r * r."""
-    return math.exp(-0.5 * r ** 2)
+    """exp(-r^2 / 2), with Python's ``** 2``, which is not always r * r; 0.0
+    where that square overflows."""
+    try:
+        return math.exp(-0.5 * r ** 2)
+    except OverflowError:
+        return 0.0
 
 
 def _nonneg(x):
@@ -634,6 +638,13 @@ def _nonneg(x):
 def _where(ok, x, y):
     """x where ok, else y: ``np.where`` over a batch, whose ok is a mask."""
     return np.where(ok, x, y) if isinstance(ok, np.ndarray) else (x if ok else y)
+
+
+def _number(x):
+    """x where it is finite, else NaN, element by element over a batch."""
+    if isinstance(x, np.ndarray):
+        return np.where(np.isfinite(x), x, np.nan)
+    return x if math.isfinite(x) else math.nan
 
 
 def _check_gaussians(p: Density, q: Density) -> None:
@@ -652,22 +663,19 @@ def _s_star_rows(p, q, alpha: float):
                           for i, (rp, rq) in enumerate(zip(_covs(p), _covs(q)))])
 
 
-def _renyi_gauss_value(p, q, alpha: float, rows):
-    """The Gaussian Renyi closed form from S*'s factor ``rows``, clamped at
-    0; NaN where a large alpha overflows it, or where S* is not positive
-    definite."""
+def _renyi_gauss(p, q, alpha: float):
+    """The Gaussian Renyi row: the closed form of :func:`renyi_gauss_closed`,
+    clamped at 0, and whether it is finite: whether S* is positive definite
+    (a mask over a batch). S*'s factor rows give d' S*^{-1} d by forward
+    substitution and log det S*; where a pivot fails, the value is NaN."""
+    rows, ok = _s_star_rows(p, q, alpha)
+    if ok is False:  # one pair, with no value to compute
+        return math.nan, False
     z = solve_lower(rows, [a - b for a, b in zip(_means(p), _means(q))])
     quad = 0.5 * alpha * sum(v * v for v in z)
     log_det = 2.0 * sum(_each(math.log, row[i]) for i, row in enumerate(rows))
     logdets = log_det - (1.0 - alpha) * p.log_det - alpha * q.log_det
-    return _nonneg(quad - logdets / (2.0 * (alpha - 1.0)))
-
-
-def _renyi_gauss(p, q, alpha: float):
-    """The Gaussian Renyi row: the value :func:`renyi_gauss_closed` gives,
-    inf where S* is not positive definite, and NaN where it raises."""
-    rows, ok = _s_star_rows(p, q, alpha)
-    return _where(ok, _renyi_gauss_value(p, q, alpha, rows), math.inf)
+    return _nonneg(quad - logdets / (2.0 * (alpha - 1.0))), ok
 
 
 def renyi_gauss_closed(p: Density, q: Density, alpha: float) -> DivergenceEstimate:
@@ -685,18 +693,13 @@ def renyi_gauss_closed(p: Density, q: Density, alpha: float) -> DivergenceEstima
     The same factor gives d' S*^{-1} d by forward substitution and log det
     S*; log det S_p and log det S_q are the densities' own ``log_det``.
     Either side may be :class:`~renyi_vi.distributions.Members` of one
-    member. Raises ``ValueError`` where a large alpha overflows the value
-    to NaN.
+    member. Raises ``ValueError`` where float64 cannot hold the value of a
+    positive definite S*: a large alpha, or means far apart for the
+    covariances (:func:`_closed_estimate`).
     """
     alpha = _check_alpha(alpha)
     _check_gaussians(p, q)
-    rows, ok = _s_star_rows(p, q, alpha)
-    if not ok:
-        return DivergenceEstimate(np.inf, CLOSED_FORM, 0.0, alpha, reason=_S_STAR_INDEFINITE)
-    value = _renyi_gauss_value(p, q, alpha, rows)
-    if math.isnan(value):
-        raise ValueError(f"the Gaussian Renyi closed form overflows at alpha = {alpha:g}")
-    return DivergenceEstimate(value, CLOSED_FORM, 0.0, alpha)
+    return _closed_estimate(_renyi_gauss, p, q, alpha)
 
 
 def _kl_gauss(p, q):
@@ -780,12 +783,14 @@ def _kl_quadrature(p: Density, q: Density, rel_tol: float) -> DivergenceEstimate
                               float(res.error) * jac, None, res.converged, res.panels)
 
 
-# Closed forms by (p.kind, q.kind), one table per objective; a pair that is
-# not listed is scored by the objective's quadrature. Each entry names the
-# row, a module attribute that :func:`_closed_row` looks up at call time,
-# so that a rebinding of it (a test's patch) is what runs. The scalar path
-# of the one Renyi row goes through :func:`renyi_gauss_closed`. A Laplace
-# is 1-D, so its Gaussian partner is too once the dimensions agree.
+# Closed forms by (p.kind, q.kind): ``_RENYI_CLOSED`` for D_alpha and
+# ``_KL_CLOSED`` for the KL, whose alpha is None. A pair that is not listed
+# is scored by quadrature. Each entry names the row, a module attribute that
+# :func:`_closed_row` looks up at call time, so that a rebinding of it (a
+# test's patch) is what runs. A KL row gives its value; a Renyi row, which
+# may be infinite, its value and whether that is finite. The scalar path of
+# the one Renyi row goes through :func:`renyi_gauss_closed`. A Laplace is
+# 1-D, so its Gaussian partner is too once the dimensions agree.
 _RENYI_CLOSED = {("gaussian", "gaussian"): "_renyi_gauss"}
 _KL_CLOSED = {
     ("gaussian", "gaussian"): "_kl_gauss",
@@ -794,23 +799,36 @@ _KL_CLOSED = {
 }
 
 
-def _closed_row(table: dict, p, q):
-    """The row that ``table`` lists for the kinds of p and q, or None."""
+def _closed_row(p, q, alpha: float | None):
+    """The row that ``_RENYI_CLOSED``, or ``_KL_CLOSED`` where alpha is
+    None, lists for the kinds of p and q; None where it lists none."""
     if p.dim != q.dim:
         raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    name = table.get((p.kind, q.kind))
+    name = (_RENYI_CLOSED if alpha is not None else _KL_CLOSED).get((p.kind, q.kind))
     return None if name is None else globals()[name]
 
 
-def _score_batch(table: dict, p, q, *args) -> np.ndarray | None:
-    """Each member of the batch on one side scored by the row that
-    ``table`` lists for the kinds; None where it lists none. Python's
-    floats overflow without a word, so numpy does not warn here either."""
-    row = _closed_row(table, p, q)
-    if row is None:
-        return None
-    with np.errstate(all="ignore"):
-        return row(p, q, *args)
+def _closed(row, p, q, alpha: float | None):
+    """``row``'s value for the pair, or each member's over a batch: inf where
+    the row finds it infinite, NaN where float64 cannot hold it (a listed
+    pair's KL is finite, so an infinite KL is an overflow). The one place a
+    closed-form value is checked."""
+    if alpha is None:
+        return _number(row(p, q))
+    value, finite = row(p, q, alpha)
+    return _where(finite, _number(value), math.inf)
+
+
+def _closed_estimate(row, p, q, alpha: float | None) -> DivergenceEstimate:
+    """The pair's closed form by ``row`` (:func:`_closed`) as an estimate.
+    Raises ``ValueError`` where float64 cannot hold the value. The one Renyi
+    row is infinite only where S* is not positive definite."""
+    value = _closed(row, p, q, alpha)
+    if math.isnan(value):
+        at = " float64" if alpha is None else f" at alpha = {alpha:g}"
+        raise ValueError(f"the closed form of {_kinds(p, q)} overflows{at}")
+    reason = _S_STAR_INDEFINITE if value == math.inf else None
+    return DivergenceEstimate(value, CLOSED_FORM, 0.0, alpha, reason=reason)
 
 
 def renyi(p: Density, q: Density, alpha: float, rel_tol: float = 1e-8) -> DivergenceEstimate:
@@ -818,47 +836,36 @@ def renyi(p: Density, q: Density, alpha: float, rel_tol: float = 1e-8) -> Diverg
     pair, by :func:`renyi_gauss_closed`, else :func:`renyi_quadrature` (dim
     <= 2). Where the table lists the pair, either side may be
     :class:`~renyi_vi.distributions.Members` of one member."""
-    if _closed_row(_RENYI_CLOSED, p, q) is None:
+    if _closed_row(p, q, alpha) is None:
         return renyi_quadrature(p, q, alpha, rel_tol=rel_tol)
     return renyi_gauss_closed(p, q, alpha)
-
-
-def renyi_has_closed_form(p, q) -> bool:
-    """Whether :func:`renyi` scores the pair by a closed form: whether
-    ``_RENYI_CLOSED`` lists the kinds of p and q."""
-    return (p.kind, q.kind) in _RENYI_CLOSED
-
-
-def renyi_batch(p: Density, q: Members, alpha: float) -> np.ndarray | None:
-    """D_alpha(p || q_i) for each member q_i of the batch q, with the bits
-    that :func:`renyi` gives each, by the pair's ``_RENYI_CLOSED`` row;
-    None when the pair has none. A value that :func:`renyi` refuses (a NaN)
-    is NaN here."""
-    return _score_batch(_RENYI_CLOSED, p, q, _check_alpha(alpha))
 
 
 def kl_forward(p: Density, q: Density, rel_tol: float = 1e-9) -> DivergenceEstimate:
     """KL(p || q) = int p log(p/q): the closed form that ``_KL_CLOSED`` lists
     for the pair, else quadrature (dim <= 2). Where the table lists the
     pair, either side may be :class:`~renyi_vi.distributions.Members` of
-    one member."""
-    row = _closed_row(_KL_CLOSED, p, q)
+    one member, and a value that overflows raises ``ValueError``."""
+    row = _closed_row(p, q, None)
     if row is None:
         return _kl_quadrature(p, q, rel_tol)
-    return DivergenceEstimate(row(p, q), CLOSED_FORM, 0.0, None)
+    return _closed_estimate(row, p, q, None)
 
 
-def kl_has_closed_form(p, q) -> bool:
-    """Whether :func:`kl_forward` scores the pair by a closed form: whether
-    ``_KL_CLOSED`` lists the kinds of p and q."""
-    return (p.kind, q.kind) in _KL_CLOSED
-
-
-def kl_forward_batch(p, q) -> np.ndarray | None:
-    """KL(p || q) for each member of a batch of members on either side, with
-    the bits that :func:`kl_forward` gives each, by the pair's
-    ``_KL_CLOSED`` row; None when the pair has none."""
-    return _score_batch(_KL_CLOSED, p, q)
+def closed_batch(p, q, alpha: float | None = None) -> np.ndarray | None:
+    """D_alpha(p || q), or KL(p || q) where alpha is None, for each member of
+    a batch of :class:`~renyi_vi.distributions.Members` on either side, by
+    the pair's closed-form row, with the bits that :func:`renyi` or
+    :func:`kl_forward` gives each, and NaN where they raise; None where the
+    pair has no row. Python's floats overflow without a word, so numpy does
+    not warn here either."""
+    if alpha is not None:
+        alpha = _check_alpha(alpha)
+    row = _closed_row(p, q, alpha)
+    if row is None:
+        return None
+    with np.errstate(all="ignore"):
+        return _closed(row, p, q, alpha)
 
 
 def kl_reverse(p: Density, q: Density, rel_tol: float = 1e-9) -> DivergenceEstimate:

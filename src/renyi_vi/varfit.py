@@ -4,19 +4,22 @@ One deterministic optimizer: a coarse grid over location x log-spaced grid
 over scale, then coordinate line searches by Brent's method, minimizing the
 alpha-Renyi divergence (alpha > 1), the forward KL or the reverse KL.
 
-Objectives are scored by ``divergence.renyi`` and ``kl_forward``, which
-take a closed form where their tables list the pair and quadrature
-elsewhere. A family with member records scores a closed-form pair on
-:class:`~renyi_vi.distributions.Members`, which hold the attributes the row
-reads with the bits of the Density and build no ``log_pdf``: the start grid
-as one batch, in one call (``renyi_batch``, ``kl_forward_batch``), and
-every other evaluation (the line searches, a grid member the batch leaves
-to the scalar path, the final score) as one member. The row is the same
-function either way, so each member gets the same bits, and each still
-counts as one evaluation. A quadrature pair builds the member's Density, as
-does ``FitResult.density``. An infinite objective region (dominance failure
-or a divergent integral) is skipped by the grid and reported as an error
-only when the whole initial grid is infinite.
+Each objective kind is one divergence, read once per fit
+(:func:`_divergence`): the reverse KL is the forward KL with the pair
+swapped, and alpha is None for both. Members are scored by
+``divergence.renyi`` or ``kl_forward``, a closed form where their tables
+list the pair and quadrature elsewhere. A family with member records
+scores a closed-form pair on :class:`~renyi_vi.distributions.Members`,
+which hold the attributes the row reads with the bits of the Density and
+build no ``log_pdf``: the start grid as one batch, in one call
+(``closed_batch``), and every other evaluation (the line searches, a grid
+member the batch leaves to the scalar path, the final score) as one
+member. The row is the same function either way, so each member gets the
+same bits, and each still counts as one evaluation. A quadrature pair
+builds the member's Density, as does ``FitResult.density``. An infinite
+objective region (dominance failure or a divergent integral) is skipped
+by the grid and reported as an error only when the whole initial grid is
+infinite.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Callable
 
 import numpy as np
@@ -31,6 +35,7 @@ import numpy as np
 from .distributions import (
     Density,
     Members,
+    _variance,
     gaussian_members,
     laplace_members,
     make_gamma,
@@ -41,13 +46,10 @@ from .distributions import (
 from .divergence import (
     DivergenceEstimate,
     _check_alpha,
+    _closed_row,
+    closed_batch,
     kl_forward,
-    kl_forward_batch,
-    kl_has_closed_form,
-    kl_reverse,
     renyi,
-    renyi_batch,
-    renyi_has_closed_form,
 )
 from .models import BayesModel
 
@@ -84,9 +86,10 @@ class VariationalFamily:
     is its number of locations. ``unpack_members``, where a family has it,
     builds members as :class:`~renyi_vi.distributions.Members`, with the
     bits of ``unpack``'s Densities and no Density built: one from a (k,)
-    vector of parameters, or a batch from the rows of an (m, k) array. It
-    raises ``unpack``'s ``ValueError`` where ``unpack`` refuses one (the
-    first, over a batch).
+    vector of parameters, or a batch from the rows of an (m, k) array,
+    which a fit scores in one call (``divergence.closed_batch``) where the
+    pair has a closed form. It raises ``unpack``'s ``ValueError`` where
+    ``unpack`` refuses one (the first, over a batch).
     """
 
     name: str
@@ -197,7 +200,8 @@ def _isotropic_members(p: np.ndarray) -> Members:
 
 
 def gaussian_family() -> VariationalFamily:
-    return _location_scale("gaussian", ("mean", "sd"), lambda m, s: make_gaussian(m, s**2),
+    return _location_scale("gaussian", ("mean", "sd"),
+                           lambda m, s: make_gaussian(m, _variance(s)),
                            lambda sd: sd, _isotropic_members)
 
 
@@ -229,7 +233,7 @@ def gamma_family() -> VariationalFamily:
 def isotropic_gaussian_family() -> VariationalFamily:
     def unpack(p):
         x, y, s = (float(v) for v in p)
-        s2 = s ** 2
+        s2 = _variance(s)
         return make_gaussian([x, y], [[s2, 0.0], [0.0, s2]])
 
     def init_from(t):
@@ -256,76 +260,59 @@ FAMILY_BUILDERS: dict[str, Callable[[], VariationalFamily]] = {
 }
 
 
-def _make_scorer(target: Density, family: VariationalFamily, kind: str,
-                 alpha: float | None, quad_tol: float):
+def _divergence(kind: str, alpha) -> tuple[bool, float | None]:
+    """The divergence that an objective kind minimises over members q, as
+    ``(swap, alpha)``: D_alpha(target || q), or KL(target || q) where alpha
+    is None, with the pair swapped to (q, target) where ``swap``: the
+    reverse KL. The one place that reads an objective kind."""
     if kind not in OBJECTIVE_KINDS:
         raise ValueError(f"unknown objective kind {kind!r}; choose from {OBJECTIVE_KINDS}")
     if kind == "renyi-alpha":
-        alpha = _check_alpha(alpha)
-
-    def closed(q) -> bool:
-        if kind == "renyi-alpha":
-            return renyi_has_closed_form(target, q)
-        if kind == "kl-forward":
-            return kl_has_closed_form(target, q)
-        return kl_has_closed_form(q, target)
-
-    light = family.unpack_members is not None
-
-    def member(params: np.ndarray):
-        """The member at params: Members of one where a closed form scores
-        the pair, else the Density, whose log_pdf, bulk and tails quadrature
-        reads."""
-        nonlocal light
-        if light:
-            q = family.unpack_members(params)
-            if closed(q):
-                return q
-            light = False  # a family's members are all of one kind
-        return family.unpack(params)
-
-    def estimate(params: np.ndarray) -> DivergenceEstimate:
-        q = member(params)
-        if kind == "renyi-alpha":
-            return renyi(target, q, alpha, rel_tol=quad_tol)
-        if kind == "kl-forward":
-            return kl_forward(target, q, rel_tol=quad_tol)
-        return kl_reverse(target, q, rel_tol=quad_tol)
-
-    return estimate
+        return False, _check_alpha(alpha)
+    return kind == "kl-reverse", None
 
 
-def _prescore(target: Density, family: VariationalFamily, kind: str, alpha,
-              zs: np.ndarray, keys: list[tuple]) -> dict[tuple, float]:
-    """The objective at each row of ``zs`` (internal coords), by its key in
-    ``keys``, scored in one call on a batch of members by the pair's
-    closed-form row: the values the scorer gives them one by one. Empty
-    where the family has no member records or the pair no row, and where a
-    member or a value needs the scalar path (a member ``unpack`` refuses,
-    or a NaN, which the scalar path raises on or returns), so that path
-    runs as it always has."""
-    if family.unpack_members is None:
-        return {}
-    params = np.array(zs, dtype=float)
-    for i, role in enumerate(family.param_roles):
-        if role != "location":  # as family.natural does, row by row
-            params[:, i] = [math.exp(v) for v in params[:, i].tolist()]
-    try:
-        members = family.unpack_members(params)
-    except ValueError:  # the scalar path meets the refused member itself
-        return {}
-    if kind == "renyi-alpha":
-        values = renyi_batch(target, members, alpha)
-    elif kind == "kl-forward":
-        values = kl_forward_batch(target, members)
-    else:
-        values = kl_forward_batch(members, target)
-    if values is None or np.isnan(values).any():
-        return {}
-    scored: dict[tuple, float] = {}
-    for key, v in zip(keys, values.tolist()):
-        scored.setdefault(key, v)  # a repeated key is scored once, first
-    return scored
+class _Scorer:
+    """The objective (:func:`_divergence`) at a member's parameters, one a
+    call or a batch (:meth:`batch`). A family with member records scores
+    Members where the pair has a closed-form row: a family's members are
+    all of one kind, so that is decided once, from the member at ``x0``.
+    Elsewhere a member is its Density, whose log_pdf quadrature reads."""
+
+    def __init__(self, target: Density, family: VariationalFamily, swap: bool,
+                 alpha: float | None, quad_tol: float, x0: np.ndarray):
+        self.target, self.family, self.swap = target, family, swap
+        self.alpha, self.quad_tol = alpha, quad_tol
+        self.members = (family.unpack_members is not None and
+                        _closed_row(*self.pair(family.unpack_members(x0)), alpha) is not None)
+
+    def pair(self, q) -> tuple:
+        """(p, q) as the divergence reads them, for the member q."""
+        return (q, self.target) if self.swap else (self.target, q)
+
+    def __call__(self, params: np.ndarray) -> DivergenceEstimate:
+        family = self.family
+        p, q = self.pair(family.unpack_members(params) if self.members else family.unpack(params))
+        if self.alpha is None:
+            return kl_forward(p, q, rel_tol=self.quad_tol)
+        return renyi(p, q, self.alpha, rel_tol=self.quad_tol)
+
+    def batch(self, zs: np.ndarray) -> list[float]:
+        """The objective at each row of ``zs`` (internal coords) in one
+        call (``closed_batch``), with the bits a call gives each; NaN for a
+        member the scalar path raises on. Empty where a member is its
+        Density or one is refused: the scalar path meets it itself."""
+        if not self.members:
+            return []
+        params = np.array(zs, dtype=float)
+        for i, role in enumerate(self.family.param_roles):
+            if role != "location":  # as family.natural does, row by row
+                params[:, i] = [math.exp(v) for v in params[:, i].tolist()]
+        try:
+            members = self.family.unpack_members(params)
+        except ValueError:
+            return []
+        return closed_batch(*self.pair(members), self.alpha).tolist()
 
 
 def _key(z: list[float]) -> tuple:
@@ -345,23 +332,21 @@ class _Objective:
     """Caching, budgeted wrapper around a parameter scorer (internal coords).
 
     Keeps the best ``(z, value)`` it has scored, so a fit stopped by the
-    budget in the middle of a line search still returns its best point.
-    ``scored`` holds values already scored by key (:func:`_prescore`): a
-    point found there counts as an evaluation like any other, but is not
-    scored again. A caller that has z's key already may pass it.
+    budget in the middle of a line search still returns its best point. A
+    caller may pass z's key, and z's value where it has one that is not
+    NaN (:meth:`_Scorer.batch`): that counts as an evaluation, unscored.
     """
 
-    def __init__(self, score, family, budget, scored):
+    def __init__(self, score, family, budget):
         self._score = score
         self._family = family
         self.budget = budget
         self.n_evals = 0
         self._cache: dict[tuple, float] = {}
-        self._scored = scored
         self.best_z: np.ndarray | None = None
         self.best_val = math.inf
 
-    def __call__(self, z: np.ndarray, key: tuple | None = None) -> float:
+    def __call__(self, z: np.ndarray, key: tuple | None = None, val: float = math.nan) -> float:
         if key is None:
             key = _key(np.asarray(z, dtype=float).tolist())
         if key in self._cache:
@@ -369,8 +354,7 @@ class _Objective:
         if self.n_evals >= self.budget:
             raise _BudgetExhausted
         self.n_evals += 1
-        val = self._scored.pop(key, None)
-        if val is None:
+        if math.isnan(val):
             val = float(self._score(self._family.natural(np.asarray(z, dtype=float))).value)
         self._cache[key] = val
         if val < self.best_val:
@@ -462,7 +446,7 @@ def fit(
     evaluations; a fit stopped by it returns the best point it scored.
     """
     target = _target_density(target, family)
-    score = _make_scorer(target, family, objective_kind, alpha, quad_tol)
+    swap, div_alpha = _divergence(objective_kind, alpha)
 
     x0 = family.init_from(target)
     sd = _target_sd(target)
@@ -472,6 +456,7 @@ def fit(
             # positive-support family aimed at a zero-mean target)
             x0[i] = max(1e-8, 0.1 * float(sd[min(i, sd.size - 1)]))
     z0 = family.internal(x0)
+    score = _Scorer(target, family, swap, div_alpha, quad_tol, x0)
 
     # keep the coarse grid to a minority of the budget so refinement runs
     small = budget < 300 or len(family.param_roles) >= 3
@@ -500,17 +485,17 @@ def fit(
     mesh = np.meshgrid(*axes, indexing="ij")
     grid = np.column_stack([m.ravel() for m in mesh])
     keys = _keys(grid)
-    # the grid in one call where the pair has a closed form; each member
-    # still counts as one evaluation, in grid order
-    obj = _Objective(score, family, budget,
-                     _prescore(target, family, objective_kind, alpha, grid[:budget], keys))
+    # the grid in one call where the pair has a closed form, by position;
+    # each member still counts as one evaluation, in grid order
+    values = chain(score.batch(grid[:budget]), repeat(math.nan))
+    obj = _Objective(score, family, budget)
 
     trace: list[dict] = []
     best_val = np.inf
     best_z = None
     try:
-        for zrow, key in zip(grid, keys):
-            v = obj(zrow, key)
+        for zrow, key, value in zip(grid, keys, values):
+            v = obj(zrow, key, value)
             if v < best_val:
                 best_val = v
                 best_z = np.array(zrow)

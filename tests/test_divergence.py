@@ -32,7 +32,7 @@ from renyi_vi.divergence import (
 from renyi_vi import divergence
 from renyi_vi.models import gaussian_mean_model
 from renyi_vi.numerics import QuadratureSpec, integrate
-from renyi_vi.varfit import FAMILY_BUILDERS
+from renyi_vi.varfit import FAMILY_BUILDERS, _divergence
 
 
 def normal_tail(z):
@@ -584,18 +584,13 @@ def assert_batch_is_scalar_row(objective, target, family, alpha, params):
     """The batch of members with ``params`` scored in one call, against
     each member scored alone, as its Density and as Members of one, bit for
     bit."""
-    members = family.unpack_members(params)
-    if objective == "renyi-alpha":
-        got = divergence.renyi_batch(target, members, alpha)
-        score = lambda q: renyi(target, q, alpha)
-    elif objective == "kl-forward":
-        got = divergence.kl_forward_batch(target, members)
-        score = lambda q: kl_forward(target, q)
-    else:
-        got = divergence.kl_forward_batch(members, target)
-        score = lambda q: kl_reverse(target, q)
+    swap, alpha = _divergence(objective, alpha)
+    pair = (lambda q: (q, target)) if swap else (lambda q: (target, q))
+    got = divergence.closed_batch(*pair(family.unpack_members(params)), alpha)
     for unpack in (family.unpack, family.unpack_members):
-        want = np.array([score(unpack(p)).value for p in params], dtype=float)
+        want = np.array([(kl_forward(*pair(unpack(p))) if alpha is None
+                          else renyi(*pair(unpack(p)), alpha)).value for p in params],
+                        dtype=float)
         differ = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
         assert not differ.size, (params[differ].tolist(), got[differ], want[differ])
 
@@ -639,10 +634,47 @@ class TestBatchForms:
 
     def test_pairs_without_a_batch_form(self):
         members = FAMILY_BUILDERS["laplace"]().unpack_members(np.array([[0.0, 1.0]]))
-        assert divergence.renyi_batch(make_gaussian(0.0, 1.0), members, 2.0) is None
-        assert divergence.kl_forward_batch(make_logistic(0.0, 1.0), members) is None
+        assert divergence.closed_batch(make_gaussian(0.0, 1.0), members, 2.0) is None
+        assert divergence.closed_batch(make_logistic(0.0, 1.0), members) is None
         with pytest.raises(ValueError, match="dimension"):
-            divergence.kl_forward_batch(make_gaussian([0.0, 0.0], np.eye(2)), members)
+            divergence.closed_batch(make_gaussian([0.0, 0.0], np.eye(2)), members)
+
+
+# N(0, 1) against N(1e200, 1): d' S*^{-1} d, and the KL's mean term, are
+# finite but overflow float64.
+FAR = make_gaussian(1e200, 1.0)
+
+
+class TestClosedFormOverflow:
+    """A closed form that float64 cannot hold is refused by name, never
+    reported as infinite; over a batch, its member is NaN."""
+
+    @pytest.mark.parametrize("score", [lambda p, q: renyi_gauss_closed(p, q, 2.0),
+                                       kl_forward, lambda p, q: kl_forward(q, p)],
+                             ids=["renyi", "kl-forward", "kl-reversed"])
+    def test_scalar_raises(self, score):
+        with pytest.raises(ValueError, match="overflows"):
+            score(make_gaussian(0.0, 1.0), FAR)
+
+    @pytest.mark.parametrize("objective,alpha", [("renyi-alpha", 2.0), ("kl-forward", None),
+                                                 ("kl-reverse", None)])
+    def test_batch_member_is_nan(self, objective, alpha):
+        # the second member overflows; under Renyi the third's S* is not
+        # positive definite, and its value is inf
+        target, family = make_gaussian(0.0, 1.0), FAMILY_BUILDERS["gaussian"]()
+        params = np.array([[0.5, 1.0], [1e200, 1.0], [0.0, 1e-3]])
+        swap, alpha = _divergence(objective, alpha)
+        members = family.unpack_members(params)
+        got = divergence.closed_batch(*((members, target) if swap else (target, members)), alpha)
+        assert math.isnan(got[1])
+        assert (got[2] == math.inf) == (alpha is not None)
+        assert_batch_is_scalar_row(objective, target, family, alpha, params[[0, 2]])
+
+    def test_gauss_laplace_kernel_that_underflows_is_zero(self):
+        # (d / s) ** 2 overflows Python's float, but the folded normal's
+        # kernel is then 0, and the KL, about |d| / b, is finite
+        est = kl_forward(make_gaussian(0.0, 1.0), make_laplace(1e200, 1.0))
+        assert (est.value, est.reason) == (1e200, None)
 
 
 class TestRenyiDispatcher:

@@ -130,17 +130,16 @@ BATCHED_FITS = [
 def test_batched_start_grid_leaves_the_fit_as_it_was(monkeypatch, target, family, kind,
                                                      alpha, budget):
     batched = []
-    score_batch = divergence._score_batch
 
     def recording(*args):
-        batched.append(score_batch(*args))
+        batched.append(divergence.closed_batch(*args))
         return batched[-1]
 
-    monkeypatch.setattr(divergence, "_score_batch", recording)
+    monkeypatch.setattr(varfit, "closed_batch", recording)
     res = fit(target, FAMILY_BUILDERS[family](), kind, alpha=alpha, budget=budget)
     assert len(batched) == 1 and batched[0] is not None
     # the reference scores every grid member alone, on Members of one
-    monkeypatch.setattr(varfit, "_prescore", lambda *args: {})
+    monkeypatch.setattr(varfit._Scorer, "batch", lambda self, zs: [])
     ref = fit(target, FAMILY_BUILDERS[family](), kind, alpha=alpha, budget=budget)
     assert len(batched) == 1
     assert res.params.tobytes() == ref.params.tobytes()
@@ -170,7 +169,10 @@ def test_member_holds_the_bits_of_the_density(family):
             assert m.params == d.params
         # the batch holds the same bits, member by member, in its arrays
         assert repr(member_of(batch, i)) == repr(m)
-    for bad in ([math.nan, 1.0], [0.0, 0.0], [0.0, math.nan], [0.0, math.inf]):
+    bad_rows = [[math.nan, 1.0], [0.0, 0.0], [0.0, math.nan], [0.0, math.inf]]
+    if family != "laplace":  # a variance that overflows; make_laplace takes the scale
+        bad_rows.append([0.0, 1e200])
+    for bad in bad_rows:
         p = np.array([0.0] * (k - 2) + bad)
         with pytest.raises(ValueError) as refused:
             fam.unpack(p)
@@ -190,6 +192,38 @@ def test_member_whose_variance_overflows_is_refused_by_name(sd):
     mean = (np.zeros(np.shape(sd)),) if np.ndim(sd) else (0.0,)
     with pytest.raises(ValueError, match=re.escape(str(refused.value))):
         gaussian_members(mean, sd)
+
+
+def test_start_grid_member_that_overflows_is_left_to_the_scalar_path():
+    fam, target = FAMILY_BUILDERS["gaussian"](), make_gaussian(0.0, 1.0)
+    score = varfit._Scorer(target, fam, False, 2.0, 1e-8, np.array([0.0, 1.0]))
+    zs = np.array([[0.5, 0.0], [1e200, 0.0]])
+    values = score.batch(zs)
+    assert values[0] == score(fam.natural(zs[0])).value and math.isnan(values[1])
+    obj = varfit._Objective(score, fam, 10)
+    assert obj(zs[0], None, values[0]) == values[0]
+    # the scalar path scores the NaN member, and refuses it by name
+    with pytest.raises(ValueError, match="overflows at alpha = 2"):
+        obj(zs[1], None, values[1])
+    assert obj.n_evals == 2
+
+
+def test_batch_value_counts_once_and_a_repeated_key_hits_the_cache():
+    scored = []
+
+    def score(params):
+        scored.append(params)
+        return divergence.DivergenceEstimate(9.0, "closed-form", 0.0)
+
+    obj = varfit._Objective(score, FAMILY_BUILDERS["gaussian"](), 3)
+    z = [np.array([float(i), 0.0]) for i in range(4)]
+    assert obj(z[0], None, 1.0) == 1.0
+    assert obj(z[0], None, 2.0) == 1.0  # the first value, not counted again
+    assert obj(z[1], None, math.nan) == 9.0  # NaN: scored
+    assert obj(z[2], None, 3.0) == 3.0
+    assert (obj.n_evals, len(scored), obj.best_val) == (3, 1, 1.0)
+    with pytest.raises(varfit._BudgetExhausted):
+        obj(z[3], None, 4.0)
 
 
 def member_of(batch, i):
