@@ -33,7 +33,7 @@ from .divergence import kl_forward, kl_reverse, renyi
 from .experiments import write_report
 from .goodseq import AUDIT_COLUMNS
 from .models import load_data_csv
-from .varfit import OBJECTIVE_KINDS, DominanceError, fit
+from .varfit import DominanceError, _divergence, fit
 
 # Experiment name -> runner. Each runner's signature gives the experiment's
 # config keys and their defaults. The CLI calls the runner by name, as an
@@ -140,15 +140,11 @@ def cmd_fit(args) -> int:
     seed = _resolve_seed(args, config, "fit config")
     if "family" not in config or "objective" not in config:
         raise _CliError("fit config needs 'family' and 'objective'")
-    objective = config["objective"]
-    if objective not in OBJECTIVE_KINDS:
-        raise _CliError(f"unknown objective {objective!r}; valid kinds: "
-                        + ", ".join(OBJECTIVE_KINDS))
-    alpha = config.get("alpha")
+    objective, alpha = config["objective"], config.get("alpha")
+    # an unknown kind or a bad alpha is refused, as fit refuses it, before any work
+    _divergence(objective, alpha)
     # the numeric settings, cast to their defaults' types
     numbers = {key: type(typed[key])(config[key]) for key in _FIT_NUMBERS if key in config}
-    if objective == "renyi-alpha" and alpha is None:
-        raise _CliError("objective 'renyi-alpha' requires 'alpha'")
     family = build_family(config["family"])
     if "target" in config:
         target = build_density(config["target"])

@@ -200,7 +200,7 @@ def consistency_cell(model_spec, family_name, objective_kind, alpha, theta0,
         posterior,
         family,
         objective_kind,
-        alpha=alpha if objective_kind == "renyi-alpha" else None,
+        alpha=alpha,
         budget=budget,
         quad_tol=quad_tol,
     )

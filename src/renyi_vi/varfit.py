@@ -6,7 +6,9 @@ alpha-Renyi divergence (alpha > 1), the forward KL or the reverse KL.
 
 Each objective kind is one divergence, read once per fit
 (:func:`_divergence`): the reverse KL is the forward KL with the pair
-swapped, and alpha is None for both. Members are scored by
+swapped, and alpha is None for both, so a KL fit ignores any alpha it is
+given, start grid included. One object per fit, :class:`_Objective`,
+holds that reading and makes every evaluation. Members are scored by
 ``divergence.renyi`` or ``kl_forward``, a closed form where their tables
 list the pair and quadrature elsewhere. A family with member records
 scores a closed-form pair on :class:`~renyi_vi.distributions.Members`,
@@ -104,11 +106,14 @@ class VariationalFamily:
         return sum(role != "scale" for role in self.param_roles)
 
     def natural(self, z: np.ndarray) -> np.ndarray:
-        """Parameters from optimizer coordinates."""
+        """Parameters from optimizer coordinates: one point's from a (k,)
+        vector, or a batch's from the rows of an (m, k) array, each
+        non-location entry by ``math.exp``."""
         out = np.array(z, dtype=float)
         for i, role in enumerate(self.param_roles):
             if role != "location":
-                out[i] = math.exp(out[i])
+                v = out[..., i].tolist()
+                out[..., i] = list(map(math.exp, v)) if out.ndim > 1 else math.exp(v)
         return out
 
     def internal(self, params: np.ndarray) -> np.ndarray:
@@ -272,49 +277,6 @@ def _divergence(kind: str, alpha) -> tuple[bool, float | None]:
     return kind == "kl-reverse", None
 
 
-class _Scorer:
-    """The objective (:func:`_divergence`) at a member's parameters, one a
-    call or a batch (:meth:`batch`). A family with member records scores
-    Members where the pair has a closed-form row: a family's members are
-    all of one kind, so that is decided once, from the member at ``x0``.
-    Elsewhere a member is its Density, whose log_pdf quadrature reads."""
-
-    def __init__(self, target: Density, family: VariationalFamily, swap: bool,
-                 alpha: float | None, quad_tol: float, x0: np.ndarray):
-        self.target, self.family, self.swap = target, family, swap
-        self.alpha, self.quad_tol = alpha, quad_tol
-        self.members = (family.unpack_members is not None and
-                        _closed_row(*self.pair(family.unpack_members(x0)), alpha) is not None)
-
-    def pair(self, q) -> tuple:
-        """(p, q) as the divergence reads them, for the member q."""
-        return (q, self.target) if self.swap else (self.target, q)
-
-    def __call__(self, params: np.ndarray) -> DivergenceEstimate:
-        family = self.family
-        p, q = self.pair(family.unpack_members(params) if self.members else family.unpack(params))
-        if self.alpha is None:
-            return kl_forward(p, q, rel_tol=self.quad_tol)
-        return renyi(p, q, self.alpha, rel_tol=self.quad_tol)
-
-    def batch(self, zs: np.ndarray) -> list[float]:
-        """The objective at each row of ``zs`` (internal coords) in one
-        call (``closed_batch``), with the bits a call gives each; NaN for a
-        member the scalar path raises on. Empty where a member is its
-        Density or one is refused: the scalar path meets it itself."""
-        if not self.members:
-            return []
-        params = np.array(zs, dtype=float)
-        for i, role in enumerate(self.family.param_roles):
-            if role != "location":  # as family.natural does, row by row
-                params[:, i] = [math.exp(v) for v in params[:, i].tolist()]
-        try:
-            members = self.family.unpack_members(params)
-        except ValueError:
-            return []
-        return closed_batch(*self.pair(members), self.alpha).tolist()
-
-
 def _key(z: list[float]) -> tuple:
     # np.round(z, 14)'s arithmetic (rint of z * 1e14, over 1e14) on Python
     # floats: the same keys at a fraction of the cost
@@ -329,22 +291,59 @@ def _keys(zs: np.ndarray) -> list[tuple]:
 
 
 class _Objective:
-    """Caching, budgeted wrapper around a parameter scorer (internal coords).
+    """One fit's objective: the divergence its kind names
+    (:func:`_divergence`, read here once, as ``swap`` and ``alpha``),
+    scored at a member's parameters (:meth:`score`) or at a batch of
+    internal coordinates (:meth:`batch`), and called at internal
+    coordinates with a cache and a budget.
+
+    A family with member records scores Members where the pair has a
+    closed-form row: a family's members are all of one kind, so that is
+    decided once, from the member at ``x0``. Elsewhere a member is its
+    Density, whose log_pdf quadrature reads.
 
     Keeps the best ``(z, value)`` it has scored, so a fit stopped by the
     budget in the middle of a line search still returns its best point. A
     caller may pass z's key, and z's value where it has one that is not
-    NaN (:meth:`_Scorer.batch`): that counts as an evaluation, unscored.
+    NaN (:meth:`batch`): that counts as an evaluation, unscored.
     """
 
-    def __init__(self, score, family, budget):
-        self._score = score
-        self._family = family
-        self.budget = budget
+    def __init__(self, target: Density, family: VariationalFamily, kind: str, alpha,
+                 quad_tol: float, budget: int, x0: np.ndarray):
+        self.swap, self.alpha = _divergence(kind, alpha)
+        self.target, self.family = target, family
+        self.quad_tol, self.budget = quad_tol, budget
+        self.members = (family.unpack_members is not None and
+                        _closed_row(*self.pair(family.unpack_members(x0)), self.alpha) is not None)
         self.n_evals = 0
         self._cache: dict[tuple, float] = {}
         self.best_z: np.ndarray | None = None
         self.best_val = math.inf
+
+    def pair(self, q) -> tuple:
+        """(p, q) as the divergence reads them, for the member q."""
+        return (q, self.target) if self.swap else (self.target, q)
+
+    def score(self, params: np.ndarray) -> DivergenceEstimate:
+        """The objective at one member's parameters, uncounted and uncached."""
+        family = self.family
+        p, q = self.pair(family.unpack_members(params) if self.members else family.unpack(params))
+        if self.alpha is None:
+            return kl_forward(p, q, rel_tol=self.quad_tol)
+        return renyi(p, q, self.alpha, rel_tol=self.quad_tol)
+
+    def batch(self, zs: np.ndarray) -> list[float]:
+        """The objective at each row of ``zs`` (internal coords) in one
+        call (``closed_batch``), with the bits :meth:`score` gives each; NaN
+        for a member the scalar path raises on. Empty where a member is its
+        Density or one is refused: the scalar path meets it itself."""
+        if not self.members:
+            return []
+        try:
+            members = self.family.unpack_members(self.family.natural(zs))
+        except ValueError:
+            return []
+        return closed_batch(*self.pair(members), self.alpha).tolist()
 
     def __call__(self, z: np.ndarray, key: tuple | None = None, val: float = math.nan) -> float:
         if key is None:
@@ -355,7 +354,7 @@ class _Objective:
             raise _BudgetExhausted
         self.n_evals += 1
         if math.isnan(val):
-            val = float(self._score(self._family.natural(np.asarray(z, dtype=float))).value)
+            val = float(self.score(self.family.natural(np.asarray(z, dtype=float))).value)
         self._cache[key] = val
         if val < self.best_val:
             self.best_val = val
@@ -444,10 +443,11 @@ def fit(
     objective by < 1e-8. Raises :class:`DominanceError` when the objective
     is infinite on the entire initial grid. ``budget`` caps objective
     evaluations; a fit stopped by it returns the best point it scored.
+    The scale axis of the grid widens with the objective's alpha, as
+    :class:`_Objective` resolves it: not at all for a KL, which has none.
+    ``FitResult.config`` echoes ``alpha`` as given.
     """
     target = _target_density(target, family)
-    swap, div_alpha = _divergence(objective_kind, alpha)
-
     x0 = family.init_from(target)
     sd = _target_sd(target)
     for i, role in enumerate(family.param_roles):
@@ -456,7 +456,7 @@ def fit(
             # positive-support family aimed at a zero-mean target)
             x0[i] = max(1e-8, 0.1 * float(sd[min(i, sd.size - 1)]))
     z0 = family.internal(x0)
-    score = _Scorer(target, family, swap, div_alpha, quad_tol, x0)
+    obj = _Objective(target, family, objective_kind, alpha, quad_tol, budget, x0)
 
     # keep the coarse grid to a minority of the budget so refinement runs
     small = budget < 300 or len(family.param_roles) >= 3
@@ -464,8 +464,8 @@ def fit(
         [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]
     )
     n_scale = 9 if small else 13
-    amax = math.sqrt(alpha) if (alpha is not None and alpha > 1) else 1.0
-    scale_offsets = np.linspace(math.log(0.2), math.log(4.0 * max(1.0, amax)), n_scale)
+    amax = 1.0 if obj.alpha is None else math.sqrt(obj.alpha)
+    scale_offsets = np.linspace(math.log(0.2), math.log(4.0 * amax), n_scale)
 
     axes = []
     loc_seen = 0
@@ -487,10 +487,14 @@ def fit(
     keys = _keys(grid)
     # the grid in one call where the pair has a closed form, by position;
     # each member still counts as one evaluation, in grid order
-    values = chain(score.batch(grid[:budget]), repeat(math.nan))
-    obj = _Objective(score, family, budget)
+    values = chain(obj.batch(grid[:budget]), repeat(math.nan))
 
     trace: list[dict] = []
+
+    def improved(z, val):
+        trace.append({"step": obj.n_evals, "params": family.natural(z).tolist(),
+                      "objective": val})
+
     best_val = np.inf
     best_z = None
     try:
@@ -499,10 +503,7 @@ def fit(
             if v < best_val:
                 best_val = v
                 best_z = np.array(zrow)
-                trace.append(
-                    {"step": obj.n_evals, "params": family.natural(best_z).tolist(),
-                     "objective": best_val}
-                )
+                improved(best_z, best_val)
     except _BudgetExhausted:
         pass
     if best_z is None or not np.isfinite(best_val):
@@ -534,10 +535,7 @@ def fit(
                     best_val = fv
                     best_z = zi.copy()
                     best_z[i] = xi
-                    trace.append(
-                        {"step": obj.n_evals, "params": family.natural(best_z).tolist(),
-                         "objective": best_val}
-                    )
+                    improved(best_z, best_val)
             steps = steps * 0.35
             if sweep_start - best_val < 1e-8:
                 converged = True
@@ -547,13 +545,10 @@ def fit(
         if obj.best_val < best_val:
             # the budget ran out inside a line search that had improved
             best_val, best_z = obj.best_val, obj.best_z
-            trace.append(
-                {"step": obj.n_evals, "params": family.natural(best_z).tolist(),
-                 "objective": best_val}
-            )
+            improved(best_z, best_val)
 
     params = family.natural(best_z)
-    final = score(params)
+    final = obj.score(params)
     return FitResult(
         params=params,
         density=family.unpack(params),

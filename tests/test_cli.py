@@ -106,6 +106,20 @@ class TestFitCommand:
         # posterior mean (mu0 + sum x)/(n+1) = 2.2/5
         assert abs(payload["params"][0] - 0.44) <= 1e-6
 
+    @pytest.mark.parametrize("alpha", [None, math.inf], ids=["missing", "inf"])
+    def test_bad_alpha_exits_one_before_any_work(self, tmp_path, capsys, alpha):
+        # the data file is never read: alpha is refused first
+        cfg = {"model": GM, "data": {"csv": str(tmp_path / "absent.csv")},
+               "family": "gaussian", "objective": "renyi-alpha",
+               "outdir": str(tmp_path / "out")}
+        if alpha is not None:
+            cfg["alpha"] = alpha
+        assert run_cli(["fit", write_config(tmp_path, "fit.json", cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "alpha" in err and "absent.csv" not in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("objective", ["mc-upper-bound", "bogus"])
     def test_unknown_objective_exits_one_before_any_work(self, tmp_path, capsys,
                                                          objective):

@@ -4,6 +4,8 @@ integral, and the re-seeded quadrature where the tails say finite."""
 
 import dataclasses
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -388,3 +390,10 @@ class TestUndecided:
         p, q = make_logistic(0.0, 1.0), make_laplace(0.0, 1.0)
         assert divergence._tail_verdict(p, q, 5.0) == divergence._FINITE
         assert divergence._tail_verdict(q, make_laplace(0.0, 0.5), 5.0) == "divergent tail at -inf"
+
+
+def test_every_test_module_is_imported_at_session_start():
+    # conftest imports them all, so hypothesis draws from the same pool of
+    # constants whether this file runs alone or in the full run
+    here = Path(__file__).parent
+    assert {path.stem for path in here.glob("test_*.py")} <= set(sys.modules)

@@ -139,7 +139,7 @@ def test_batched_start_grid_leaves_the_fit_as_it_was(monkeypatch, target, family
     res = fit(target, FAMILY_BUILDERS[family](), kind, alpha=alpha, budget=budget)
     assert len(batched) == 1 and batched[0] is not None
     # the reference scores every grid member alone, on Members of one
-    monkeypatch.setattr(varfit._Scorer, "batch", lambda self, zs: [])
+    monkeypatch.setattr(varfit._Objective, "batch", lambda self, zs: [])
     ref = fit(target, FAMILY_BUILDERS[family](), kind, alpha=alpha, budget=budget)
     assert len(batched) == 1
     assert res.params.tobytes() == ref.params.tobytes()
@@ -196,11 +196,11 @@ def test_member_whose_variance_overflows_is_refused_by_name(sd):
 
 def test_start_grid_member_that_overflows_is_left_to_the_scalar_path():
     fam, target = FAMILY_BUILDERS["gaussian"](), make_gaussian(0.0, 1.0)
-    score = varfit._Scorer(target, fam, False, 2.0, 1e-8, np.array([0.0, 1.0]))
+    obj = varfit._Objective(target, fam, "renyi-alpha", 2.0, 1e-8, 10, np.array([0.0, 1.0]))
     zs = np.array([[0.5, 0.0], [1e200, 0.0]])
-    values = score.batch(zs)
-    assert values[0] == score(fam.natural(zs[0])).value and math.isnan(values[1])
-    obj = varfit._Objective(score, fam, 10)
+    values = obj.batch(zs)
+    assert values[0] == obj.score(fam.natural(zs[0])).value and math.isnan(values[1])
+    assert obj.n_evals == 0
     assert obj(zs[0], None, values[0]) == values[0]
     # the scalar path scores the NaN member, and refuses it by name
     with pytest.raises(ValueError, match="overflows at alpha = 2"):
@@ -215,7 +215,9 @@ def test_batch_value_counts_once_and_a_repeated_key_hits_the_cache():
         scored.append(params)
         return divergence.DivergenceEstimate(9.0, "closed-form", 0.0)
 
-    obj = varfit._Objective(score, FAMILY_BUILDERS["gaussian"](), 3)
+    obj = varfit._Objective(make_gaussian(0.0, 1.0), FAMILY_BUILDERS["gaussian"](),
+                            "kl-forward", None, 1e-8, 3, np.array([0.0, 1.0]))
+    obj.score = score
     z = [np.array([float(i), 0.0]) for i in range(4)]
     assert obj(z[0], None, 1.0) == 1.0
     assert obj(z[0], None, 2.0) == 1.0  # the first value, not counted again
@@ -315,6 +317,36 @@ def test_quadrature_pairs_score_densities(monkeypatch, model, theta0, family):
     # the scorer that the pair has no closed form
     assert sum(np.ndim(p) == 1 for p in members) <= 1
     assert sum(np.ndim(p) == 2 for p in members) <= 1
+
+
+@pytest.mark.parametrize("family", ["gaussian", "laplace"])
+@pytest.mark.parametrize("kind", ["kl-forward", "kl-reverse"])
+def test_kl_fit_ignores_alpha(kind, family):
+    # neither KL has an alpha: the start grid is sized from the resolved
+    # objective, so an alpha given with a KL moves nothing but the echo
+    target = make_gaussian(0.3, 0.04)
+    ref = fit(target, FAMILY_BUILDERS[family](), kind)
+    for alpha in (2.0, 5.0):
+        res = fit(target, FAMILY_BUILDERS[family](), kind, alpha=alpha)
+        assert res.params.tobytes() == ref.params.tobytes()
+        assert res.objective == ref.objective
+        assert (res.n_evals, res.converged) == (ref.n_evals, ref.converged)
+        assert repr(res.trace) == repr(ref.trace)
+        assert res.config["alpha"] == alpha and ref.config["alpha"] is None
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_BUILDERS))
+def test_natural_maps_a_batch_as_it_maps_each_row(family):
+    fam = FAMILY_BUILDERS[family]()
+    k = len(fam.param_roles)
+    zs = np.random.default_rng(5).normal(0.0, 4.0, (300, k))
+    batch = fam.natural(zs)
+    assert batch.shape == zs.shape
+    assert batch.tobytes() == np.array([fam.natural(z) for z in zs]).tobytes()
+    # each non-location coordinate is math.exp of its entry
+    ref = [[v if role == "location" else math.exp(v) for v, role in zip(z, fam.param_roles)]
+           for z in zs.tolist()]
+    assert batch.tobytes() == np.array(ref).tobytes()
 
 
 class TestFitMechanics:
