@@ -51,8 +51,9 @@ __all__ = [
 
 CSV_SCHEMA = 1
 
-# One shared true parameter per experiment unless overridden in config.
-DEFAULT_THETA0 = {"gaussian-mean": 0.5, "mvn-mean": 0.5, "exponential": 2.0}
+# The models the experiments run, each with the true parameter it is run at
+# unless the config sets theta0. All are 1-D.
+DEFAULT_THETA0 = {"gaussian-mean": 0.5, "exponential": 2.0}
 # The model an experiment runs on unless its config names another.
 GAUSSIAN_MEAN = {"name": "gaussian-mean", "mu0": 0.0, "sigma": 1.0}
 
@@ -173,8 +174,10 @@ def _loglog_slope(ns, values) -> float:
 
 def _sizes(key: str, grid, least: int, used: str) -> list[int]:
     """The sizes of ``grid``, sorted; a ValueError naming ``key`` unless it
-    holds the ``least`` distinct sizes that ``used`` needs."""
+    holds the ``least`` distinct sizes that ``used`` needs, each at least 1."""
     sizes = sorted(int(n) for n in grid)
+    if sizes and sizes[0] < 1:
+        raise ValueError(f"{key} sizes must be at least 1, got {sizes}")
     if len(set(sizes)) < least:
         raise ValueError(f"{key} needs at least {least} distinct "
                          f"size{'s' if least > 1 else ''} for {used}, got {sizes}")
@@ -182,8 +185,13 @@ def _sizes(key: str, grid, least: int, used: str) -> list[int]:
 
 
 def _model_at(spec: dict, theta0):
-    """The model a spec builds, and ``theta0`` or else the model's default."""
+    """The model a spec builds, and ``theta0`` or else the model's default;
+    a ValueError naming any model but the 1-D ones of :data:`DEFAULT_THETA0`."""
     bayes = build_model(spec)
+    if bayes.dim != 1 or bayes.name not in DEFAULT_THETA0:
+        raise ValueError(f"model {bayes.name!r} ({bayes.dim}-D) is not one the experiments "
+                         f"run: they run the 1-D models {', '.join(DEFAULT_THETA0)}, and "
+                         "'mvn-mean' is a model for renyi-vi fit")
     return bayes, DEFAULT_THETA0[bayes.name] if theta0 is None else theta0
 
 
@@ -257,6 +265,8 @@ def run_consistency(
     alpha, quad_tol, budget = float(alpha), float(quad_tol), int(budget)
     n_grid = _sizes("n_grid", n_grid, CONSISTENCY_MIN_SIZES, "the variance slope")
     seeds = [int(s) for s in seeds]
+    if not seeds:
+        raise ValueError("seeds is empty (or n_seeds is 0): the verdicts need at least one seed")
     config = {
         "model": model,
         "family": family,
@@ -362,7 +372,7 @@ def run_ubfin(
     t0 = time.perf_counter()
     if M_bar is None:
         raise ValueError("ubfin needs 'M_bar', the good sequence's variance scale")
-    alpha, M_bar = float(alpha), float(M_bar)
+    alpha, M_bar = _check_alpha(alpha), float(M_bar)
     bayes, theta0 = _model_at(model, theta0)
     if bayes.name != "gaussian-mean":
         raise ValueError("run_ubfin uses the Gaussian mean model")
@@ -552,6 +562,8 @@ def run_rate_violation(kappa: float = 0.75, alpha: float = 2.0, sigma: float = 1
     t0 = time.perf_counter()
     kappa, alpha, sigma, B = float(kappa), float(alpha), float(sigma), float(B)
     n_max = int(n_max)
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
     if kappa < 0.5:
         raise ValueError(f"kappa must be >= 0.5, got {kappa}")
     _check_alpha(alpha)
@@ -633,6 +645,8 @@ def run_figure1(
     grid_extent, grid_points = float(grid_extent), int(grid_points)
     if not abs(rho) < 1.0:
         raise ValueError(f"|rho| must be < 1, got {rho}")
+    if not alphas:
+        raise ValueError("alphas is empty: figure1 needs at least one alpha")
     Sigma = np.array([[1.0, rho], [rho, 1.0]])
     target = make_gaussian(np.zeros(2), Sigma)
     family = build_family("isotropic-gaussian-2d")

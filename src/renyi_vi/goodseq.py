@@ -5,7 +5,10 @@ and are log-concave.
 
 Four constructors are shipped (mean-field Gaussian, Laplace, Logistic for
 the Gaussian-mean model; Gamma for the exponential model), each with the
-scale the corresponding worked example prescribes.
+scale the corresponding worked example prescribes. All are 1-D: the audit's
+ratio scan, log-concavity check and entropy bound are written for one
+parameter, so a constructor refuses any other model by name, the 2-D
+mvn-mean model included.
 """
 
 from __future__ import annotations
@@ -99,18 +102,11 @@ AUDIT_COLUMNS = tuple(f.name for f in fields(GoodSequenceAudit) if f.name != "k_
 
 
 def _require_model(spec: GoodSequenceSpec, model: BayesModel):
-    location = spec.family in ("gaussian-meanfield", "laplace", "logistic")
-    if location and model.name not in ("gaussian-mean", "mvn-mean"):
+    paired = "exponential" if spec.family == "gamma" else "gaussian-mean"
+    if model.name != paired:
         raise ValueError(
-            f"family {spec.family!r} pairs with the Gaussian mean models, "
-            f"not {model.name!r}"
+            f"family {spec.family!r} pairs with the {paired} model, not {model.name!r}"
         )
-    if spec.family == "gamma" and model.name != "exponential":
-        raise ValueError(
-            f"family 'gamma' pairs with the exponential model, not {model.name!r}"
-        )
-    if location and spec.family != "gaussian-meanfield" and model.dim != 1:
-        raise ValueError(f"family {spec.family!r} is univariate")
 
 
 def build_good_sequence(spec: GoodSequenceSpec, model: BayesModel, data) -> Density:
@@ -118,7 +114,10 @@ def build_good_sequence(spec: GoodSequenceSpec, model: BayesModel, data) -> Dens
 
     Centers follow the worked examples (posterior mean for the location
     families, shape n+1 / rate sum(x) for the Gamma family); scales shrink
-    at the parametric rate with the alpha-dependent constants.
+    at the parametric rate with the alpha-dependent constants. The
+    mean-field Gaussian, Laplace and logistic pair with the Gaussian-mean
+    model and the Gamma with the exponential model; any other model is
+    refused with a ValueError naming it.
     """
     _require_model(spec, model)
     x = np.asarray(data, dtype=float)
@@ -137,12 +136,7 @@ def build_good_sequence(spec: GoodSequenceSpec, model: BayesModel, data) -> Dens
 
     if spec.family == "gaussian-meanfield":
         scale2 = spec.variance_scale if spec.variance_scale is not None else sigma2
-        if model.dim == 1:
-            return make_gaussian(center[0], scale2 / n)
-        diag = np.diag(np.atleast_2d(model.prior.cov)).copy()
-        if spec.variance_scale is not None:
-            diag[:] = spec.variance_scale
-        return make_gaussian(center, np.diag(diag / n))
+        return make_gaussian(center[0], scale2 / n)
     if spec.family == "laplace":
         b = math.sqrt(math.pi * A * sigma2 / (2.0 * n))
         return make_laplace(center[0], b)

@@ -168,24 +168,29 @@ def _is_jsonable(v) -> bool:
     return isinstance(v, (int, float, str, bool, type(None), list, dict))
 
 
-def _target_sd(target: Density) -> np.ndarray:
-    cov = np.atleast_2d(target.cov)
-    return np.sqrt(np.diag(cov))
+def _location_scale(name, param_names, make, start_scale, unpack_members=None,
+                    location="location") -> VariationalFamily:
+    """The family of members ``make(*locations, scale)``, each called on
+    Python floats: d = len(param_names) - 1 locations of the role
+    ``location`` ("positive" for one that must stay above 0, such as a Gamma
+    mean), then one scale, with ``unpack_members`` as its field. Every
+    family is built here, the 1-D ones and the 2-D isotropic Gaussian alike.
+    A fit starts at the target's first d mean coordinates and at the scale
+    ``start_scale(sd)`` that matches sd = sqrt(trace(cov) / d), which at
+    d = 1 is the target's own sd, bit for bit."""
+    d = len(param_names) - 1
 
+    def init_from(t):
+        locations = [float(v) for v in np.atleast_1d(t.mean)[:d]]
+        sd = math.sqrt(float(np.trace(np.atleast_2d(t.cov))) / d)
+        return np.array(locations + [start_scale(sd)])
 
-def _location_scale(name, param_names, make, start_scale,
-                    unpack_members=None) -> VariationalFamily:
-    """A 1-D family of members ``make(location, scale)``, started at the
-    target's mean and at the scale ``start_scale(sd)`` that matches its sd,
-    with ``unpack_members`` as its field."""
     return VariationalFamily(
         name=name,
         param_names=param_names,
-        param_roles=("location", "scale"),
-        unpack=lambda p: make(p[0], p[1]),
-        init_from=lambda t: np.array(
-            [float(np.atleast_1d(t.mean)[0]), start_scale(_target_sd(t)[0])]
-        ),
+        param_roles=(location,) * d + ("scale",),
+        unpack=lambda p: make(*p.tolist()),
+        init_from=init_from,
         unpack_members=unpack_members,
     )
 
@@ -194,6 +199,13 @@ def _columns(p: np.ndarray):
     """One member's parameters as Python floats, from a (k,) vector, or a
     batch's, column by column, from the rows of an (m, k) array."""
     return p.tolist() if p.ndim == 1 else p.T
+
+
+def _isotropic_gaussian(*p) -> Density:
+    """N(mean, sd ** 2 I) for the parameters (*mean, sd), the variance
+    squared as :func:`_isotropic_members` squares it."""
+    *mean, sd = p
+    return make_gaussian(mean, [_variance(sd)] * len(mean))
 
 
 def _isotropic_members(p: np.ndarray) -> Members:
@@ -205,8 +217,7 @@ def _isotropic_members(p: np.ndarray) -> Members:
 
 
 def gaussian_family() -> VariationalFamily:
-    return _location_scale("gaussian", ("mean", "sd"),
-                           lambda m, s: make_gaussian(m, _variance(s)),
+    return _location_scale("gaussian", ("mean", "sd"), _isotropic_gaussian,
                            lambda sd: sd, _isotropic_members)
 
 
@@ -222,38 +233,14 @@ def logistic_family() -> VariationalFamily:
 
 def gamma_family() -> VariationalFamily:
     # parameterized by (mean, sd); shape = (m/s)^2, rate = m/s^2
-    def unpack(p):
-        m, s = float(p[0]), float(p[1])
-        return make_gamma((m / s) ** 2, m / s**2)
-
-    return VariationalFamily(
-        name="gamma",
-        param_names=("mean", "sd"),
-        param_roles=("positive", "scale"),
-        unpack=unpack,
-        init_from=lambda t: np.array([float(np.atleast_1d(t.mean)[0]), _target_sd(t)[0]]),
-    )
+    return _location_scale("gamma", ("mean", "sd"),
+                           lambda m, s: make_gamma((m / s) ** 2, m / s**2),
+                           lambda sd: sd, location="positive")
 
 
 def isotropic_gaussian_family() -> VariationalFamily:
-    def unpack(p):
-        x, y, s = (float(v) for v in p)
-        s2 = _variance(s)
-        return make_gaussian([x, y], [[s2, 0.0], [0.0, s2]])
-
-    def init_from(t):
-        m = np.atleast_1d(t.mean)
-        s = math.sqrt(float(np.trace(np.atleast_2d(t.cov))) / 2.0)
-        return np.array([float(m[0]), float(m[1]), s])
-
-    return VariationalFamily(
-        name="isotropic-gaussian-2d",
-        param_names=("mean_x", "mean_y", "sd"),
-        param_roles=("location", "location", "scale"),
-        unpack=unpack,
-        init_from=init_from,
-        unpack_members=_isotropic_members,
-    )
+    return _location_scale("isotropic-gaussian-2d", ("mean_x", "mean_y", "sd"),
+                           _isotropic_gaussian, lambda sd: sd, _isotropic_members)
 
 
 FAMILY_BUILDERS: dict[str, Callable[[], VariationalFamily]] = {
@@ -449,7 +436,7 @@ def fit(
     """
     target = _target_density(target, family)
     x0 = family.init_from(target)
-    sd = _target_sd(target)
+    sd = np.sqrt(np.diag(np.atleast_2d(target.cov)))
     for i, role in enumerate(family.param_roles):
         if role != "location" and x0[i] <= 0.0:
             # positive coordinate started out of range (e.g. a

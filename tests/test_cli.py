@@ -25,6 +25,8 @@ def write_config(tmp_path, name, payload):
 
 
 GM = {"name": "gaussian-mean", "mu0": 0.0, "sigma": 1.0}
+# the 2-D model, for renyi-vi fit only: every experiment refuses it
+MVN = {"name": "mvn-mean"}
 
 
 class TestFitCommand:
@@ -261,6 +263,47 @@ class TestExperimentCommand:
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, payload, named", [
+        ("audit", {"model": MVN, "family": "gaussian-meanfield"}, "'mvn-mean'"),
+        ("experiment", {"experiment": "consistency", "model": MVN,
+                        "family": "isotropic-gaussian-2d"}, "'mvn-mean'"),
+        ("experiment", {"experiment": "ndegen", "model": MVN}, "'mvn-mean'"),
+        ("experiment", {"experiment": "mixture", "model": MVN}, "'mvn-mean'"),
+        ("experiment", {"experiment": "consistency", "family": "gaussian",
+                        "model": {"name": "mvn-mean", "mu0": [0.0], "Sigma": [[1.0]]},
+                        "n_grid": [100, 1000], "n_seeds": 1}, "'mvn-mean'"),
+        ("experiment", {"experiment": "consistency", "n_grid": [0, 1000], "n_seeds": 1},
+         "n_grid"),
+        ("experiment", {"experiment": "ndegen", "n_grid": [0, 100, 1000, 10000]}, "n_grid"),
+        ("experiment", {"experiment": "ubfin", "M_bar": 1.0, "n_grid": [0, 10000]},
+         "n_grid"),
+        ("experiment", {"experiment": "mixture", "n_grid": [0, 100]}, "n_grid"),
+        ("experiment", {"experiment": "consistency", "n_seeds": 0}, "n_seeds"),
+        ("experiment", {"experiment": "ep", "seeds": []}, "seeds"),
+        ("experiment", {"experiment": "figure1", "alphas": []}, "alphas"),
+        ("experiment", {"experiment": "rate-violation", "n_max": 0}, "n_max"),
+        ("experiment", {"experiment": "ubfin", "M_bar": 1.0, "alpha": 1.0}, "alpha"),
+    ], ids=["2d-audit", "2d-consistency", "2d-ndegen", "2d-mixture", "1d-mvn-mean",
+            "zero-consistency-size", "zero-ndegen-size", "zero-ubfin-size",
+            "zero-mixture-size", "no-seeds", "empty-seeds", "no-alphas",
+            "zero-n-max", "ubfin-alpha-one"])
+    def test_refused_before_any_fit(self, tmp_path, capsys, monkeypatch,
+                                    command, payload, named):
+        fits = []
+
+        def recording(*args, **kwargs):
+            fits.append(args)
+            return varfit.fit(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "fit", recording)
+        cfg = write_config(tmp_path, "exp.json",
+                           {**payload, "outdir": str(tmp_path / "out")})
+        assert run_cli([command, cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+        assert not fits
 
     def test_byte_identical_report_csv(self, tmp_path):
         base = {

@@ -15,7 +15,7 @@ from renyi_vi.goodseq import (
     cited_ratio_bound,
     default_variance_scale,
 )
-from renyi_vi.models import exponential_model, gaussian_mean_model
+from renyi_vi.models import exponential_model, gaussian_mean_model, mvn_mean_model
 from renyi_vi.numerics import QuadratureSpec, integrate
 
 GM = gaussian_mean_model(0.0, 1.0)
@@ -96,6 +96,17 @@ class TestConstruction:
             build_good_sequence(GoodSequenceSpec("gamma", 2.0), GM, gm_data(5))
         with pytest.raises(ValueError, match="pairs with"):
             build_good_sequence(GoodSequenceSpec("laplace", 2.0), EM, [1.0, 2.0])
+
+    @pytest.mark.parametrize("family", goodseq.FAMILIES)
+    def test_two_dimensional_model_refused_by_name(self, family):
+        # every constructor and audit is 1-D; the mean-field Gaussian too
+        mvn = mvn_mean_model()
+        data = mvn.simulate(np.zeros(2), 20, 0)
+        spec = GoodSequenceSpec(family, 2.0)
+        with pytest.raises(ValueError, match="pairs with .*'mvn-mean'"):
+            build_good_sequence(spec, mvn, data)
+        with pytest.raises(ValueError, match="pairs with .*'mvn-mean'"):
+            audit(spec, mvn, data)
 
     def test_alpha_factor(self):
         assert alpha_factor(2.0) == 2.0

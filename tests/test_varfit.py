@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from renyi_vi import divergence, varfit
-from renyi_vi.distributions import Density, gaussian_members, make_gaussian
+from renyi_vi.distributions import Density, gaussian_members, make_gaussian, make_mixture
 from renyi_vi.models import exponential_model, gaussian_mean_model
 from renyi_vi.varfit import (
     DominanceError,
@@ -441,3 +441,53 @@ def test_family_registry_complete():
         assert fam.name == name
         assert len(fam.param_names) == len(fam.param_roles)
         assert set(fam.param_roles) <= {"location", "positive", "scale"}
+
+
+def _posterior(model, theta0):
+    return model.exact_posterior(model.simulate(theta0, 100, 0))
+
+
+# Each family's start point (init_from) on each target of its dimension, as
+# float.hex: the target's first mean coordinates, then the scale that
+# matches sqrt(trace(cov) / d). The 1-D values are the target's own sd.
+START_TARGETS = {
+    "gaussian-mean-posterior": lambda: _posterior(gaussian_mean_model(0.0, 1.0), 0.5),
+    "truncated-gamma-posterior": lambda: _posterior(exponential_model(), 2.0),
+    "gaussian-mixture": lambda: make_mixture(
+        [0.3, 0.7], [make_gaussian(-1.0, 0.5), make_gaussian(2.0, 1.5)]),
+    "anisotropic-2d": lambda: ANISO,
+    "skewed-2d": lambda: SKEWED,
+}
+START_PINS = {
+    ("gaussian-mean-posterior", "gaussian"): ("0x1.26936452ec696p-1", "0x1.9791363068b54p-4"),
+    ("gaussian-mean-posterior", "laplace"): ("0x1.26936452ec696p-1", "0x1.20318cc6a8f5dp-4"),
+    ("gaussian-mean-posterior", "logistic"): ("0x1.26936452ec696p-1", "0x1.c1683d44b4af1p-5"),
+    ("gaussian-mean-posterior", "gamma"): ("0x1.26936452ec696p-1", "0x1.9791363068b54p-4"),
+    ("truncated-gamma-posterior", "gaussian"): ("0x1.b5ffb6060e9c5p+0", "0x1.5ca8fe783f131p-3"),
+    ("truncated-gamma-posterior", "laplace"): ("0x1.b5ffb6060e9c5p+0", "0x1.ed14739463ff1p-4"),
+    ("truncated-gamma-posterior", "logistic"): ("0x1.b5ffb6060e9c5p+0", "0x1.8073eb7b06c29p-4"),
+    ("truncated-gamma-posterior", "gamma"): ("0x1.b5ffb6060e9c5p+0", "0x1.5ca8fe783f131p-3"),
+    ("gaussian-mixture", "gaussian"): ("0x1.1999999999999p+0", "0x1.c201c6612284ap+0"),
+    ("gaussian-mixture", "laplace"): ("0x1.1999999999999p+0", "0x1.3e33f4ccd3cfbp+0"),
+    ("gaussian-mixture", "logistic"): ("0x1.1999999999999p+0", "0x1.f034227762961p-1"),
+    ("gaussian-mixture", "gamma"): ("0x1.1999999999999p+0", "0x1.c201c6612284ap+0"),
+    ("anisotropic-2d", "isotropic-gaussian-2d"): ("0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+0"),
+    ("skewed-2d", "isotropic-gaussian-2d"): (
+        "0x1.3333333333333p-2", "-0x1.999999999999ap-3", "0x1.3988e1409212ep+0"),
+}
+
+
+@pytest.mark.parametrize("target,family", sorted(START_PINS))
+def test_start_points_pinned(target, family):
+    t = START_TARGETS[target]()
+    fam = FAMILY_BUILDERS[family]()
+    assert fam.dim == t.dim
+    x0 = fam.init_from(t)
+    assert x0.dtype == np.float64
+    assert tuple(v.hex() for v in x0.tolist()) == START_PINS[target, family]
+
+
+def test_every_family_is_pinned_on_every_target_of_its_dimension():
+    pairs = {(target, family) for target, build in START_TARGETS.items()
+             for family, fam in FAMILY_BUILDERS.items() if fam().dim == build().dim}
+    assert pairs == set(START_PINS)
