@@ -11,7 +11,7 @@ concurrent use is race-free.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -218,7 +218,6 @@ def make_gaussian(mean, cov) -> Density:
         cov=cov,
         sample_rng=sample_rng,
         kind="gaussian",
-        params={"mu": mu, "cov": cov},
         entropy=entropy,
         chol=rows,
         log_det=log_det,
@@ -305,14 +304,22 @@ def gaussian_members(mean, sd) -> Members:
                    0.5 * d * (1.0 + _LOG_2PI) + 0.5 * log_det, {})
 
 
-def _laplace_parts(loc, scale) -> tuple[float, float, float]:
-    """Location, scale and entropy of the Laplace ``make_laplace`` makes, as
-    Python floats; raises ``ValueError`` where it refuses them."""
+def _loc_scale(loc, scale) -> tuple[float, float]:
+    """A Laplace's or a logistic's location and scale as Python floats;
+    raises ``ValueError`` where either is not finite or the scale is not
+    positive."""
     k, b = float(loc), float(scale)
     if not (math.isfinite(k) and math.isfinite(b)):
         raise ValueError(f"loc and scale must be finite, got {k}, {b}")
     if b <= 0:
         raise ValueError(f"scale must be positive, got {scale}")
+    return k, b
+
+
+def _laplace_parts(loc, scale) -> tuple[float, float, float]:
+    """Location, scale and entropy of the Laplace ``make_laplace`` makes, as
+    Python floats; raises ``ValueError`` where it refuses them."""
+    k, b = _loc_scale(loc, scale)
     return k, b, 1.0 + float(np.log(2.0 * b))
 
 
@@ -357,11 +364,7 @@ def laplace_members(loc, scale) -> Members:
 
 def make_logistic(loc: float, scale: float) -> Density:
     """Logistic density with mean m = loc and scale s; variance s^2 pi^2 / 3."""
-    m, s = float(loc), float(scale)
-    if not (math.isfinite(m) and math.isfinite(s)):
-        raise ValueError(f"loc and scale must be finite, got {m}, {s}")
-    if s <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
+    m, s = _loc_scale(loc, scale)
 
     def log_pdf(x):
         z = (np.asarray(x, dtype=float).reshape(-1) - m) / (2.0 * s)
@@ -455,9 +458,7 @@ def make_spike(center: float, width: float) -> Density:
     """
     if width <= 0:
         raise ValueError(f"width must be positive, got {width}")
-    d = make_gaussian(center, width**2)
-    return replace(d, params={**d.params, "spike": True, "center": float(center),
-                              "width": float(width)})
+    return make_gaussian(center, width**2)
 
 
 def make_mixture(weights: Sequence[float], components: Sequence[Density]) -> Density:

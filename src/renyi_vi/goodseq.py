@@ -5,10 +5,11 @@ and are log-concave.
 
 Four constructors are shipped (mean-field Gaussian, Laplace, Logistic for
 the Gaussian-mean model; Gamma for the exponential model), each with the
-scale the corresponding worked example prescribes. All are 1-D: the audit's
-ratio scan, log-concavity check and entropy bound are written for one
-parameter, so a constructor refuses any other model by name, the 2-D
-mvn-mean model included.
+scale the corresponding worked example prescribes; one function builds a
+member together with the variance scale M_bar that its constants imply. All
+are 1-D: the audit's ratio scan, log-concavity check and entropy bound are
+written for one parameter, so a constructor refuses any other model by name,
+the 2-D mvn-mean model included.
 """
 
 from __future__ import annotations
@@ -101,12 +102,36 @@ class GoodSequenceAudit:
 AUDIT_COLUMNS = tuple(f.name for f in fields(GoodSequenceAudit) if f.name != "k_set")
 
 
-def _require_model(spec: GoodSequenceSpec, model: BayesModel):
+def _member(spec: GoodSequenceSpec, model: BayesModel, data) -> tuple[Density, float]:
+    """The good-sequence member for ``data`` and its variance scale M_bar
+    (variance <= M_bar / n): the spec's ``variance_scale`` where it sets
+    one, else the scale the member's own constants imply. The one place
+    that reads the family, for both values."""
     paired = "exponential" if spec.family == "gamma" else "gaussian-mean"
     if model.name != paired:
-        raise ValueError(
-            f"family {spec.family!r} pairs with the {paired} model, not {model.name!r}"
-        )
+        raise ValueError(f"family {spec.family!r} pairs with the {paired} model, "
+                         f"not {model.name!r}")
+    x = np.asarray(data, dtype=float)
+    n = x.shape[0]
+    if n == 0:
+        raise ValueError("good sequences are indexed by sample size; data is empty")
+    A = alpha_factor(spec.alpha)
+    scale = spec.variance_scale
+    if spec.family == "gamma":
+        q, own = make_gamma(n + 1.0, float(x.sum())), 2.0 * float(model.mle(x)[0]) ** 2
+    else:
+        center = float(np.atleast_1d(model.exact_posterior(x).mean)[0])
+        sigma2 = float(np.atleast_2d(model.prior.cov)[0, 0])
+        if spec.family == "gaussian-meanfield":
+            own = sigma2 if scale is None else scale
+            q = make_gaussian(center, own / n)
+        elif spec.family == "laplace":
+            own = math.pi * A * sigma2
+            q = make_laplace(center, math.sqrt(own / (2.0 * n)))
+        else:  # logistic
+            own = 2.0 * math.pi**3 * A * sigma2 / 3.0
+            q = make_logistic(center, math.sqrt(2.0 * math.pi * A * sigma2 / (n + 1.0)))
+    return q, float(own if scale is None else scale)
 
 
 def build_good_sequence(spec: GoodSequenceSpec, model: BayesModel, data) -> Density:
@@ -116,49 +141,17 @@ def build_good_sequence(spec: GoodSequenceSpec, model: BayesModel, data) -> Dens
     families, shape n+1 / rate sum(x) for the Gamma family); scales shrink
     at the parametric rate with the alpha-dependent constants. The
     mean-field Gaussian, Laplace and logistic pair with the Gaussian-mean
-    model and the Gamma with the exponential model; any other model is
-    refused with a ValueError naming it.
+    model and the Gamma with the exponential model; any other model, and
+    empty data, are refused with a ValueError.
     """
-    _require_model(spec, model)
-    x = np.asarray(data, dtype=float)
-    n = x.shape[0]
-    if n == 0:
-        raise ValueError("good sequences are indexed by sample size; data is empty")
-    A = alpha_factor(spec.alpha)
-
-    if spec.family == "gamma":
-        sx = float(x.sum())
-        return make_gamma(n + 1.0, sx)
-
-    post = model.exact_posterior(x)
-    center = np.atleast_1d(post.mean)
-    sigma2 = float(np.atleast_2d(model.prior.cov)[0, 0])
-
-    if spec.family == "gaussian-meanfield":
-        scale2 = spec.variance_scale if spec.variance_scale is not None else sigma2
-        return make_gaussian(center[0], scale2 / n)
-    if spec.family == "laplace":
-        b = math.sqrt(math.pi * A * sigma2 / (2.0 * n))
-        return make_laplace(center[0], b)
-    # logistic
-    s = math.sqrt(2.0 * math.pi * A * sigma2 / (n + 1.0))
-    return make_logistic(center[0], s)
+    return _member(spec, model, data)[0]
 
 
 def default_variance_scale(spec: GoodSequenceSpec, model: BayesModel, data) -> float:
-    """M_bar implied by the constructor's own scale (so variance <= M_bar/n)."""
-    if spec.variance_scale is not None:
-        return float(spec.variance_scale)
-    A = alpha_factor(spec.alpha)
-    if spec.family == "gamma":
-        lam_hat = float(model.mle(data)[0])
-        return 2.0 * lam_hat**2
-    sigma2 = float(np.atleast_2d(model.prior.cov)[0, 0])
-    if spec.family == "gaussian-meanfield":
-        return sigma2
-    if spec.family == "laplace":
-        return math.pi * A * sigma2
-    return 2.0 * math.pi**3 * A * sigma2 / 3.0
+    """M_bar implied by the constructor's own scale (so variance <= M_bar/n),
+    or the spec's ``variance_scale`` where it sets one; refuses what
+    :func:`build_good_sequence` refuses, from the same one branch per family."""
+    return _member(spec, model, data)[1]
 
 
 def cited_ratio_bound(family: str, alpha: float) -> float | None:
@@ -226,13 +219,12 @@ def audit(
     """
     x = np.asarray(data, dtype=float).reshape(-1)
     n = x.size
-    qbar = build_good_sequence(spec, model, x)
+    qbar, m_bar = _member(spec, model, x)
     post = model.exact_posterior(x)
     mle = float(model.mle(x)[0])
     mean = float(np.atleast_1d(qbar.mean)[0])
     gap = abs(mean - mle)
     variance = qbar.var
-    m_bar = default_variance_scale(spec, model, x)
     cap = m_bar / n
     rate_ok = variance <= cap * (1.0 + 1e-9)
 

@@ -127,9 +127,6 @@ class QuadratureResult:
     converged: bool
     panels: int
 
-    def __float__(self) -> float:
-        return self.value
-
 
 # A map is (fwd, inv, a, b): fwd(t) gives x and its Jacobian dx/dt for t in
 # (a, b), and t = inv(x). The two fixed maps are built once; only a

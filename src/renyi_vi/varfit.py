@@ -558,7 +558,8 @@ def fit(
 
 def _target_density(target, family: VariationalFamily) -> Density:
     """The density a Density or a (BayesModel, data) pair stands for: itself,
-    or the model's exact posterior. Its dimension must be the family's."""
+    or the model's exact posterior. Its dimension must be the family's, and
+    it must declare the mean and covariance that a fit starts from."""
     if isinstance(target, tuple) and len(target) == 2 and isinstance(target[0], BayesModel):
         model, data = target
         target = model.exact_posterior(np.asarray(data, dtype=float))
@@ -566,4 +567,8 @@ def _target_density(target, family: VariationalFamily) -> Density:
         raise TypeError("target must be a Density or a (BayesModel, data) pair")
     if target.dim != family.dim:
         raise ValueError(f"family dim {family.dim} != target dim {target.dim}")
+    missing = [m for m, v in (("mean", target.mean), ("covariance", target.cov)) if v is None]
+    if missing:
+        raise ValueError(f"the target declares no {' and no '.join(missing)}; "
+                         "a fit starts from its mean and covariance")
     return target

@@ -21,7 +21,7 @@ from renyi_vi.experiments import (
     run_ubfin,
     write_report,
 )
-from renyi_vi.goodseq import build_good_sequence
+from renyi_vi.goodseq import _member
 
 GM = {"name": "gaussian-mean", "mu0": 0.0, "sigma": 1.0}
 EM = {"name": "exponential"}
@@ -76,6 +76,20 @@ class TestUbfin:
         assert rep.verdict("finite_n_matches_limit")["passed"]
         B = rep.config["bound_B"]
         assert abs(B - 0.5 * math.log(factor)) <= 1e-12
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 5.0])
+    @pytest.mark.parametrize("factor", [1.0, 2.0])
+    def test_family_minimum_is_exactly_zero(self, alpha, factor):
+        # the Gaussian family holds the posterior, so its minimum is 0 at
+        # every n, with no rounding left over from a numerical search
+        thr = alpha ** (1.0 / (alpha - 1.0)) / math.e
+        rep = run_ubfin(GM, alpha, factor * thr)
+        assert [r["d_min_family"] for r in rep.records] == [0.0] * len(rep.records)
+        assert rep.verdict("min_family_le_B")["measured"] == -rep.config["bound_B"]
+        # the closed form has its minimum, 0, at the variance ratio 1
+        f = experiments._renyi_limit_same_mean
+        assert f(alpha, 1.0) == 0.0
+        assert min(f(alpha, 1.0 - 1e-6), f(alpha, 1.0 + 1e-6)) > 0.0
 
     def test_exact_threshold_good_sequence_exceeds_zero_bound(self):
         # at the threshold B = 0 and the specific member keeps positive
@@ -310,16 +324,17 @@ class TestGoodseqAuditExperiment:
     @pytest.mark.parametrize("power", [0.9, 1.1])
     def test_rate_slope_fails_off_the_parametric_rate(self, monkeypatch, family,
                                                       model, power):
-        def build(spec, bayes, data):
-            # the constructor's member, at its mean, with variance ~ n^-power
-            q = build_good_sequence(spec, bayes, data)
+        def member(spec, bayes, data):
+            # the constructor's member, at its mean, with variance ~ n^-power,
+            # and the constructor's own M_bar
+            q, m_bar = _member(spec, bayes, data)
             mean = float(np.atleast_1d(q.mean)[0])
             var = q.var * len(data) ** (1.0 - power)
             if spec.family == "gamma":
-                return make_gamma(mean**2 / var, mean / var)
-            return make_laplace(mean, math.sqrt(var / 2.0))
+                return make_gamma(mean**2 / var, mean / var), m_bar
+            return make_laplace(mean, math.sqrt(var / 2.0)), m_bar
 
-        monkeypatch.setattr(experiments, "build_good_sequence", build)
+        monkeypatch.setattr(experiments, "_member", member)
         for seed in range(12):
             rep = run_goodseq_audit(model, family, seed=seed)
             assert not rep.verdict("rate_slope")["passed"], seed
@@ -351,7 +366,34 @@ class TestReports:
         # fits by the Gaussian Renyi closed form, start grid in one batch
         (lambda: run_consistency(GM, "gaussian", n_grid=[100, 1000, 10000], seeds=[0, 1]),
          "736ee4d28615fbcbc4bb5322ccef2e4eaf9c292645dece9b92f29a89f8ef0c9b"),
-    ], ids=["figure1", "ep", "consistency-laplace", "consistency-gamma", "consistency-gaussian"])
+        # every other experiment, at its defaults but the values named
+        (lambda: run_ndegen(),
+         "4de219cbd30b9b13c5c3ceb6acc388b93f8a78ae239f5c97cc75895044defce1"),
+        (lambda: run_ndegen(q_fixed={"kind": "spike", "center": 5.0, "width": 1e-3}),
+         "bb8cd2e29e0a6b67acf3407c46f8996247f7b2e87a3599b974c247442d4c87dd"),
+        (lambda: run_mixture_bound(spike_width=1e-3),
+         "98d337e7a36cf0f8212e09ec51b558b48b2c1acf782e2707fdeb7bc9cf1fcb71"),
+        (lambda: run_mixture_bound(spike_width=1e-2),
+         "8378f251b78e4288dc8953e06cb83372976a10ca902c3c539ba09c00a99f1c67"),
+        (lambda: run_rate_violation(kappa=0.75, expected_n0=6),
+         "c921232ceebf5765e15c4d1b370fe3f4fe200de72cfcc58731b92de6799bfdf9"),
+        (lambda: run_rate_violation(kappa=0.5),
+         "3b8c19cbb6ebf0a2bac1019f497cdf2343f4fba0373734e064f0e4f073a5576c"),
+        (lambda: run_goodseq_audit(GM, "gaussian-meanfield"),
+         "479dbbeed2e0c1d90d32dd38cb554cc090bd8fbafd987091fca31dfbefb6d88b"),
+        (lambda: run_goodseq_audit(GM, "laplace"),
+         "983f4f5758bd1aa4bba6e89010d56fcd919d47a4fe8134b58d82def7f640a92a"),
+        (lambda: run_goodseq_audit(GM, "logistic"),
+         "95c56c001afa52caebacbc1c7bbf107eb14e359554b0c69b113733c3cab51793"),
+        (lambda: run_goodseq_audit(EM, "gamma"),
+         "5faf3a9c097c568fbba3c40eba61c6051405270f940afb9b250df5b77350e39e"),
+        # d_min_family is the exact family minimum, 0 at every n
+        (lambda: run_ubfin(M_bar=1.0),
+         "bc75df9635701b328752b0c80c29b1beabe3a0fceb6dca61f8b18438054c504d"),
+    ], ids=["figure1", "ep", "consistency-laplace", "consistency-gamma", "consistency-gaussian",
+            "ndegen", "ndegen-spike", "mixture-1e-3", "mixture-1e-2", "rate-violation-0.75",
+            "rate-violation-0.5", "goodseq-gaussian-meanfield", "goodseq-laplace",
+            "goodseq-logistic", "goodseq-gamma", "ubfin"])
     def test_report_csv_bytes_pinned(self, tmp_path, run, sha256):
         # a change that moves any digit of a report moves its digest
         path = write_report(run(), tmp_path / "run")["csv"]

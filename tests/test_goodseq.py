@@ -245,6 +245,18 @@ class TestVarianceScale:
             m_bar = default_variance_scale(spec, model, data)
             assert q.var <= m_bar / len(np.asarray(data)) * (1 + 1e-9)
 
+    @pytest.mark.parametrize("family, model, data, match", [
+        ("gamma", GM, gm_data(5), "pairs with"),
+        ("laplace", EM, [1.0, 2.0], "pairs with"),
+        ("laplace", GM, [], "empty"),
+    ], ids=["gamma-on-gaussian-mean", "laplace-on-exponential", "empty-data"])
+    def test_refuses_what_the_constructor_refuses(self, family, model, data, match):
+        spec = GoodSequenceSpec(family, 2.0)
+        with pytest.raises(ValueError, match=match):
+            build_good_sequence(spec, model, data)
+        with pytest.raises(ValueError, match=match):
+            default_variance_scale(spec, model, data)
+
     def test_bad_spec_rejected(self):
         with pytest.raises(ValueError):
             GoodSequenceSpec("weibull", 2.0)

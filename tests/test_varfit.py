@@ -402,6 +402,21 @@ class TestFitMechanics:
         with pytest.raises(ValueError, match="alpha must be finite"):
             fit(make_gaussian(0, 1), laplace_family(), "renyi-alpha", alpha=math.inf)
 
+    @pytest.mark.parametrize("mean, cov, missing", [
+        ([0.2], None, "no covariance"),
+        (None, None, "no mean and no covariance"),
+        (None, [[0.04]], "no mean;"),
+    ], ids=["mean-only", "neither", "cov-only"])
+    def test_target_without_moments_refused_by_name(self, mean, cov, missing):
+        # a fit starts from the target's mean and covariance
+        g = make_gaussian(0.2, 0.04)
+        target = Density(1, g.support, g.log_pdf,
+                         mean=None if mean is None else np.array(mean),
+                         cov=None if cov is None else np.array(cov))
+        for family in (gaussian_family(), laplace_family()):
+            with pytest.raises(ValueError, match=f"declares {missing}"):
+                fit(target, family, "renyi-alpha", alpha=2.0)
+
     def test_unknown_objective_rejected(self):
         with pytest.raises(ValueError, match="objective"):
             fit(make_gaussian(0, 1), gaussian_family(), "hellinger")
