@@ -53,8 +53,8 @@ class Density:
     ``log_pdf`` walks those rows, and the closed-form divergences read both.
     They are None for every other kind.
 
-    Two things are derived on first use and kept: :attr:`bulk`, where the
-    density carries its mass, and :attr:`tails`, the leading term of its
+    Two things are derived on first use and kept: :func:`bulk_points`, where
+    the density carries its mass, and :attr:`tails`, the leading term of its
     log-density at each end of its support, from which the Renyi quadrature
     decides whether its integral is finite. Making a density computes
     neither.
@@ -87,21 +87,6 @@ class Density:
     @property
     def sd(self) -> float:
         return float(np.sqrt(self.var))
-
-    @property
-    def bulk(self) -> tuple[np.ndarray, ...]:
-        """:func:`bulk_points` along each coordinate, computed on first use
-        and read-only, so a density used in many divergences sets them up
-        once. Cached by hand, as :attr:`tails` is: a fit makes a fresh
-        member for each quadrature evaluation, and a cached_property's lock
-        cost each of them more than its bulk points."""
-        cache = self.__dict__
-        if "_bulk" not in cache:
-            out = tuple(_bulk_points(self, i) for i in range(self.dim))
-            for pts in out:
-                pts.setflags(write=False)
-            cache["_bulk"] = out
-        return cache["_bulk"]
 
     @property
     def tails(self) -> tuple | None:
@@ -554,10 +539,18 @@ def bulk_points(d: Density, coord: int = 0) -> np.ndarray:
     of its own at each maximum of the integrand (of p, for the KL), in the
     sds of a Gaussian fitted there.
 
-    Computed once per density (see :attr:`Density.bulk`); the array is
-    read-only.
+    Computed for every coordinate on a density's first call, kept on the
+    density and read-only, so a density used in many divergences sets them
+    up once. Kept by hand, as :attr:`Density.tails` is: a fit makes a fresh
+    member for each quadrature evaluation, and a cached_property's lock
+    would cost each of them more than its bulk points.
     """
-    return d.bulk[coord]
+    bulk = d.__dict__.get("_bulk")
+    if bulk is None:
+        bulk = d.__dict__["_bulk"] = tuple(_bulk_points(d, i) for i in range(d.dim))
+        for pts in bulk:
+            pts.setflags(write=False)
+    return bulk[coord]
 
 
 def _bulk_points(d: Density, coord: int) -> np.ndarray:

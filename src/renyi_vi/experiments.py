@@ -25,7 +25,8 @@ import numpy as np
 from .config import build_density, build_family, build_model
 from .distributions import interval_mass, make_gaussian, make_mixture, make_spike
 from .divergence import _check_alpha, renyi, renyi_quadrature
-from .goodseq import AUDIT_COLUMNS, GoodSequenceSpec, _member, audit, cited_ratio_bound
+from .goodseq import (AUDIT_COLUMNS, GoodSequenceSpec, _member, alpha_factor, audit,
+                      cited_ratio_bound)
 from .varfit import fit
 
 __all__ = [
@@ -370,7 +371,7 @@ def run_ubfin(
     if bayes.name != "gaussian-mean":
         raise ValueError("run_ubfin uses the Gaussian mean model")
     info = float(bayes.fisher_info(theta0))
-    A = alpha ** (1.0 / (alpha - 1.0))
+    A = alpha_factor(alpha)
     if M_bar * info < A / math.e - 1e-12:
         raise ValueError(
             f"M_bar * fisher_info = {M_bar * info:.6g} is below "
@@ -409,7 +410,6 @@ def run_ubfin(
     config = {
         "model": model, "alpha": alpha, "M_bar": M_bar, "n_grid": n_grid,
         "theta0": theta0, "bound_B": B, "analytic_limit": limit,
-        "limit_proxy": "max over n >= 1e4 of the n-grid",
     }
     return ExperimentReport("ubfin", config, records, verdicts,
                             time.perf_counter() - t0)
@@ -525,8 +525,23 @@ def run_mixture_bound(
                             time.perf_counter() - t0)
 
 
+def _first_onset(holds, n_max: int) -> int | None:
+    """The least n in [1, n_max] at which ``holds`` is true, by bisection, or
+    None where it fails at n_max; ``holds`` must stay true once it is true."""
+    if not holds(n_max):
+        return None
+    lo, hi = 1, n_max
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def run_rate_violation(kappa: float = 0.75, alpha: float = 2.0, sigma: float = 1.0,
-                       B: float = 1.0, n_max: int = 10**4,
+                       n_max: int = 10**4,
                        expected_n0: int | None = None) -> ExperimentReport:
     """Find the onset n0 past which sigma*^2 <= 0 for q_n = N(mle, n^(-2k)).
 
@@ -536,38 +551,32 @@ def run_rate_violation(kappa: float = 0.75, alpha: float = 2.0, sigma: float = 1
     sigma*^2(n) = alpha n^(-2 kappa) + (1-alpha) sigma^2/(n+1); finiteness
     of the divergence is equivalent to its positivity, so no data is needed.
     Also records the asymptotic-variance onset implied by the sub-Gaussian
-    tail comparison, min{n : ((alpha-1)/alpha) n^(2 kappa)/(2B) > n I/2},
-    with B the sub-Gaussian variance proxy (exactly 1 for the Gaussian
-    member N(mle, n^(-2 kappa))).
+    tail comparison, min{n : ((alpha-1)/alpha) n^(2 kappa)/2 > n I/2}, the
+    Gaussian member's sub-Gaussian variance proxy being exactly 1.
+
+    One bisection, :func:`_first_onset`, finds each onset in [1, n_max], as
+    each violated set is an up-set: it reads (n+1)/n^(2 kappa) <= c, or
+    n/n^(2 kappa) < c, with c = (alpha-1) sigma^2/alpha, and the left side
+    decreases strictly for kappa >= 1/2, or kappa > 1/2 (at kappa = 0.5 the
+    asymptotic onset is None).
     """
     t0 = time.perf_counter()
-    kappa, alpha, sigma, B = float(kappa), float(alpha), float(sigma), float(B)
+    kappa, alpha, sigma = float(kappa), float(alpha), float(sigma)
     n_max = int(n_max)
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     if kappa < 0.5:
         raise ValueError(f"kappa must be >= 0.5, got {kappa}")
     _check_alpha(alpha)
-    if not (sigma > 0 and B > 0):
-        raise ValueError("sigma and B must be positive")
+    if not sigma > 0:
+        raise ValueError("sigma must be positive")
     s2 = sigma**2
     info = 1.0 / s2
 
     def sigma_star_sq(n):
         return alpha * n ** (-2.0 * kappa) + (1.0 - alpha) * s2 / (n + 1.0)
 
-    # (n+1)/n^(2 kappa) is strictly decreasing for kappa >= 1/2, so the
-    # violated set is an up-set: the exact onset follows by bisection.
-    n0 = None
-    if sigma_star_sq(n_max) <= 0.0:
-        lo_n, hi_n = 1, n_max
-        while lo_n < hi_n:
-            mid = (lo_n + hi_n) // 2
-            if sigma_star_sq(mid) <= 0.0:
-                hi_n = mid
-            else:
-                lo_n = mid + 1
-        n0 = lo_n
+    n0 = _first_onset(lambda n: sigma_star_sq(n) <= 0.0, n_max)
     ns = sorted(set(range(1, 101)) | set(
         int(v) for v in np.unique(np.logspace(2, math.log10(n_max), 60).astype(int))
     ) | ({n0} if n0 is not None else set()))
@@ -577,14 +586,8 @@ def run_rate_violation(kappa: float = 0.75, alpha: float = 2.0, sigma: float = 1
         records.append({"n": n, "var_q": n ** (-2.0 * kappa),
                         "sigma_star_sq": sstar, "violated": sstar <= 0.0})
     persists = all(r["violated"] for r in records if n0 is not None and r["n"] >= n0)
-    n0_asymptotic = None
-    if kappa > 0.5:
-        n = 1
-        while n <= n_max:
-            if (alpha - 1.0) / alpha * n ** (2.0 * kappa) / (2.0 * B) > n * info / 2.0:
-                n0_asymptotic = n
-                break
-            n += 1
+    n0_asymptotic = None if kappa == 0.5 else _first_onset(
+        lambda n: (alpha - 1.0) / alpha * n ** (2.0 * kappa) / 2.0 > n * info / 2.0, n_max)
     verdicts = []
     if kappa == 0.5:
         verdicts.append(_verdict("control_no_violation", n0 is None, n0, None))
@@ -595,7 +598,7 @@ def run_rate_violation(kappa: float = 0.75, alpha: float = 2.0, sigma: float = 1
         verdicts.append(_verdict("onset_matches_expected", n0 == expected_n0,
                                  n0, expected_n0))
     config = {
-        "kappa": kappa, "alpha": alpha, "sigma": sigma, "B": B,
+        "kappa": kappa, "alpha": alpha, "sigma": sigma,
         "n_max": n_max, "n0": n0, "n0_asymptotic": n0_asymptotic,
         "subgaussian_note": "Gaussian member N(mle, n^(-2 kappa)): B = 1, rate n^kappa",
     }
@@ -603,11 +606,14 @@ def run_rate_violation(kappa: float = 0.75, alpha: float = 2.0, sigma: float = 1
                             time.perf_counter() - t0)
 
 
+# figure1's grid.csv samples the square [-e, e]^2 with e this half-width.
+FIGURE1_GRID_EXTENT = 3.0
+
+
 def run_figure1(
     rho: float = 0.9,
     alphas=(2.0, 5.0, 20.0),
     budget: int = 700,
-    grid_extent: float = 3.0,
     grid_points: int = 61,
 ) -> ExperimentReport:
     """Isotropic fits to an anisotropic 2-D Gaussian, across objectives.
@@ -619,11 +625,12 @@ def run_figure1(
     objective, by quadratures that must each converge; their panel counts
     and whether all converged go to report.json (``certificate_panels``,
     ``certificates_converged``), never to report.csv. Emits contour-ready
-    density evaluations.
+    density evaluations on a ``grid_points`` by ``grid_points`` mesh over
+    [-FIGURE1_GRID_EXTENT, FIGURE1_GRID_EXTENT]^2.
     """
     t0 = time.perf_counter()
     rho, alphas, budget = float(rho), tuple(float(a) for a in alphas), int(budget)
-    grid_extent, grid_points = float(grid_extent), int(grid_points)
+    grid_points = int(grid_points)
     if not abs(rho) < 1.0:
         raise ValueError(f"|rho| must be < 1, got {rho}")
     if not alphas:
@@ -681,7 +688,7 @@ def run_figure1(
     verdicts.append(_verdict("quadrature_local_min", worst <= 1e-6 and converged,
                              worst, 1e-6))
 
-    g = np.linspace(-grid_extent, grid_extent, grid_points)
+    g = np.linspace(-FIGURE1_GRID_EXTENT, FIGURE1_GRID_EXTENT, grid_points)
     mesh = np.column_stack([np.repeat(g, g.size), np.tile(g, g.size)])
     grid = {"x": mesh[:, 0], "y": mesh[:, 1],
             "target": np.exp(target.log_pdf(mesh))}

@@ -90,23 +90,25 @@ _W_GAUSS = np.array(
 )
 
 _MAX_WAVES = 200
+# The most box splits one integral may take, summed over its waves.
+_MAX_REFINEMENTS = 4000
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Integration request: interval, relative tolerance and refinement cap.
+    """Integration request: interval, relative tolerance and first edges.
 
     ``lower``/``upper`` may be -inf/+inf; infinite ends are handled by a
     rational change of variables. ``breakpoints`` are optional interior
     abscissae (a tuple or a 1-D array, in any order, repeats allowed) used
     as initial panel edges, so that narrow features of the integrand are
-    seen by the rule from the first pass.
+    seen by the rule from the first pass. Every integral may split at most
+    :data:`_MAX_REFINEMENTS` panels in all.
     """
 
     lower: float
     upper: float
     rel_tol: float = 1e-6
-    max_refinements: int = 4000
     breakpoints: tuple = ()
 
     def __post_init__(self):
@@ -114,8 +116,6 @@ class QuadratureSpec:
             raise ValueError(f"lower must be < upper, got [{self.lower}, {self.upper}]")
         if not (0.0 < self.rel_tol <= 1e-2):
             raise ValueError(f"rel_tol must lie in (0, 1e-2], got {self.rel_tol}")
-        if self.max_refinements < 1:
-            raise ValueError("max_refinements must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -292,7 +292,7 @@ def _initial_edges(spec: QuadratureSpec, inv: Callable, a: float, b: float) -> n
 
 
 def _adapt(f: Callable, maps: Sequence[tuple], lo: np.ndarray, hi: np.ndarray,
-           rel_tol: float, budget: int) -> QuadratureResult:
+           rel_tol: float) -> QuadratureResult:
     """Adaptive quadrature of f over the (m, d) boxes with corners lo, hi,
     in the variable that ``maps`` take to f's (see :func:`_box_sums`).
 
@@ -300,8 +300,9 @@ def _adapt(f: Callable, maps: Sequence[tuple], lo: np.ndarray, hi: np.ndarray,
     Otherwise each wave splits every box whose error exceeds its share of
     the tolerance (or, if none does, the worst ones) at the midpoint of its
     widest side, until the summed error meets ``rel_tol`` or the splits
-    would exceed ``budget``. A pass whose sum or error is NaN (a NaN value
-    of f, or box sums that overflow) stops it, unconverged, with that sum.
+    would exceed :data:`_MAX_REFINEMENTS`. A pass whose sum or error is NaN
+    (a NaN value of f, or box sums that overflow) stops it, unconverged,
+    with that sum.
     """
     d = lo.shape[1]
     vals, errs = _box_sums(f, maps, lo, hi)
@@ -322,7 +323,7 @@ def _adapt(f: Callable, maps: Sequence[tuple], lo: np.ndarray, hi: np.ndarray,
         if n_bad == 0:
             bad = errs == errs.max()
             n_bad = np.count_nonzero(bad)
-        if splits_used + n_bad > budget:
+        if splits_used + n_bad > _MAX_REFINEMENTS:
             break
         splits_used += n_bad
         # children: every lower half, then every upper half; the order fixes
@@ -362,8 +363,7 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], spec: QuadratureSpec) -> Qu
     """
     axis = _make_map(spec.lower, spec.upper)
     edges = _initial_edges(spec, *axis[1:])
-    return _adapt(f, (axis,), edges[:-1, None], edges[1:, None], spec.rel_tol,
-                  spec.max_refinements)
+    return _adapt(f, (axis,), edges[:-1, None], edges[1:, None], spec.rel_tol)
 
 
 def integrate_2d(
@@ -375,16 +375,15 @@ def integrate_2d(
 
     ``f`` receives an (m, 2) array of points and returns (m,) values. The
     same adaptive loop as :func:`integrate` splits the worst rectangles
-    along their longer transformed side. The tighter ``rel_tol`` and the
-    larger ``max_refinements`` of the two specs apply. Intended for the
+    along their longer transformed side, under the same cap on splits. The
+    tighter ``rel_tol`` of the two specs applies. Intended for the
     smooth 2-D densities used here; higher dimensions are out of scope.
     """
     maps = (_make_map(spec_x.lower, spec_x.upper), _make_map(spec_y.lower, spec_y.upper))
     ex, ey = (_initial_edges(s, *mp[1:]) for s, mp in zip((spec_x, spec_y), maps))
     lo = np.stack(np.meshgrid(ex[:-1], ey[:-1], indexing="ij"), axis=-1).reshape(-1, 2)
     hi = np.stack(np.meshgrid(ex[1:], ey[1:], indexing="ij"), axis=-1).reshape(-1, 2)
-    return _adapt(f, maps, lo, hi, min(spec_x.rel_tol, spec_y.rel_tol),
-                  max(spec_x.max_refinements, spec_y.max_refinements))
+    return _adapt(f, maps, lo, hi, min(spec_x.rel_tol, spec_y.rel_tol))
 
 
 def log_sum_exp(values: Sequence[float]) -> float:

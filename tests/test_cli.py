@@ -284,10 +284,14 @@ class TestExperimentCommand:
         ("experiment", {"experiment": "figure1", "alphas": []}, "alphas"),
         ("experiment", {"experiment": "rate-violation", "n_max": 0}, "n_max"),
         ("experiment", {"experiment": "ubfin", "M_bar": 1.0, "alpha": 1.0}, "alpha"),
+        # settings retired as constants are unknown keys
+        ("experiment", {"experiment": "rate-violation", "B": 1.0}, "unknown key(s) ['B']"),
+        ("experiment", {"experiment": "figure1", "grid_extent": 3.0},
+         "unknown key(s) ['grid_extent']"),
     ], ids=["2d-audit", "2d-consistency", "2d-ndegen", "2d-mixture", "1d-mvn-mean",
             "zero-consistency-size", "zero-ndegen-size", "zero-ubfin-size",
             "zero-mixture-size", "no-seeds", "empty-seeds", "no-alphas",
-            "zero-n-max", "ubfin-alpha-one"])
+            "zero-n-max", "ubfin-alpha-one", "retired-B", "retired-grid-extent"])
     def test_refused_before_any_fit(self, tmp_path, capsys, monkeypatch,
                                     command, payload, named):
         fits = []
@@ -435,8 +439,8 @@ KEYS_BEFORE = {
     "ndegen": {"model", "alpha", "q_fixed", "n_grid", "theta0"},
     "mixture": {"model", "alpha", "w", "theta1", "spike_width", "n_grid",
                 "theta0"},
-    "rate-violation": {"kappa", "alpha", "sigma", "B", "n_max", "expected_n0"},
-    "figure1": {"rho", "alphas", "budget", "grid_extent", "grid_points"},
+    "rate-violation": {"kappa", "alpha", "sigma", "n_max", "expected_n0"},
+    "figure1": {"rho", "alphas", "budget", "grid_points"},
     "goodseq-audit": {"model", "family", "alpha", "audit_grid", "rate_grid",
                       "M_bar", "theta0"},
 }
@@ -458,10 +462,10 @@ BOUND_BEFORE = {
     "mixture": {"model": GM, "alpha": 2.0, "w": 0.5, "theta1": 1.5,
                 "spike_width": 1e-3, "n_grid": [100, 1000, 10**4, 10**5],
                 "seed": 0, "theta0": None},
-    "rate-violation": {"kappa": 0.75, "alpha": 2.0, "sigma": 1.0, "B": 1.0,
+    "rate-violation": {"kappa": 0.75, "alpha": 2.0, "sigma": 1.0,
                        "n_max": 10**4, "expected_n0": None},
     "figure1": {"rho": 0.9, "alphas": [2.0, 5.0, 20.0], "budget": 700,
-                "grid_extent": 3.0, "grid_points": 61},
+                "grid_points": 61},
     "goodseq-audit": {"model": GM, "family": "laplace", "alpha": 2.0,
                       "audit_grid": [10, 100, 1000],
                       "rate_grid": [100, 1000, 10**4, 10**5], "seed": 0,

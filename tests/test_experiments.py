@@ -4,9 +4,12 @@ import dataclasses
 import hashlib
 import json
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from renyi_vi import experiments
 from renyi_vi.distributions import make_gamma, make_laplace
@@ -181,7 +184,45 @@ class TestMixtureBound:
             run_mixture_bound(GM, 2.0, 0.5, 1.5, spike_width=0.1)
 
 
+def scanned_onsets(kappa, alpha, sigma, n_max):
+    """(n0, n0_asymptotic) by linear scans over n = 1 ... n_max: the first n
+    with sigma*^2(n) <= 0, and the first that meets the sub-Gaussian
+    inequality with its variance proxy B = 1 (None at kappa = 0.5)."""
+    s2, B = sigma**2, 1.0
+    info = 1.0 / s2
+    ns = range(1, n_max + 1)
+    n0 = next((n for n in ns
+               if alpha * n ** (-2.0 * kappa) + (1.0 - alpha) * s2 / (n + 1.0) <= 0.0), None)
+    n0_asymptotic = None
+    if kappa > 0.5:
+        n0_asymptotic = next(
+            (n for n in ns
+             if (alpha - 1.0) / alpha * n ** (2.0 * kappa) / (2.0 * B) > n * info / 2.0),
+            None)
+    return n0, n0_asymptotic
+
+
 class TestRateViolation:
+    # kappa's lower bound, the parametric rate, is among the draws (and the
+    # example); sigma is drawn log-uniformly, so that many onsets lie past 1
+    @settings(derandomize=True, deadline=None, database=None, max_examples=300)
+    @given(kappa=st.floats(0.5, 3.7),
+           alpha=st.floats(1.0, 33.0, exclude_min=True),
+           sigma=st.floats(math.log(0.03), math.log(32.0)).map(math.exp),
+           n_max=st.integers(1, 31623))
+    @example(kappa=0.5, alpha=2.0, sigma=2.0, n_max=10**4)
+    def test_bisected_onsets_match_linear_scans(self, kappa, alpha, sigma, n_max):
+        rep = run_rate_violation(kappa=kappa, alpha=alpha, sigma=sigma, n_max=n_max)
+        assert (rep.config["n0"], rep.config["n0_asymptotic"]) == scanned_onsets(
+            kappa, alpha, sigma, n_max)
+
+    def test_onsets_past_a_huge_n_max_in_under_a_second(self):
+        # a scan over n would take hours here; both onsets lie past 2^50
+        t0 = time.perf_counter()
+        rep = run_rate_violation(kappa=0.51, n_max=10**12)
+        assert time.perf_counter() - t0 < 1.0
+        assert rep.config["n0"] is None and rep.config["n0_asymptotic"] is None
+
     def test_onset_at_six(self):
         rep = run_rate_violation(kappa=0.75, alpha=2.0, expected_n0=6)
         assert rep.config["n0"] == 6
