@@ -302,16 +302,18 @@ def _loc_scale(loc, scale) -> tuple[float, float]:
 
 
 def _laplace_parts(loc, scale) -> tuple[float, float, float]:
-    """Location, scale and entropy of the Laplace ``make_laplace`` makes, as
-    Python floats; raises ``ValueError`` where it refuses them."""
+    """Location, scale and log(2 scale) of the Laplace ``make_laplace``
+    makes, as Python floats: its entropy is 1 + log(2 scale), and its
+    log-density's constant -log(2 scale). Raises ``ValueError`` where it
+    refuses them."""
     k, b = _loc_scale(loc, scale)
-    return k, b, 1.0 + float(np.log(2.0 * b))
+    return k, b, float(np.log(2.0 * b))
 
 
 def make_laplace(loc: float, scale: float) -> Density:
     """Laplace density with location k = loc and scale b; variance 2 b^2."""
-    k, b, entropy = _laplace_parts(loc, scale)
-    const = -np.log(2.0 * b)
+    k, b, log_2b = _laplace_parts(loc, scale)
+    const = -log_2b
 
     def log_pdf(x):
         return const - np.abs(np.asarray(x, dtype=float).reshape(-1) - k) / b
@@ -325,7 +327,7 @@ def make_laplace(loc: float, scale: float) -> Density:
         sample_rng=lambda rng, n: rng.laplace(k, b, size=n),
         kind="laplace",
         params={"loc": k, "scale": b},
-        entropy=entropy,
+        entropy=1.0 + log_2b,
     )
 
 
@@ -342,8 +344,8 @@ def laplace_members(loc, scale) -> Members:
         with np.errstate(over="ignore"):  # as Python's floats overflow
             entropy, var = 1.0 + np.log(2.0 * b), 2.0 * b * b
     else:
-        k, b, entropy = _laplace_parts(loc, scale)
-        var = 2.0 * b * b
+        k, b, log_2b = _laplace_parts(loc, scale)
+        entropy, var = 1.0 + log_2b, 2.0 * b * b
     return Members("laplace", 1, (k,), ((var,),), None, None, entropy, {"loc": k, "scale": b})
 
 
@@ -383,7 +385,8 @@ def make_gamma(shape: float, rate: float) -> Density:
     beta_sq = beta**2
     if not (beta_sq > 0.0 and math.isfinite(k / beta_sq)):
         raise ValueError(f"the variance shape / rate^2 must be finite, got shape {k}, rate {beta}")
-    const = k * np.log(beta) - gammaln(k)
+    log_beta, log_gamma_k = np.log(beta), gammaln(k)
+    const = k * log_beta - log_gamma_k
 
     def log_pdf(x):
         pts = np.asarray(x, dtype=float).reshape(-1)
@@ -394,7 +397,7 @@ def make_gamma(shape: float, rate: float) -> Density:
         out[pos] = const + (k - 1.0) * np.log(pts[pos]) - beta * pts[pos]
         return out
 
-    entropy = k - np.log(beta) + gammaln(k) + (1.0 - k) * digamma(k)
+    entropy = k - log_beta + log_gamma_k + (1.0 - k) * digamma(k)
     return Density(
         dim=1,
         support=((0.0, np.inf),),
@@ -575,7 +578,7 @@ def _bulk_points(d: Density, coord: int) -> np.ndarray:
     if not (pts.size and pts[0] > lo and pts[-1] < hi):
         pts = pts[(pts > lo) & (pts < hi)]
     repeat = pts[1:] == pts[:-1]
-    return np.delete(pts, np.flatnonzero(repeat) + 1) if repeat.any() else pts
+    return np.delete(pts, np.flatnonzero(repeat) + 1) if np.count_nonzero(repeat) else pts
 
 
 def _gaussian_tails(d: Density) -> tuple | None:

@@ -4,8 +4,9 @@ integral.
 
 ``renyi`` and ``kl_forward`` score a pair by the closed form that
 ``_RENYI_CLOSED`` or ``_KL_CLOSED`` lists for its two kinds, else by
-adaptive quadrature (dim <= 2), both objectives in the frame of
-:func:`_frame`. Each closed-form row is one function over Python floats or
+adaptive quadrature (dim <= 2): in 1-D in x, with both densities' bulk
+points as first panel edges (:func:`_anchor_points_1d`), and in 2-D in the
+frame of :func:`_frame`, for both objectives alike. Each closed-form row is one function over Python floats or
 arrays: it reads a Density, or :class:`~renyi_vi.distributions.Members`
 (the attributes of Gaussians or Laplaces, without a ``log_pdf``) on either
 side of the pair. One member is what a fit's line searches score in place
@@ -138,11 +139,15 @@ def _anchor_points_1d(p: Density, q: Density) -> np.ndarray:
 
     Unsorted, and a point both densities share appears twice: the shift is a
     maximum over them and the panel edges are sorted and deduplicated by
-    ``integrate``, so neither depends on order or repeats.
+    ``integrate``, so neither depends on order or repeats. p's bulk points
+    lie inside p's support, and q's sorted ones do where their ends do, as
+    where q's support is p's: then no mask is taken.
     """
     lo, hi = p.support[0]
-    pts = np.concatenate([bulk_points(p), bulk_points(q)])
-    pts = pts[(pts > lo) & (pts < hi)]
+    pts = bulk_points(q)
+    if pts.size and not (pts[0] > lo and pts[-1] < hi):
+        pts = pts[(pts > lo) & (pts < hi)]
+    pts = np.concatenate([bulk_points(p), pts])
     if pts.size == 0:
         raise ValueError(f"{_kinds(p, q)} declare no (finite) moments inside p's support")
     return pts
@@ -196,26 +201,24 @@ def _centres(d: Density):
 
 
 class _Frame(NamedTuple):
-    """Where and how to integrate. ``supports`` and ``breakpoints`` are per
-    axis of the integration variable u; ``to_x`` maps (N, 2) points u to x,
-    and is None when u is x itself; ``log_jac`` is log |dx/du|; ``shift`` is
-    the largest value of the log-integrand that the frame located, or None
-    where the first Renyi pass is to take it (the 1-D frame)."""
+    """Where and how to integrate in 2-D (:func:`_frame`): over the whole
+    plane of the variable u, with first box edges ``breakpoints`` per axis
+    of u. ``to_x`` maps (N, 2) points u to x; ``log_jac`` is log |dx/du|;
+    ``shift`` is the largest value of the log-integrand that the frame
+    located."""
 
-    supports: tuple
     breakpoints: tuple
-    shift: float | None
+    shift: float
     log_jac: float
-    to_x: Callable | None
+    to_x: Callable
 
     def integrate(self, f, rel_tol: float):
         """The quadrature of ``f``, a function of x, in u without the
-        Jacobian: the one place where a divergence builds its quadrature
-        specs and picks ``integrate`` or ``integrate_2d``."""
-        g = f if self.to_x is None else lambda u: f(self.to_x(u))
-        specs = [QuadratureSpec(*s, rel_tol=rel_tol, breakpoints=b)
-                 for s, b in zip(self.supports, self.breakpoints)]
-        return integrate(g, *specs) if len(specs) == 1 else integrate_2d(g, *specs)
+        Jacobian."""
+        bx, by = self.breakpoints
+        return integrate_2d(lambda u: f(self.to_x(u)),
+                            QuadratureSpec(-np.inf, np.inf, rel_tol=rel_tol, breakpoints=bx),
+                            QuadratureSpec(-np.inf, np.inf, rel_tol=rel_tol, breakpoints=by))
 
 
 # Breakpoint offsets of the 2-D peak frame on either side of a maximum, in
@@ -277,27 +280,20 @@ def _peak_frame_2d(p, q, log_integrand):
         x[:, 1] = o1 + (a10 * z0 + a11 * z1)
         return x
 
-    return _Frame(((-np.inf, np.inf), (-np.inf, np.inf)), (bx, by), float(np.max(peaks)),
-                  float(np.log(abs(np.linalg.det(a)))), to_x)
+    return _Frame((bx, by), float(np.max(peaks)), float(np.log(abs(np.linalg.det(a)))), to_x)
 
 
 def _frame(p, q, log_integrand) -> _Frame:
-    """Where to integrate a function of x whose mass follows
+    """Where to integrate, in 2-D, a function of x whose mass follows
     ``log_integrand``: the Renyi integrand, or p's log-density for the KL.
 
-    In 1-D the variable is x, seeded at the anchors, both densities' bulk
-    points (:func:`_anchor_points_1d`), which hold each density's centre, so
-    a Laplace or logistic kink is a panel edge from the first pass. The 1-D
-    frame evaluates nothing: its shift is None, and the Renyi pass takes it
-    from the log-integrand at the anchors, in one call with its first nodes
-    (:func:`_shifted_integral`). In 2-D the maxima that Newton steps find
-    from the densities' centres seed the boxes where the mass is, in the
-    whitened frame of the largest, at offsets of 0 to 12 of each one's sds
-    (:func:`_peak_frame_2d`). Raises ``ValueError``, naming both kinds,
-    where a 1-D pair declares no moments or no 2-D maximum is found.
+    The maxima that Newton steps find from the densities' centres seed the
+    boxes where the mass is, in the whitened frame of the largest, at
+    offsets of 0 to 12 of each one's sds (:func:`_peak_frame_2d`). Raises
+    ``ValueError``, naming both kinds, where no maximum is found. (In 1-D
+    both divergences integrate in x itself, seeded at the anchors,
+    :func:`_anchor_points_1d`.)
     """
-    if p.dim == 1:
-        return _Frame(p.support, (_anchor_points_1d(p, q),), None, 0.0, None)
     if p.dim > 2:
         raise ValueError("quadrature divergences support dim <= 2")
     frame = _peak_frame_2d(p, q, log_integrand)
@@ -479,48 +475,52 @@ def _peak_anchors_1d(log_integrand, anchors: np.ndarray, support):
     return float(values[finite].max()), np.concatenate([anchors, *ladders])
 
 
-def _shifted_integral(log_integrand, frame: _Frame, rel_tol):
-    """The quadrature of exp(log_integrand - shift) in the frame, the frame
-    with its shift, and whether q vanished where p does not.
+class _Shifted:
+    """exp(log_integrand - shift), the integrand of a Renyi pass, and what
+    the pass met.
 
-    Where ``frame.shift`` is None (the 1-D frame), the pass's first call of
-    the integrand evaluates the log-integrand once, on the anchors and then
-    its nodes; :func:`_anchor_shift` takes the shift from the anchors' part,
-    and the nodes' part goes on as in every later call. A NaN shift (a
-    log-integrand that overflows to NaN) voids the pass, and the caller
-    raises. The quadrature is None when the pass is void or overflowed: a
-    node rose more than :data:`OVERFLOW_NATS` above the shift (+inf where q
-    vanishes), or the weighted sum is not finite.
+    Where ``shift`` is None (a 1-D pass seeded at the anchors), the first
+    call evaluates the log-integrand once, on the anchors and then its nodes;
+    :func:`_anchor_shift` takes the shift from the anchors' part, and the
+    nodes' part goes on as in every later call. The pass is void (``over``)
+    once its shift is NaN (a log-integrand that overflows to NaN), on which
+    the caller raises, or once a node rises more than :data:`OVERFLOW_NATS`
+    above the shift, ``vanished`` where that node is +inf (q vanishes where
+    p does not). A void pass's later calls return zeros, and
+    :meth:`result` gives None for it.
     """
-    state = {"over": False, "vanished": False, "shift": frame.shift}
-    if frame.shift is not None and math.isnan(frame.shift):
-        return None, False, frame
-    anchors = frame.breakpoints[0]
 
-    def f(x):
-        if state["over"]:  # the pass is already void
-            return np.zeros(np.shape(x)[:1] if np.ndim(x) > 1 else np.shape(x))
-        shift = state["shift"]
+    __slots__ = ("log_integrand", "shift", "anchors", "over", "vanished")
+
+    def __init__(self, log_integrand, shift: float | None, anchors: np.ndarray | None = None):
+        self.log_integrand, self.shift, self.anchors = log_integrand, shift, anchors
+        self.over = self.vanished = False
+
+    def __call__(self, x):
+        if self.over:  # the pass is already void
+            return np.zeros(len(x))
+        shift = self.shift
         if shift is None:
-            lv = log_integrand(np.concatenate([anchors, x]))
-            shift = state["shift"] = _anchor_shift(lv[:anchors.size])
+            anchors = self.anchors
+            lv = self.log_integrand(np.concatenate([anchors, x]))
+            shift = self.shift = _anchor_shift(lv[:anchors.size])
             if math.isnan(shift):
-                state["over"] = True
+                self.over = True
                 return np.zeros(x.shape)
-            lv = lv[anchors.size:] - shift
+            lv = lv[anchors.size:]
+            lv -= shift  # in place: the log-integrand's array is fresh
         else:
-            lv = log_integrand(x) - shift
+            lv = self.log_integrand(x) - shift
         top = lv.max(initial=-np.inf)
         if top > OVERFLOW_NATS:
-            state["over"], state["vanished"] = True, top == np.inf
+            self.over, self.vanished = True, top == np.inf
             return np.zeros(lv.shape)
         return np.exp(lv)
 
-    res = frame.integrate(f, rel_tol)
-    frame = frame._replace(shift=state["shift"])
-    if state["over"] or not math.isfinite(res.value):
-        return None, state["vanished"], frame
-    return res, False, frame
+    def result(self, res):
+        """The pass's quadrature ``res``, or None where the pass is void or
+        its sum is not finite."""
+        return None if self.over or not math.isfinite(res.value) else res
 
 
 def renyi_quadrature(
@@ -531,17 +531,22 @@ def renyi_quadrature(
     Returns inf, before any node is evaluated, when q does not dominate p
     or when the densities' tails make the integral diverge; a pair whose
     tails do not decide it raises ``ValueError`` (:func:`_tail_verdict`).
-    Each pass integrates exp(log-integrand - shift). In 1-D the shift is the
-    log-integrand's largest value at both densities' bulk points, which the
-    first pass evaluates in one call with its first nodes, so a pass that
-    converges at once calls each ``log_pdf`` once. A 1-D pass whose
-    log-integrand overflows its shift (:data:`OVERFLOW_NATS`), or that sums
-    to a value that is not positive (a peak so narrow, at a large alpha,
-    that it falls between the nodes of the panels either side of a
-    breakpoint), is taken again from the located peak. An overflow there,
-    or in 2-D, raises ``ArithmeticError``, as does an integral that is
-    still not positive: a finite integral that float64 cannot evaluate. A
-    log-integrand that overflows to NaN (a huge alpha) raises ``ValueError``.
+    Each pass integrates exp(log-integrand - shift) (:class:`_Shifted`). In
+    1-D the pass runs in x, with both densities' bulk points, the anchors
+    (:func:`_anchor_points_1d`), as its first panel edges, so a Laplace or
+    logistic kink is an edge from the first pass; its shift is the
+    log-integrand's largest value at the anchors, which the first pass
+    evaluates in one call with its first nodes, so a pass that converges at
+    once calls each ``log_pdf`` once. A 1-D pass whose log-integrand
+    overflows its shift (:data:`OVERFLOW_NATS`), or that sums to a value
+    that is not positive (a peak so narrow, at a large alpha, that it falls
+    between the nodes of the panels either side of a breakpoint), is taken
+    again from the located peak (:func:`_peak_anchors_1d`). In 2-D the pass
+    runs in the peak frame (:func:`_frame`), with its shift. An overflow
+    there, or in the re-seeded 1-D pass, raises ``ArithmeticError``, as does
+    an integral that is still not positive: a finite integral that float64
+    cannot evaluate. A log-integrand that overflows to NaN (a huge alpha)
+    raises ``ValueError``.
     """
     alpha = _check_alpha(alpha)
     if not dominates(p, q):
@@ -561,31 +566,42 @@ def renyi_quadrature(
         return out
 
     # A huge alpha overflows alpha log p to -inf and the sum to NaN at the
-    # frame's first points, and the NaN shift is refused by name, so numpy
+    # first points evaluated, and the NaN shift is refused by name, so numpy
     # need not warn of it first. The first pass runs under the errstate too:
     # in 1-D its first call evaluates those points. Only where alpha - 1
     # rounds to alpha: below that, only a log-density past -1e292 overflows,
     # and numpy's ufuncs run slower under an errstate (about 3% of a Gamma
     # pair's quadrature).
     with np.errstate(over="ignore", invalid="ignore") if alpha - 1.0 == alpha else nullcontext():
-        frame = _frame(p, q, log_integrand)
-        res, vanished, frame = _shifted_integral(log_integrand, frame, rel_tol)
-    if math.isnan(frame.shift):
+        if p.dim == 1:
+            (lo, hi), = p.support
+            anchors = _anchor_points_1d(p, q)
+            g = _Shifted(log_integrand, None, anchors)
+            res = integrate(g, QuadratureSpec(lo, hi, rel_tol, anchors))
+            log_jac = 0.0
+        else:
+            frame = _frame(p, q, log_integrand)
+            g = _Shifted(log_integrand, frame.shift)
+            # a NaN shift voids the pass before its first node
+            res = None if math.isnan(frame.shift) else frame.integrate(g, rel_tol)
+            log_jac = frame.log_jac
+    if math.isnan(g.shift):
         raise ValueError(f"the Renyi integrand overflows at alpha = {alpha:g}")
-    if (res is None or res.value <= 0.0) and not vanished and p.dim == 1:
-        peak = _peak_anchors_1d(log_integrand, frame.breakpoints[0], frame.supports[0])
+    res = g.result(res)
+    if (res is None or res.value <= 0.0) and not g.vanished and p.dim == 1:
+        peak = _peak_anchors_1d(log_integrand, anchors, (lo, hi))
         if peak is not None:
             shift, anchors = peak
-            frame = frame._replace(shift=shift, breakpoints=(anchors,))
-            res, vanished, frame = _shifted_integral(log_integrand, frame, rel_tol)
-    if vanished:
+            g = _Shifted(log_integrand, shift)
+            res = g.result(integrate(g, QuadratureSpec(lo, hi, rel_tol, anchors)))
+    if g.vanished:
         return DivergenceEstimate(np.inf, QUADRATURE, 0.0, alpha, reason=DOMINANCE)
     if res is None:
         raise ArithmeticError("Renyi integral overflowed its shift although "
                               "the tails make it finite")
     if res.value <= 0.0:
         raise ArithmeticError("Renyi integral evaluated to a non-positive value")
-    value = (frame.shift + frame.log_jac + np.log(res.value)) / (alpha - 1.0)
+    value = (g.shift + log_jac + np.log(res.value)) / (alpha - 1.0)
     err = res.error / (res.value * (alpha - 1.0))
     return DivergenceEstimate(float(value), QUADRATURE, float(err), alpha,
                               res.converged, res.panels)
@@ -742,18 +758,23 @@ def _kl_laplace_gauss(p, q):
 
 
 def _kl_quadrature(p: Density, q: Density, rel_tol: float) -> DivergenceEstimate:
-    """KL(p || q) = int p log(p/q) by adaptive quadrature (dim <= 2), in the
-    frame that :func:`_frame` finds for p's log-density. In 1-D the first
-    call of the integrand evaluates p's log-density on the anchors too, as
-    the Renyi pass does (:func:`_shifted_integral`), and raises
-    ``ValueError`` where p vanishes on all of them. A sum that is not
-    finite raises ``ArithmeticError``."""
+    """KL(p || q) = int p log(p/q) by adaptive quadrature (dim <= 2): in
+    1-D in x, seeded at the anchors (:func:`_anchor_points_1d`), as the
+    Renyi pass is, and in 2-D in the frame that :func:`_frame` finds for
+    p's log-density. In 1-D the first call of the integrand evaluates p's
+    log-density on the anchors too, as the Renyi pass does
+    (:class:`_Shifted`), and raises ``ValueError`` where p vanishes on all
+    of them. A sum that is not finite raises ``ArithmeticError``."""
     if not dominates(p, q):
         return DivergenceEstimate(np.inf, QUADRATURE, 0.0, None, reason=DOMINANCE)
     blown = {"hit": False}
-    frame = _frame(p, q, p.log_pdf)
-    # the 1-D frame's anchors, until the first call has checked them
-    anchors = frame.breakpoints[0] if frame.shift is None else None
+    if p.dim == 1:
+        (lo, hi), = p.support
+        # the anchors, until the first call has checked them
+        anchors = _anchor_points_1d(p, q)
+        spec, frame = QuadratureSpec(lo, hi, rel_tol, anchors), None
+    else:
+        anchors, frame = None, _frame(p, q, p.log_pdf)
 
     def f(x):
         nonlocal anchors
@@ -773,12 +794,14 @@ def _kl_quadrature(p: Density, q: Density, rel_tol: float) -> DivergenceEstimate
         out[ok] = np.exp(lp_ok) * (lp_ok - lq[ok])
         return out
 
-    res = frame.integrate(f, rel_tol)
+    if frame is None:
+        res, jac = integrate(f, spec), 1.0
+    else:
+        res, jac = frame.integrate(f, rel_tol), math.exp(frame.log_jac)
     if blown["hit"]:  # q vanishes where p does not
         return DivergenceEstimate(np.inf, QUADRATURE, 0.0, None, reason=DOMINANCE)
     if not math.isfinite(res.value):
         raise ArithmeticError(f"the KL integral of {_kinds(p, q)} is not finite in float64")
-    jac = math.exp(frame.log_jac)
     return DivergenceEstimate(max(float(res.value) * jac, 0.0), QUADRATURE,
                               float(res.error) * jac, None, res.converged, res.panels)
 

@@ -565,6 +565,8 @@ def run_rate_violation(kappa: float = 0.75, alpha: float = 2.0, sigma: float = 1
     n_max = int(n_max)
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
+    if not math.isfinite(kappa):  # NaN would pass the bound below
+        raise ValueError(f"kappa must be finite, got {kappa}")
     if kappa < 0.5:
         raise ValueError(f"kappa must be >= 0.5, got {kappa}")
     _check_alpha(alpha)
@@ -635,6 +637,8 @@ def run_figure1(
         raise ValueError(f"|rho| must be < 1, got {rho}")
     if not alphas:
         raise ValueError("alphas is empty: figure1 needs at least one alpha")
+    if grid_points < 2:
+        raise ValueError(f"grid_points must be at least 2, got {grid_points}")
     Sigma = np.array([[1.0, rho], [rho, 1.0]])
     target = make_gaussian(np.zeros(2), Sigma)
     family = build_family("isotropic-gaussian-2d")

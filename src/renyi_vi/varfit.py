@@ -111,9 +111,12 @@ class VariationalFamily:
         non-location entry by ``math.exp``."""
         out = np.array(z, dtype=float)
         for i, role in enumerate(self.param_roles):
-            if role != "location":
-                v = out[..., i].tolist()
-                out[..., i] = list(map(math.exp, v)) if out.ndim > 1 else math.exp(v)
+            if role == "location":
+                continue
+            if out.ndim == 1:
+                out[i] = math.exp(out[i])
+            else:
+                out[:, i] = list(map(math.exp, out[:, i].tolist()))
         return out
 
     def internal(self, params: np.ndarray) -> np.ndarray:

@@ -282,7 +282,13 @@ class TestExperimentCommand:
         ("experiment", {"experiment": "consistency", "n_seeds": 0}, "n_seeds"),
         ("experiment", {"experiment": "ep", "seeds": []}, "seeds"),
         ("experiment", {"experiment": "figure1", "alphas": []}, "alphas"),
+        ("experiment", {"experiment": "figure1", "grid_points": -1}, "grid_points"),
+        ("experiment", {"experiment": "figure1", "grid_points": 0}, "grid_points"),
+        ("experiment", {"experiment": "figure1", "grid_points": 1}, "grid_points"),
         ("experiment", {"experiment": "rate-violation", "n_max": 0}, "n_max"),
+        # JSON's NaN and Infinity, which Python's parser reads as floats
+        ("experiment", {"experiment": "rate-violation", "kappa": math.nan}, "kappa"),
+        ("experiment", {"experiment": "rate-violation", "kappa": math.inf}, "kappa"),
         ("experiment", {"experiment": "ubfin", "M_bar": 1.0, "alpha": 1.0}, "alpha"),
         # settings retired as constants are unknown keys
         ("experiment", {"experiment": "rate-violation", "B": 1.0}, "unknown key(s) ['B']"),
@@ -291,7 +297,9 @@ class TestExperimentCommand:
     ], ids=["2d-audit", "2d-consistency", "2d-ndegen", "2d-mixture", "1d-mvn-mean",
             "zero-consistency-size", "zero-ndegen-size", "zero-ubfin-size",
             "zero-mixture-size", "no-seeds", "empty-seeds", "no-alphas",
-            "zero-n-max", "ubfin-alpha-one", "retired-B", "retired-grid-extent"])
+            "negative-grid-points", "zero-grid-points", "one-grid-point",
+            "zero-n-max", "nan-kappa", "inf-kappa", "ubfin-alpha-one", "retired-B",
+            "retired-grid-extent"])
     def test_refused_before_any_fit(self, tmp_path, capsys, monkeypatch,
                                     command, payload, named):
         fits = []

@@ -86,6 +86,8 @@ class TestIntegrate:
             {"lower": 1.0, "upper": 0.0},
             {"lower": 0.0, "upper": 1.0, "rel_tol": 0.0},
             {"lower": 0.0, "upper": 1.0, "rel_tol": 0.5},
+            # finite ends whose distance overflows: no panel edge survives
+            {"lower": -1e308, "upper": 1e308},
         ],
     )
     def test_spec_validation(self, kwargs):

@@ -184,22 +184,22 @@ def test_bit_identical(name):
 # log-integrand as its first nodes. The reference below takes it as it was
 # taken before: from a separate evaluation at the anchors, ahead of the pass.
 
-def _two_evaluation_pass(log_integrand, frame, rel_tol):
-    """The shifted pass with the shift already set: (quadrature or None,
-    whether q vanished)."""
+def _two_evaluation_pass(log_integrand, support, anchors, shift, rel_tol):
+    """The shifted pass over p's support, seeded at the anchors, with the
+    shift already set: (quadrature or None, whether q vanished)."""
     state = {"over": False, "vanished": False}
 
     def f(x):
         if state["over"]:
             return np.zeros(np.shape(x))
-        lv = log_integrand(x) - frame.shift
+        lv = log_integrand(x) - shift
         top = lv.max(initial=-np.inf)
         if top > divergence.OVERFLOW_NATS:
             state["over"], state["vanished"] = True, top == np.inf
             return np.zeros(lv.shape)
         return np.exp(lv)
 
-    res = frame.integrate(f, rel_tol)
+    res = integrate(f, QuadratureSpec(*support, rel_tol=rel_tol, breakpoints=anchors))
     if state["over"] or not math.isfinite(res.value):
         return None, state["vanished"]
     return res, False
@@ -231,13 +231,13 @@ def two_evaluation_renyi(p, q, alpha, rel_tol=1e-8):
         raise ValueError("integrand vanishes on every anchor point")
     if math.isnan(shift):
         raise ValueError(f"the Renyi integrand overflows at alpha = {alpha:g}")
-    frame = divergence._Frame(p.support, (anchors,), shift, 0.0, None)
-    res, vanished = _two_evaluation_pass(log_integrand, frame, rel_tol)
+    support = p.support[0]
+    res, vanished = _two_evaluation_pass(log_integrand, support, anchors, shift, rel_tol)
     if (res is None or res.value <= 0.0) and not vanished:
-        peak = divergence._peak_anchors_1d(log_integrand, anchors, p.support[0])
+        peak = divergence._peak_anchors_1d(log_integrand, anchors, support)
         if peak is not None:
-            frame = frame._replace(shift=peak[0], breakpoints=(peak[1],))
-            res, vanished = _two_evaluation_pass(log_integrand, frame, rel_tol)
+            shift, anchors = peak
+            res, vanished = _two_evaluation_pass(log_integrand, support, anchors, shift, rel_tol)
     if vanished:
         return DivergenceEstimate(np.inf, QUADRATURE, 0.0, alpha, reason=DOMINANCE)
     if res is None:
@@ -245,7 +245,7 @@ def two_evaluation_renyi(p, q, alpha, rel_tol=1e-8):
                               "the tails make it finite")
     if res.value <= 0.0:
         raise ArithmeticError("Renyi integral evaluated to a non-positive value")
-    value = (frame.shift + np.log(res.value)) / (alpha - 1.0)
+    value = (shift + np.log(res.value)) / (alpha - 1.0)
     err = res.error / (res.value * (alpha - 1.0))
     return DivergenceEstimate(float(value), QUADRATURE, float(err), alpha,
                               res.converged, res.panels)
@@ -342,8 +342,10 @@ class TestOneEvaluationPerPass:
         assert got == ("ValueError", "integrand vanishes on every anchor point")
 
     def test_one_log_pdf_call_per_density_per_pass(self):
-        # a pair whose first pass, on 38 panels, meets the tolerance: one
-        # call each, for the anchors and the nodes together
+        # pairs whose first pass meets the tolerance: one call each, for the
+        # anchors and the nodes together. The second is a truncated-Gamma
+        # posterior, whose finite support, integrated in x itself, q's
+        # Gamma support does not lie in.
         calls = {"p": 0, "q": 0}
 
         def counted(d, name):
@@ -352,10 +354,181 @@ class TestOneEvaluationPerPass:
                 return d.log_pdf(x)
             return dataclasses.replace(d, log_pdf=log_pdf)
 
-        p, q = counted(make_gaussian(0.3, 1.44), "p"), counted(make_laplace(0.0, 1.0), "q")
-        est = renyi_quadrature(p, q, 2.0)
-        assert est.converged and est.panels == 38
-        assert calls == {"p": 1, "q": 1}
+        for p, q, panels in [(make_gaussian(0.3, 1.44), make_laplace(0.0, 1.0), 38),
+                             (EXP_POST, EXP_GAMMA, 40)]:
+            calls.update(p=0, q=0)
+            est = renyi_quadrature(counted(p, "p"), counted(q, "q"), 2.0)
+            assert est.converged and est.panels == panels
+            assert calls == {"p": 1, "q": 1}
+
+
+# The box sums, first-pass edges and axis maps as they stood before the 1-D
+# path through ``numerics`` was trimmed, in their general form for 1-D and
+# 2-D alike, frozen here: the trimmed path must give the same bits.
+
+def _ref_identity_fwd(t):
+    return t, 1.0
+
+
+def _ref_double_infinite_fwd(t):
+    tt = t * t
+    u = np.maximum(1.0 - tt, 1e-150)
+    return t / u, (1.0 + tt) / (u * u)
+
+
+def _ref_double_infinite_inv(x):
+    x = np.minimum(np.maximum(np.asarray(x, dtype=float), -1e150), 1e150)
+    return np.divide(np.sqrt(1.0 + 4.0 * x * x) - 1.0, 2.0 * x,
+                     out=np.zeros(x.shape), where=x != 0.0)
+
+
+def _ref_half_infinite_map(a, rising):
+    sign = 1.0 if rising else -1.0
+
+    def fwd(t):
+        u = np.maximum(1.0 - t, 1e-150)
+        return a + sign * t / u, 1.0 / (u * u)
+
+    def inv(x):
+        u = sign * (np.asarray(x, dtype=float) - a)
+        u = np.clip(u, 0.0, 1e150)
+        return u / (1.0 + u)
+
+    return fwd, inv, 0.0, 1.0
+
+
+def ref_make_map(lower, upper):
+    if math.isfinite(lower) and math.isfinite(upper):
+        return _ref_identity_fwd, lambda x: x, lower, upper
+    if not math.isfinite(lower) and not math.isfinite(upper):
+        return _ref_double_infinite_fwd, _ref_double_infinite_inv, -1.0, 1.0
+    if math.isfinite(lower):
+        return _ref_half_infinite_map(lower, rising=True)
+    return _ref_half_infinite_map(upper, rising=False)
+
+
+def ref_chunk_sums(f, maps, lo, hi):
+    m, d = lo.shape
+    w_kronrod, gauss, w_gauss = numerics._RULES[d]
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    xs, ws = [], []
+    for j, (fwd, *_) in enumerate(maps):
+        t = (mid[:, j, None] + half[:, j, None] * numerics._NODES).reshape(
+            (m,) + (1,) * j + (15,) + (1,) * (d - 1 - j))
+        x, w = fwd(t)
+        xs.append(x)
+        if fwd is not _ref_identity_fwd:
+            ws.append(w)
+    if d == 1:
+        pts = xs[0].reshape(-1)
+    else:
+        pts = np.empty((m,) + (15,) * d + (d,))
+        for j, x in enumerate(xs):
+            pts[..., j] = x
+        pts = pts.reshape(-1, d)
+    vals = np.asarray(f(pts), dtype=float).reshape((m,) + (15,) * d)
+    for w in ws:
+        vals = vals * w
+    vals = vals.reshape(m, -1)
+    volume = half[:, 0]
+    for j in range(1, d):
+        volume = volume * half[:, j]
+    k15 = (vals * w_kronrod).sum(axis=1) * volume
+    g7 = ((vals[:, 1::2] if d == 1 else vals[:, gauss]) * w_gauss).sum(axis=1) * volume
+    diff = np.abs(k15 - g7)
+    err = np.where(diff < 0.005,
+                   np.minimum(diff, np.power(200.0 * np.minimum(diff, 0.005), 1.5)), diff)
+    return k15, err
+
+
+def ref_initial_edges(spec, inv, a, b):
+    edges = [a, 0.5 * (a + b), b]
+    if len(spec.breakpoints):
+        bps = inv(np.asarray(spec.breakpoints, dtype=float))
+        pad = 1e-12 * (b - a)
+        edges = np.concatenate([edges, bps[(bps > a + pad) & (bps < b - pad)]])
+    edges = np.sort(edges)
+    keep = np.empty(edges.size, dtype=bool)
+    keep[0] = True
+    np.greater(edges[1:] - edges[:-1], 1e-14 * (b - a), out=keep[1:])
+    return edges[keep]
+
+
+_MAP_KINDS = ["identity", "rising", "falling", "line"]
+
+
+def _bounds(draw, kind):
+    """An interval of the map ``kind``: finite, half-infinite either way, or
+    the whole line."""
+    a = draw(st.floats(-1e3, 1e3))
+    if kind == "identity":
+        return a, a + draw(st.sampled_from([1e-9, 1e-3, 1.0, 50.0, 1e4]))
+    return {"rising": (a, np.inf), "falling": (-np.inf, a), "line": (-np.inf, np.inf)}[kind]
+
+
+@st.composite
+def box_batches(draw):
+    """(bounds, lo, hi, f): m boxes of the transformed variable of an
+    interval, as (m, 1) corners inside its range, some narrow, and an
+    integrand whose scale puts QUADPACK's error estimate on either side of
+    its 0.005 switch."""
+    bounds = _bounds(draw, draw(st.sampled_from(_MAP_KINDS)))
+    _, _, ta, tb = numerics._make_map(*bounds)
+    m = draw(st.integers(1, 40))
+    u = np.sort(np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=2 * m,
+                                       max_size=2 * m))).reshape(m, 2), axis=1)
+    corners = ta + (tb - ta) * u
+    lo, hi = corners[:, :1], corners[:, 1:]
+    c, s = draw(st.floats(-10.0, 10.0)), draw(st.floats(0.1, 10.0))
+    amp = draw(st.sampled_from([1e-3, 1.0, 1e6]))
+    f = draw(st.sampled_from([
+        lambda x: amp * np.exp(-np.abs(x - c) / s),
+        lambda x: amp / (1.0 + ((x - c) / s) ** 2),
+        lambda x: amp * np.cos(x / s) * np.exp(-np.abs(x) / s),
+    ]))
+    return bounds, lo, hi, f
+
+
+@st.composite
+def breakpoint_specs(draw):
+    """(bounds, spec): an interval of one of the maps and a spec whose
+    breakpoints, if any, fall inside, at or beyond its ends, repeat, sit a
+    rounding apart, or are not finite."""
+    bounds = _bounds(draw, draw(st.sampled_from(_MAP_KINDS)))
+    lo, hi = bounds
+    near = [v for v in (lo, hi) if math.isfinite(v)]
+    inside = st.floats(-1e4, 1e4) if not near else st.floats(min(near) - 10.0, max(near) + 10.0)
+    # 5e-324 maps to +-0.0 on the line, beside its midpoint 0.0
+    point = st.one_of(inside, st.sampled_from(near + [0.0, -0.0, 5e-324, -5e-324, 1e15, -1e15,
+                                                       1e300, np.nan, np.inf, -np.inf]))
+    bps = draw(st.lists(point, max_size=45))
+    if bps:  # and some a rounding above another
+        bps += [np.nextafter(v, np.inf) for v in draw(st.lists(st.sampled_from(bps), max_size=3))]
+    return bounds, QuadratureSpec(lo, hi, breakpoints=tuple(bps))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+class TestTrimmedOneDimensionalPath:
+    @settings(derandomize=True, deadline=None, database=None, max_examples=300)
+    @given(box_batches())
+    def test_box_sums_match_the_general_form(self, batch):
+        bounds, lo, hi, f = batch
+        k15, err = numerics._chunk_sums(f, (numerics._make_map(*bounds),), lo, hi)
+        ref_k15, ref_err = ref_chunk_sums(f, (ref_make_map(*bounds),), lo, hi)
+        assert _bits(k15) == _bits(ref_k15) and _bits(err) == _bits(ref_err)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=300)
+    @given(breakpoint_specs())
+    def test_first_edges_match_the_general_form(self, case):
+        bounds, spec = case
+        _, inv, a, b = numerics._make_map(*bounds)
+        _, ref_inv, ref_a, ref_b = ref_make_map(*bounds)
+        got = numerics._initial_edges(spec, inv, a, b)
+        assert _bits(got) == _bits(ref_initial_edges(spec, ref_inv, ref_a, ref_b))
 
 
 if __name__ == "__main__":
