@@ -469,11 +469,12 @@ def make_mixture(weights: Sequence[float], components: Sequence[Density]) -> Den
         stacked = np.stack([c.log_pdf(x) for c in comps], axis=0)
         stacked = stacked + log_w[:, None]
         m = np.max(stacked, axis=0)
-        out = np.where(
-            m == -np.inf,
-            -np.inf,
-            m + np.log(np.sum(np.exp(stacked - m), axis=0)),
-        )
+        void = m == -np.inf  # every component vanishes: -inf - -inf is NaN
+        if not void.any():
+            return m + np.log(np.sum(np.exp(stacked - m), axis=0))
+        out = np.full(m.shape, -np.inf)
+        keep = ~void
+        out[keep] = m[keep] + np.log(np.sum(np.exp(stacked[:, keep] - m[keep]), axis=0))
         return out
 
     support = tuple(

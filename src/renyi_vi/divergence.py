@@ -2,17 +2,21 @@
 a Monte-Carlo evidence upper bound, and the Holder lower bound on the Renyi
 integral.
 
-``renyi`` and ``kl_forward`` score a pair by the closed form that
-``_RENYI_CLOSED`` or ``_KL_CLOSED`` lists for its two kinds, else by
-adaptive quadrature (dim <= 2): in 1-D in x, with both densities' bulk
-points as first panel edges (:func:`_anchor_points_1d`), and in 2-D in the
-frame of :func:`_frame`, for both objectives alike. Each closed-form row is one function over Python floats or
-arrays: it reads a Density, or :class:`~renyi_vi.distributions.Members`
-(the attributes of Gaussians or Laplaces, without a ``log_pdf``) on either
-side of the pair. One member is what a fit's line searches score in place
-of a Density. A batch is what ``closed_batch`` scores in one call, keyed
-by alpha (None for the KL), each member with the bits the row gives it
-alone, so that a fit scores its start grid in one call.
+``renyi`` and ``kl_forward`` go through one dispatcher
+(:func:`_divergence`): the closed form that ``_RENYI_CLOSED`` or
+``_KL_CLOSED`` lists for the pair's two kinds, else adaptive quadrature
+(dim <= 2) in one pass set-up for both objectives (:class:`_Pass`), each of
+which gives only its log-mass (the Renyi log-integrand, or log p for the
+KL) and what it makes of a node's values: in 1-D in x, with both
+densities' bulk points as first panel edges (:func:`_anchor_points_1d`),
+and in 2-D in the peak frame (:func:`_peak_frame_2d`). Each closed-form row
+is one function over Python floats or arrays: it reads a Density, or
+:class:`~renyi_vi.distributions.Members` (the attributes of Gaussians or
+Laplaces, without a ``log_pdf``) on either side of the pair. One member is
+what a fit's line searches score in place of a Density. A batch is what
+``closed_batch`` scores in one call, keyed by alpha (None for the KL), each
+member with the bits the row gives it alone, so that a fit scores its start
+grid in one call.
 
 Infinity is a first-class value here: D_alpha is infinite whenever q fails
 to dominate p or the integral q (p/q)^alpha diverges, and both outcomes are
@@ -68,10 +72,10 @@ __all__ = [
 CLOSED_FORM = "closed-form"
 QUADRATURE = "quadrature"
 
-# Log-integrand excess over the frame's shift (:func:`_frame`) that stops a
-# quadrature pass: the shift has missed the integrand's peak. 700 nats is
-# just below exp-overflow in float64, so a pass whose shift is sound never
-# trips it. The 1-D pass is then re-seeded at the located peak.
+# Log-integrand excess over a pass's shift (:class:`_Pass`) that stops a
+# Renyi quadrature pass: the shift has missed the integrand's peak. 700 nats
+# is just below exp-overflow in float64, so a pass whose shift is sound
+# never trips it. The 1-D pass is then re-seeded at the located peak.
 OVERFLOW_NATS = 700.0
 
 # Why a value is infinite (DivergenceEstimate.reason), besides a divergent
@@ -84,12 +88,13 @@ _S_STAR_INDEFINITE = "divergent tail: S* is not positive definite"
 class DivergenceEstimate:
     """A divergence value in [0, inf] with its method tag and error bound.
 
-    ``alpha`` is None for KL estimates (the alpha -> 1 limit is served by a
-    separate code path, never by renyi_*). ``converged`` is False when the
-    adaptive quadrature behind a finite value stopped before reaching its
-    tolerance; closed forms and ``inf`` verdicts are always converged.
-    ``panels`` counts the final quadrature panels (boxes in 2-D) behind a
-    finite quadrature value; it is 0 for closed forms and ``inf`` verdicts.
+    ``alpha`` is None for KL estimates, the alpha -> 1 limit, which its own
+    log-mass and node step serve, never renyi_*. ``converged`` is False
+    when the adaptive quadrature behind a finite value stopped before
+    reaching its tolerance; closed forms and ``inf`` verdicts are always
+    converged. ``panels`` counts the final quadrature panels (boxes in 2-D)
+    behind a finite quadrature value; it is 0 for closed forms and ``inf``
+    verdicts.
     ``reason`` says why a value is infinite and is None when it is finite:
     ``"dominance"`` (q vanishes where p does not) or ``"divergent tail at
     <end>"`` (in 2-D, an S* that is not positive definite). An ``inf`` is
@@ -201,24 +206,15 @@ def _centres(d: Density):
 
 
 class _Frame(NamedTuple):
-    """Where and how to integrate in 2-D (:func:`_frame`): over the whole
+    """Where to integrate in 2-D (:func:`_peak_frame_2d`): over the whole
     plane of the variable u, with first box edges ``breakpoints`` per axis
     of u. ``to_x`` maps (N, 2) points u to x; ``log_jac`` is log |dx/du|;
-    ``shift`` is the largest value of the log-integrand that the frame
-    located."""
+    ``shift`` is the largest value of the log-mass that the frame located."""
 
     breakpoints: tuple
     shift: float
     log_jac: float
     to_x: Callable
-
-    def integrate(self, f, rel_tol: float):
-        """The quadrature of ``f``, a function of x, in u without the
-        Jacobian."""
-        bx, by = self.breakpoints
-        return integrate_2d(lambda u: f(self.to_x(u)),
-                            QuadratureSpec(-np.inf, np.inf, rel_tol=rel_tol, breakpoints=bx),
-                            QuadratureSpec(-np.inf, np.inf, rel_tol=rel_tol, breakpoints=by))
 
 
 # Breakpoint offsets of the 2-D peak frame on either side of a maximum, in
@@ -281,35 +277,6 @@ def _peak_frame_2d(p, q, log_integrand):
         return x
 
     return _Frame((bx, by), float(np.max(peaks)), float(np.log(abs(np.linalg.det(a)))), to_x)
-
-
-def _frame(p, q, log_integrand) -> _Frame:
-    """Where to integrate, in 2-D, a function of x whose mass follows
-    ``log_integrand``: the Renyi integrand, or p's log-density for the KL.
-
-    The maxima that Newton steps find from the densities' centres seed the
-    boxes where the mass is, in the whitened frame of the largest, at
-    offsets of 0 to 12 of each one's sds (:func:`_peak_frame_2d`). Raises
-    ``ValueError``, naming both kinds, where no maximum is found. (In 1-D
-    both divergences integrate in x itself, seeded at the anchors,
-    :func:`_anchor_points_1d`.)
-    """
-    if p.dim > 2:
-        raise ValueError("quadrature divergences support dim <= 2")
-    frame = _peak_frame_2d(p, q, log_integrand)
-    if frame is None:
-        raise ValueError(f"no maximum of the integrand found from the centres of {_kinds(p, q)}")
-    return frame
-
-
-def _anchor_shift(values: np.ndarray) -> float:
-    """The 1-D frame's shift: the largest log-integrand value at the anchors,
-    NaN if one is NaN; raises ``ValueError`` where the integrand vanishes on
-    every anchor."""
-    shift = float(values.max(initial=-np.inf))
-    if shift == -np.inf:
-        raise ValueError("integrand vanishes on every anchor point")
-    return shift
 
 
 # Stands for q at an end of p's support that lies inside q's: there q is
@@ -475,52 +442,71 @@ def _peak_anchors_1d(log_integrand, anchors: np.ndarray, support):
     return float(values[finite].max()), np.concatenate([anchors, *ladders])
 
 
-class _Shifted:
-    """exp(log_integrand - shift), the integrand of a Renyi pass, and what
-    the pass met.
+class _Pass:
+    """One quadrature pass of a divergence over p's support (dim <= 2), run
+    on construction: the integrand, what the pass met, and ``res``, its
+    quadrature, or None where the pass is void or its sum is not finite.
 
-    Where ``shift`` is None (a 1-D pass seeded at the anchors), the first
-    call evaluates the log-integrand once, on the anchors and then its nodes;
-    :func:`_anchor_shift` takes the shift from the anchors' part, and the
-    nodes' part goes on as in every later call. The pass is void (``over``)
-    once its shift is NaN (a log-integrand that overflows to NaN), on which
-    the caller raises, or once a node rises more than :data:`OVERFLOW_NATS`
-    above the shift, ``vanished`` where that node is +inf (q vanishes where
-    p does not). A void pass's later calls return zeros, and
-    :meth:`result` gives None for it.
+    An objective gives two things: its log-mass (the Renyi log-integrand, or
+    log p for the KL) and its ``node`` step, ``node(pass, log_mass, x)``,
+    which turns the log-mass at a call's nodes x into the integrand's values
+    there. In 1-D the pass runs in x, with the anchors
+    (:func:`_anchor_points_1d`) as its first panel edges, so that a Laplace
+    or logistic kink is an edge from the first pass; its first call
+    evaluates the log-mass once, on the anchors and then its nodes, takes
+    the ``shift`` from the anchors' part (NaN if one is NaN), and raises
+    ``ValueError`` where the log-mass vanishes on every anchor. Given
+    ``seed``, a ``(shift, breakpoints)`` pair (:func:`_peak_anchors_1d`), it
+    starts from those instead. In 2-D it runs in the peak frame of the
+    log-mass (:func:`_peak_frame_2d`), with the frame's shift and
+    ``log_jac``, log |dx/du|; ``ValueError``, naming both kinds, where no
+    maximum is found. A node step may void the pass (:meth:`stop`),
+    ``vanished`` where q vanishes where p does not; a void pass's later
+    calls return zeros.
     """
 
-    __slots__ = ("log_integrand", "shift", "anchors", "over", "vanished")
+    __slots__ = ("log_mass", "node", "shift", "anchors", "log_jac", "void", "vanished", "res")
 
-    def __init__(self, log_integrand, shift: float | None, anchors: np.ndarray | None = None):
-        self.log_integrand, self.shift, self.anchors = log_integrand, shift, anchors
-        self.over = self.vanished = False
+    def __init__(self, p, q, log_mass, node, rel_tol: float, seed=None):
+        self.log_mass, self.node, self.void, self.vanished = log_mass, node, False, False
+        if p.dim == 1:
+            (lo, hi), = p.support
+            self.shift, self.anchors = (None, _anchor_points_1d(p, q)) if seed is None else seed
+            self.log_jac = 0.0
+            res = integrate(self, QuadratureSpec(lo, hi, rel_tol, self.anchors))
+        else:
+            if p.dim > 2:
+                raise ValueError("quadrature divergences support dim <= 2")
+            frame = _peak_frame_2d(p, q, log_mass)
+            if frame is None:
+                raise ValueError("no maximum of the integrand found from the centres of "
+                                 + _kinds(p, q))
+            self.shift, self.anchors, self.log_jac = frame.shift, None, frame.log_jac
+            bx, by = frame.breakpoints
+            res = integrate_2d(lambda u: self(frame.to_x(u)),
+                               QuadratureSpec(-np.inf, np.inf, rel_tol, bx),
+                               QuadratureSpec(-np.inf, np.inf, rel_tol, by))
+        self.res = None if self.void or not math.isfinite(res.value) else res
 
     def __call__(self, x):
-        if self.over:  # the pass is already void
+        if self.void:
             return np.zeros(len(x))
-        shift = self.shift
-        if shift is None:
-            anchors = self.anchors
-            lv = self.log_integrand(np.concatenate([anchors, x]))
-            shift = self.shift = _anchor_shift(lv[:anchors.size])
-            if math.isnan(shift):
-                self.over = True
-                return np.zeros(x.shape)
-            lv = lv[anchors.size:]
-            lv -= shift  # in place: the log-integrand's array is fresh
+        if self.shift is None:
+            k = self.anchors.size
+            lm = self.log_mass(np.concatenate([self.anchors, x]))
+            self.shift = float(lm[:k].max(initial=-np.inf))
+            if self.shift == -np.inf:
+                raise ValueError("integrand vanishes on every anchor point")
+            lm = lm[k:]
         else:
-            lv = self.log_integrand(x) - shift
-        top = lv.max(initial=-np.inf)
-        if top > OVERFLOW_NATS:
-            self.over, self.vanished = True, top == np.inf
-            return np.zeros(lv.shape)
-        return np.exp(lv)
+            lm = self.log_mass(x)
+        return self.node(self, lm, x)
 
-    def result(self, res):
-        """The pass's quadrature ``res``, or None where the pass is void or
-        its sum is not finite."""
-        return None if self.over or not math.isfinite(res.value) else res
+    def stop(self, n: int, vanished: bool) -> np.ndarray:
+        """Void the pass, ``vanished`` where q vanishes where p does not:
+        zeros for this call's ``n`` nodes and every later call's."""
+        self.void, self.vanished = True, vanished
+        return np.zeros(n)
 
 
 def renyi_quadrature(
@@ -531,22 +517,19 @@ def renyi_quadrature(
     Returns inf, before any node is evaluated, when q does not dominate p
     or when the densities' tails make the integral diverge; a pair whose
     tails do not decide it raises ``ValueError`` (:func:`_tail_verdict`).
-    Each pass integrates exp(log-integrand - shift) (:class:`_Shifted`). In
-    1-D the pass runs in x, with both densities' bulk points, the anchors
-    (:func:`_anchor_points_1d`), as its first panel edges, so a Laplace or
-    logistic kink is an edge from the first pass; its shift is the
-    log-integrand's largest value at the anchors, which the first pass
-    evaluates in one call with its first nodes, so a pass that converges at
-    once calls each ``log_pdf`` once. A 1-D pass whose log-integrand
-    overflows its shift (:data:`OVERFLOW_NATS`), or that sums to a value
-    that is not positive (a peak so narrow, at a large alpha, that it falls
-    between the nodes of the panels either side of a breakpoint), is taken
-    again from the located peak (:func:`_peak_anchors_1d`). In 2-D the pass
-    runs in the peak frame (:func:`_frame`), with its shift. An overflow
-    there, or in the re-seeded 1-D pass, raises ``ArithmeticError``, as does
-    an integral that is still not positive: a finite integral that float64
-    cannot evaluate. A log-integrand that overflows to NaN (a huge alpha)
-    raises ``ValueError``.
+    The pass (:class:`_Pass`) integrates exp(log-integrand - shift); in 1-D
+    its first call evaluates the anchors with its first nodes, so a pass
+    that converges at once calls each ``log_pdf`` once. It is void once its
+    shift is NaN (a log-integrand that overflows to NaN, a huge alpha),
+    which raises ``ValueError``, or once a node rises more than
+    :data:`OVERFLOW_NATS` above the shift; an anchor or node at +inf is q
+    vanishing where p does not, and the value is inf. A 1-D pass that
+    overflows its shift, or that sums to a value that is not positive (a
+    peak so narrow, at a large alpha, that it falls between the nodes of
+    the panels either side of a breakpoint), is taken again from the
+    located peak (:func:`_peak_anchors_1d`). An overflow in 2-D, or in the
+    re-seeded 1-D pass, raises ``ArithmeticError``, as does an integral that
+    is still not positive: a finite integral that float64 cannot evaluate.
     """
     alpha = _check_alpha(alpha)
     if not dominates(p, q):
@@ -565,6 +548,16 @@ def renyi_quadrature(
         out[ok] = alpha * lp[ok] + (1.0 - alpha) * lq[ok]
         return out
 
+    def node(g, lv, x):
+        shift = g.shift
+        if not shift < math.inf:  # NaN, or +inf: q vanishes at an anchor
+            return g.stop(lv.size, shift == math.inf)
+        lv -= shift  # in place: the log-integrand's array is fresh
+        top = lv.max(initial=-np.inf)
+        if top > OVERFLOW_NATS:
+            return g.stop(lv.size, top == np.inf)
+        return np.exp(lv)
+
     # A huge alpha overflows alpha log p to -inf and the sum to NaN at the
     # first points evaluated, and the NaN shift is refused by name, so numpy
     # need not warn of it first. The first pass runs under the errstate too:
@@ -573,35 +566,22 @@ def renyi_quadrature(
     # and numpy's ufuncs run slower under an errstate (about 3% of a Gamma
     # pair's quadrature).
     with np.errstate(over="ignore", invalid="ignore") if alpha - 1.0 == alpha else nullcontext():
-        if p.dim == 1:
-            (lo, hi), = p.support
-            anchors = _anchor_points_1d(p, q)
-            g = _Shifted(log_integrand, None, anchors)
-            res = integrate(g, QuadratureSpec(lo, hi, rel_tol, anchors))
-            log_jac = 0.0
-        else:
-            frame = _frame(p, q, log_integrand)
-            g = _Shifted(log_integrand, frame.shift)
-            # a NaN shift voids the pass before its first node
-            res = None if math.isnan(frame.shift) else frame.integrate(g, rel_tol)
-            log_jac = frame.log_jac
+        g = _Pass(p, q, log_integrand, node, rel_tol)
     if math.isnan(g.shift):
         raise ValueError(f"the Renyi integrand overflows at alpha = {alpha:g}")
-    res = g.result(res)
-    if (res is None or res.value <= 0.0) and not g.vanished and p.dim == 1:
-        peak = _peak_anchors_1d(log_integrand, anchors, (lo, hi))
+    if (g.res is None or g.res.value <= 0.0) and not g.vanished and p.dim == 1:
+        peak = _peak_anchors_1d(log_integrand, g.anchors, p.support[0])
         if peak is not None:
-            shift, anchors = peak
-            g = _Shifted(log_integrand, shift)
-            res = g.result(integrate(g, QuadratureSpec(lo, hi, rel_tol, anchors)))
+            g = _Pass(p, q, log_integrand, node, rel_tol, peak)
     if g.vanished:
         return DivergenceEstimate(np.inf, QUADRATURE, 0.0, alpha, reason=DOMINANCE)
+    res = g.res
     if res is None:
         raise ArithmeticError("Renyi integral overflowed its shift although "
                               "the tails make it finite")
     if res.value <= 0.0:
         raise ArithmeticError("Renyi integral evaluated to a non-positive value")
-    value = (g.shift + log_jac + np.log(res.value)) / (alpha - 1.0)
+    value = (g.shift + g.log_jac + np.log(res.value)) / (alpha - 1.0)
     err = res.error / (res.value * (alpha - 1.0))
     return DivergenceEstimate(float(value), QUADRATURE, float(err), alpha,
                               res.converged, res.panels)
@@ -695,7 +675,9 @@ def _renyi_gauss(p, q, alpha: float):
 
 
 def renyi_gauss_closed(p: Density, q: Density, alpha: float) -> DivergenceEstimate:
-    """Closed-form Gaussian Renyi divergence.
+    """Closed-form Gaussian Renyi divergence: the Gaussian row by name, which
+    refuses any other kind; :func:`renyi` reaches the same row through the
+    table (:func:`_divergence`).
 
     With S* = alpha S_q + (1-alpha) S_p, finite iff S* is positive definite:
 
@@ -758,50 +740,29 @@ def _kl_laplace_gauss(p, q):
 
 
 def _kl_quadrature(p: Density, q: Density, rel_tol: float) -> DivergenceEstimate:
-    """KL(p || q) = int p log(p/q) by adaptive quadrature (dim <= 2): in
-    1-D in x, seeded at the anchors (:func:`_anchor_points_1d`), as the
-    Renyi pass is, and in 2-D in the frame that :func:`_frame` finds for
-    p's log-density. In 1-D the first call of the integrand evaluates p's
-    log-density on the anchors too, as the Renyi pass does
-    (:class:`_Shifted`), and raises ``ValueError`` where p vanishes on all
-    of them. A sum that is not finite raises ``ArithmeticError``."""
+    """KL(p || q) = int p log(p/q) by adaptive quadrature (dim <= 2), in the
+    Renyi quadrature's pass (:class:`_Pass`) with p's log-density as its
+    log-mass. A node where q vanishes and p does not makes the value inf; a
+    sum that is not finite raises ``ArithmeticError``."""
     if not dominates(p, q):
         return DivergenceEstimate(np.inf, QUADRATURE, 0.0, None, reason=DOMINANCE)
-    blown = {"hit": False}
-    if p.dim == 1:
-        (lo, hi), = p.support
-        # the anchors, until the first call has checked them
-        anchors = _anchor_points_1d(p, q)
-        spec, frame = QuadratureSpec(lo, hi, rel_tol, anchors), None
-    else:
-        anchors, frame = None, _frame(p, q, p.log_pdf)
 
-    def f(x):
-        nonlocal anchors
-        if anchors is None:
-            lp = p.log_pdf(x)
-        else:
-            lp = p.log_pdf(np.concatenate([anchors, x]))
-            _anchor_shift(lp[:anchors.size])
-            lp, anchors = lp[anchors.size:], None
+    def node(g, lp, x):
         lq = q.log_pdf(x)
-        out = np.zeros(lp.shape)
         ok = lp > -700.0
         if np.any(ok & (lq == -np.inf)):
-            blown["hit"] = True
-            lq = np.where(lq == -np.inf, -1e9, lq)
+            return g.stop(lp.size, True)
+        out = np.zeros(lp.shape)
         lp_ok = lp[ok]
         out[ok] = np.exp(lp_ok) * (lp_ok - lq[ok])
         return out
 
-    if frame is None:
-        res, jac = integrate(f, spec), 1.0
-    else:
-        res, jac = frame.integrate(f, rel_tol), math.exp(frame.log_jac)
-    if blown["hit"]:  # q vanishes where p does not
+    g = _Pass(p, q, p.log_pdf, node, rel_tol)
+    if g.vanished:
         return DivergenceEstimate(np.inf, QUADRATURE, 0.0, None, reason=DOMINANCE)
-    if not math.isfinite(res.value):
+    if g.res is None:
         raise ArithmeticError(f"the KL integral of {_kinds(p, q)} is not finite in float64")
+    res, jac = g.res, math.exp(g.log_jac)
     return DivergenceEstimate(max(float(res.value) * jac, 0.0), QUADRATURE,
                               float(res.error) * jac, None, res.converged, res.panels)
 
@@ -811,9 +772,8 @@ def _kl_quadrature(p: Density, q: Density, rel_tol: float) -> DivergenceEstimate
 # is scored by quadrature. Each entry names the row, a module attribute that
 # :func:`_closed_row` looks up at call time, so that a rebinding of it (a
 # test's patch) is what runs. A KL row gives its value; a Renyi row, which
-# may be infinite, its value and whether that is finite. The scalar path of
-# the one Renyi row goes through :func:`renyi_gauss_closed`. A Laplace is
-# 1-D, so its Gaussian partner is too once the dimensions agree.
+# may be infinite, its value and whether that is finite. A Laplace is 1-D,
+# so its Gaussian partner is too once the dimensions agree.
 _RENYI_CLOSED = {("gaussian", "gaussian"): "_renyi_gauss"}
 _KL_CLOSED = {
     ("gaussian", "gaussian"): "_kl_gauss",
@@ -854,25 +814,33 @@ def _closed_estimate(row, p, q, alpha: float | None) -> DivergenceEstimate:
     return DivergenceEstimate(value, CLOSED_FORM, 0.0, alpha, reason=reason)
 
 
+def _divergence(p, q, alpha: float | None, rel_tol: float) -> DivergenceEstimate:
+    """D_alpha(p || q), or KL(p || q) where alpha is None: the closed form
+    that the tables list for the pair (:func:`_closed_row`), else
+    :func:`renyi_quadrature` or :func:`_kl_quadrature` (dim <= 2)."""
+    row = _closed_row(p, q, alpha)
+    if row is not None:
+        return _closed_estimate(row, p, q, alpha)
+    if alpha is None:
+        return _kl_quadrature(p, q, rel_tol)
+    return renyi_quadrature(p, q, alpha, rel_tol=rel_tol)
+
+
 def renyi(p: Density, q: Density, alpha: float, rel_tol: float = 1e-8) -> DivergenceEstimate:
-    """D_alpha(p || q): the closed form that ``_RENYI_CLOSED`` lists for the
-    pair, by :func:`renyi_gauss_closed`, else :func:`renyi_quadrature` (dim
-    <= 2). Where the table lists the pair, either side may be
-    :class:`~renyi_vi.distributions.Members` of one member."""
-    if _closed_row(p, q, alpha) is None:
-        return renyi_quadrature(p, q, alpha, rel_tol=rel_tol)
-    return renyi_gauss_closed(p, q, alpha)
+    """D_alpha(p || q), by the closed form that ``_RENYI_CLOSED`` lists for
+    the pair, else quadrature (:func:`_divergence`). Where the table lists
+    the pair, either side may be :class:`~renyi_vi.distributions.Members`
+    of one member, and a value that overflows raises ``ValueError``."""
+    return _divergence(p, q, _check_alpha(alpha), rel_tol)
 
 
 def kl_forward(p: Density, q: Density, rel_tol: float = 1e-9) -> DivergenceEstimate:
-    """KL(p || q) = int p log(p/q): the closed form that ``_KL_CLOSED`` lists
-    for the pair, else quadrature (dim <= 2). Where the table lists the
-    pair, either side may be :class:`~renyi_vi.distributions.Members` of
-    one member, and a value that overflows raises ``ValueError``."""
-    row = _closed_row(p, q, None)
-    if row is None:
-        return _kl_quadrature(p, q, rel_tol)
-    return _closed_estimate(row, p, q, None)
+    """KL(p || q) = int p log(p/q), by the closed form that ``_KL_CLOSED``
+    lists for the pair, else quadrature (:func:`_divergence`). Where the
+    table lists the pair, either side may be
+    :class:`~renyi_vi.distributions.Members` of one member, and a value that
+    overflows raises ``ValueError``."""
+    return _divergence(p, q, None, rel_tol)
 
 
 def closed_batch(p, q, alpha: float | None = None) -> np.ndarray | None:

@@ -351,12 +351,13 @@ def run_ubfin(
     alpha: float = 2.0,
     M_bar: float | None = None,
     n_grid=(10**4, 10**5, 10**6),
-    theta0: float | None = None,
 ) -> ExperimentReport:
     """Asymptotic bound B on the minimal divergence, by closed form.
 
-    Requires M_bar, with M_bar * I(theta0) >= alpha^(1/(alpha-1)) / e; then
-    B = 0.5 log(e * M_bar * I(theta0) / alpha^(1/(alpha-1))) >= 0. Records
+    Requires M_bar, with M_bar * I >= alpha^(1/(alpha-1)) / e for the
+    Gaussian mean model's Fisher information I = 1/sigma^2, the same at
+    every theta (so ``theta0`` is not a key); then
+    B = 0.5 log(e * M_bar * I / alpha^(1/(alpha-1))) >= 0. Records
     the divergence to the Gaussian member with variance M_bar/n (which may
     exceed B, or be infinite) and the Gaussian family's minimum, which is
     exactly 0: the family holds the posterior. So ``min_family_le_B``
@@ -367,7 +368,7 @@ def run_ubfin(
     if M_bar is None:
         raise ValueError("ubfin needs 'M_bar', the good sequence's variance scale")
     alpha, M_bar = _check_alpha(alpha), float(M_bar)
-    bayes, theta0 = _model_at(model, theta0)
+    bayes, theta0 = _model_at(model, None)
     if bayes.name != "gaussian-mean":
         raise ValueError("run_ubfin uses the Gaussian mean model")
     info = float(bayes.fisher_info(theta0))
@@ -409,7 +410,7 @@ def run_ubfin(
     ]
     config = {
         "model": model, "alpha": alpha, "M_bar": M_bar, "n_grid": n_grid,
-        "theta0": theta0, "bound_B": B, "analytic_limit": limit,
+        "bound_B": B, "analytic_limit": limit,
     }
     return ExperimentReport("ubfin", config, records, verdicts,
                             time.perf_counter() - t0)

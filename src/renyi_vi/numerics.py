@@ -27,6 +27,7 @@ placement is deterministic, and repeated calls are bit-for-bit identical.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -97,6 +98,8 @@ _W_GAUSS = np.array(
 _MAX_WAVES = 200
 # The most box splits one integral may take, summed over its waves.
 _MAX_REFINEMENTS = 4000
+# The largest magnitude of a finite end of a finite interval.
+_HALF_MAX = 0.5 * sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -104,8 +107,9 @@ class QuadratureSpec:
     """Integration request: interval, relative tolerance and first edges.
 
     ``lower``/``upper`` may be -inf/+inf; infinite ends are handled by a
-    rational change of variables, and two finite ends must lie less than
-    float64's largest value apart. ``breakpoints`` are optional interior
+    rational change of variables, and two finite ends must lie within
+    float64's largest value / 2 of 0, so that every midpoint 0.5 * (a + b)
+    and width is finite. ``breakpoints`` are optional interior
     abscissae (a tuple or a 1-D array, in any order, repeats allowed) used
     as initial panel edges, so that narrow features of the integrand are
     seen by the rule from the first pass. Every integral may split at most
@@ -120,8 +124,10 @@ class QuadratureSpec:
     def __post_init__(self):
         if not self.lower < self.upper:
             raise ValueError(f"lower must be < upper, got [{self.lower}, {self.upper}]")
-        if self.upper - self.lower == math.inf and -math.inf < self.lower and self.upper < math.inf:
-            raise ValueError(f"the width of [{self.lower}, {self.upper}] overflows float64")
+        finite = -math.inf < self.lower and self.upper < math.inf
+        if finite and max(abs(self.lower), abs(self.upper)) > _HALF_MAX:
+            raise ValueError(f"the finite ends of [{self.lower}, {self.upper}] must lie within "
+                             "float64's largest value / 2, so that a midpoint does not overflow")
         if not (0.0 < self.rel_tol <= 1e-2):
             raise ValueError(f"rel_tol must lie in (0, 1e-2], got {self.rel_tol}")
 

@@ -290,16 +290,18 @@ class TestExperimentCommand:
         ("experiment", {"experiment": "rate-violation", "kappa": math.nan}, "kappa"),
         ("experiment", {"experiment": "rate-violation", "kappa": math.inf}, "kappa"),
         ("experiment", {"experiment": "ubfin", "M_bar": 1.0, "alpha": 1.0}, "alpha"),
-        # settings retired as constants are unknown keys
+        # settings retired as constants, or as moving nothing, are unknown keys
         ("experiment", {"experiment": "rate-violation", "B": 1.0}, "unknown key(s) ['B']"),
         ("experiment", {"experiment": "figure1", "grid_extent": 3.0},
          "unknown key(s) ['grid_extent']"),
+        ("experiment", {"experiment": "ubfin", "M_bar": 1.0, "theta0": 0.5},
+         "unknown key(s) ['theta0']"),
     ], ids=["2d-audit", "2d-consistency", "2d-ndegen", "2d-mixture", "1d-mvn-mean",
             "zero-consistency-size", "zero-ndegen-size", "zero-ubfin-size",
             "zero-mixture-size", "no-seeds", "empty-seeds", "no-alphas",
             "negative-grid-points", "zero-grid-points", "one-grid-point",
             "zero-n-max", "nan-kappa", "inf-kappa", "ubfin-alpha-one", "retired-B",
-            "retired-grid-extent"])
+            "retired-grid-extent", "retired-ubfin-theta0"])
     def test_refused_before_any_fit(self, tmp_path, capsys, monkeypatch,
                                     command, payload, named):
         fits = []
@@ -443,7 +445,7 @@ KEYS_BEFORE = {
                     "theta0", "quad_tol", "budget"},
     "ep": {"model", "family", "alpha", "n_grid", "seeds", "n_seeds", "theta0",
            "quad_tol", "budget"},
-    "ubfin": {"model", "alpha", "M_bar", "n_grid", "theta0"},
+    "ubfin": {"model", "alpha", "M_bar", "n_grid"},
     "ndegen": {"model", "alpha", "q_fixed", "n_grid", "theta0"},
     "mixture": {"model", "alpha", "w", "theta1", "spike_width", "n_grid",
                 "theta0"},
@@ -462,7 +464,7 @@ BOUND_BEFORE = {
     "consistency": {**RENYI, "objective_kind": "renyi-alpha"},
     "ep": RENYI,
     "ubfin": {"model": GM, "alpha": 2.0, "M_bar": 1.0,
-              "n_grid": [10**4, 10**5, 10**6], "theta0": None},
+              "n_grid": [10**4, 10**5, 10**6]},
     "ndegen": {"model": GM, "alpha": 2.0,
                "q_fixed": {"kind": "gaussian", "mean": 0.5, "cov": 1.0},
                "n_grid": [100, 1000, 10**4, 10**5, 10**6], "seed": 0,

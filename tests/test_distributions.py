@@ -1,5 +1,6 @@
 """Density constructors: log-pdfs, moments, samplers, support logic."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -302,6 +303,28 @@ class TestMixture:
         mix = make_mixture([0.5, 0.5], [make_gaussian(-1, 1), make_gaussian(1, 1)])
         assert abs(float(mix.mean[0])) <= 1e-12
         assert abs(mix.var - 2.0) <= 1e-12
+
+    @pytest.mark.parametrize("comps, pts", [
+        ([make_gamma(2.0, 1.0), make_gamma(5.0, 3.0)], [-1.0, 0.0, 0.5, 2.0]),
+        ([make_uniform(0.0, 1.0), make_uniform(2.0, 3.0)], [0.5, 1.125, 1.5, 2.5, 4.0]),
+    ], ids=["gamma-below-zero", "uniform-gap"])
+    def test_logpdf_where_every_component_vanishes(self, comps, pts):
+        # -inf there, with no "invalid value" warning from -inf - -inf (the
+        # suite turns RuntimeWarning into an error), and elsewhere the
+        # log-sum-exp of the components
+        got = make_mixture([0.25, 0.75], comps).log_pdf(np.array(pts))
+        for x, g in zip(pts, got.tolist()):
+            parts = [math.log(w) + float(c.log_pdf(np.array([x]))[0])
+                     for w, c in zip([0.25, 0.75], comps)]
+            if max(parts) == -math.inf:
+                assert g == -math.inf
+            else:
+                assert abs(g - log_sum_exp(parts)) <= 1e-12
+
+    def test_logpdf_keeps_a_component_nan(self):
+        nan = dataclasses.replace(make_gaussian(0, 1), log_pdf=lambda x: np.full(x.shape, np.nan))
+        got = make_mixture([0.5, 0.5], [nan, make_uniform(0.0, 1.0)]).log_pdf(np.array([0.5, 2.0]))
+        assert np.isnan(got).all()
 
 
 class TestSpike:

@@ -235,9 +235,9 @@ def peak_frame_excess(p, q, alpha, closed, rel_tol=1e-7):
     the peak frame, lies outside max(10 rel_tol max(1, |closed|), its own
     error) of ``closed``: at most 0 when within. None when the quadrature
     does not converge."""
-    frame = divergence._frame(
+    frame = divergence._peak_frame_2d(
         p, q, lambda x: alpha * p.log_pdf(x) + (1.0 - alpha) * q.log_pdf(x))
-    assert frame.to_x is not None
+    assert frame is not None
     est = renyi_quadrature(p, q, alpha, rel_tol=rel_tol)
     if not est.converged:
         return None
@@ -766,6 +766,15 @@ class TestKL:
         with pytest.raises(ValueError, match="vanishes on every anchor"):
             kl_forward(p, make_laplace(0.0, 1.0))
 
+    def test_p_nan_at_one_anchor_is_not_a_void_pass(self):
+        # the KL pass takes no shift, so a NaN at an anchor (0, an edge and
+        # never a node) leaves its value as it was
+        g = make_gaussian(0.0, 1.0)
+        p = dataclasses.replace(g, kind="custom",
+                                log_pdf=lambda x: np.where(x == 0.0, np.nan, g.log_pdf(x)))
+        est = kl_forward(p, make_logistic(0.0, 1.0))
+        assert (est.value, est.converged, est.reason) == (0.19317983349020626, True, None)
+
     @pytest.mark.parametrize("lq", [math.nan, -1.7e308], ids=["nan", "huge"])
     def test_sum_that_is_not_finite_raises(self, lq):
         # a NaN integrand, or one whose panel sums overflow (of which numpy
@@ -871,7 +880,21 @@ class TestHolderLowerBound:
             assert integral - bound >= -1e-9
 
 
+# q dominates p by its support, but vanishes on (1, 2), where p's bulk points
+# 1.125, 1.5 and 1.875 lie: the Renyi log-integrand is +inf on those anchors
+GAPPED_PAIR = (make_uniform(0.0, 3.0),
+               make_mixture([0.5, 0.5], [make_uniform(0.0, 1.0), make_uniform(2.0, 3.0)]))
+
+
 class TestMixtureDivergence:
+    @pytest.mark.parametrize("score", [lambda p, q: renyi(p, q, 2.0), kl_forward],
+                             ids=["renyi", "kl-forward"])
+    def test_q_vanishing_at_an_anchor_is_dominance(self, score):
+        # no node is needed, and no NaN is formed (the suite turns numpy's
+        # RuntimeWarning into an error)
+        est = score(*GAPPED_PAIR)
+        assert (est.value, est.reason, est.panels) == (math.inf, divergence.DOMINANCE, 0)
+
     def test_posterior_vs_two_spikes_exceeds_weight_bound(self):
         from renyi_vi.distributions import make_spike
 

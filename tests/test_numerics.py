@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -88,11 +89,21 @@ class TestIntegrate:
             {"lower": 0.0, "upper": 1.0, "rel_tol": 0.5},
             # finite ends whose distance overflows: no panel edge survives
             {"lower": -1e308, "upper": 1e308},
+            # a finite width, but a midpoint 0.5 * (a + b) that overflows
+            {"lower": 1e308, "upper": 1.7e308},
+            {"lower": 9e307, "upper": 1.7e308},
         ],
     )
     def test_spec_validation(self, kwargs):
         with pytest.raises(ValueError):
             QuadratureSpec(**kwargs)
+
+    def test_widest_finite_interval_has_finite_midpoints(self):
+        # ends at float64's largest value / 2: every sub-box midpoint stays
+        # finite, and a constant integrates to the interval's width
+        half = 0.5 * sys.float_info.max
+        res = integrate(lambda x: np.full(x.shape, 0.25), QuadratureSpec(-half, half))
+        assert res.converged and abs(res.value - 0.5 * half) <= 1e-12 * half
 
 
 def initial_edges_loop(spec, inv, a, b):
