@@ -3,17 +3,17 @@ ad-hoc divergence evaluation.
 
 Configuration is a single JSON file per run (``divergence`` takes flags
 only: --p, --q and one of --alpha or --kl). Seed precedence is ``--seed``
-flag > config value. Exit codes: 0 success/criteria pass, 1 usage or config
-error, 2 ran but failed (non-convergence, dominance failure, or failed
-verdicts; outputs are still written).
+flag > config value > 0; it draws a fit's generated data too. Exit codes: 0
+success/criteria pass, 1 usage or config error, 2 ran but failed
+(non-convergence, dominance failure, or failed verdicts; outputs are still
+written).
 
 Each subcommand's ``--help`` lists its config keys; fit's objective is one of
 renyi-alpha, kl-forward or kl-reverse. An experiment's keys and
-their defaults are its runner's parameters (experiment_keys), with ``seeds``
-also given by ``n_seeds``; a model or density spec's keys are the parameters
-of the function its "name" or "kind" selects (renyi_vi.config). Every value's
-JSON type is checked against its key's default; a key whose default is an
-int, and seed, take whole numbers.
+their defaults are its runner's parameters (experiment_keys); a model or
+density spec's keys are the parameters of the function its "name" or "kind"
+selects (renyi_vi.config). Every value's JSON type is checked against its
+key's default; a key whose default is an int, and seed, take whole numbers.
 """
 
 from __future__ import annotations
@@ -101,8 +101,9 @@ def _fit_json(out: Path) -> Path:
     return out / "fit.json"
 
 
-# The keys of a generated-data spec, each with its default; "n" is required.
-_DATA_KEYS = {"theta0": 0.5, "n": 0, "seed": 0}
+# The keys of a generated-data spec, each with its default; "n" is required,
+# and the run's seed draws the data.
+_DATA_KEYS = {"theta0": 0.5, "n": 0}
 
 
 def _resolve_data(config: dict, model, seed):
@@ -118,8 +119,7 @@ def _resolve_data(config: dict, model, seed):
     if "n" not in data_spec:
         raise _CliError("generated data spec needs 'n'")
     spec = {**_DATA_KEYS, **data_spec}
-    seed = spec["seed"] if seed is None else seed
-    return model.simulate(float(spec["theta0"]), int(spec["n"]), int(seed))
+    return model.simulate(float(spec["theta0"]), int(spec["n"]), 0 if seed is None else seed)
 
 
 # Numeric fit settings: each is a parameter of fit, whose signature gives its
@@ -138,6 +138,9 @@ def cmd_fit(args) -> int:
         if key in config:
             check_type("fit config", key, config[key], default)
     seed = _resolve_seed(args, config, "fit config")
+    beside = sorted({"model", "data"} & set(config))
+    if "target" in config and beside:
+        raise _CliError(f"fit config: a 'target' is fitted as given, so it takes no {beside}")
     if "family" not in config or "objective" not in config:
         raise _CliError("fit config needs 'family' and 'objective'")
     objective, alpha = config["objective"], config.get("alpha")
@@ -182,30 +185,10 @@ def cmd_fit(args) -> int:
 
 def experiment_keys(name: str) -> dict:
     """The config keys of experiment ``name``, each with its default: its
-    runner's parameters, with ``seeds`` also given by ``n_seeds``."""
-    keys = {}
-    for key, param in inspect.signature(EXPERIMENTS[name]).parameters.items():
-        if key not in _NOT_KEYS:
-            keys[key] = param.default
-            if key == "seeds":
-                keys["n_seeds"] = len(param.default)
-    return keys
-
-
-def _runner_kwargs(name: str, keys: dict, config: dict, seed, jobs: int) -> dict:
-    """The runner's arguments: the config's own values, uncast (the runner
-    casts them), plus the ones the CLI fills."""
-    params = inspect.signature(EXPERIMENTS[name]).parameters
-    kwargs = {k: config[k] for k in params if k in keys and k in config}
-    if "seed" in params and seed is not None:
-        kwargs["seed"] = seed
-    if "jobs" in params:
-        kwargs["jobs"] = jobs
-    if "seeds" in params and "seeds" not in config:
-        base = seed if seed is not None else 0
-        n = int(config.get("n_seeds", keys["n_seeds"]))
-        kwargs["seeds"] = [base + i for i in range(n)]
-    return kwargs
+    runner's parameters, less the ones the CLI fills (_NOT_KEYS)."""
+    return {key: param.default
+            for key, param in inspect.signature(EXPERIMENTS[name]).parameters.items()
+            if key not in _NOT_KEYS}
 
 
 def cmd_experiment(args) -> int:
@@ -227,8 +210,15 @@ def cmd_experiment(args) -> int:
             check_type(where, key, config[key], default)
     seed = _resolve_seed(args, config, where)
     jobs = args.jobs if args.jobs is not None else int(config.get("jobs", 1))
-    runner = getattr(experiments, EXPERIMENTS[name].__name__)
-    report = runner(**_runner_kwargs(name, keys, config, seed, jobs))
+    # the config's own values, uncast (the runner casts them), and the ones
+    # the CLI fills
+    kwargs = {key: config[key] for key in keys if key in config}
+    params = inspect.signature(EXPERIMENTS[name]).parameters
+    if "seed" in params and seed is not None:
+        kwargs["seed"] = seed
+    if "jobs" in params:
+        kwargs["jobs"] = jobs
+    report = getattr(experiments, EXPERIMENTS[name].__name__)(**kwargs)
     out = _outdir(args, config, name)
     paths = write_report(report, out)
     for v in report.verdicts:

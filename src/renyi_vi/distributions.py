@@ -526,9 +526,9 @@ _BULK_MULT = np.array([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 8.0, 12.0])
 _BULK_SIGNED = np.concatenate([-_BULK_MULT[:0:-1], _BULK_MULT])
 
 
-def bulk_points(d: Density, coord: int = 0) -> np.ndarray:
-    """Sorted, distinct abscissae straddling where the density carries its
-    mass, strictly inside its support along ``coord``.
+def bulk_points(d: Density) -> np.ndarray:
+    """Sorted, distinct abscissae straddling where the 1-D density ``d``
+    carries its mass, strictly inside its support (a ValueError in d > 1).
 
     With declared moments: the mean, and 0.25 to 12 standard deviations
     either side of it, built in ascending order (19 points, fewer where
@@ -543,32 +543,33 @@ def bulk_points(d: Density, coord: int = 0) -> np.ndarray:
     of its own at each maximum of the integrand (of p, for the KL), in the
     sds of a Gaussian fitted there.
 
-    Computed for every coordinate on a density's first call, kept on the
-    density and read-only, so a density used in many divergences sets them
-    up once. Kept by hand, as :attr:`Density.tails` is: a fit makes a fresh
-    member for each quadrature evaluation, and a cached_property's lock
-    would cost each of them more than its bulk points.
+    Computed on a density's first call, kept on the density and read-only,
+    so a density used in many divergences sets them up once. Kept by hand,
+    as :attr:`Density.tails` is: a fit makes a fresh member for each
+    quadrature evaluation, and a cached_property's lock would cost each of
+    them more than its bulk points.
     """
-    bulk = d.__dict__.get("_bulk")
-    if bulk is None:
-        bulk = d.__dict__["_bulk"] = tuple(_bulk_points(d, i) for i in range(d.dim))
-        for pts in bulk:
-            pts.setflags(write=False)
-    return bulk[coord]
+    pts = d.__dict__.get("_bulk")
+    if pts is None:
+        if d.dim != 1:
+            raise ValueError(f"bulk_points is for 1-D densities, got dim {d.dim}")
+        pts = d.__dict__["_bulk"] = _bulk_points(d)
+        pts.setflags(write=False)
+    return pts
 
 
-def _bulk_points(d: Density, coord: int) -> np.ndarray:
-    lo, hi = d.support[coord]
+def _bulk_points(d: Density) -> np.ndarray:
+    lo, hi = d.support[0]
     if d.kind == "mixture":
-        pts = np.sort(np.concatenate([bulk_points(c, coord) for c in d.params["components"]]))
+        pts = np.sort(np.concatenate([bulk_points(c) for c in d.params["components"]]))
     elif d.kind == "uniform":
         pts = np.linspace(lo, hi, 9)
     elif d.mean is not None and d.cov is not None:
-        # Python floats, by flat index (the diagonal of a (dim, dim) cov, or
-        # a 0-d array's one entry): math.sqrt rounds correctly, as np.sqrt
-        # does, and a variance that is NaN, negative or infinite (whose sd
-        # times the centre's 0 is NaN, with a warning) gives no points
-        c, var = d.mean.item(coord), d.cov.item(coord * (d.dim + 1))
+        # Python floats, by flat index (a (1, 1) cov's or a 0-d array's one
+        # entry): math.sqrt rounds correctly, as np.sqrt does, and a variance
+        # that is NaN, negative or infinite (whose sd times the centre's 0 is
+        # NaN, with a warning) gives no points
+        c, var = d.mean.item(0), d.cov.item(0)
         s = math.sqrt(var) if 0.0 <= var < math.inf else math.nan
         pts = c + s * _BULK_SIGNED
     else:

@@ -25,8 +25,8 @@ import numpy as np
 from .config import build_density, build_family, build_model
 from .distributions import interval_mass, make_gaussian, make_mixture, make_spike
 from .divergence import _check_alpha, renyi, renyi_quadrature
-from .goodseq import (AUDIT_COLUMNS, GoodSequenceSpec, _member, alpha_factor, audit,
-                      cited_ratio_bound)
+from .goodseq import (AUDIT_COLUMNS, GoodSequenceSpec, _compact_set, _member, alpha_factor,
+                      audit, cited_ratio_bound)
 from .varfit import fit
 
 __all__ = [
@@ -242,7 +242,8 @@ def run_consistency(
     family: str = "laplace",
     alpha: float = 2.0,
     n_grid=(100, 1000, 10**4, 10**5),
-    seeds=tuple(range(10)),
+    n_seeds: int = 10,
+    seed: int = 0,
     objective_kind: str = "renyi-alpha",
     theta0: float | None = None,
     quad_tol: float = 1e-7,
@@ -253,14 +254,15 @@ def run_consistency(
     the coverage of the true parameter, and concentration of mass. A
     forward-KL (EP) fit also checks KL <= Renyi at ``alpha`` per cell.
     ``n_grid`` must hold at least :data:`CONSISTENCY_MIN_SIZES` distinct
-    sizes."""
+    sizes. The seeds are ``seed`` to ``seed + n_seeds - 1``, at least one;
+    the report echoes them as ``seeds``."""
     t0 = time.perf_counter()
     bayes, theta0 = _model_at(model, theta0)
     alpha, quad_tol, budget = float(alpha), float(quad_tol), int(budget)
     n_grid = _sizes("n_grid", n_grid, CONSISTENCY_MIN_SIZES, "the variance slope")
-    seeds = [int(s) for s in seeds]
+    seeds = list(range(int(seed), int(seed) + int(n_seeds)))
     if not seeds:
-        raise ValueError("seeds is empty (or n_seeds is 0): the verdicts need at least one seed")
+        raise ValueError(f"n_seeds must be at least 1, got {n_seeds}")
     config = {
         "model": model,
         "family": family,
@@ -323,7 +325,8 @@ def run_ep_consistency(
     model: dict = GAUSSIAN_MEAN,
     family: str = "laplace",
     n_grid=(100, 1000, 10**4, 10**5),
-    seeds=tuple(range(10)),
+    n_seeds: int = 10,
+    seed: int = 0,
     alpha: float = 2.0,
     theta0: float | None = None,
     quad_tol: float = 1e-7,
@@ -333,7 +336,7 @@ def run_ep_consistency(
     """Forward-KL (idealized EP) consistency plus the KL <= Renyi check at
     ``alpha``."""
     return run_consistency(
-        model, family, alpha, n_grid, seeds, objective_kind="kl-forward",
+        model, family, alpha, n_grid, n_seeds, seed, objective_kind="kl-forward",
         theta0=theta0, quad_tol=quad_tol, budget=budget, jobs=jobs,
     )
 
@@ -601,23 +604,24 @@ def run_rate_violation(kappa: float = 0.75, alpha: float = 2.0, sigma: float = 1
         verdicts.append(_verdict("onset_matches_expected", n0 == expected_n0,
                                  n0, expected_n0))
     config = {
-        "kappa": kappa, "alpha": alpha, "sigma": sigma,
-        "n_max": n_max, "n0": n0, "n0_asymptotic": n0_asymptotic,
+        "kappa": kappa, "alpha": alpha, "sigma": sigma, "n_max": n_max,
+        "expected_n0": expected_n0, "n0": n0, "n0_asymptotic": n0_asymptotic,
         "subgaussian_note": "Gaussian member N(mle, n^(-2 kappa)): B = 1, rate n^kappa",
     }
     return ExperimentReport("rate-violation", config, records, verdicts,
                             time.perf_counter() - t0)
 
 
-# figure1's grid.csv samples the square [-e, e]^2 with e this half-width.
+# figure1's grid.csv samples the square [-e, e]^2 with e this half-width, on
+# a mesh of this many points a side; each fit gets this objective budget.
 FIGURE1_GRID_EXTENT = 3.0
+FIGURE1_GRID_POINTS = 61
+FIGURE1_BUDGET = 700
 
 
 def run_figure1(
     rho: float = 0.9,
     alphas=(2.0, 5.0, 20.0),
-    budget: int = 700,
-    grid_points: int = 61,
 ) -> ExperimentReport:
     """Isotropic fits to an anisotropic 2-D Gaussian, across objectives.
 
@@ -628,18 +632,15 @@ def run_figure1(
     objective, by quadratures that must each converge; their panel counts
     and whether all converged go to report.json (``certificate_panels``,
     ``certificates_converged``), never to report.csv. Emits contour-ready
-    density evaluations on a ``grid_points`` by ``grid_points`` mesh over
-    [-FIGURE1_GRID_EXTENT, FIGURE1_GRID_EXTENT]^2.
+    density evaluations on a square mesh over [-FIGURE1_GRID_EXTENT,
+    FIGURE1_GRID_EXTENT]^2, :data:`FIGURE1_GRID_POINTS` points a side.
     """
     t0 = time.perf_counter()
-    rho, alphas, budget = float(rho), tuple(float(a) for a in alphas), int(budget)
-    grid_points = int(grid_points)
+    rho, alphas = float(rho), tuple(float(a) for a in alphas)
     if not abs(rho) < 1.0:
         raise ValueError(f"|rho| must be < 1, got {rho}")
     if not alphas:
         raise ValueError("alphas is empty: figure1 needs at least one alpha")
-    if grid_points < 2:
-        raise ValueError(f"grid_points must be at least 2, got {grid_points}")
     Sigma = np.array([[1.0, rho], [rho, 1.0]])
     target = make_gaussian(np.zeros(2), Sigma)
     family = build_family("isotropic-gaussian-2d")
@@ -652,7 +653,7 @@ def run_figure1(
     for kind, a in [("kl-reverse", None), ("kl-forward", None)] + [
         ("renyi-alpha", a) for a in alphas
     ]:
-        res = fit(target, family, kind, alpha=a, budget=budget)
+        res = fit(target, family, kind, alpha=a, budget=FIGURE1_BUDGET)
         key = kind if a is None else f"renyi-{a:g}"
         fits[key] = res
         records.append(
@@ -693,7 +694,7 @@ def run_figure1(
     verdicts.append(_verdict("quadrature_local_min", worst <= 1e-6 and converged,
                              worst, 1e-6))
 
-    g = np.linspace(-FIGURE1_GRID_EXTENT, FIGURE1_GRID_EXTENT, grid_points)
+    g = np.linspace(-FIGURE1_GRID_EXTENT, FIGURE1_GRID_EXTENT, FIGURE1_GRID_POINTS)
     mesh = np.column_stack([np.repeat(g, g.size), np.tile(g, g.size)])
     grid = {"x": mesh[:, 0], "y": mesh[:, 1],
             "target": np.exp(target.log_pdf(mesh))}
@@ -701,7 +702,7 @@ def run_figure1(
         grid[key.replace("-", "_")] = np.exp(res.density.log_pdf(mesh))
 
     config = {
-        "rho": rho, "alphas": list(alphas), "budget": budget,
+        "rho": rho, "alphas": list(alphas),
         "s2_expect": {"kl-forward": s2_fwd_expect, "kl-reverse": s2_rev_expect},
         "lambda_max": float(lam[-1]),
         "certificate_panels": certificate_panels,
@@ -740,9 +741,7 @@ def run_goodseq_audit(
     gspec = GoodSequenceSpec(family=family, alpha=alpha, variance_scale=M_bar)
     data_full = bayes.simulate(theta0, max(audit_grid[-1], rate_grid[-1]), seed)
     # the compact set centers on the known true parameter here
-    half = 5.0 / math.sqrt(float(bayes.fisher_info(theta0)))
-    lo, hi = bayes.param_support[0]
-    K = (max(lo, theta0 - half), min(hi, theta0 + half))
+    K = _compact_set(bayes, theta0)
     records = []
     for n in audit_grid:
         a = audit(gspec, bayes, data_full[:n], K=K)

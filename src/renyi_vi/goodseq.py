@@ -203,6 +203,14 @@ def _ratio_scan(post: Density, qbar: Density, k_lo, k_hi):
     return sup, sup_global
 
 
+def _compact_set(model: BayesModel, center: float) -> tuple[float, float]:
+    """The compact set K of the tail condition: center +- 5/sqrt(I(center)),
+    clipped to the parameter support."""
+    half = 5.0 / math.sqrt(float(model.fisher_info(center)))
+    lo, hi = model.param_support[0]
+    return max(lo, center - half), min(hi, center + half)
+
+
 def audit(
     spec: GoodSequenceSpec,
     model: BayesModel,
@@ -211,11 +219,11 @@ def audit(
 ) -> GoodSequenceAudit:
     """Check every good-sequence property for one sample size.
 
-    K defaults to center +- 5/sqrt(I(mle)) intersected with the parameter
-    support. The tail-ratio supremum scans 1000 points per tail out to the
-    1-1e-10 posterior quantile (or 10 member scales past K, whichever is
-    farther) and inspects the endpoint slopes, reporting inf when the ratio
-    is still rising at the edge.
+    K defaults to :func:`_compact_set` centered on the MLE. The tail-ratio
+    supremum scans 1000 points per tail out to the 1-1e-10 posterior
+    quantile (or 10 member scales past K, whichever is farther) and inspects
+    the endpoint slopes, reporting inf when the ratio is still rising at the
+    edge.
     """
     x = np.asarray(data, dtype=float).reshape(-1)
     n = x.size
@@ -229,10 +237,7 @@ def audit(
     rate_ok = variance <= cap * (1.0 + 1e-9)
 
     if K is None:
-        info = float(model.fisher_info(mle))
-        half = 5.0 / math.sqrt(info)
-        lo, hi = model.param_support[0]
-        K = (max(lo, mle - half), min(hi, mle + half))
+        K = _compact_set(model, mle)
     k_lo, k_hi = float(K[0]), float(K[1])
     if not k_lo < k_hi:
         raise ValueError(f"K must be a nondegenerate interval, got {K}")

@@ -81,7 +81,7 @@ def test_criterion_01_closed_form_matches_quadrature():
 def test_criterion_02_consistency_laplace_family():
     t0 = time.perf_counter()
     rep = run_consistency(GM, "laplace", 2.0, [100, 1000, 10**4, 10**5],
-                          list(range(100)))
+                          n_seeds=100)
     slope = rep.verdict("variance_slope")["measured"]
     cover = rep.verdict("mean_within_3sigma")["measured"]
     tails = [float(np.median([r["tail_mass"] for r in rep.records if r["n"] == n]))
@@ -199,7 +199,7 @@ def test_criterion_08_anisotropic_spread_ordering():
 def test_criterion_09_ep_consistency_and_kl_le_renyi():
     t0 = time.perf_counter()
     rep = run_ep_consistency(GM, "laplace", [100, 1000, 10**4, 10**5],
-                             list(range(100)))
+                             n_seeds=100)
     slope = rep.verdict("variance_slope")["measured"]
     cover = rep.verdict("mean_within_3sigma")["measured"]
     min_gap = min(r["renyi"] - r["kl_forward"] for r in rep.records)

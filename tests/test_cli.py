@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, config validation, seed precedence,
 output files."""
 
+import functools
 import inspect
 import json
 import math
@@ -9,7 +10,7 @@ import sys
 
 import pytest
 
-from renyi_vi import divergence, experiments, varfit
+from renyi_vi import cli, divergence, experiments, varfit
 from renyi_vi.cli import EXPERIMENTS, experiment_keys, main
 
 
@@ -32,7 +33,7 @@ MVN = {"name": "mvn-mean"}
 class TestFitCommand:
     def test_conjugate_fit_exits_zero(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "fit.json", {
-            "model": GM, "data": {"theta0": 0.5, "n": 50, "seed": 3},
+            "model": GM, "data": {"theta0": 0.5, "n": 50}, "seed": 3,
             "family": "gaussian", "objective": "renyi-alpha", "alpha": 2.0,
             "outdir": str(tmp_path / "out"),
         })
@@ -43,7 +44,7 @@ class TestFitCommand:
 
     def test_dominance_failure_exits_two_with_diagnostic(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "fit.json", {
-            "model": GM, "data": {"theta0": 0.5, "n": 20, "seed": 0},
+            "model": GM, "data": {"theta0": 0.5, "n": 20},
             "family": "gamma", "objective": "renyi-alpha", "alpha": 2.0,
             "outdir": str(tmp_path / "out"),
         })
@@ -126,7 +127,7 @@ class TestFitCommand:
     def test_unknown_objective_exits_one_before_any_work(self, tmp_path, capsys,
                                                          objective):
         cfg = write_config(tmp_path, "fit.json", {
-            "model": GM, "data": {"theta0": 0.5, "n": 20, "seed": 0},
+            "model": GM, "data": {"theta0": 0.5, "n": 20},
             "family": "gaussian", "objective": objective, "alpha": 2.0,
             "outdir": str(tmp_path / "out"),
         })
@@ -135,6 +136,32 @@ class TestFitCommand:
         assert all(kind in err for kind in varfit.OBJECTIVE_KINDS)
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("change, named", [
+        ({"target": {"kind": "laplace", "loc": 0.0, "scale": 1.0}},
+         "it takes no ['data', 'model']"),
+        ({"target": {"kind": "laplace", "loc": 0.0, "scale": 1.0},
+          "model": {"name": "exponential"}, "data": {"n": 5}},
+         "it takes no ['data', 'model']"),
+        ({"target": {"kind": "laplace", "loc": 0.0, "scale": 1.0}, "model": None},
+         "it takes no ['data']"),
+        # the run's seed draws the data: the data spec has none of its own
+        ({"data": {"theta0": 0.5, "n": 20, "seed": 2}}, "unknown key(s) ['seed']"),
+    ], ids=["target-with-model-and-data", "target-with-other-model", "target-with-data",
+            "data-seed"])
+    def test_refused_before_any_fit(self, tmp_path, capsys, monkeypatch, change, named):
+        fits = []
+        # wrapped, so that the CLI reads fit's own signature through it
+        monkeypatch.setattr(cli, "fit", functools.wraps(varfit.fit)(
+            lambda *args, **kwargs: fits.append(args)))
+        payload = {"model": GM, "data": {"n": 20}, "family": "gaussian",
+                   "objective": "kl-forward", "outdir": str(tmp_path / "out"), **change}
+        payload = {k: v for k, v in payload.items() if v is not None}
+        assert run_cli(["fit", write_config(tmp_path, "fit.json", payload)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+        assert not fits
 
     @pytest.mark.parametrize("key", ["steps", "batch_size"])
     def test_stochastic_settings_are_unknown_keys(self, tmp_path, capsys, key):
@@ -169,7 +196,7 @@ class TestFitCommand:
 
         monkeypatch.setattr(varfit, "renyi", recording)
         cfg = write_config(tmp_path, "fit.json", {
-            "model": GM, "data": {"theta0": 0.5, "n": 10, "seed": 1},
+            "model": GM, "data": {"theta0": 0.5, "n": 10}, "seed": 1,
             "family": "laplace", "objective": "renyi-alpha", "alpha": 2.0,
             "quad_tol": 1e-3, "outdir": str(tmp_path / "out"),
         })
@@ -280,11 +307,10 @@ class TestExperimentCommand:
          "n_grid"),
         ("experiment", {"experiment": "mixture", "n_grid": [0, 100]}, "n_grid"),
         ("experiment", {"experiment": "consistency", "n_seeds": 0}, "n_seeds"),
-        ("experiment", {"experiment": "ep", "seeds": []}, "seeds"),
+        ("experiment", {"experiment": "ep", "seeds": []}, "unknown key(s) ['seeds']"),
         ("experiment", {"experiment": "figure1", "alphas": []}, "alphas"),
-        ("experiment", {"experiment": "figure1", "grid_points": -1}, "grid_points"),
-        ("experiment", {"experiment": "figure1", "grid_points": 0}, "grid_points"),
-        ("experiment", {"experiment": "figure1", "grid_points": 1}, "grid_points"),
+        ("experiment", {"experiment": "figure1", "grid_points": 1},
+         "unknown key(s) ['grid_points']"),
         ("experiment", {"experiment": "rate-violation", "n_max": 0}, "n_max"),
         # JSON's NaN and Infinity, which Python's parser reads as floats
         ("experiment", {"experiment": "rate-violation", "kappa": math.nan}, "kappa"),
@@ -296,12 +322,15 @@ class TestExperimentCommand:
          "unknown key(s) ['grid_extent']"),
         ("experiment", {"experiment": "ubfin", "M_bar": 1.0, "theta0": 0.5},
          "unknown key(s) ['theta0']"),
+        ("experiment", {"experiment": "figure1", "budget": 700}, "unknown key(s) ['budget']"),
+        ("experiment", {"experiment": "consistency", "seeds": [0, 1], "n_seeds": 5},
+         "unknown key(s) ['seeds']"),
     ], ids=["2d-audit", "2d-consistency", "2d-ndegen", "2d-mixture", "1d-mvn-mean",
             "zero-consistency-size", "zero-ndegen-size", "zero-ubfin-size",
-            "zero-mixture-size", "no-seeds", "empty-seeds", "no-alphas",
-            "negative-grid-points", "zero-grid-points", "one-grid-point",
+            "zero-mixture-size", "no-seeds", "empty-seeds", "no-alphas", "one-grid-point",
             "zero-n-max", "nan-kappa", "inf-kappa", "ubfin-alpha-one", "retired-B",
-            "retired-grid-extent", "retired-ubfin-theta0"])
+            "retired-grid-extent", "retired-ubfin-theta0", "retired-figure1-budget",
+            "retired-seeds-with-n_seeds"])
     def test_refused_before_any_fit(self, tmp_path, capsys, monkeypatch,
                                     command, payload, named):
         fits = []
@@ -322,7 +351,7 @@ class TestExperimentCommand:
     def test_byte_identical_report_csv(self, tmp_path):
         base = {
             "experiment": "consistency", "model": GM, "family": "laplace",
-            "alpha": 2.0, "n_grid": [100, 1000], "seeds": [0, 1],
+            "alpha": 2.0, "n_grid": [100, 1000], "n_seeds": 2,
         }
         cfg1 = write_config(tmp_path, "e1.json", {**base, "outdir": str(tmp_path / "r1")})
         cfg2 = write_config(tmp_path, "e2.json", {**base, "outdir": str(tmp_path / "r2")})
@@ -378,7 +407,7 @@ class TestValuesTypedByTheirFunction:
     ], ids=["list-for-n", "fraction-for-n", "string-for-sigma", "list-for-family"])
     def test_fit_value(self, tmp_path, capsys, change, named):
         cfg = write_config(tmp_path, "fit.json", {
-            "model": GM, "data": {"theta0": 0.5, "n": 20, "seed": 0},
+            "model": GM, "data": {"theta0": 0.5, "n": 20},
             "family": "gaussian", "objective": "kl-forward",
             "outdir": str(tmp_path / "out"), **change,
         })
@@ -441,16 +470,16 @@ class TestValuesTypedByTheirFunction:
 # The per-experiment config keys as the CLI listed them by hand, before they
 # were derived from the runners' signatures, less the ones since retired.
 KEYS_BEFORE = {
-    "consistency": {"model", "family", "alpha", "n_grid", "seeds", "n_seeds",
-                    "theta0", "quad_tol", "budget"},
-    "ep": {"model", "family", "alpha", "n_grid", "seeds", "n_seeds", "theta0",
-           "quad_tol", "budget"},
+    "consistency": {"model", "family", "alpha", "n_grid", "n_seeds", "theta0",
+                    "quad_tol", "budget"},
+    "ep": {"model", "family", "alpha", "n_grid", "n_seeds", "theta0", "quad_tol",
+           "budget"},
     "ubfin": {"model", "alpha", "M_bar", "n_grid"},
     "ndegen": {"model", "alpha", "q_fixed", "n_grid", "theta0"},
     "mixture": {"model", "alpha", "w", "theta1", "spike_width", "n_grid",
                 "theta0"},
     "rate-violation": {"kappa", "alpha", "sigma", "n_max", "expected_n0"},
-    "figure1": {"rho", "alphas", "budget", "grid_points"},
+    "figure1": {"rho", "alphas"},
     "goodseq-audit": {"model", "family", "alpha", "audit_grid", "rate_grid",
                       "M_bar", "theta0"},
 }
@@ -458,7 +487,7 @@ KEYS_BEFORE = {
 # What each runner was called with for a config naming only the experiment
 # (plus M_bar, which ubfin requires), after the runner's defaults.
 RENYI = {"model": GM, "family": "laplace", "alpha": 2.0,
-         "n_grid": [100, 1000, 10**4, 10**5], "seeds": list(range(10)),
+         "n_grid": [100, 1000, 10**4, 10**5], "n_seeds": 10, "seed": 0,
          "theta0": None, "quad_tol": 1e-7, "budget": 260, "jobs": 1}
 BOUND_BEFORE = {
     "consistency": {**RENYI, "objective_kind": "renyi-alpha"},
@@ -474,8 +503,7 @@ BOUND_BEFORE = {
                 "seed": 0, "theta0": None},
     "rate-violation": {"kappa": 0.75, "alpha": 2.0, "sigma": 1.0,
                        "n_max": 10**4, "expected_n0": None},
-    "figure1": {"rho": 0.9, "alphas": [2.0, 5.0, 20.0], "budget": 700,
-                "grid_points": 61},
+    "figure1": {"rho": 0.9, "alphas": [2.0, 5.0, 20.0]},
     "goodseq-audit": {"model": GM, "family": "laplace", "alpha": 2.0,
                       "audit_grid": [10, 100, 1000],
                       "rate_grid": [100, 1000, 10**4, 10**5], "seed": 0,
@@ -678,6 +706,22 @@ class TestSeedPrecedence:
 
 
 LAPLACE_CELL = {"model": GM, "family": "laplace", "n_grid": [100, 1000], "n_seeds": 1}
+
+# A quick run of each experiment: its defaults, but fewer consistency cells,
+# and ubfin's required M_bar.
+SMALL = {"consistency": LAPLACE_CELL, "ep": LAPLACE_CELL, "ubfin": {"M_bar": 1.0}}
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_report_echoes_every_key(tmp_path, name):
+    # n_seeds comes back as the seeds it gave
+    cfg = write_config(tmp_path, "exp.json", {"experiment": name, **SMALL.get(name, {}),
+                                              "outdir": str(tmp_path / "out")})
+    run_cli(["experiment", cfg])
+    echo = json.loads((tmp_path / "out" / "report.json").read_text())["config"]
+    if "seeds" in echo:
+        echo["n_seeds"] = len(echo["seeds"])
+    assert set(experiment_keys(name)) <= set(echo)
 
 
 class TestImport:

@@ -235,10 +235,8 @@ class TestNormalization:
         d = make_gaussian([0.5, -0.5], [[1.0, 0.6], [0.6, 2.0]])
         res = integrate_2d(
             lambda pts: np.exp(d.log_pdf(pts)),
-            QuadratureSpec(-np.inf, np.inf, rel_tol=1e-7,
-                           breakpoints=tuple(bulk_points(d, 0))),
-            QuadratureSpec(-np.inf, np.inf, rel_tol=1e-7,
-                           breakpoints=tuple(bulk_points(d, 1))),
+            *(QuadratureSpec(-np.inf, np.inf, rel_tol=1e-7,
+                             breakpoints=tuple(marginal_bulk_points(d, i))) for i in (0, 1)),
         )
         assert abs(res.value - 1.0) <= 1e-4
 
@@ -358,6 +356,12 @@ class TestDominates:
             dominates(make_gaussian(0.0, 1.0), make_gaussian([0.0, 0.0], np.eye(2)))
 
 
+def marginal_bulk_points(d, coord):
+    """The bulk points of a Gaussian's marginal along ``coord``, from its mean
+    and sd there."""
+    return bulk_points(make_gaussian(d.mean[coord], d.cov[coord, coord]))
+
+
 def bulk_points_loop(d, coord=0):
     """Reference: the element-by-element form of bulk_points."""
     lo, hi = d.support[coord]
@@ -384,12 +388,14 @@ class TestBulkPoints:
         assert np.all(np.diff(got) > 0)
 
     def test_computed_once_and_read_only(self):
-        for d in (ALL_1D["gaussian"], ALL_1D["mixture"],
-                  make_gaussian([0.5, -1.0], [[1.0, 0.3], [0.3, 2.0]])):
-            for coord in range(d.dim):
-                pts = bulk_points(d, coord)
-                assert bulk_points(d, coord) is pts
-                assert not pts.flags.writeable
+        for d in (ALL_1D["gaussian"], ALL_1D["mixture"]):
+            pts = bulk_points(d)
+            assert bulk_points(d) is pts
+            assert not pts.flags.writeable
+
+    def test_refuses_other_dimensions(self):
+        with pytest.raises(ValueError, match="1-D densities, got dim 2"):
+            bulk_points(make_gaussian([0.5, -1.0], [[1.0, 0.3], [0.3, 2.0]]))
 
     @pytest.mark.parametrize("var", [math.nan, -1.0, -math.inf, math.inf])
     def test_variance_without_an_sd_gives_no_points(self, var):
@@ -409,4 +415,4 @@ class TestBulkPoints:
                 assert bulk_points(d).tolist() == bulk_points_loop(d).tolist()
         d2 = make_gaussian([0.5, -1.0], [[1.0, 0.3], [0.3, 2.0]])
         for coord in (0, 1):
-            assert bulk_points(d2, coord).tolist() == bulk_points_loop(d2, coord).tolist()
+            assert marginal_bulk_points(d2, coord).tolist() == bulk_points_loop(d2, coord).tolist()

@@ -32,7 +32,7 @@ EM = {"name": "exponential"}
 
 class TestConsistency:
     def test_gaussian_laplace_small(self):
-        rep = run_consistency(GM, "laplace", 2.0, [100, 1000, 10**4], list(range(10)))
+        rep = run_consistency(GM, "laplace", 2.0, [100, 1000, 10**4], n_seeds=10)
         assert rep.verdict("variance_slope")["passed"]
         assert rep.verdict("mean_within_3sigma")["passed"]
         assert rep.verdict("concentration")["passed"]
@@ -40,32 +40,32 @@ class TestConsistency:
 
     def test_gaussian_family_recovers_exact_rate(self):
         rep = run_consistency(GM, "gaussian", 2.0, [100, 1000, 10**4, 10**5],
-                              list(range(5)))
+                              n_seeds=5)
         slope = rep.verdict("variance_slope")["measured"]
         assert abs(slope + 1.0) <= 0.05  # q* is the posterior itself
 
     def test_exponential_gamma_mean_error_decays(self):
         rep = run_consistency(EM, "gamma", 2.0, [100, 1000, 10**4],
-                              list(range(40)), budget=200)
+                              n_seeds=40, budget=200)
         assert rep.verdict("variance_slope")["passed"]
         assert abs(rep.config["mean_error_slope"] + 0.5) <= 0.1
 
     def test_jobs_pool_matches_sequential(self):
-        seq = run_consistency(GM, "laplace", 2.0, [100, 1000], [0, 1, 2], jobs=1)
-        par = run_consistency(GM, "laplace", 2.0, [100, 1000], [0, 1, 2], jobs=2)
+        seq = run_consistency(GM, "laplace", 2.0, [100, 1000], n_seeds=3, jobs=1)
+        par = run_consistency(GM, "laplace", 2.0, [100, 1000], n_seeds=3, jobs=2)
         assert seq.records == par.records
 
 
 class TestEpConsistency:
     def test_small_run(self):
-        rep = run_ep_consistency(GM, "laplace", [100, 1000, 10**4], list(range(10)))
+        rep = run_ep_consistency(GM, "laplace", [100, 1000, 10**4], n_seeds=10)
         assert rep.passed
         assert rep.verdict("kl_le_renyi")["passed"]
         for r in rep.records:
             assert r["kl_forward"] <= r["renyi"] + 1e-6
 
     def test_gaussian_family_exact_recovery(self):
-        rep = run_ep_consistency(GM, "gaussian", [100, 1000, 10**4, 10**5], [0, 1, 2])
+        rep = run_ep_consistency(GM, "gaussian", [100, 1000, 10**4, 10**5], n_seeds=3)
         assert max(r["objective"] for r in rep.records) <= 1e-8
 
 
@@ -304,7 +304,7 @@ def test_figure1_certificate_that_did_not_converge_fails(monkeypatch):
         return dataclasses.replace(est, converged=len(calls) < 9)
 
     monkeypatch.setattr(experiments, "renyi_quadrature", last_unconverged)
-    rep = run_figure1(rho=0.9, alphas=(2.0, 5.0, 20.0), grid_points=2)
+    rep = run_figure1(rho=0.9, alphas=(2.0, 5.0, 20.0))
     verdict = rep.verdict("quadrature_local_min")
     assert len(calls) == 9 and rep.config["certificates_converged"] is False
     assert not verdict["passed"] and verdict["measured"] <= verdict["threshold"]
@@ -333,7 +333,7 @@ def figure1_exact_s2(rho, objective, alpha):
 
 @pytest.mark.parametrize("rho", [-0.7, 0.3, 0.5, 0.9])
 def test_figure1_fits_reach_exact_optima(rho):
-    rep = run_figure1(rho=rho, alphas=(2.0, 5.0, 20.0), grid_points=2)
+    rep = run_figure1(rho=rho, alphas=(2.0, 5.0, 20.0))
     for r in rep.records:
         objective = r["objective"] if r["alpha"] == 1.0 else "renyi"
         exact = figure1_exact_s2(rho, objective, r["alpha"])
@@ -396,16 +396,16 @@ class TestReports:
     @pytest.mark.parametrize("run,sha256", [
         (lambda: run_figure1(rho=0.9),
          "32803475f002d39f6144ab91e4085da687d3f3eb2296d123dff50764e4a165d7"),
-        (lambda: run_ep_consistency(n_grid=[100, 1000], seeds=[0, 1]),
+        (lambda: run_ep_consistency(n_grid=[100, 1000], n_seeds=2),
          "ac965991614d6aad1ad3e72f6dd610b29c7a0abe75d776cf45fa7304d75c0955"),
         # fits by 1-D Renyi quadrature: Laplace members, and Gamma members
         # against the exponential model's truncated-Gamma posterior
-        (lambda: run_consistency(GM, "laplace", n_grid=[100, 1000], seeds=[0, 1]),
+        (lambda: run_consistency(GM, "laplace", n_grid=[100, 1000], n_seeds=2),
          "238d456fcf6e9fc08c13c8cd1c1cdf2f88c49535c0b2b6ee74a7f67435c1e014"),
-        (lambda: run_consistency(EM, "gamma", n_grid=[100, 1000], seeds=[0, 1]),
+        (lambda: run_consistency(EM, "gamma", n_grid=[100, 1000], n_seeds=2),
          "fc5e11bff78242045c1722a6bd94e1d5139a1877958f03672d1952a6b835fb63"),
         # fits by the Gaussian Renyi closed form, start grid in one batch
-        (lambda: run_consistency(GM, "gaussian", n_grid=[100, 1000, 10000], seeds=[0, 1]),
+        (lambda: run_consistency(GM, "gaussian", n_grid=[100, 1000, 10000], n_seeds=2),
          "736ee4d28615fbcbc4bb5322ccef2e4eaf9c292645dece9b92f29a89f8ef0c9b"),
         # every other experiment, at its defaults but the values named
         (lambda: run_ndegen(),
@@ -441,22 +441,22 @@ class TestReports:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
     def test_byte_identical_reruns(self, tmp_path):
-        a = run_consistency(GM, "laplace", 2.0, [100, 1000], [0, 1])
-        b = run_consistency(GM, "laplace", 2.0, [100, 1000], [0, 1])
+        a = run_consistency(GM, "laplace", 2.0, [100, 1000], n_seeds=2)
+        b = run_consistency(GM, "laplace", 2.0, [100, 1000], n_seeds=2)
         pa = write_report(a, tmp_path / "a")
         pb = write_report(b, tmp_path / "b")
         assert pa["csv"].read_bytes() == pb["csv"].read_bytes()
 
     def test_figure1_grid_file(self, tmp_path):
-        rep = run_figure1(rho=0.9, alphas=(2.0,), grid_points=21)
+        rep = run_figure1(rho=0.9, alphas=(2.0,))
         paths = write_report(rep, tmp_path / "fig")
         assert paths["grid"].exists()
         lines = paths["grid"].read_text().splitlines()
         assert lines[0] == "# schema=1"
-        assert len(lines) == 2 + 21 * 21
+        assert len(lines) == 2 + experiments.FIGURE1_GRID_POINTS ** 2
 
     def test_figure1_grid_file_round_trips(self, tmp_path):
-        rep = run_figure1(rho=0.5, alphas=(2.0,), grid_points=5)
+        rep = run_figure1(rho=0.5, alphas=(2.0,))
         path = write_report(rep, tmp_path / "fig")["grid"]
         lines = path.read_text().splitlines()
         assert lines[1].split(",") == list(rep.grid)
@@ -466,7 +466,7 @@ class TestReports:
 
     def test_grid_file_is_each_value_in_17_digits(self, tmp_path):
         odd = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 0.1, 0.1 + 2.0 ** -56, 0.1])
-        grids = [run_figure1(rho=0.5, alphas=(2.0,), grid_points=7).grid,
+        grids = [run_figure1(rho=0.5, alphas=(2.0,)).grid,
                  {"a": odd, "b": odd[::-1]}]
         for i, grid in enumerate(grids):
             path = tmp_path / f"grid{i}.csv"
