@@ -10,7 +10,9 @@ written).
 
 Each subcommand's ``--help`` lists its config keys; fit's objective is one of
 renyi-alpha, kl-forward or kl-reverse. An experiment's keys and
-their defaults are its runner's parameters (experiment_keys); a model or
+their defaults are its runner's parameters (experiment_keys), and seed and
+jobs are keys only of a runner that takes them; the --seed and --jobs flags
+are taken by every experiment and ignored by the others. A model or
 density spec's keys are the parameters of the function its "name" or "kind"
 selects (renyi_vi.config). Every value's JSON type is checked against its
 key's default; a key whose default is an int, and seed, take whole numbers.
@@ -50,11 +52,12 @@ EXPERIMENTS = {
     "goodseq-audit": experiments.run_goodseq_audit,
 }
 
-# Runner parameters that are not config keys: seed and jobs are filled from
-# the keys every experiment accepts (COMMON_KEYS), and objective_kind is fixed
-# by the choice of runner.
-_NOT_KEYS = {"seed", "jobs", "objective_kind"}
-COMMON_KEYS = ("experiment", "seed", "outdir", "jobs")
+# Runner parameters that are not config keys of their own: seed and jobs
+# (_FILLED) are filled by the CLI, from a flag or the config, for a runner
+# that takes them, and objective_kind is fixed by the choice of runner.
+_FILLED = ("seed", "jobs")
+_NOT_KEYS = {*_FILLED, "objective_kind"}
+COMMON_KEYS = ("experiment", "outdir")
 
 
 class _CliError(Exception):
@@ -83,15 +86,17 @@ def _resolve_seed(args, config: dict, where: str):
     return args.seed if getattr(args, "seed", None) is not None else seed
 
 
-def _outdir(args, config: dict, tag: str) -> Path:
+def _outdir(args, config: dict, tag: str, seed: int | None) -> Path:
     """Where a command writes: --outdir, else the config's outdir, else a
-    stamped directory under runs/. It is made where a file is written."""
+    stamped directory under runs/, named with ``seed``, the seed the run
+    used (None for a run that takes none). It is made where a file is
+    written."""
     if getattr(args, "outdir", None):
         return Path(args.outdir)
     if config.get("outdir"):
         return Path(config["outdir"])
     stamp = time.strftime("%Y%m%d-%H%M%S")
-    return Path(f"runs/{tag}-{stamp}-seed{config.get('seed', 0)}")
+    return Path(f"runs/{tag}-{stamp}" + ("" if seed is None else f"-seed{seed}"))
 
 
 def _fit_json(out: Path) -> Path:
@@ -158,7 +163,7 @@ def cmd_fit(args) -> int:
     else:
         raise _CliError("fit config needs either 'target' or 'model'")
 
-    out = _outdir(args, config, "fit")
+    out = _outdir(args, config, "fit", 0 if seed is None else seed)
     try:
         result = fit(
             target, family, objective,
@@ -191,6 +196,12 @@ def experiment_keys(name: str) -> dict:
             if key not in _NOT_KEYS}
 
 
+def _filled_keys(name: str) -> list:
+    """The keys of _FILLED that experiment ``name``'s runner takes: of
+    them, the only ones its config may give."""
+    return [key for key in _FILLED if key in inspect.signature(EXPERIMENTS[name]).parameters]
+
+
 def cmd_experiment(args) -> int:
     config = _load_config(args.config)
     # the audit subcommand fixes the experiment and takes neither key
@@ -202,24 +213,24 @@ def cmd_experiment(args) -> int:
             f"unknown experiment {name!r}; valid names: {', '.join(EXPERIMENTS)}"
         )
     where = "audit config" if args.experiment else f"experiment config ({name})"
-    common = {"seed", "outdir"} if args.experiment else set(COMMON_KEYS)
-    keys = experiment_keys(name)
-    check_keys(config, set(keys) | common, where)
+    common = {"outdir"} if args.experiment else set(COMMON_KEYS)
+    keys, filled = experiment_keys(name), _filled_keys(name)
+    check_keys(config, {*keys, *common, *filled}, where)
     for key, default in {**keys, "jobs": 1, "outdir": ""}.items():
         if key in config:
             check_type(where, key, config[key], default)
-    seed = _resolve_seed(args, config, where)
-    jobs = args.jobs if args.jobs is not None else int(config.get("jobs", 1))
     # the config's own values, uncast (the runner casts them), and the ones
-    # the CLI fills
+    # the CLI fills; every experiment takes --seed and --jobs, which move
+    # only a runner that takes them
     kwargs = {key: config[key] for key in keys if key in config}
-    params = inspect.signature(EXPERIMENTS[name]).parameters
-    if "seed" in params and seed is not None:
-        kwargs["seed"] = seed
-    if "jobs" in params:
-        kwargs["jobs"] = jobs
+    seed = None
+    if "seed" in filled:
+        resolved = _resolve_seed(args, config, where)
+        seed = kwargs["seed"] = 0 if resolved is None else resolved
+    if "jobs" in filled:
+        kwargs["jobs"] = args.jobs if args.jobs is not None else int(config.get("jobs", 1))
     report = getattr(experiments, EXPERIMENTS[name].__name__)(**kwargs)
-    out = _outdir(args, config, name)
+    out = _outdir(args, config, name, seed)
     paths = write_report(report, out)
     for v in report.verdicts:
         mark = "PASS" if v["passed"] else "FAIL"
@@ -266,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.set_defaults(func=cmd_fit)
 
     listing = "\n".join(
-        textwrap.fill(f"{name}: {', '.join(experiment_keys(name))}",
+        textwrap.fill(f"{name}: {', '.join([*experiment_keys(name), *_filled_keys(name)])}",
                       initial_indent="  ", subsequent_indent="      ")
         for name in EXPERIMENTS)
     p_exp = sub.add_parser(
@@ -277,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
         "names. Exit 0 iff all\nverdicts pass; reports are always written. CSV "
         "columns are fixed per experiment\nand versioned by the '# schema=1' "
         "header line.\n\nExperiments and their config keys, besides "
-        + ", ".join(COMMON_KEYS) + ":\n" + listing,
+        + " and ".join(COMMON_KEYS) + ":\n" + listing,
     )
     p_exp.add_argument("config", help="JSON config file")
     p_exp.add_argument("--seed", type=int)

@@ -90,10 +90,12 @@ class Density:
 
     @property
     def tails(self) -> tuple | None:
-        """The leading term of the log-density at each end of its support,
-        computed on first use; None for a kind that declares none.
+        """The leading term of the log-density at each end of its 1-D
+        support, computed on first use; None for a kind that declares none,
+        and in 2-D, where no quadrature reads them (a 2-D pair has a value
+        only by a closed form).
 
-        In 1-D, ``(lower, upper)``, each a triple ``(k, c, m)``:
+        ``(lower, upper)``, each a triple ``(k, c, m)``:
 
         - at an infinite end, log p(x) = -c |x|^k + m log |x| + smaller
           terms, with k > 0 and c > 0. The smaller terms are bounded when
@@ -103,9 +105,7 @@ class Density:
           m = 0 where the density stays finite and positive up to its end.
 
         A mixture takes, at each end, its slowest component among those
-        that reach it. In 2-D, where tails differ by direction, a tuple of
-        precision matrices as rows of Python floats: one for a Gaussian, one
-        per component for a mixture of Gaussians.
+        that reach it.
         """
         # cached by hand: a cached_property's lock costs more than the tails
         cache = self.__dict__
@@ -537,11 +537,8 @@ def bulk_points(d: Density) -> np.ndarray:
     density without moments gives none.
 
     Used to seed quadrature panels, so narrow densities and the kink at a
-    Laplace or logistic centre are seen by an adaptive first pass. The 1-D
-    Renyi quadrature also sets its log-integrand shift from them. The 2-D
-    quadratures do not take them: their peak frame seeds a shorter ladder
-    of its own at each maximum of the integrand (of p, for the KL), in the
-    sds of a Gaussian fitted there.
+    Laplace or logistic centre are seen by an adaptive first pass. The
+    Renyi quadrature also sets its log-integrand shift from them.
 
     Computed on a density's first call, kept on the density and read-only,
     so a density used in many divergences sets them up once. Kept by hand,
@@ -584,16 +581,11 @@ def _bulk_points(d: Density) -> np.ndarray:
 
 
 def _gaussian_tails(d: Density) -> tuple | None:
-    if d.dim == 1:
-        s = d.chol[0][0]
-        end = (2, 0.5 / (s * s), 0.0)
-        return end, end
-    if d.dim != 2:
+    if d.dim != 1:
         return None
-    # inv(L) from L's rows, then the precision inv(L)' inv(L)
-    (l00,), (l10, l11) = d.chol
-    a, b, c = 1.0 / l00, -l10 / (l00 * l11), 1.0 / l11
-    return ((a * a + b * b, b * c), (b * c, c * c)),
+    s = d.chol[0][0]
+    end = (2, 0.5 / (s * s), 0.0)
+    return end, end
 
 
 def _exponential_tails(d: Density) -> tuple:
@@ -617,8 +609,6 @@ def _mixture_tails(d: Density) -> tuple | None:
     comps = d.params["components"]
     if any(c.tails is None for c in comps):
         return None
-    if d.dim == 2:  # every component's precision
-        return tuple(t for c in comps for t in c.tails)
     # the slowest decay among the components that reach the end: at an
     # infinite end the smallest k, then the smallest c, then the largest
     # m; at a finite one the smallest m

@@ -4,12 +4,13 @@ integral.
 
 ``renyi`` and ``kl_forward`` go through one dispatcher
 (:func:`_divergence`): the closed form that ``_RENYI_CLOSED`` or
-``_KL_CLOSED`` lists for the pair's two kinds, else adaptive quadrature
-(dim <= 2) in one pass set-up for both objectives (:class:`_Pass`), each of
-which gives only its log-mass (the Renyi log-integrand, or log p for the
-KL) and what it makes of a node's values: in 1-D in x, with both
-densities' bulk points as first panel edges (:func:`_anchor_points_1d`),
-and in 2-D in the peak frame (:func:`_peak_frame_2d`). Each closed-form row
+``_KL_CLOSED`` lists for the pair's two kinds, else 1-D adaptive quadrature
+in x, with both densities' bulk points as first panel edges
+(:func:`_anchor_points_1d`), in one pass set-up for both objectives
+(:class:`_Pass`), each of which gives only its log-mass (the Renyi
+log-integrand, or log p for the KL) and what it makes of a node's values.
+A 2-D pair that no row lists is refused by name (:func:`_undominated`):
+every 2-D pair the library scores is a Gaussian one. Each closed-form row
 is one function over Python floats or arrays: it reads a Density, or
 :class:`~renyi_vi.distributions.Members` (the attributes of Gaussians or
 Laplaces, without a ``log_pdf``) on either side of the pair. One member is
@@ -32,7 +33,6 @@ from __future__ import annotations
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,14 +43,7 @@ from .distributions import (
     dominates,
     interval_mass,
 )
-from .numerics import (
-    QuadratureSpec,
-    cholesky_rows,
-    integrate,
-    integrate_2d,
-    log_sum_exp,
-    solve_lower,
-)
+from .numerics import QuadratureSpec, cholesky_rows, integrate, log_sum_exp, solve_lower
 
 __all__ = [
     "CLOSED_FORM",
@@ -75,7 +68,7 @@ QUADRATURE = "quadrature"
 # Log-integrand excess over a pass's shift (:class:`_Pass`) that stops a
 # Renyi quadrature pass: the shift has missed the integrand's peak. 700 nats
 # is just below exp-overflow in float64, so a pass whose shift is sound
-# never trips it. The 1-D pass is then re-seeded at the located peak.
+# never trips it. The pass is then re-seeded at the located peak.
 OVERFLOW_NATS = 700.0
 
 # Why a value is infinite (DivergenceEstimate.reason), besides a divergent
@@ -92,14 +85,13 @@ class DivergenceEstimate:
     log-mass and node step serve, never renyi_*. ``converged`` is False
     when the adaptive quadrature behind a finite value stopped before
     reaching its tolerance; closed forms and ``inf`` verdicts are always
-    converged. ``panels`` counts the final quadrature panels (boxes in 2-D)
-    behind a finite quadrature value; it is 0 for closed forms and ``inf``
-    verdicts.
+    converged. ``panels`` counts the final quadrature panels behind a
+    finite quadrature value; it is 0 for closed forms and ``inf`` verdicts.
     ``reason`` says why a value is infinite and is None when it is finite:
     ``"dominance"`` (q vanishes where p does not) or ``"divergent tail at
-    <end>"`` (in 2-D, an S* that is not positive definite). An ``inf`` is
-    never a guess: a pair that these do not decide raises, as does a
-    closed form that overflows float64.
+    <end>"`` (for the Gaussian closed form, an S* that is not positive
+    definite). An ``inf`` is never a guess: a pair that these do not decide
+    raises, as does a closed form that overflows float64.
     """
 
     value: float
@@ -158,127 +150,6 @@ def _anchor_points_1d(p: Density, q: Density) -> np.ndarray:
     return pts
 
 
-_NEWTON_MAX_STEPS = 30
-_NEWTON_STEP_TOL = 1e-3  # in marginal sds of inv(-H)
-# (i, j) offsets of the 3 x 3 central-difference stencil, row-major.
-_STENCIL = np.array([[i, j] for i in (-1.0, 0.0, 1.0) for j in (-1.0, 0.0, 1.0)])
-
-
-def _newton_max_2d(log_integrand, centre, step):
-    """Maximise a 2-D log-integrand by Newton steps on a 3 x 3 stencil.
-
-    Starts at ``centre`` with per-axis stencil step ``step``; later steps are
-    the marginal sds of inv(-H). Returns ``(maximiser, inv(-H))``, or None
-    when a stencil value is not finite, H is not negative definite, or the
-    steps have not settled within ``_NEWTON_MAX_STEPS``.
-    """
-    c = np.array(centre, dtype=float)
-    h = np.array(step, dtype=float)
-    for _ in range(_NEWTON_MAX_STEPS):
-        v = log_integrand(c + h * _STENCIL).reshape(3, 3)
-        if not np.all(np.isfinite(v)):
-            return None
-        grad = np.array([v[2, 1] - v[0, 1], v[1, 2] - v[1, 0]]) / (2.0 * h)
-        hxy = (v[2, 2] - v[2, 0] - v[0, 2] + v[0, 0]) / (4.0 * h[0] * h[1])
-        neg_hess = -np.array([
-            [(v[2, 1] - 2.0 * v[1, 1] + v[0, 1]) / h[0] ** 2, hxy],
-            [hxy, (v[1, 2] - 2.0 * v[1, 1] + v[1, 0]) / h[1] ** 2],
-        ])
-        lam, vec = np.linalg.eigh(neg_hess)
-        if not lam[0] > 0.0:
-            return None
-        cov = (vec / lam) @ vec.T
-        move = cov @ grad
-        c = c + move
-        h = np.sqrt(np.diag(cov))
-        if np.all(np.abs(move) <= _NEWTON_STEP_TOL * h):
-            return c, cov
-    return None
-
-
-def _centres(d: Density):
-    """(mean, per-axis sd) of d, or of each mixture component; None when a
-    component declares no moments."""
-    comps = d.params["components"] if d.kind == "mixture" else (d,)
-    if any(c.mean is None or c.cov is None for c in comps):
-        return None
-    return [(c.mean, np.sqrt(np.diag(c.cov))) for c in comps]
-
-
-class _Frame(NamedTuple):
-    """Where to integrate in 2-D (:func:`_peak_frame_2d`): over the whole
-    plane of the variable u, with first box edges ``breakpoints`` per axis
-    of u. ``to_x`` maps (N, 2) points u to x; ``log_jac`` is log |dx/du|;
-    ``shift`` is the largest value of the log-mass that the frame located."""
-
-    breakpoints: tuple
-    shift: float
-    log_jac: float
-    to_x: Callable
-
-
-# Breakpoint offsets of the 2-D peak frame on either side of a maximum, in
-# its marginal sds in z. The frame makes the largest maximum a unit bump, so
-# a short ladder seeds boxes of its width where its mass is.
-_PEAK_LADDER = np.array([-12.0, -8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0, 12.0])
-
-
-def _peak_frame_2d(p, q, log_integrand):
-    """The integration frame from the log-integrand's maxima.
-
-    Newton runs once from each centre of p and q; a maximum within one
-    marginal sd of one already found is dropped. Each maximum c with
-    curvature H stands for N(c, inv(-H)). The frame is x = origin + A z with
-    A A' = inv(-H) at the largest maximum, so its peak is a unit isotropic
-    bump in z and a thin ridge along a diagonal of x still meets boxes of its
-    own width. Its breakpoints, per axis of z, are each maximum's centre
-    plus :data:`_PEAK_LADDER` times its marginal sd there (11 per maximum,
-    so 144 first-pass boxes for one), and its shift the largest
-    log-integrand value at the maxima. A start whose Newton steps fail (as
-    from q's centre between two modes of p) adds no maximum. None when p's
-    support is not the whole plane, a density has no centres, or every
-    start fails.
-    """
-    starts = [_centres(p), _centres(q)]
-    if np.isfinite(p.support).any() or None in starts:
-        return None
-    maxima = []
-    for centre, sd in starts[0] + starts[1]:
-        found = _newton_max_2d(log_integrand, centre, sd)
-        if found is None:
-            continue
-        c, cov = found
-        reach = np.sqrt(np.diag(cov))
-        if all(np.any(np.abs(c - m) > reach) for m, _ in maxima):
-            maxima.append((c, cov))
-    if not maxima:
-        return None
-    peaks = log_integrand(np.array([c for c, _ in maxima]))
-    origin, cov = maxima[int(np.argmax(peaks))]
-    lam, vec = np.linalg.eigh(cov)
-    if not lam[0] > 0.0:
-        return None
-    a_inv = vec.T / np.sqrt(lam)[:, None]
-    # each maximum's centre and marginal sds in z, laddered along each axis
-    edges = np.concatenate([
-        a_inv @ (c - origin) + _PEAK_LADDER[:, None] * np.sqrt(np.diag(a_inv @ s @ a_inv.T))
-        for c, s in maxima])
-    bx, by = np.unique(edges[:, 0]), np.unique(edges[:, 1])
-    a = vec * np.sqrt(lam)
-    # x = origin + A z, column by column with A's entries as Python floats:
-    # cheaper than an (N, 2) @ (2, 2) matmul on every batch of nodes
-    (o0, o1), ((a00, a01), (a10, a11)) = origin.tolist(), a.tolist()
-
-    def to_x(z):
-        z0, z1 = z[:, 0], z[:, 1]
-        x = np.empty(z.shape)
-        x[:, 0] = o0 + (a00 * z0 + a01 * z1)
-        x[:, 1] = o1 + (a10 * z0 + a11 * z1)
-        return x
-
-    return _Frame((bx, by), float(np.max(peaks)), float(np.log(abs(np.linalg.det(a)))), to_x)
-
-
 # Stands for q at an end of p's support that lies inside q's: there q is
 # finite and positive, a power 0 of the distance to the end.
 _INSIDE = (0, 0.0, 0.0)
@@ -315,30 +186,13 @@ def _tail_verdict(p: Density, q: Density, alpha: float) -> str:
     """``_FINITE``, or the reason int p^alpha q^(1-alpha) diverges, with q
     dominating p, read from the densities' declared tails. Raises
     ``ValueError``, naming both kinds, where they do not decide it: tails
-    not declared, a 2-D q with more than one component, or cancelling
-    leading terms at a 1-D end (:func:`_end_finite` is None).
-
-    In 1-D each end of p's support is decided by :func:`_end_finite`. In 2-D
-    it is finite iff alpha P_k - (alpha - 1) P_q is positive definite for
-    q's precision P_q and each of p's P_k, since (sum_k w_k p_k)^alpha lies
-    between max_k (w_k p_k)^alpha and K^(alpha - 1) sum_k (w_k p_k)^alpha;
-    for one component that is the closed form's S* > 0.
+    not declared, or cancelling leading terms at an end (:func:`_end_finite`
+    is None). Each end of p's support is decided by :func:`_end_finite`.
     """
     tp, tq = p.tails, q.tails
     if tp is None or tq is None:
         raise ValueError(f"the tails of {_kinds(p, q)} are not both declared, so whether "
                          "the Renyi integral is finite is undecided")
-    if p.dim == 2:
-        if len(tq) != 1:
-            raise ValueError(f"the tails of {_kinds(p, q)} do not decide the Renyi integral: "
-                             "q has more than one component")
-        (pq,), beta = tq, alpha - 1.0
-        for pk in tp:
-            a = [[alpha * x - beta * y for x, y in zip(rp[:i + 1], rq[:i + 1])]
-                 for i, (rp, rq) in enumerate(zip(pk, pq))]
-            if not cholesky_rows(a)[1]:
-                return _S_STAR_INDEFINITE
-        return _FINITE
     (lo, hi), = p.support
     (q_lo, q_hi), = q.support
     lower = _end_finite(tp[0], tq[0] if lo == q_lo else _INSIDE, alpha)
@@ -352,6 +206,8 @@ def _tail_verdict(p: Density, q: Density, alpha: float) -> str:
                      "not declared, so whether the Renyi integral is finite is undecided")
 
 
+_NEWTON_MAX_STEPS = 30
+_NEWTON_STEP_TOL = 1e-3  # in scales of the located maximum
 _STENCIL_1D = np.array([-1.0, 0.0, 1.0])
 
 
@@ -443,49 +299,31 @@ def _peak_anchors_1d(log_integrand, anchors: np.ndarray, support):
 
 
 class _Pass:
-    """One quadrature pass of a divergence over p's support (dim <= 2), run
-    on construction: the integrand, what the pass met, and ``res``, its
+    """One quadrature pass of a divergence over p's 1-D support, run on
+    construction: the integrand, what the pass met, and ``res``, its
     quadrature, or None where the pass is void or its sum is not finite.
 
     An objective gives two things: its log-mass (the Renyi log-integrand, or
     log p for the KL) and its ``node`` step, ``node(pass, log_mass, x)``,
     which turns the log-mass at a call's nodes x into the integrand's values
-    there. In 1-D the pass runs in x, with the anchors
-    (:func:`_anchor_points_1d`) as its first panel edges, so that a Laplace
-    or logistic kink is an edge from the first pass; its first call
-    evaluates the log-mass once, on the anchors and then its nodes, takes
-    the ``shift`` from the anchors' part (NaN if one is NaN), and raises
-    ``ValueError`` where the log-mass vanishes on every anchor. Given
-    ``seed``, a ``(shift, breakpoints)`` pair (:func:`_peak_anchors_1d`), it
-    starts from those instead. In 2-D it runs in the peak frame of the
-    log-mass (:func:`_peak_frame_2d`), with the frame's shift and
-    ``log_jac``, log |dx/du|; ``ValueError``, naming both kinds, where no
-    maximum is found. A node step may void the pass (:meth:`stop`),
-    ``vanished`` where q vanishes where p does not; a void pass's later
-    calls return zeros.
+    there. The pass runs in x, with the anchors (:func:`_anchor_points_1d`)
+    as its first panel edges, so that a Laplace or logistic kink is an edge
+    from the first pass; its first call evaluates the log-mass once, on the
+    anchors and then its nodes, takes the ``shift`` from the anchors' part
+    (NaN if one is NaN), and raises ``ValueError`` where the log-mass
+    vanishes on every anchor. Given ``seed``, a ``(shift, breakpoints)``
+    pair (:func:`_peak_anchors_1d`), it starts from those instead. A node
+    step may void the pass (:meth:`stop`), ``vanished`` where q vanishes
+    where p does not; a void pass's later calls return zeros.
     """
 
-    __slots__ = ("log_mass", "node", "shift", "anchors", "log_jac", "void", "vanished", "res")
+    __slots__ = ("log_mass", "node", "shift", "anchors", "void", "vanished", "res")
 
     def __init__(self, p, q, log_mass, node, rel_tol: float, seed=None):
         self.log_mass, self.node, self.void, self.vanished = log_mass, node, False, False
-        if p.dim == 1:
-            (lo, hi), = p.support
-            self.shift, self.anchors = (None, _anchor_points_1d(p, q)) if seed is None else seed
-            self.log_jac = 0.0
-            res = integrate(self, QuadratureSpec(lo, hi, rel_tol, self.anchors))
-        else:
-            if p.dim > 2:
-                raise ValueError("quadrature divergences support dim <= 2")
-            frame = _peak_frame_2d(p, q, log_mass)
-            if frame is None:
-                raise ValueError("no maximum of the integrand found from the centres of "
-                                 + _kinds(p, q))
-            self.shift, self.anchors, self.log_jac = frame.shift, None, frame.log_jac
-            bx, by = frame.breakpoints
-            res = integrate_2d(lambda u: self(frame.to_x(u)),
-                               QuadratureSpec(-np.inf, np.inf, rel_tol, bx),
-                               QuadratureSpec(-np.inf, np.inf, rel_tol, by))
+        (lo, hi), = p.support
+        self.shift, self.anchors = (None, _anchor_points_1d(p, q)) if seed is None else seed
+        res = integrate(self, QuadratureSpec(lo, hi, rel_tol, self.anchors))
         self.res = None if self.void or not math.isfinite(res.value) else res
 
     def __call__(self, x):
@@ -509,31 +347,47 @@ class _Pass:
         return np.zeros(n)
 
 
+def _undominated(p: Density, q: Density, alpha: float | None) -> DivergenceEstimate | None:
+    """A quadrature's ``inf`` where q does not dominate p, else None. First
+    refuses, by a ``ValueError`` naming both kinds, a pair that is not 1-D:
+    quadrature integrates on a line, and a 2-D pair has a value only where
+    a closed-form row lists it. The one place either is decided, before any
+    tail verdict or node."""
+    if p.dim != 1:
+        raise ValueError(f"{_kinds(p, q)} are {p.dim}-D, and quadrature is 1-D only: "
+                         f"a {p.dim}-D pair has a value only by a closed form")
+    if not dominates(p, q):
+        return DivergenceEstimate(np.inf, QUADRATURE, 0.0, alpha, reason=DOMINANCE)
+    return None
+
+
 def renyi_quadrature(
     p: Density, q: Density, alpha: float, rel_tol: float = 1e-8
 ) -> DivergenceEstimate:
-    """(1/(alpha-1)) log int q (p/q)^alpha by adaptive quadrature (dim <= 2).
+    """(1/(alpha-1)) log int q (p/q)^alpha by adaptive quadrature (1-D).
 
-    Returns inf, before any node is evaluated, when q does not dominate p
-    or when the densities' tails make the integral diverge; a pair whose
-    tails do not decide it raises ``ValueError`` (:func:`_tail_verdict`).
-    The pass (:class:`_Pass`) integrates exp(log-integrand - shift); in 1-D
-    its first call evaluates the anchors with its first nodes, so a pass
-    that converges at once calls each ``log_pdf`` once. It is void once its
-    shift is NaN (a log-integrand that overflows to NaN, a huge alpha),
-    which raises ``ValueError``, or once a node rises more than
+    Refuses a pair that is not 1-D, and returns inf, before any node is
+    evaluated, when q does not dominate p (:func:`_undominated`) or when the
+    densities' tails make the integral diverge; a pair whose tails do not
+    decide it raises ``ValueError`` (:func:`_tail_verdict`). The pass
+    (:class:`_Pass`) integrates exp(log-integrand - shift); its first call
+    evaluates the anchors with its first nodes, so a pass that converges at
+    once calls each ``log_pdf`` once. It is void once its shift is NaN (a
+    log-integrand that overflows to NaN, a huge alpha), which raises
+    ``ValueError``, or once a node rises more than
     :data:`OVERFLOW_NATS` above the shift; an anchor or node at +inf is q
-    vanishing where p does not, and the value is inf. A 1-D pass that
-    overflows its shift, or that sums to a value that is not positive (a
-    peak so narrow, at a large alpha, that it falls between the nodes of
-    the panels either side of a breakpoint), is taken again from the
-    located peak (:func:`_peak_anchors_1d`). An overflow in 2-D, or in the
-    re-seeded 1-D pass, raises ``ArithmeticError``, as does an integral that
-    is still not positive: a finite integral that float64 cannot evaluate.
+    vanishing where p does not, and the value is inf. A pass that overflows
+    its shift, or that sums to a value that is not positive (a peak so
+    narrow, at a large alpha, that it falls between the nodes of the panels
+    either side of a breakpoint), is taken again from the located peak
+    (:func:`_peak_anchors_1d`). An overflow in the re-seeded pass raises
+    ``ArithmeticError``, as does an integral that is still not positive: a
+    finite integral that float64 cannot evaluate.
     """
     alpha = _check_alpha(alpha)
-    if not dominates(p, q):
-        return DivergenceEstimate(np.inf, QUADRATURE, 0.0, alpha, reason=DOMINANCE)
+    undominated = _undominated(p, q, alpha)
+    if undominated is not None:
+        return undominated
     tails = _tail_verdict(p, q, alpha)
     if tails is not _FINITE:
         return DivergenceEstimate(np.inf, QUADRATURE, 0.0, alpha, reason=tails)
@@ -561,15 +415,15 @@ def renyi_quadrature(
     # A huge alpha overflows alpha log p to -inf and the sum to NaN at the
     # first points evaluated, and the NaN shift is refused by name, so numpy
     # need not warn of it first. The first pass runs under the errstate too:
-    # in 1-D its first call evaluates those points. Only where alpha - 1
-    # rounds to alpha: below that, only a log-density past -1e292 overflows,
+    # its first call evaluates those points. Only where alpha - 1 rounds to
+    # alpha: below that, only a log-density past -1e292 overflows,
     # and numpy's ufuncs run slower under an errstate (about 3% of a Gamma
     # pair's quadrature).
     with np.errstate(over="ignore", invalid="ignore") if alpha - 1.0 == alpha else nullcontext():
         g = _Pass(p, q, log_integrand, node, rel_tol)
     if math.isnan(g.shift):
         raise ValueError(f"the Renyi integrand overflows at alpha = {alpha:g}")
-    if (g.res is None or g.res.value <= 0.0) and not g.vanished and p.dim == 1:
+    if (g.res is None or g.res.value <= 0.0) and not g.vanished:
         peak = _peak_anchors_1d(log_integrand, g.anchors, p.support[0])
         if peak is not None:
             g = _Pass(p, q, log_integrand, node, rel_tol, peak)
@@ -581,7 +435,7 @@ def renyi_quadrature(
                               "the tails make it finite")
     if res.value <= 0.0:
         raise ArithmeticError("Renyi integral evaluated to a non-positive value")
-    value = (g.shift + g.log_jac + np.log(res.value)) / (alpha - 1.0)
+    value = (g.shift + np.log(res.value)) / (alpha - 1.0)
     err = res.error / (res.value * (alpha - 1.0))
     return DivergenceEstimate(float(value), QUADRATURE, float(err), alpha,
                               res.converged, res.panels)
@@ -740,12 +594,15 @@ def _kl_laplace_gauss(p, q):
 
 
 def _kl_quadrature(p: Density, q: Density, rel_tol: float) -> DivergenceEstimate:
-    """KL(p || q) = int p log(p/q) by adaptive quadrature (dim <= 2), in the
+    """KL(p || q) = int p log(p/q) by adaptive quadrature (1-D), in the
     Renyi quadrature's pass (:class:`_Pass`) with p's log-density as its
-    log-mass. A node where q vanishes and p does not makes the value inf; a
-    sum that is not finite raises ``ArithmeticError``."""
-    if not dominates(p, q):
-        return DivergenceEstimate(np.inf, QUADRATURE, 0.0, None, reason=DOMINANCE)
+    log-mass. A pair that is not 1-D is refused and one where q does not
+    dominate p is inf (:func:`_undominated`), as is one with a node where q
+    vanishes and p does not; a sum that is not finite raises
+    ``ArithmeticError``."""
+    undominated = _undominated(p, q, None)
+    if undominated is not None:
+        return undominated
 
     def node(g, lp, x):
         lq = q.log_pdf(x)
@@ -762,9 +619,9 @@ def _kl_quadrature(p: Density, q: Density, rel_tol: float) -> DivergenceEstimate
         return DivergenceEstimate(np.inf, QUADRATURE, 0.0, None, reason=DOMINANCE)
     if g.res is None:
         raise ArithmeticError(f"the KL integral of {_kinds(p, q)} is not finite in float64")
-    res, jac = g.res, math.exp(g.log_jac)
-    return DivergenceEstimate(max(float(res.value) * jac, 0.0), QUADRATURE,
-                              float(res.error) * jac, None, res.converged, res.panels)
+    res = g.res
+    return DivergenceEstimate(max(float(res.value), 0.0), QUADRATURE,
+                              float(res.error), None, res.converged, res.panels)
 
 
 # Closed forms by (p.kind, q.kind): ``_RENYI_CLOSED`` for D_alpha and
@@ -817,7 +674,7 @@ def _closed_estimate(row, p, q, alpha: float | None) -> DivergenceEstimate:
 def _divergence(p, q, alpha: float | None, rel_tol: float) -> DivergenceEstimate:
     """D_alpha(p || q), or KL(p || q) where alpha is None: the closed form
     that the tables list for the pair (:func:`_closed_row`), else
-    :func:`renyi_quadrature` or :func:`_kl_quadrature` (dim <= 2)."""
+    :func:`renyi_quadrature` or :func:`_kl_quadrature` (1-D only)."""
     row = _closed_row(p, q, alpha)
     if row is not None:
         return _closed_estimate(row, p, q, alpha)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import build_density, build_family, build_model
 from .distributions import interval_mass, make_gaussian, make_mixture, make_spike
-from .divergence import _check_alpha, renyi, renyi_quadrature
+from .divergence import _check_alpha, renyi
 from .goodseq import (AUDIT_COLUMNS, GoodSequenceSpec, _compact_set, _member, alpha_factor,
                       audit, cited_ratio_bound)
 from .varfit import fit
@@ -619,6 +619,22 @@ FIGURE1_GRID_POINTS = 61
 FIGURE1_BUDGET = 700
 
 
+def _figure1_renyi_s2(rho: float, alpha: float) -> float:
+    """The exact D_alpha-optimal s^2 of N(0, s^2 I) against N(0, [[1, rho],
+    [rho, 1]]).
+
+    Setting dD_alpha/ds^2 = 0 gives alpha t^2 - (2 alpha - 1) t + (alpha -
+    1)(1 - rho^2) = 0 in t = s^2; the optimum is its larger root, the one
+    with alpha t > (alpha - 1) lambda_max. Written as 1 plus a quotient of
+    positive terms, it is exactly 1 at rho = 0, nondecreasing in alpha, and
+    runs from tr Sigma / 2 = 1 as alpha -> 1 to lambda_max = 1 + |rho| as
+    alpha -> inf.
+    """
+    r2 = rho * rho
+    root = math.sqrt(1.0 + 4.0 * alpha * (alpha - 1.0) * r2)
+    return 1.0 + 2.0 * (alpha - 1.0) * r2 / (1.0 + root)
+
+
 def run_figure1(
     rho: float = 0.9,
     alphas=(2.0, 5.0, 20.0),
@@ -628,12 +644,12 @@ def run_figure1(
     Asserts the spread ordering: reverse KL collapses to the small
     eigenvalue direction, forward KL moment-matches, and the mass-covering
     fits widen with alpha while staying below the top eigenvalue. Each
-    mass-covering optimum is certified as a local minimum of the quadrature
-    objective, by quadratures that must each converge; their panel counts
-    and whether all converged go to report.json (``certificate_panels``,
-    ``certificates_converged``), never to report.csv. Emits contour-ready
-    density evaluations on a square mesh over [-FIGURE1_GRID_EXTENT,
-    FIGURE1_GRID_EXTENT]^2, :data:`FIGURE1_GRID_POINTS` points a side.
+    objective's fitted s^2 is checked against its exact optimum (the Renyi
+    ones by :func:`_figure1_renyi_s2`), and the ordering and the bound are
+    checked on the exact Renyi optima, which the fits are tied to. Emits
+    contour-ready density evaluations on a square mesh over
+    [-FIGURE1_GRID_EXTENT, FIGURE1_GRID_EXTENT]^2,
+    :data:`FIGURE1_GRID_POINTS` points a side.
     """
     t0 = time.perf_counter()
     rho, alphas = float(rho), tuple(float(a) for a in alphas)
@@ -663,36 +679,23 @@ def run_figure1(
              "value": res.objective.value}
         )
     s2 = {r["objective"]: r["s_sq"] for r in records}
-    renyi_keys = [f"renyi-{a:g}" for a in alphas]
-    renyi_s2 = [s2[k] for k in renyi_keys]
-    monotone = all(renyi_s2[i] <= renyi_s2[i + 1] + 1e-9 for i in range(len(renyi_s2) - 1))
+    renyi_s2 = [s2[f"renyi-{a:g}"] for a in alphas]
+    exact = [_figure1_renyi_s2(rho, a) for a in alphas]
+    gap = max(abs(s - e) / e for s, e in zip(renyi_s2, exact))
+    # the paper's claim is on the exact optima, in the order of alpha
+    widening = [_figure1_renyi_s2(rho, a) for a in sorted(alphas)]
     verdicts = [
         _verdict("kl_reverse_s2", abs(s2["kl-reverse"] - s2_rev_expect) <= 1e-6,
                  s2["kl-reverse"], s2_rev_expect),
         _verdict("kl_forward_s2", abs(s2["kl-forward"] - s2_fwd_expect) <= 1e-6,
                  s2["kl-forward"], s2_fwd_expect),
-        _verdict("renyi_s2_nondecreasing", monotone, renyi_s2, "nondecreasing"),
-        _verdict("renyi_s2_below_lambda_max",
-                 max(renyi_s2) <= float(lam[-1]) + 0.05,
-                 max(renyi_s2), float(lam[-1]) + 0.05),
+        _verdict("renyi_s2_exact", gap <= 1e-6, gap, 1e-6),
+        _verdict("renyi_s2_nondecreasing",
+                 all(widening[i] <= widening[i + 1] for i in range(len(widening) - 1)),
+                 widening, "nondecreasing"),
+        _verdict("renyi_s2_below_lambda_max", max(widening) <= float(lam[-1]),
+                 max(widening), float(lam[-1])),
     ]
-    worst = -np.inf
-    converged = True
-    certificate_panels = {}
-    for a, key in zip(alphas, renyi_keys):
-        res = fits[key]
-        s_fit = float(res.params[2])
-        ests = {}
-        for mult in (1.0, 0.97, 1.03):
-            p = res.params.copy()
-            p[2] = s_fit * mult
-            ests[f"{mult:g}"] = renyi_quadrature(target, family.unpack(p), a, rel_tol=1e-7)
-        d0 = ests["1"].value
-        worst = max(worst, d0 - ests["0.97"].value, d0 - ests["1.03"].value)
-        converged = converged and all(e.converged for e in ests.values())
-        certificate_panels[key] = {m: e.panels for m, e in ests.items()}
-    verdicts.append(_verdict("quadrature_local_min", worst <= 1e-6 and converged,
-                             worst, 1e-6))
 
     g = np.linspace(-FIGURE1_GRID_EXTENT, FIGURE1_GRID_EXTENT, FIGURE1_GRID_POINTS)
     mesh = np.column_stack([np.repeat(g, g.size), np.tile(g, g.size)])
@@ -705,8 +708,6 @@ def run_figure1(
         "rho": rho, "alphas": list(alphas),
         "s2_expect": {"kl-forward": s2_fwd_expect, "kl-reverse": s2_rev_expect},
         "lambda_max": float(lam[-1]),
-        "certificate_panels": certificate_panels,
-        "certificates_converged": converged,
     }
     return ExperimentReport("figure1", config, records, verdicts,
                             time.perf_counter() - t0, grid=grid)

@@ -420,8 +420,9 @@ def integrate_2d(
     ``f`` receives an (m, 2) array of points and returns (m,) values. The
     same adaptive loop as :func:`integrate` splits the worst rectangles
     along their longer transformed side, under the same cap on splits. The
-    tighter ``rel_tol`` of the two specs applies. Intended for the
-    smooth 2-D densities used here; higher dimensions are out of scope.
+    tighter ``rel_tol`` of the two specs applies. No divergence calls it:
+    a 2-D pair has a value only by a closed form. Higher dimensions are out
+    of scope.
     """
     maps = (_make_map(spec_x.lower, spec_x.upper), _make_map(spec_y.lower, spec_y.upper))
     ex, ey = (_initial_edges(s, *mp[1:]) for s, mp in zip((spec_x, spec_y), maps))

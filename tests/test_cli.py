@@ -653,7 +653,7 @@ class TestDivergenceCommand:
         assert err.startswith("error: ") and "overflowed its shift" in err
 
     def test_mixture_q_in_2d_exits_one_naming_the_kinds(self, capsys):
-        # whether the integral is finite would need a scan over directions
+        # no closed form lists the pair, and quadrature is 1-D only
         g = '{"kind":"gaussian","mean":[0,0],"cov":[[1,0],[0,1]]}'
         code = run_cli([
             "divergence", "--p", '{"kind":"gaussian","mean":[0,0],"cov":[[4,0],[0,4]]}',
@@ -663,7 +663,23 @@ class TestDivergenceCommand:
         out, err = capsys.readouterr()
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "q (kind='mixture')" in err
-        assert "more than one component" in err and "Traceback" not in err
+        assert "quadrature is 1-D only" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("mode", [["--alpha", "2"], ["--kl", "forward"]])
+    def test_mixture_p_in_2d_exits_one_naming_both_kinds(self, capsys, mode):
+        # figure1's target as a twin mixture against its alpha-2 fit: the
+        # same density as a Gaussian pair, but no closed form lists its kinds
+        g = '{"kind":"gaussian","mean":[0,0],"cov":[[1,0.9],[0.9,1]]}'
+        code = run_cli([
+            "divergence",
+            "--p", f'{{"kind":"mixture","weights":[0.5,0.5],"components":[{g},{g}]}}',
+            "--q", '{"kind":"gaussian","mean":[0,0],"cov":[[1.4337,0],[0,1.4337]]}',
+            *mode,
+        ])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "p (kind='mixture') and q (kind='gaussian')" in err
 
     def test_missing_mode_exits_one(self, capsys):
         code = run_cli([
@@ -672,6 +688,57 @@ class TestDivergenceCommand:
             "--q", '{"kind":"gaussian","mean":1,"cov":1}',
         ])
         assert code == 1
+
+
+def stub_runner(monkeypatch, name, calls):
+    """Replace experiment ``name``'s runner by one that records its
+    arguments in ``calls`` and returns an empty report."""
+    runner = EXPERIMENTS[name]
+
+    def capture(*args, **kwargs):
+        calls.append(inspect.signature(runner).bind(*args, **kwargs).arguments)
+        return experiments.ExperimentReport(name, {}, [], [], 0.0)
+
+    monkeypatch.setattr(experiments, runner.__name__, capture)
+
+
+class TestFilledKeys:
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    @pytest.mark.parametrize("key, value", [("seed", 3), ("jobs", 2)])
+    def test_keys_only_of_runners_that_take_them(self, tmp_path, capsys, monkeypatch,
+                                                 name, key, value):
+        # a seed or jobs that the runner takes reaches it; any other is
+        # refused, not dropped without a word
+        calls = []
+        stub_runner(monkeypatch, name, calls)
+        payload = {"experiment": name, key: value, "outdir": str(tmp_path / "out")}
+        code = run_cli(["experiment", write_config(tmp_path, "exp.json", payload)])
+        err = capsys.readouterr().err
+        if key in inspect.signature(EXPERIMENTS[name]).parameters:
+            assert code == 0 and calls[0][key] == value
+        else:
+            assert code == 1 and not calls and not (tmp_path / "out").exists()
+            assert f"unknown key(s) ['{key}']" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("name, argv, suffix", [
+        ("ndegen", ["--seed", "5"], "-seed5"),
+        ("ndegen", [], "-seed0"),
+        ("figure1", ["--seed", "5"], None),
+    ])
+    def test_default_outdir_names_the_seed_the_run_used(self, tmp_path, monkeypatch,
+                                                        name, argv, suffix):
+        # a runner without a seed used none, so its directory names none
+        monkeypatch.chdir(tmp_path)
+        calls = []
+        stub_runner(monkeypatch, name, calls)
+        cfg = write_config(tmp_path, "exp.json", {"experiment": name})
+        assert run_cli(["experiment", cfg, *argv]) == 0
+        [written] = (tmp_path / "runs").iterdir()
+        assert written.name.startswith(f"{name}-") and len(calls) == 1
+        if suffix is None:
+            assert "seed" not in written.name
+        else:
+            assert written.name.endswith(suffix)
 
 
 class TestSeedPrecedence:

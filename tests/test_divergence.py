@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import dblquad
 from scipy.special import erfc, log_ndtr
 
 from renyi_vi.distributions import (
@@ -160,25 +161,53 @@ class TestRenyiQuadratureAccuracy:
             kl_forward(moment_free(p), moment_free(q))
 
 
-@st.composite
-def gaussian_pairs_2d(draw):
-    """(p mean, p cov, q mean, q variance, alpha): any correlation up to
-    0.95, per-axis variances from 1e-6 to 10, an isotropic q. alpha stays
-    1e-3 clear of 1, where both forms divide by alpha - 1."""
-    vx, vy, vq = (10.0 ** draw(st.floats(-6.0, 1.0)) for _ in range(3))
-    cxy = draw(st.floats(-0.95, 0.95)) * math.sqrt(vx * vy)
-    mp = [draw(st.floats(-6.0, 6.0)) for _ in range(2)]
-    mq = [draw(st.floats(-6.0, 6.0)) for _ in range(2)]
-    return mp, [[vx, cxy], [cxy, vy]], mq, vq, draw(st.floats(1.001, 20.0))
+def log_pdf_2d(mean, cov):
+    """log N(mean, cov) at (x, y), written out over Python floats: the
+    integrand of the scipy references below, independent of the library."""
+    (a, b), (_, c) = np.linalg.inv(cov).tolist()
+    m0, m1 = (float(v) for v in mean)
+    norm = -0.5 * math.log(np.linalg.det(cov)) - math.log(2.0 * math.pi)
+
+    def log_pdf(y, x):
+        u, v = x - m0, y - m1
+        return norm - 0.5 * (a * u * u + 2.0 * b * u * v + c * v * v)
+
+    return log_pdf
+
+
+def dblquad_2d(integrand):
+    """scipy's dblquad of ``integrand(y, x)`` over [-20, 20]^2, past which
+    the pairs below carry no mass that float64 sees."""
+    value, _ = dblquad(integrand, -20.0, 20.0, -20.0, 20.0, epsabs=0.0, epsrel=1e-11)
+    return value
+
+
+def renyi_2d_reference(mp, cp, mq, cq, alpha):
+    lp, lq = log_pdf_2d(mp, cp), log_pdf_2d(mq, cq)
+    mass = dblquad_2d(lambda y, x: math.exp(alpha * lp(y, x) + (1.0 - alpha) * lq(y, x)))
+    return math.log(mass) / (alpha - 1.0)
+
+
+def kl_2d_reference(mp, cp, mq, cq):
+    lp, lq = log_pdf_2d(mp, cp), log_pdf_2d(mq, cq)
+    return dblquad_2d(lambda y, x: math.exp(lp(y, x)) * (lp(y, x) - lq(y, x)))
 
 
 # Isotropic variances that figure1 fits to N(0, [[1, .9], [.9, 1]]).
 FIG1_S2 = {2.0: 1.4337396712041177, 20.0: 1.85256759120746}
-FIG1_TARGET = make_gaussian([0.0, 0.0], [[1.0, 0.9], [0.9, 1.0]])
+FIG1_COV = [[1.0, 0.9], [0.9, 1.0]]
+FIG1_TARGET = make_gaussian([0.0, 0.0], FIG1_COV)
 
-# A bimodal p against a wide q, which the CI also runs through the CLI.
-# Newton steps from q's centre, between the modes, fail; those from p's two
-# component centres each find a mode.
+# Gaussian pairs (p mean, p cov, q mean, q cov, alpha) with finite D_alpha:
+# figure1's alpha-2 pair, a correlated p against a shifted isotropic q, and
+# two correlated densities, apart, at an alpha near 1.
+PAIRS_2D = [
+    ([0.0, 0.0], FIG1_COV, [0.0, 0.0], FIG1_S2[2.0] * np.eye(2), 2.0),
+    ([0.0, 0.0], [[1.0, 0.5], [0.5, 1.0]], [0.1, -0.1], 1.4 * np.eye(2), 2.0),
+    ([0.3, -0.2], [[2.0, -0.4], [-0.4, 0.5]], [0.5, 0.1], [[1.5, 0.2], [0.2, 1.0]], 1.5),
+]
+
+# A bimodal p against a wide q: no closed form lists the pair.
 BIMODAL_PAIR = (
     make_mixture([0.5, 0.5], [make_gaussian([-2.0, 0.0], 0.5 * np.eye(2)),
                               make_gaussian([2.0, 0.5], [[0.6, 0.2], [0.2, 0.4]])]),
@@ -186,119 +215,59 @@ BIMODAL_PAIR = (
 )
 
 
-class TestRenyiQuadrature2D:
-    @settings(derandomize=True, deadline=None, database=None)
-    @given(gaussian_pairs_2d())
-    # narrow and wider than both densities: bulk-point seeds stop short
-    @example(([2.82, 3.41], [[8.42e-6, 2.83e-6], [2.83e-6, 6.58e-6]],
-              [2.82, 3.41], 5.44e-6, 2.0))
-    # S* has eigenvalue 1.9e-6: a long diagonal ridge, far wider than p or q
-    @example(([0.3, -0.2], [[1.0, 0.9], [0.9, 1.0]], [0.0, 0.0],
-              0.95 * (1.0 + 1e-6), 2.0))
-    def test_matches_closed_form(self, pair):
-        mp, cp, mq, vq, a = pair
-        p, q = make_gaussian(mp, cp), make_gaussian(mq, vq * np.eye(2))
-        closed = renyi_gauss_closed(p, q, a).value
-        quad = renyi_quadrature(p, q, a, rel_tol=1e-7).value
-        if np.isinf(closed) or np.isinf(quad):
-            assert quad == closed
-        else:
-            assert abs(quad - closed) <= 1e-7 * max(1.0, abs(closed))
+def refused_before_any_node(divergence_of, p, q):
+    """Whether ``divergence_of(p, q)`` raises a ``ValueError`` naming both
+    kinds without evaluating p's or q's log-density."""
+    calls = []
 
-    def test_bimodal_mixture_takes_the_peak_frame(self):
-        # the value the 81 x 81 probe mesh gave in 3136 boxes
-        est = renyi_quadrature(*BIMODAL_PAIR, 2.0)
-        assert est.converged and 0 < est.panels <= 600
-        assert abs(est.value - 1.3743974240139551) <= 1e-9
+    def counted(d):
+        def log_pdf(x):
+            calls.append(len(x))
+            return d.log_pdf(x)
+        return dataclasses.replace(d, log_pdf=log_pdf)
+
+    with pytest.raises(ValueError, match=rf"p \(kind='{p.kind}'\) and q \(kind='{q.kind}'\) "
+                                         "are 2-D, and quadrature is 1-D only"):
+        divergence_of(counted(p), counted(q))
+    return calls == []
+
+
+class TestRenyiQuadrature2D:
+    # 2-D Gaussian pairs take the closed form; its 2-D reference is a
+    # test-side scipy integral
+    def test_matches_closed_form(self):
+        for mp, cp, mq, cq, a in PAIRS_2D:
+            closed = renyi(make_gaussian(mp, cp), make_gaussian(mq, cq), a)
+            assert closed.method == divergence.CLOSED_FORM
+            ref = renyi_2d_reference(mp, cp, mq, cq, a)
+            assert abs(closed.value - ref) <= 1e-12 * ref, (a, closed.value, ref)
+
+    def test_bimodal_mixture_is_refused_before_any_node(self):
+        assert refused_before_any_node(lambda p, q: renyi(p, q, 2.0), *BIMODAL_PAIR)
+        assert refused_before_any_node(lambda p, q: renyi_quadrature(p, q, 2.0), *BIMODAL_PAIR)
 
     def test_figure1_shrunk_alpha20_member_is_infinite(self):
         s2 = FIG1_S2[20.0] * 0.97**2  # 20 s^2 < 19 lambda_max: S* indefinite
         q = make_gaussian([0.0, 0.0], s2 * np.eye(2))
-        assert renyi_quadrature(FIG1_TARGET, q, 20.0, rel_tol=1e-7).value == np.inf
-
-    def test_figure1_certificate_pair_box_count(self):
-        # the peak frame's first pass, 12 x 12 boxes, meets the tolerance
-        q = make_gaussian([0.0, 0.0], FIG1_S2[2.0] * np.eye(2))
-        est = renyi_quadrature(FIG1_TARGET, q, 2.0, rel_tol=1e-7)
-        assert est.converged and 0 < est.panels <= 160
-        assert abs(est.value - renyi_gauss_closed(FIG1_TARGET, q, 2.0).value) <= 1e-10
-
-
-def twin_mixture(p):
-    """p as a mixture of two identical components: the same density, which
-    no closed-form row lists."""
-    return make_mixture([0.5, 0.5], [p, p])
-
-
-def peak_frame_excess(p, q, alpha, closed, rel_tol=1e-7):
-    """How far a converged 2-D Renyi quadrature of (p, q), which must take
-    the peak frame, lies outside max(10 rel_tol max(1, |closed|), its own
-    error) of ``closed``: at most 0 when within. None when the quadrature
-    does not converge."""
-    frame = divergence._peak_frame_2d(
-        p, q, lambda x: alpha * p.log_pdf(x) + (1.0 - alpha) * q.log_pdf(x))
-    assert frame is not None
-    est = renyi_quadrature(p, q, alpha, rel_tol=rel_tol)
-    if not est.converged:
-        return None
-    assert est.method == divergence.QUADRATURE
-    return abs(est.value - closed) - max(10.0 * rel_tol * max(1.0, abs(closed)), est.error)
-
-
-# The pair that the CI runs through the CLI: figure1's target as a twin
-# mixture against its alpha-2 fit.
-FIG1_TWIN_PAIR = (twin_mixture(FIG1_TARGET),
-                  make_gaussian([0.0, 0.0], FIG1_S2[2.0] * np.eye(2)))
-
-
-class TestPeakFrameProperty:
-    @settings(derandomize=True, deadline=None, database=None, max_examples=200)
-    @given(gaussian_pairs_2d(), st.booleans())
-    @example(([0.0, 0.0], [[1.0, 0.9], [0.9, 1.0]], [0.0, 0.0], FIG1_S2[2.0], 2.0), True)
-    @example(([0.0, 0.0], [[1.0, 0.9], [0.9, 1.0]], [0.0, 0.0], FIG1_S2[20.0], 20.0), False)
-    @example(([2.82, 3.41], [[8.42e-6, 2.83e-6], [2.83e-6, 6.58e-6]],
-              [2.82, 3.41], 5.44e-6, 2.0), True)
-    def test_converged_value_is_within_tolerance(self, pair, twin):
-        mp, cp, mq, vq, a = pair
-        p, q = make_gaussian(mp, cp), make_gaussian(mq, vq * np.eye(2))
-        closed = renyi_gauss_closed(p, q, a).value
-        if np.isinf(closed):
-            return
-        excess = peak_frame_excess(twin_mixture(p) if twin else p, q, a, closed)
-        assert excess is None or excess <= 0.0, excess
-
-    def test_frame_without_its_jacobian_fails(self, monkeypatch):
-        # a mutant: the peak frame forgets log |det A| of x = origin + A z
-        real = divergence._peak_frame_2d
-
-        def no_jacobian(p, q, log_integrand):
-            frame = real(p, q, log_integrand)
-            return frame and frame._replace(log_jac=0.0)
-
-        monkeypatch.setattr(divergence, "_peak_frame_2d", no_jacobian)
-        p, q = FIG1_TWIN_PAIR
-        assert peak_frame_excess(p, q, 2.0, 1.058500116497147) > 0.0
+        assert renyi(FIG1_TARGET, q, 20.0).value == np.inf
 
 
 class TestKLQuadrature2D:
-    # kl_forward takes the closed form for two Gaussians, so these reach the
-    # 2-D quadrature directly or through a mixture
     def test_gaussian_pair_matches_closed_form(self):
-        # boxes seeded in p's whitened frame at the peak ladder: 172, a
-        # 12 x 12 first pass and one wave of splits
-        q = make_gaussian([0.1, -0.1], 1.4 * np.eye(2))
-        est = divergence._kl_quadrature(FIG1_TARGET, q, 1e-9)
-        closed = divergence._kl_gauss(FIG1_TARGET, q)
-        assert est.converged and est.method == divergence.QUADRATURE
-        assert 0 < est.panels <= 190
-        assert abs(est.value - closed) <= 1e-12 * closed
+        for mp, cp, mq, cq, _ in PAIRS_2D:
+            closed = kl_forward(make_gaussian(mp, cp), make_gaussian(mq, cq))
+            assert closed.method == divergence.CLOSED_FORM
+            ref = kl_2d_reference(mp, cp, mq, cq)
+            assert abs(closed.value - ref) <= 1e-12 * ref, (closed.value, ref)
 
-    def test_bimodal_mixture_takes_the_peak_frame(self):
-        # the value the 81 x 81 probe mesh gave in 3136 boxes
-        est = kl_forward(*BIMODAL_PAIR)
-        assert est.converged and est.method == divergence.QUADRATURE
-        assert 0 < est.panels <= 600
-        assert abs(est.value - 1.0921964497130445) <= 1e-9
+    def test_bimodal_mixture_is_refused_before_any_node(self):
+        assert refused_before_any_node(kl_forward, *BIMODAL_PAIR)
+        # a twin mixture is figure1's target, but not by kind
+        twin = make_mixture([0.5, 0.5], [FIG1_TARGET, FIG1_TARGET])
+        q = make_gaussian([0.0, 0.0], FIG1_S2[2.0] * np.eye(2))
+        assert refused_before_any_node(kl_forward, twin, q)
+        assert refused_before_any_node(lambda p, q: divergence._kl_quadrature(p, q, 1e-9),
+                                       FIG1_TARGET, q)
 
 
 class TestConvergenceFlag:
@@ -306,9 +275,6 @@ class TestConvergenceFlag:
         p, q = make_gaussian(0.0, 1.0), make_laplace(0.3, 1.0)
         assert renyi_quadrature(p, q, 2.0).converged
         assert kl_forward(p, q).converged
-        p2 = make_gaussian([0.0, 0.0], [[1.0, 0.5], [0.5, 1.0]])
-        q2 = make_gaussian([0.1, -0.1], 1.4 * np.eye(2))
-        assert renyi_quadrature(p2, q2, 2.0, rel_tol=1e-6).converged
 
     def test_endpoint_singularity_reports_not_converged(self):
         # Gamma(0.1, .) has a x^-0.9 pole at 0: the refinement waves run out
@@ -363,11 +329,11 @@ class TestRenyiClosedForm:
                 assert abs(dc - dq) <= 1e-6
 
     def test_agrees_with_quadrature_2d(self):
-        p = make_gaussian([0.0, 0.0], [[1.0, 0.9], [0.9, 1.0]])
-        q = make_gaussian([0.1, -0.1], 1.4 * np.eye(2))
-        dc = renyi_gauss_closed(p, q, 2.0).value
-        dq = renyi_quadrature(p, q, 2.0, rel_tol=1e-7).value
-        assert abs(dc - dq) <= 1e-5
+        # the quadrature is a test-side scipy integral
+        mp, cp, mq, cq = [0.0, 0.0], FIG1_COV, [0.1, -0.1], 1.4 * np.eye(2)
+        dc = renyi_gauss_closed(make_gaussian(mp, cp), make_gaussian(mq, cq), 2.0).value
+        dq = renyi_2d_reference(mp, cp, mq, cq, 2.0)
+        assert abs(dc - dq) <= 1e-12 * dq
 
     def test_monotone_in_alpha(self):
         p, q = make_gaussian(0.0, 1.0), make_gaussian(0.7, 1.5)
