@@ -16,7 +16,7 @@ from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .numerics import QuadratureSpec, cholesky_rows, integrate
+from .numerics import _HALF, QuadratureSpec, cholesky_rows, integrate
 
 __all__ = [
     "Density",
@@ -38,7 +38,7 @@ __all__ = [
 Interval = tuple[float, float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Density:
     """An evaluable probability density on R^dim with metadata.
 
@@ -71,6 +71,14 @@ class Density:
     entropy: float | None = None
     chol: tuple[tuple[float, ...], ...] | None = None
     log_det: float | None = None
+
+    def __init__(self, dim, support, log_pdf, mean=None, cov=None, sample_rng=None,
+                 kind="custom", params=None, entropy=None, chol=None, log_det=None):
+        # one dict update: a frozen dataclass's __init__ makes a call per field
+        self.__dict__.update(dim=dim, support=support, log_pdf=log_pdf, mean=mean, cov=cov,
+                             sample_rng=sample_rng, kind=kind,
+                             params={} if params is None else params, entropy=entropy,
+                             chol=chol, log_det=log_det)
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         if self.sample_rng is None:
@@ -160,11 +168,13 @@ def make_gaussian(mean, cov) -> Density:
     const = -0.5 * (d * _LOG_2PI + log_det)
 
     if d == 1:
-        loc, scale = float(mu[0]), rows[0][0]
+        # 0-d arrays: a ufunc turns a Python float operand into an array on
+        # every call, and a posterior's log_pdf is called once per pass
+        loc, scale, c0 = np.array(float(mu[0])), np.array(rows[0][0]), np.array(const)
 
         def log_pdf(x):
             z = (np.asarray(x, dtype=float).reshape(-1) - loc) / scale
-            return const - 0.5 * z * z
+            return c0 - _HALF * z * z
     else:
         # z = inv(L) (x - mu) by forward substitution, one coordinate at a
         # time, with L's entries as Python floats: no factorisation and no
@@ -569,6 +579,10 @@ def _bulk_points(d: Density) -> np.ndarray:
         c, var = d.mean.item(0), d.cov.item(0)
         s = math.sqrt(var) if 0.0 <= var < math.inf else math.nan
         pts = c + s * _BULK_SIGNED
+        # neighbours lie s / 4 apart before rounding, which moves each by at
+        # most 2^-53 (|c| + 12 s): so where s > 1e-14 |c| (s normal), distinct
+        if s > max(1e-14 * abs(c), 1e-300) and pts[0] > lo and pts[-1] < hi:
+            return pts
     else:
         return np.empty(0)
     # sorted already, so the ends tell whether all lie inside; the

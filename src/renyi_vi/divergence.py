@@ -31,8 +31,8 @@ it diverges when q's tail is lighter than p's.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,8 +77,7 @@ DOMINANCE = "dominance"
 _S_STAR_INDEFINITE = "divergent tail: S* is not positive definite"
 
 
-@dataclass(frozen=True)
-class DivergenceEstimate:
+class DivergenceEstimate(NamedTuple):
     """A divergence value in [0, inf] with its method tag and error bound.
 
     ``alpha`` is None for KL estimates, the alpha -> 1 limit, which its own
@@ -91,7 +90,8 @@ class DivergenceEstimate:
     ``"dominance"`` (q vanishes where p does not) or ``"divergent tail at
     <end>"`` (for the Gaussian closed form, an S* that is not positive
     definite). An ``inf`` is never a guess: a pair that these do not decide
-    raises, as does a closed form that overflows float64.
+    raises, as does a closed form that overflows float64. A named tuple: a
+    fit makes one per evaluation, several times cheaper than a dataclass.
     """
 
     value: float
@@ -332,7 +332,7 @@ class _Pass:
         if self.shift is None:
             k = self.anchors.size
             lm = self.log_mass(np.concatenate([self.anchors, x]))
-            self.shift = float(lm[:k].max(initial=-np.inf))
+            self.shift = float(np.maximum.reduce(lm[:k], initial=-np.inf))
             if self.shift == -np.inf:
                 raise ValueError("integrand vanishes on every anchor point")
             lm = lm[k:]
@@ -395,7 +395,7 @@ def renyi_quadrature(
     def log_integrand(x):
         lp = p.log_pdf(x)
         lq = q.log_pdf(x)
-        if lp.min(initial=np.inf) > -np.inf:  # p > 0 on every point
+        if np.minimum.reduce(lp, initial=np.inf) > -np.inf:  # p > 0 on every point
             return alpha * lp + (1.0 - alpha) * lq
         out = np.full(lp.shape, -np.inf)
         ok = lp > -np.inf
@@ -407,7 +407,7 @@ def renyi_quadrature(
         if not shift < math.inf:  # NaN, or +inf: q vanishes at an anchor
             return g.stop(lv.size, shift == math.inf)
         lv -= shift  # in place: the log-integrand's array is fresh
-        top = lv.max(initial=-np.inf)
+        top = np.maximum.reduce(lv, initial=-np.inf)
         if top > OVERFLOW_NATS:
             return g.stop(lv.size, top == np.inf)
         return np.exp(lv)
@@ -419,7 +419,10 @@ def renyi_quadrature(
     # alpha: below that, only a log-density past -1e292 overflows,
     # and numpy's ufuncs run slower under an errstate (about 3% of a Gamma
     # pair's quadrature).
-    with np.errstate(over="ignore", invalid="ignore") if alpha - 1.0 == alpha else nullcontext():
+    if alpha - 1.0 == alpha:
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = _Pass(p, q, log_integrand, node, rel_tol)
+    else:
         g = _Pass(p, q, log_integrand, node, rel_tol)
     if math.isnan(g.shift):
         raise ValueError(f"the Renyi integrand overflows at alpha = {alpha:g}")
@@ -435,10 +438,9 @@ def renyi_quadrature(
                               "the tails make it finite")
     if res.value <= 0.0:
         raise ArithmeticError("Renyi integral evaluated to a non-positive value")
-    value = (g.shift + np.log(res.value)) / (alpha - 1.0)
+    value = (g.shift + float(np.log(res.value))) / (alpha - 1.0)
     err = res.error / (res.value * (alpha - 1.0))
-    return DivergenceEstimate(float(value), QUADRATURE, float(err), alpha,
-                              res.converged, res.panels)
+    return DivergenceEstimate(value, QUADRATURE, err, alpha, res.converged, res.panels)
 
 
 # The closed forms read a Density, or Members (distributions.Members: the

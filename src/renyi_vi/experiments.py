@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -255,7 +254,8 @@ def run_consistency(
     forward-KL (EP) fit also checks KL <= Renyi at ``alpha`` per cell.
     ``n_grid`` must hold at least :data:`CONSISTENCY_MIN_SIZES` distinct
     sizes. The seeds are ``seed`` to ``seed + n_seeds - 1``, at least one;
-    the report echoes them as ``seeds``."""
+    the report echoes them as ``seeds``. ``jobs``, at least 1, is the number
+    of processes that fit the cells."""
     t0 = time.perf_counter()
     bayes, theta0 = _model_at(model, theta0)
     alpha, quad_tol, budget = float(alpha), float(quad_tol), int(budget)
@@ -263,6 +263,8 @@ def run_consistency(
     seeds = list(range(int(seed), int(seed) + int(n_seeds)))
     if not seeds:
         raise ValueError(f"n_seeds must be at least 1, got {n_seeds}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     config = {
         "model": model,
         "family": family,
@@ -281,6 +283,8 @@ def run_consistency(
         for (n, s) in cells
     ]
     if jobs > 1:
+        # imported only here: its ~25 modules (multiprocessing, socket, ...) slow a start-up
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(_cell_star, args, chunksize=8))
     else:

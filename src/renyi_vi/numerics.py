@@ -12,13 +12,15 @@ change of variables is applied to that axis's abscissae before the tensor
 product, so a 2-D box maps 2 x 15 abscissae, not 225 nodes. A first pass
 that meets the tolerance returns at once, so a well-seeded call costs one
 vectorized pass over the integrand, in calls of at most 8192 nodes, plus
-its set-up. On the few hundred nodes of a well-seeded 1-D call that set-up,
-about 50 numpy calls on arrays of tens to hundreds of elements, costs more
-than most integrands: so the 1-D boxes are the rows of one (m, 15) array
-from end to end, the first edges are sorted in place and masked only where
-a breakpoint falls outside, and the error estimate skips its overflow guard
-where no box needs it. :func:`integrate` and :func:`integrate_2d` only
-choose the axis maps and seed the first boxes.
+its set-up. On the few hundred nodes of a well-seeded 1-D call, some 45
+numpy calls of set-up and rule, on arrays of tens to hundreds of elements,
+cost more than most integrands, each call's own overhead as much as its
+arithmetic: so the 1-D boxes are the rows of one (m, 15) array end to
+end, the first edges are sorted in place and masked only where needed, sums
+and maxima are ufunc reductions, scalar operands are 0-d arrays (a ufunc
+converts a Python float on every call), and the error estimate skips its
+overflow guard where no box needs it. :func:`integrate` and
+:func:`integrate_2d` only choose the axis maps and seed the first boxes.
 
 All functions are pure: results depend only on their arguments, node
 placement is deterministic, and repeated calls are bit-for-bit identical.
@@ -95,6 +97,11 @@ _W_GAUSS = np.array(
     ]
 )
 
+# Scalar operands of the node arithmetic as 0-d arrays, which a ufunc takes
+# without converting a Python float on every call: same values, same bits.
+_HALF, _ONE, _TWO = np.array(0.5), np.array(1.0), np.array(2.0)
+_TINY, _RATIO, _POWER = np.array(1e-150), np.array(200.0), np.array(1.5)
+
 _MAX_WAVES = 200
 # The most box splits one integral may take, summed over its waves.
 _MAX_REFINEMENTS = 4000
@@ -158,27 +165,28 @@ def _identity_fwd(t):
 # edges that round onto +-1 finite.
 def _double_infinite_fwd(t):
     tt = t * t
-    u = np.maximum(1.0 - tt, 1e-150)
+    u = np.maximum(_ONE - tt, _TINY)
     x = t / u
     # the Jacobian (1 + t^2) / u^2, in place where t is an array
-    tt += 1.0
+    tt += _ONE
     u *= u
     tt /= u
     return x, tt
 
 
 def _double_infinite_inv(x):
-    # t = (sqrt(1 + 4x^2) - 1) / (2x), and t = 0 at x = 0, where nothing is
-    # divided, so no floating-point warning needs silencing. 2x is exact, so
-    # (2x)(2x) rounds 4x^2 once, as (4x)x does.
-    x = np.maximum(x, -1e150)
-    np.minimum(x, 1e150, out=x)
-    two_x = 2.0 * x
+    # t = (sqrt(1 + 4x^2) - 1) / (2x), and t = 0 at x = 0, where the numerator
+    # is 0 already and nothing is divided (no warning to silence; the mask is
+    # built only where some x is 0). 2x is exact: (2x)(2x) rounds 4x^2 once.
+    two_x = x.clip(-1e150, 1e150)
+    two_x *= _TWO
     num = two_x * two_x
-    num += 1.0
+    num += _ONE
     np.sqrt(num, out=num)
-    num -= 1.0
-    return np.divide(num, two_x, out=np.zeros(x.shape), where=x != 0.0)
+    num -= _ONE
+    if np.count_nonzero(two_x) == two_x.size:
+        return np.divide(num, two_x, out=num)
+    return np.divide(num, two_x, out=num, where=two_x != 0.0)
 
 
 _DOUBLE_INFINITE = (_double_infinite_fwd, _double_infinite_inv, -1.0, 1.0)
@@ -265,8 +273,8 @@ def _chunk_sums(f: Callable, maps: Sequence[tuple], lo: np.ndarray, hi: np.ndarr
     """
     m, d = lo.shape
     w_kronrod, gauss, w_gauss = _RULES[d]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
+    half = _HALF * (hi - lo)
+    mid = _HALF * (hi + lo)
     volume = half[:, 0]
     if d == 1:
         fwd = maps[0][0]
@@ -296,15 +304,15 @@ def _chunk_sums(f: Callable, maps: Sequence[tuple], lo: np.ndarray, hi: np.ndarr
         for j in range(1, d):
             volume = volume * half[:, j]
         gauss_vals = vals[:, gauss]
-    k15 = (vals * w_kronrod).sum(axis=1) * volume
-    g7 = (gauss_vals * w_gauss).sum(axis=1) * volume
+    k15 = np.add.reduce(vals * w_kronrod, 1) * volume
+    g7 = np.add.reduce(gauss_vals * w_gauss, 1) * volume
     diff = np.abs(k15 - g7)
     # QUADPACK's min(diff, (200 diff)^1.5): where 200 diff >= 1 the power is
     # at least diff, so it is taken only below, where it cannot overflow;
     # where every diff is below (as on a pass that converges), that guard
     # changes nothing and is skipped
     if np.maximum.reduce(diff, initial=0.0) < 0.005:
-        return k15, np.minimum(diff, np.power(200.0 * diff, 1.5))
+        return k15, np.minimum(diff, np.power(_RATIO * diff, _POWER))
     err = np.where(diff < 0.005,
                    np.minimum(diff, np.power(200.0 * np.minimum(diff, 0.005), 1.5)), diff)
     return k15, err
@@ -318,7 +326,8 @@ def _initial_edges(spec: QuadratureSpec, inv: Callable, a: float, b: float) -> n
     The breakpoints are first sorted in with the ends and the midpoint. Where
     the second edge and the last but one then lie strictly inside the padded
     interval, so do all but the first and the last, which are the ends (a
-    NaN, sorted last, fails the test), and no mask is taken.
+    NaN, sorted last, fails the test), and no mask is taken; nor is one
+    where no two edges lie within a hair of each other.
     """
     ends = [a, 0.5 * (a + b), b]
     bps = inv(np.asarray(spec.breakpoints, dtype=float)) if len(spec.breakpoints) else np.empty(0)
@@ -328,11 +337,11 @@ def _initial_edges(spec: QuadratureSpec, inv: Callable, a: float, b: float) -> n
     if bps.size and not (edges[1] > a + pad and edges[-2] < b - pad):
         edges = np.concatenate([ends, bps[(bps > a + pad) & (bps < b - pad)]])
         edges.sort()
-    gaps = edges[1:] - edges[:-1]
-    keep = gaps > 1e-14 * (b - a)
-    if np.count_nonzero(keep) == keep.size:  # no near-duplicate to drop
-        return edges
-    return edges[np.concatenate([[True], keep])]
+    # the first edge, and each more than a hair above the one below (repeats are common)
+    keep = np.empty(edges.size, dtype=bool)
+    keep[0] = True
+    np.greater(edges[1:] - edges[:-1], 1e-14 * (b - a), out=keep[1:])
+    return edges if np.count_nonzero(keep) == keep.size else edges[keep]
 
 
 def _adapt(f: Callable, maps: Sequence[tuple], lo: np.ndarray, hi: np.ndarray,
@@ -354,8 +363,8 @@ def _adapt(f: Callable, maps: Sequence[tuple], lo: np.ndarray, hi: np.ndarray,
     splits_used = 0
     converged = False
     for _ in range(_MAX_WAVES):
-        total = float(vals.sum())
-        total_err = float(errs.sum())
+        total = float(np.add.reduce(vals))
+        total_err = float(np.add.reduce(errs))
         tol = rel_tol * max(abs(total), 1e-300)
         if total_err <= tol:
             converged = True
@@ -388,11 +397,10 @@ def _adapt(f: Callable, maps: Sequence[tuple], lo: np.ndarray, hi: np.ndarray,
         vals = np.concatenate([vals[keep], new_v])
         errs = np.concatenate([errs[keep], new_e])
     else:  # every wave split: sum the last one's boxes
-        total = float(vals.sum())
-        total_err = float(errs.sum())
+        total = float(np.add.reduce(vals))
+        total_err = float(np.add.reduce(errs))
 
-    return QuadratureResult(value=total, error=total_err, converged=converged,
-                            panels=int(vals.size))
+    return QuadratureResult(total, total_err, converged, vals.size)
 
 
 def integrate(f: Callable[[np.ndarray], np.ndarray], spec: QuadratureSpec) -> QuadratureResult:

@@ -325,12 +325,14 @@ class TestExperimentCommand:
         ("experiment", {"experiment": "figure1", "budget": 700}, "unknown key(s) ['budget']"),
         ("experiment", {"experiment": "consistency", "seeds": [0, 1], "n_seeds": 5},
          "unknown key(s) ['seeds']"),
+        ("experiment", {"experiment": "consistency", "jobs": 0}, "jobs"),
+        ("experiment", {"experiment": "ep", "jobs": -3}, "jobs"),
     ], ids=["2d-audit", "2d-consistency", "2d-ndegen", "2d-mixture", "1d-mvn-mean",
             "zero-consistency-size", "zero-ndegen-size", "zero-ubfin-size",
             "zero-mixture-size", "no-seeds", "empty-seeds", "no-alphas", "one-grid-point",
             "zero-n-max", "nan-kappa", "inf-kappa", "ubfin-alpha-one", "retired-B",
             "retired-grid-extent", "retired-ubfin-theta0", "retired-figure1-budget",
-            "retired-seeds-with-n_seeds"])
+            "retired-seeds-with-n_seeds", "zero-jobs", "negative-jobs"])
     def test_refused_before_any_fit(self, tmp_path, capsys, monkeypatch,
                                     command, payload, named):
         fits = []
@@ -345,6 +347,17 @@ class TestExperimentCommand:
         assert run_cli([command, cfg]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+        assert not fits
+
+    def test_zero_jobs_flag_refused_before_any_fit(self, tmp_path, capsys, monkeypatch):
+        fits = []
+        monkeypatch.setattr(experiments, "fit", lambda *args, **kwargs: fits.append(args))
+        cfg = write_config(tmp_path, "exp.json", {"experiment": "consistency", **LAPLACE_CELL,
+                                                  "outdir": str(tmp_path / "out")})
+        assert run_cli(["experiment", cfg, "--jobs", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "jobs" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
         assert not fits
 
@@ -809,10 +822,14 @@ class TestImport:
                     "--outdir", str(tmp_path / "out")]
         if argv is not None:
             script += f"assert renyi_vi.cli.main({argv!r}) == 0\n"
-        script += "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+        script += "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+        # nor the process pool's (multiprocessing and about 25 more), which
+        # only jobs > 1 uses
+        script += ("print(sorted(m for m in sys.modules if m.partition('.')[0] == "
+                   "'multiprocessing' or m.startswith('concurrent.futures')))")
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "[]"
+        assert proc.stdout.splitlines()[-2:] == ["[]", "[]"]
 
 
 class TestHelp:

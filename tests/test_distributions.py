@@ -387,6 +387,16 @@ class TestBulkPoints:
         assert got.tolist() == bulk_points_loop(d).tolist()
         assert np.all(np.diff(got) > 0)
 
+    @pytest.mark.parametrize("centre", [1e4, -3.0, 0.0])
+    @pytest.mark.parametrize("ratio", [1e-12, 2e-14, 1e-14, 5e-15, 1e-15, 1e-16, 1e-17])
+    def test_distinct_where_rounding_merges_neighbours(self, centre, ratio):
+        # an sd near 1e-14 |centre|, where the points skip their scan for
+        # repeats (above) or rounding merges neighbours (below)
+        d = make_gaussian(centre, (ratio * max(abs(centre), 1.0)) ** 2)
+        got = bulk_points(d)
+        assert got.tolist() == bulk_points_loop(d).tolist()
+        assert np.all(np.diff(got) > 0)
+
     def test_computed_once_and_read_only(self):
         for d in (ALL_1D["gaussian"], ALL_1D["mixture"]):
             pts = bulk_points(d)

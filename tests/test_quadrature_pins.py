@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from renyi_vi.distributions import (
+    Density,
     dominates,
     interval_mass,
     make_gamma,
@@ -29,7 +30,7 @@ from renyi_vi.distributions import (
     make_mixture,
     make_uniform,
 )
-from renyi_vi import divergence, numerics
+from renyi_vi import divergence, numerics, varfit
 from renyi_vi.divergence import (
     DOMINANCE,
     QUADRATURE,
@@ -37,7 +38,7 @@ from renyi_vi.divergence import (
     kl_forward,
     renyi_quadrature,
 )
-from renyi_vi.models import exponential_model
+from renyi_vi.models import exponential_model, gaussian_mean_model
 from renyi_vi.numerics import QuadratureSpec, integrate
 
 GAUSS = make_gaussian(0.51, 1.0 / 1001.0)
@@ -49,6 +50,7 @@ GAMMA_Q = make_gamma(28.0, 14.5)
 EXP_MODEL = exponential_model()
 EXP_POST = EXP_MODEL.exact_posterior(EXP_MODEL.simulate(2.0, 200, seed=3))
 EXP_GAMMA = make_gamma(201.0, 101.0)
+GM_MODEL = gaussian_mean_model()
 
 
 def _renyi(p, q, alpha):
@@ -512,6 +514,282 @@ def _bits(a):
     return np.asarray(a, dtype=float).tobytes()
 
 
+# The 1-D Renyi score as it stood before its set-up was trimmed, frozen here
+# on top of the box sums and first edges above: the member a fit builds, its
+# bulk points, the pass and the adaptive loop. The trimmed path must build the
+# same member and give the same bits.
+
+def _ref_density(**fields):
+    """A Density set field by field, as a frozen dataclass's own __init__ sets it."""
+    d = object.__new__(Density)
+    for f in dataclasses.fields(Density):
+        if f.name in fields:
+            value = fields[f.name]
+        else:
+            value = f.default_factory() if f.default is dataclasses.MISSING else f.default
+        object.__setattr__(d, f.name, value)
+    return d
+
+
+def ref_laplace(loc, scale):
+    k, b = float(loc), float(scale)
+    log_2b = float(np.log(2.0 * b))
+    const = -log_2b
+    return _ref_density(
+        dim=1, support=((-np.inf, np.inf),),
+        log_pdf=lambda x: const - np.abs(np.asarray(x, dtype=float).reshape(-1) - k) / b,
+        mean=np.array([k]), cov=np.array([[2.0 * b * b]]),
+        sample_rng=lambda rng, n: rng.laplace(k, b, size=n), kind="laplace",
+        params={"loc": k, "scale": b}, entropy=1.0 + log_2b)
+
+
+def ref_logistic(loc, scale):
+    m, s = float(loc), float(scale)
+
+    def log_pdf(x):
+        z = (np.asarray(x, dtype=float).reshape(-1) - m) / (2.0 * s)
+        log_cosh = np.abs(z) + np.log1p(np.exp(-2.0 * np.abs(z))) - np.log(2.0)
+        return -np.log(4.0 * s) - 2.0 * log_cosh
+
+    return _ref_density(
+        dim=1, support=((-np.inf, np.inf),), log_pdf=log_pdf, mean=np.array([m]),
+        cov=np.array([[s * s * np.pi**2 / 3.0]]),
+        sample_rng=lambda rng, n: rng.logistic(m, s, size=n), kind="logistic",
+        params={"loc": m, "scale": s}, entropy=float(np.log(s)) + 2.0)
+
+
+def ref_gamma(mean, sd):
+    from scipy.special import digamma, gammaln
+
+    k, beta = float((mean / sd) ** 2), float(mean / sd**2)
+    log_beta, log_gamma_k = np.log(beta), gammaln(k)
+    const = k * log_beta - log_gamma_k
+
+    def log_pdf(x):
+        pts = np.asarray(x, dtype=float).reshape(-1)
+        if pts.min(initial=np.inf) > 0.0:
+            return const + (k - 1.0) * np.log(pts) - beta * pts
+        out = np.full(pts.shape, -np.inf)
+        pos = pts > 0.0
+        out[pos] = const + (k - 1.0) * np.log(pts[pos]) - beta * pts[pos]
+        return out
+
+    entropy = k - log_beta + log_gamma_k + (1.0 - k) * digamma(k)
+    return _ref_density(
+        dim=1, support=((0.0, np.inf),), log_pdf=log_pdf, mean=np.array([k / beta]),
+        cov=np.array([[k / beta**2]]), sample_rng=lambda rng, n: rng.gamma(k, 1.0 / beta, size=n),
+        kind="gamma", params={"shape": k, "rate": beta}, entropy=float(entropy))
+
+
+REF_MEMBERS = {"laplace": ref_laplace, "logistic": ref_logistic, "gamma": ref_gamma}
+
+
+def ref_log_pdf(d):
+    """A 1-D Gaussian's log_pdf as make_gaussian wrote it, on Python floats;
+    any other kind's own."""
+    if d.kind != "gaussian":
+        return d.log_pdf
+    loc, scale = float(d.mean[0]), d.chol[0][0]
+    const = -0.5 * (float(np.log(2.0 * np.pi)) + d.log_det)
+
+    def log_pdf(x):
+        z = (np.asarray(x, dtype=float).reshape(-1) - loc) / scale
+        return const - 0.5 * z * z
+
+    return log_pdf
+
+
+_REF_MULT = np.array([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 8.0, 12.0])
+_REF_BULK = np.concatenate([-_REF_MULT[:0:-1], _REF_MULT])
+
+
+def ref_bulk_points(d):
+    lo, hi = d.support[0]
+    c, var = d.mean.item(0), d.cov.item(0)
+    s = math.sqrt(var) if 0.0 <= var < math.inf else math.nan
+    pts = c + s * _REF_BULK
+    if not (pts.size and pts[0] > lo and pts[-1] < hi):
+        pts = pts[(pts > lo) & (pts < hi)]
+    repeat = pts[1:] == pts[:-1]
+    return np.delete(pts, np.flatnonzero(repeat) + 1) if np.count_nonzero(repeat) else pts
+
+
+def ref_anchor_points(p, q):
+    lo, hi = p.support[0]
+    pts = ref_bulk_points(q)
+    if pts.size and not (pts[0] > lo and pts[-1] < hi):
+        pts = pts[(pts > lo) & (pts < hi)]
+    return np.concatenate([ref_bulk_points(p), pts])
+
+
+def ref_box_sums(f, axis, lo, hi):
+    step = numerics._CHUNK_NODES // 15
+    parts = [ref_chunk_sums(f, (axis,), lo[i:i + step], hi[i:i + step])
+             for i in range(0, lo.shape[0], step)]
+    return np.concatenate([k15 for k15, _ in parts]), np.concatenate([e for _, e in parts])
+
+
+def ref_integrate(f, spec):
+    """1-D ``integrate`` as it stood: (value, error, converged, panels)."""
+    axis = ref_make_map(spec.lower, spec.upper)
+    edges = ref_initial_edges(spec, *axis[1:])
+    lo, hi = edges[:-1, None], edges[1:, None]
+    vals, errs = ref_box_sums(f, axis, lo, hi)
+    splits_used, converged = 0, False
+    for _ in range(numerics._MAX_WAVES):
+        total, total_err = float(vals.sum()), float(errs.sum())
+        tol = spec.rel_tol * max(abs(total), 1e-300)
+        if total_err <= tol:
+            converged = True
+            break
+        if math.isnan(total) or math.isnan(total_err):
+            break
+        bad = errs > tol / (2.0 * vals.size)
+        n_bad = np.count_nonzero(bad)
+        if n_bad == 0:
+            bad = errs == errs.max()
+            n_bad = np.count_nonzero(bad)
+        if splits_used + n_bad > numerics._MAX_REFINEMENTS:
+            break
+        splits_used += n_bad
+        blo, bhi = lo[bad], hi[bad]
+        mid = 0.5 * (blo + bhi)
+        new_lo, new_hi = np.concatenate([blo, mid]), np.concatenate([mid, bhi])
+        new_v, new_e = ref_box_sums(f, axis, new_lo, new_hi)
+        keep = ~bad
+        lo, hi = np.concatenate([lo[keep], new_lo]), np.concatenate([hi[keep], new_hi])
+        vals, errs = np.concatenate([vals[keep], new_v]), np.concatenate([errs[keep], new_e])
+    else:
+        total, total_err = float(vals.sum()), float(errs.sum())
+    return total, total_err, converged, int(vals.size)
+
+
+def ref_renyi_quadrature(p, q, alpha, rel_tol):
+    """1-D ``renyi_quadrature`` as it stood, on the frozen pieces above; the
+    dominance and tail verdicts and the peak re-seed, which the trim left
+    alone, are the library's."""
+    alpha = float(alpha)
+    if not dominates(p, q):
+        return DivergenceEstimate(np.inf, QUADRATURE, 0.0, alpha, reason=DOMINANCE)
+    tails = divergence._tail_verdict(p, q, alpha)
+    if tails != divergence._FINITE:
+        return DivergenceEstimate(np.inf, QUADRATURE, 0.0, alpha, reason=tails)
+    p_log_pdf, q_log_pdf = ref_log_pdf(p), ref_log_pdf(q)
+
+    def log_integrand(x):
+        lp, lq = p_log_pdf(x), q_log_pdf(x)
+        if lp.min(initial=np.inf) > -np.inf:
+            return alpha * lp + (1.0 - alpha) * lq
+        out = np.full(lp.shape, -np.inf)
+        ok = lp > -np.inf
+        out[ok] = alpha * lp[ok] + (1.0 - alpha) * lq[ok]
+        return out
+
+    def run_pass(shift, anchors):
+        """(shift, quadrature or None, whether q vanished) of one pass."""
+        g = {"shift": shift, "void": False, "vanished": False}
+
+        def f(x):
+            if g["void"]:
+                return np.zeros(len(x))
+            if g["shift"] is None:
+                k = anchors.size
+                lm = log_integrand(np.concatenate([anchors, x]))
+                g["shift"] = float(lm[:k].max(initial=-np.inf))
+                if g["shift"] == -np.inf:
+                    raise ValueError("integrand vanishes on every anchor point")
+                lv = lm[k:]
+            else:
+                lv = log_integrand(x)
+            if not g["shift"] < math.inf:
+                g["void"], g["vanished"] = True, g["shift"] == math.inf
+                return np.zeros(lv.size)
+            lv -= g["shift"]
+            top = lv.max(initial=-np.inf)
+            if top > divergence.OVERFLOW_NATS:
+                g["void"], g["vanished"] = True, top == np.inf
+                return np.zeros(lv.size)
+            return np.exp(lv)
+
+        res = ref_integrate(f, QuadratureSpec(*p.support[0], rel_tol, anchors))
+        return g["shift"], None if g["void"] or not math.isfinite(res[0]) else res, g["vanished"]
+
+    anchors = ref_anchor_points(p, q)
+    with np.errstate(over="ignore", invalid="ignore") if alpha - 1.0 == alpha else nullcontext():
+        shift, res, vanished = run_pass(None, anchors)
+    if math.isnan(shift):
+        raise ValueError(f"the Renyi integrand overflows at alpha = {alpha:g}")
+    if (res is None or res[0] <= 0.0) and not vanished:
+        peak = divergence._peak_anchors_1d(log_integrand, anchors, p.support[0])
+        if peak is not None:
+            shift, res, vanished = run_pass(*peak)
+    if vanished:
+        return DivergenceEstimate(np.inf, QUADRATURE, 0.0, alpha, reason=DOMINANCE)
+    if res is None:
+        raise ArithmeticError("Renyi integral overflowed its shift although "
+                              "the tails make it finite")
+    if res[0] <= 0.0:
+        raise ArithmeticError("Renyi integral evaluated to a non-positive value")
+    value = (shift + np.log(res[0])) / (alpha - 1.0)
+    err = res[1] / (res[0] * (alpha - 1.0))
+    return DivergenceEstimate(float(value), QUADRATURE, float(err), alpha, res[2], res[3])
+
+
+_PROBES = np.array([-1e100, -40.0, -3.0, -0.5, 0.0, 1e-300, 0.25, 0.9, 2.0, 7.5, 60.0, 1e100])
+
+
+def member_bits(d):
+    """Each field of a Density, by type and bytes; its log_pdf by its values
+    at fixed points, and its sampler by four draws at a fixed seed."""
+    out = {}
+    for f in dataclasses.fields(Density):
+        v = getattr(d, f.name)
+        if f.name == "log_pdf":
+            v = _bits(v(_PROBES))
+        elif f.name == "sample_rng":
+            v = _bits(v(np.random.default_rng(5), 4))
+        elif f.name == "params":
+            v = {key: float(x).hex() for key, x in v.items()}
+        elif isinstance(v, np.ndarray):
+            v = (v.shape, _bits(v))
+        elif isinstance(v, float):
+            v = v.hex()
+        out[f.name] = (type(getattr(d, f.name)).__name__, v)
+    return out
+
+
+def assert_matches_the_frozen_path(p, name, params, alpha, rel_tol):
+    """The member of ``params`` that a fit of the family ``name`` builds, then
+    its Renyi score of the posterior p, against the frozen path's."""
+    q = varfit.FAMILY_BUILDERS[name]().unpack(params)
+    ref_q = REF_MEMBERS[name](*params.tolist())
+    assert set(vars(q)) == {f.name for f in dataclasses.fields(Density)}
+    assert member_bits(q) == member_bits(ref_q)
+    assert _bits(p.log_pdf(_PROBES)) == _bits(ref_log_pdf(p)(_PROBES))
+    got = _outcome(renyi_quadrature, p, q, alpha, rel_tol)
+    assert got == _outcome(ref_renyi_quadrature, p, ref_q, alpha, rel_tol)
+    return got
+
+
+@st.composite
+def posterior_members(draw):
+    """(posterior, family name, member parameters, alpha, rel_tol): a
+    Gaussian-mean or truncated-Gamma (exponential model) posterior and a
+    Laplace, logistic or Gamma member near its bulk, at a scale from 0.3 to
+    4 times its sd."""
+    n = draw(st.sampled_from([1, 10, 100, 1000, 10**5]))
+    if draw(st.booleans()):
+        p = GM_MODEL.exact_posterior(np.full(n, draw(st.floats(-3.0, 3.0))))
+    else:
+        p = EXP_MODEL.exact_posterior(np.full(n, 1.0 / draw(st.floats(0.2, 5.0))))
+    name = draw(st.sampled_from(sorted(REF_MEMBERS)))
+    centre = float(p.mean[0]) + draw(st.floats(-1.0, 1.0)) * p.sd
+    width = p.sd * draw(st.floats(0.3, 4.0))
+    params = np.array([abs(centre) + 1e-3 if name == "gamma" else centre, width])
+    alpha = draw(st.one_of(st.floats(1.001, 30.0), st.sampled_from([1e3, 1e6])))
+    return p, name, params, alpha, draw(st.sampled_from([1e-7, 1e-8]))
+
+
 class TestTrimmedOneDimensionalPath:
     @settings(derandomize=True, deadline=None, database=None, max_examples=300)
     @given(box_batches())
@@ -529,6 +807,37 @@ class TestTrimmedOneDimensionalPath:
         _, ref_inv, ref_a, ref_b = ref_make_map(*bounds)
         got = numerics._initial_edges(spec, inv, a, b)
         assert _bits(got) == _bits(ref_initial_edges(spec, ref_inv, ref_a, ref_b))
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=300)
+    @given(posterior_members())
+    def test_score_matches_the_frozen_path(self, case):
+        assert_matches_the_frozen_path(*case)
+
+    @pytest.mark.parametrize("p, name, params, alpha, expected", [
+        # a Gamma member far narrower than the posterior, which starts at 0
+        (EXP_MODEL.exact_posterior(np.full(10, 0.5)), "gamma", np.array([2.0, 0.1]), 5.0,
+         "divergent tail at 0"),
+        (GM_MODEL.exact_posterior(np.full(10, 0.5)), "gamma", np.array([0.5, 0.3]), 2.0,
+         "dominance"),
+        # N(0, 1) against Laplace(1, 1): the first pass sums to 0 and is
+        # taken again from the located peak, which at 1e20 overflows its shift
+        (GM_MODEL.exact_posterior(np.empty(0)), "laplace", np.array([1.0, 1.0]), 1e10, None),
+        (GM_MODEL.exact_posterior(np.empty(0)), "laplace", np.array([1.0, 1.0]), 1e20,
+         "ArithmeticError"),
+    ], ids=["inf-tail", "dominance", "reseeded", "overflow-raises"])
+    def test_hard_cases_match_the_frozen_path(self, monkeypatch, p, name, params, alpha,
+                                              expected):
+        seeds, peak_anchors = [], divergence._peak_anchors_1d
+        monkeypatch.setattr(divergence, "_peak_anchors_1d",
+                            lambda *args: seeds.append(args) or peak_anchors(*args))
+        got = assert_matches_the_frozen_path(p, name, params, alpha, 1e-8)
+        if expected == "ArithmeticError":
+            assert got[0] == expected and "overflowed its shift" in got[1]
+        else:
+            assert got[4] == expected and (got[0] == "inf") == (expected is not None)
+        # the library's path and the frozen one each re-seed exactly where a
+        # first pass fails
+        assert len(seeds) == (2 if alpha >= 1e10 else 0)
 
 
 if __name__ == "__main__":
